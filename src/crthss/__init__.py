@@ -18,7 +18,6 @@ from .analysis import (
     bound_rate_at_least,
     enumerate_posterior,
     eta_single_layer,
-    flat_view,
     information_rate,
     count_grouping,
     limit_ratio,
@@ -26,8 +25,8 @@ from .analysis import (
     scan_posterior_counts,
     worst_case_unauthorized,
 )
-from .asmuth_bloom import AbDeal, ab_reconstruct, ab_split
-from .chss import ChssDealResult, chss_deal, chss_is_authorized, chss_reconstruct
+from .asmuth_bloom import ab_reconstruct
+from .chss import chss_deal, chss_is_authorized, chss_reconstruct
 from .crt import Congruence, CrtSolution, crt_basis, crt_solve, ext_gcd, mod_inverse
 from .dhss import (
     DealResult,

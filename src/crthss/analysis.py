@@ -30,21 +30,24 @@ small but nonzero at small m0).
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log2, prod
+from math import fsum, log2, prod
 from typing import Iterable, Mapping, Optional
 
-from .asmuth_bloom import AbDeal
-from .chss import ChssDealResult, chss_is_authorized
+from .chss import chss_is_authorized
 from .crt import Congruence, crt_solve, mod_inverse
-from .dhss import DealResult, PublicBundle, dhss_authorized_level
+from .dhss import (
+    DealResult,
+    PublicBundle,
+    Share,
+    _level_congruences,
+    dhss_authorized_level,
+)
 from .errors import (
     DecompositionMismatch,
     IntractableInstance,
-    MissingPublicValue,
     NotUnauthorized,
     WrongCardinality,
 )
-from .oneway import eval_owf
 from .params import SchemeParams, compact_width
 
 SCHEMES = ("dhss", "chss")
@@ -116,30 +119,13 @@ class CountGrouping:
         return sum(y * g for y, g in self.groups.items())
 
 
-def adversary_view(
-    deal: DealResult | ChssDealResult, members: Iterable[int]
-) -> AdversaryView:
+def adversary_view(deal: DealResult, members: Iterable[int]) -> AdversaryView:
     """Collect the view of ``members`` out of a deal result."""
     got = frozenset(members)
     values = {s.participant: s.value for s in deal.shares if s.participant in got}
     if got - values.keys():
         raise ValueError(f"no shares for participants {sorted(got - values.keys())}")
     return AdversaryView(members=got, shares=values, public=deal.public)
-
-
-def flat_view(deal: AbDeal, params: SchemeParams, members: Iterable[int]) -> AdversaryView:
-    """View of a flat-scheme deal, wrapped as a single-level hierarchy."""
-    if params.hierarchy.m != 1:
-        raise ValueError("flat views need a single-level hierarchy")
-    got = frozenset(members)
-    values = {i: v for i, v in deal.shares if i in got}
-    if got - values.keys():
-        raise ValueError(f"no shares for participants {sorted(got - values.keys())}")
-    return AdversaryView(
-        members=got,
-        shares=values,
-        public=PublicBundle(params=params, w={}),
-    )
 
 
 def _check_unauthorized(view: AdversaryView, scheme: str) -> None:
@@ -157,22 +143,20 @@ def _check_unauthorized(view: AdversaryView, scheme: str) -> None:
             raise NotUnauthorized(f"set {sorted(view.members)} is authorized")
 
 
-def _level_residue(view: AdversaryView, participant: int, level: int) -> tuple[int, int]:
-    """(residue, modulus) that z_level must satisfy for one adversary member."""
+def _view_congruences(view: AdversaryView) -> list[list[Congruence]]:
+    """Per level l, z_l = lifted share (mod m_i) for every adversary member
+    inside the first N_l participants."""
     params = view.public.params
-    hier = params.hierarchy
-    m_i = params.sequence.modulus_of(participant)
-    value = view.shares[participant]
-    n_masked = hier.cumulative[-2] if hier.m > 1 else 0
-    if participant > n_masked:
-        return value % m_i, m_i
-    key = (participant, level)
-    if key not in view.public.w:
-        raise MissingPublicValue(
-            f"no published value for participant {participant} at level {level}"
-        )
-    mask = eval_owf(params.owf, level, value, m_i)
-    return (mask + view.public.w[key]) % m_i, m_i
+    seq, hier = params.sequence, params.hierarchy
+    shares = [
+        Share(participant=i, level=hier.level_of(i), modulus=seq.modulus_of(i),
+              value=view.shares[i])
+        for i in sorted(view.members)
+    ]
+    return [
+        _level_congruences(shares, level, view.public)
+        for level in range(1, hier.m + 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -198,12 +182,7 @@ def _level_systems(view: AdversaryView) -> list[_LevelSystem]:
     params = view.public.params
     seq, hier = params.sequence, params.hierarchy
     out = []
-    for level, upper in enumerate(hier.cumulative, start=1):
-        congruences = [
-            Congruence(*_level_residue(view, i, level))
-            for i in sorted(view.members)
-            if i <= upper
-        ]
+    for t, congruences in zip(hier.thresholds, _view_congruences(view)):
         if congruences:
             sol = crt_solve(congruences)
             base, share_mod = sol.value, sol.combined_modulus
@@ -213,7 +192,7 @@ def _level_systems(view: AdversaryView) -> list[_LevelSystem]:
             _LevelSystem(
                 base=base,
                 share_modulus=share_mod,
-                bound=seq.prefix_product(hier.thresholds[level - 1]),
+                bound=seq.prefix_product(t),
                 inv_mod_m0=mod_inverse(share_mod % seq.m0, seq.m0),
             )
         )
@@ -231,7 +210,11 @@ def _report_from_counts(
         conditional = log2(m0)
         loss = 0.0
     else:
-        conditional = log2(total) - sum(c * log2(c) for c in values) / total
+        conditional = log2(total) - fsum(c * log2(c) for c in values) / total
+        # No distribution over m0 secrets has more than log2(m0) bits of
+        # entropy (Gibbs' inequality), so loss >= 0 exactly; near-uniform
+        # counts can still round the float sum a few ulps past that bound.
+        conditional = min(conditional, log2(m0))
         loss = log2(m0) - conditional
     return PosteriorReport(
         per_secret_counts=dict(counts),
@@ -319,21 +302,13 @@ def scan_posterior_counts(
         raise IntractableInstance(
             f"{prod(bounds)} tuples exceed the scan budget {tuple_budget}"
         )
-    constraints: list[list[tuple[int, int]]] = []
-    for level, upper in enumerate(hier.cumulative, start=1):
-        constraints.append(
-            [
-                _level_residue(view, i, level)
-                for i in sorted(view.members)
-                if i <= upper
-            ]
-        )
+    constraints = _view_congruences(view)
     counts = {s: 0 for s in range(m0)}
     for zs in itertools.product(*(range(b) for b in bounds)):
         ok = all(
-            z % m_i == r_i
+            z % c.modulus == c.residue
             for z, level_constraints in zip(zs, constraints)
-            for r_i, m_i in level_constraints
+            for c in level_constraints
         )
         if not ok:
             continue

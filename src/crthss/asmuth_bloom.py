@@ -1,63 +1,21 @@
-"""Flat (t, n) threshold sharing over a coprime modulus ladder.
+"""Flat (t, n) threshold reconstruction over a coprime modulus ladder.
 
-The dealer lifts the secret s to y = s + alpha*m0 with y below the product of
-the first t moduli and hands participant i the residue y mod m_i. Any t shares
-pin y by congruence solving; t - 1 leave roughly prod/(m0 * prod_B) candidates
-per secret. alpha is drawn uniformly over its whole valid range, which is what
-the candidate-counting analysis assumes.
+A flat deal is the single-level case of the hierarchical dealing core:
+``dhss_deal`` with one level of n participants and threshold t lifts the
+secret s to y = s + alpha*m0 below the product of the first t moduli and hands
+participant i the residue y mod m_i. Any t shares pin y by congruence solving;
+t - 1 leave roughly prod/(m0 * prod_B) candidates per secret.
 
-y = 0 is allowed (secret 0 with alpha 0); the range is [0, prod) throughout.
+This module keeps the flat reconstruction, which takes bare (participant,
+value) pairs and rejects a solution beyond the dealer's range bound. y = 0 is
+allowed (secret 0 with alpha 0); the range is [0, prod) throughout.
 """
 
-import random
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .crt import Congruence, crt_solve
-from .errors import (
-    AbConstraintViolated,
-    InconsistentShares,
-    SecretOutOfRange,
-    ThresholdOutOfRange,
-    TooFewShares,
-)
-from .params import CompactSequence, check_ab_constraint
-
-
-@dataclass(frozen=True)
-class AbDeal:
-    """One dealing: the lifted value y = secret + alpha*m0 and all residues.
-
-    shares holds (participant index, y mod m_i) pairs for every participant.
-    alpha and y are dealer-side secrets; they are kept here so tests and the
-    audit tooling can cross-check, and must never be published.
-    """
-
-    secret: int
-    alpha: int
-    y: int
-    shares: tuple[tuple[int, int], ...]
-
-
-def ab_split(secret: int, t: int, seq: CompactSequence, rng_seed: int) -> AbDeal:
-    """Deal ``secret`` with threshold t over the sequence's n participants.
-
-    alpha is uniform over {a >= 0 : secret + a*m0 < m_1*...*m_t}.
-    """
-    if not 0 <= secret < seq.m0:
-        raise SecretOutOfRange(f"secret {secret} not in [0, {seq.m0})")
-    if not 1 <= t <= seq.n:
-        raise ThresholdOutOfRange(f"t={t} with only {seq.n} moduli")
-    if not check_ab_constraint(seq, t):
-        raise AbConstraintViolated(
-            f"m0 * prod(m_1..m_{t - 1}) >= prod(m_1..m_{t})"
-        )
-    bound = seq.prefix_product(t)
-    rng = random.Random(rng_seed)
-    alpha = rng.randrange((bound - 1 - secret) // seq.m0 + 1)
-    y = secret + alpha * seq.m0
-    shares = tuple((i, y % m) for i, m in enumerate(seq.moduli, start=1))
-    return AbDeal(secret=secret, alpha=alpha, y=y, shares=shares)
+from .errors import InconsistentShares, TooFewShares
+from .params import CompactSequence
 
 
 def _collect(shares: Iterable[tuple[int, int]], seq: CompactSequence) -> dict[int, int]:

@@ -2,53 +2,38 @@
 
 Authorization requires EVERY level's cumulative threshold to be met. The
 secret is split additively: delta_1..delta_{m-1} are uniform in Z_m0 and
-delta_m closes the sum to the secret mod m0. Each delta_l is then lifted to
-y_l = delta_l + alpha_l*m0 below prod(m_1..m_{t_l}) and shared exactly like a
-disjunctive level: random holdings plus published offsets below the top level,
-raw y_m residues at the top.
+delta_m closes the sum to the secret mod m0. Each delta_l is then lifted and
+shared by the disjunctive dealing core, exactly like a disjunctive level:
+random holdings plus published offsets below the top level, raw y_m residues
+at the top. Only the residues differ: the disjunctive scheme lifts the secret
+itself at every level.
 
 Draw order per seed: delta_1..delta_{m-1}, then alpha_1..alpha_m by level,
 then c_i by participant index, so deals replay byte-for-byte.
 """
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .crt import Congruence, crt_solve
-from .dhss import PublicBundle, Share, _check_dealable, _draw_lift, dedupe_shares, lift_share
+from .crt import crt_solve
+from .dhss import (
+    DealResult,
+    PublicBundle,
+    Share,
+    _check_dealable,
+    _deal,
+    _level_congruences,
+    dedupe_shares,
+)
 from .errors import NotAuthorized
-from .oneway import eval_owf
 from .params import SchemeParams
-
-
-@dataclass(frozen=True)
-class ChssDealResult:
-    shares: tuple[Share, ...]
-    public: PublicBundle
-    dealer_secrets: Optional[dict] = None
 
 
 def chss_is_authorized(
     members: frozenset | set | Sequence[int], params: SchemeParams
 ) -> bool:
     """True iff every level's cumulative threshold is met."""
-    return not failing_levels(members, params)
-
-
-def failing_levels(
-    members: frozenset | set | Sequence[int], params: SchemeParams
-) -> tuple[int, ...]:
-    """Levels whose cumulative threshold the set misses."""
-    got = set(members)
-    hier = params.hierarchy
-    return tuple(
-        level
-        for level, (upper, t) in enumerate(
-            zip(hier.cumulative, hier.thresholds), start=1
-        )
-        if sum(1 for i in got if i <= upper) < t
-    )
+    return not params.hierarchy.failing_levels(members)
 
 
 def chss_deal(
@@ -56,51 +41,20 @@ def chss_deal(
     params: SchemeParams,
     rng_seed: int,
     keep_dealer_secrets: bool = False,
-) -> ChssDealResult:
+) -> DealResult:
     """Deal ``secret`` conjunctively. Deterministic for a given seed.
 
     With a single level the random prefix is empty, delta_1 equals the secret,
     and the deal coincides with the flat scheme under the same seed.
     """
     _check_dealable(secret, params)
-    seq, hier = params.sequence, params.hierarchy
-    m0 = seq.m0
+    m0 = params.sequence.m0
     rng = random.Random(rng_seed)
-    deltas = [rng.randrange(m0) for _ in range(hier.m - 1)]
+    deltas = [rng.randrange(m0) for _ in range(params.hierarchy.m - 1)]
     deltas.append((secret - sum(deltas)) % m0)
-    alphas, ys = [], []
-    for delta, t in zip(deltas, hier.thresholds):
-        alpha, y = _draw_lift(rng, delta, m0, seq.prefix_product(t))
-        alphas.append(alpha)
-        ys.append(y)
-    n_masked = hier.cumulative[-2] if hier.m > 1 else 0
-    shares = []
-    for i in range(1, n_masked + 1):
-        m_i = seq.modulus_of(i)
-        shares.append(
-            Share(participant=i, level=hier.level_of(i), modulus=m_i,
-                  value=rng.randrange(m_i))
-        )
-    for i in range(n_masked + 1, hier.n + 1):
-        m_i = seq.modulus_of(i)
-        shares.append(
-            Share(participant=i, level=hier.m, modulus=m_i, value=ys[-1] % m_i)
-        )
-    w = {}
-    for share in shares[:n_masked]:
-        for level in range(share.level, hier.m + 1):
-            mask = eval_owf(params.owf, level, share.value, share.modulus)
-            w[(share.participant, level)] = (ys[level - 1] - mask) % share.modulus
-    secrets_out = (
-        {"delta": tuple(deltas), "alpha": tuple(alphas), "y": tuple(ys)}
-        if keep_dealer_secrets
-        else None
-    )
-    return ChssDealResult(
-        shares=tuple(shares),
-        public=PublicBundle(params=params, w=dict(w)),
-        dealer_secrets=secrets_out,
-    )
+    shares, public, lifts = _deal(deltas, params, rng)
+    secrets_out = {"delta": tuple(deltas), **lifts} if keep_dealer_secrets else None
+    return DealResult(shares, public, secrets_out)
 
 
 def chss_reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
@@ -114,20 +68,15 @@ def chss_reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
     hier = params.hierarchy
     unique = dedupe_shares(shares, params)
     members = {s.participant for s in unique}
-    missing = failing_levels(members, params)
+    missing = hier.failing_levels(members)
     if missing:
         raise NotAuthorized(
             f"level(s) {list(missing)} below threshold for participants "
             f"{sorted(members)}",
             failing_levels=missing,
         )
-    m0 = params.sequence.m0
-    total = 0
-    for level, upper in enumerate(hier.cumulative, start=1):
-        system = [
-            Congruence(residue=lift_share(s, level, public), modulus=s.modulus)
-            for s in unique
-            if s.participant <= upper
-        ]
-        total += crt_solve(system).value % m0
-    return total % m0
+    total = sum(
+        crt_solve(_level_congruences(unique, level, public)).value
+        for level in range(1, hier.m + 1)
+    )
+    return total % params.sequence.m0

@@ -2,7 +2,8 @@
 
 Exit codes are stable:
   0 success
-  2 flag/validation failure (including a secret out of range)
+  2 flag/validation failure (including a secret out of range or a
+    malformed share)
   3 invalid parameter set at deal time
   4 reconstruction refused: no qualifying level (failing levels are named)
   5 parameter digest mismatch between shares and bundle
@@ -156,20 +157,13 @@ def cmd_deal(args) -> int:
         return _fail(EXIT_VALIDATION, f"cannot read parameters: {exc}")
     scheme = args.scheme or file_scheme
     seed, seed_note = _resolve_seed(args.seed)
+    if scheme == "ab" and params.hierarchy.m != 1:
+        return _fail(
+            EXIT_INVALID_PARAMS, "flat dealing needs a single-level parameter set"
+        )
+    deal = chss_deal if scheme == "chss" else dhss_deal
     try:
-        if scheme == "dhss":
-            result = dhss_deal(args.secret, params, seed, keep_dealer_secrets=True)
-        elif scheme == "chss":
-            result = chss_deal(args.secret, params, seed, keep_dealer_secrets=True)
-        elif scheme == "ab":
-            if params.hierarchy.m != 1:
-                return _fail(
-                    EXIT_INVALID_PARAMS,
-                    "flat dealing needs a single-level parameter set",
-                )
-            result = dhss_deal(args.secret, params, seed, keep_dealer_secrets=True)
-        else:
-            return _fail(EXIT_VALIDATION, f"unknown scheme {scheme!r}")
+        result = deal(args.secret, params, seed, keep_dealer_secrets=True)
     except SecretOutOfRange as exc:
         return _fail(EXIT_VALIDATION, str(exc))
     except InvalidParams as exc:
@@ -244,7 +238,7 @@ def cmd_reconstruct(args) -> int:
         )
     except MissingPublicValue as exc:
         return _fail(EXIT_MISSING_PUBLIC, str(exc))
-    except Error as exc:
+    except (Error, ValueError) as exc:
         return _fail(EXIT_VALIDATION, str(exc))
 
 
@@ -260,11 +254,8 @@ def _audit_one(
     epsilon: float,
 ) -> dict:
     """Deal, build the adversary view, and measure the posterior."""
-    if scheme == "chss":
-        result = chss_deal(secret, params, deal_seed)
-    else:
-        result = dhss_deal(secret, params, deal_seed)
-    view = analysis.adversary_view(result, adversary)
+    deal = chss_deal if scheme == "chss" else dhss_deal
+    view = analysis.adversary_view(deal(secret, params, deal_seed), adversary)
     report = analysis.enumerate_posterior(
         view, scheme, epsilon_tolerance=epsilon, work_budget=budget
     )

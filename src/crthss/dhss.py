@@ -9,6 +9,11 @@ and have no published offsets.
 
 Deals are reproducible: for a given seed the dealer draws alpha_1..alpha_m
 (by level), then c_1..c_{N_{m-1}} (by participant index).
+
+The dealing core lifts and shares any per-level residues: the disjunctive
+scheme passes the secret at every level, the conjunctive scheme passes the
+additive parts of it, and a single-level hierarchy is the flat Asmuth-Bloom
+scheme.
 """
 
 import random
@@ -65,10 +70,31 @@ def _check_dealable(secret: int, params: SchemeParams) -> None:
         )
 
 
-def _draw_lift(rng: random.Random, residue: int, m0: int, bound: int) -> tuple[int, int]:
-    """Uniform alpha with residue + alpha*m0 in [0, bound); returns (alpha, y)."""
-    alpha = rng.randrange((bound - 1 - residue) // m0 + 1)
-    return alpha, residue + alpha * m0
+def _deal(
+    residues: Sequence[int], params: SchemeParams, rng: random.Random
+) -> tuple[tuple[Share, ...], PublicBundle, dict]:
+    """Lift residues[l-1] to y_l below prod(m_1..m_{t_l}) and share every
+    level. Draws alpha_1..alpha_m by level, then c_1..c_{N_{m-1}} by
+    participant index. Returns the shares, the public bundle and the
+    dealer-side lifts {"alpha", "y"}."""
+    seq, hier = params.sequence, params.hierarchy
+    alphas, ys = [], []
+    for residue, t in zip(residues, hier.thresholds):
+        bound = seq.prefix_product(t)
+        alphas.append(rng.randrange((bound - 1 - residue) // seq.m0 + 1))
+        ys.append(residue + alphas[-1] * seq.m0)
+    n_masked = hier.n_masked
+    shares, w = [], {}
+    for i in range(1, hier.n + 1):
+        m_i, level = seq.modulus_of(i), hier.level_of(i)
+        value = rng.randrange(m_i) if i <= n_masked else ys[-1] % m_i
+        shares.append(Share(participant=i, level=level, modulus=m_i, value=value))
+        if i <= n_masked:
+            for lvl in range(level, hier.m + 1):
+                mask = eval_owf(params.owf, lvl, value, m_i)
+                w[(i, lvl)] = (ys[lvl - 1] - mask) % m_i
+    lifts = {"alpha": tuple(alphas), "y": tuple(ys)}
+    return tuple(shares), PublicBundle(params=params, w=w), lifts
 
 
 def dhss_deal(
@@ -77,55 +103,27 @@ def dhss_deal(
     rng_seed: int,
     keep_dealer_secrets: bool = False,
 ) -> DealResult:
-    """Deal ``secret`` disjunctively. Deterministic for a given seed.
+    """Deal ``secret`` disjunctively: every level lifts the secret itself.
+    Deterministic for a given seed; with a single level this is the flat
+    Asmuth-Bloom deal.
 
     dealer_secrets (y_l and alpha_l per level) is populated only when
     keep_dealer_secrets is set; it must never leave a test or audit context.
     """
     _check_dealable(secret, params)
-    seq, hier = params.sequence, params.hierarchy
-    rng = random.Random(rng_seed)
-    alphas, ys = [], []
-    for t in hier.thresholds:
-        alpha, y = _draw_lift(rng, secret, seq.m0, seq.prefix_product(t))
-        alphas.append(alpha)
-        ys.append(y)
-    n_masked = hier.cumulative[-2] if hier.m > 1 else 0
-    shares = []
-    for i in range(1, n_masked + 1):
-        m_i = seq.modulus_of(i)
-        shares.append(
-            Share(participant=i, level=hier.level_of(i), modulus=m_i,
-                  value=rng.randrange(m_i))
-        )
-    for i in range(n_masked + 1, hier.n + 1):
-        m_i = seq.modulus_of(i)
-        shares.append(
-            Share(participant=i, level=hier.m, modulus=m_i, value=ys[-1] % m_i)
-        )
-    w = {}
-    for share in shares[:n_masked]:
-        for level in range(share.level, hier.m + 1):
-            mask = eval_owf(params.owf, level, share.value, share.modulus)
-            w[(share.participant, level)] = (ys[level - 1] - mask) % share.modulus
-    secrets_out = {"y": tuple(ys), "alpha": tuple(alphas)} if keep_dealer_secrets else None
-    return DealResult(
-        shares=tuple(shares),
-        public=PublicBundle(params=params, w=dict(w)),
-        dealer_secrets=secrets_out,
+    shares, public, lifts = _deal(
+        [secret] * params.hierarchy.m, params, random.Random(rng_seed)
     )
+    return DealResult(shares, public, lifts if keep_dealer_secrets else None)
 
 
 def dhss_authorized_level(
     members: frozenset | set | Sequence[int], params: SchemeParams
 ) -> Optional[int]:
     """Smallest level whose cumulative threshold the set meets, else None."""
-    got = set(members)
-    hier = params.hierarchy
-    for level, (upper, t) in enumerate(zip(hier.cumulative, hier.thresholds), start=1):
-        if sum(1 for i in got if i <= upper) >= t:
-            return level
-    return None
+    failing = params.hierarchy.failing_levels(members)
+    levels = range(1, params.hierarchy.m + 1)
+    return next((level for level in levels if level not in failing), None)
 
 
 def lift_share(
@@ -133,9 +131,7 @@ def lift_share(
 ) -> int:
     """Level-l residue of one share: masked via the published offset for
     participants below the top level, the raw value for top-level holders."""
-    hier = public.params.hierarchy
-    n_masked = hier.cumulative[-2] if hier.m > 1 else 0
-    if share.participant > n_masked:
+    if share.participant > public.params.hierarchy.n_masked:
         return share.value % share.modulus
     key = (share.participant, level)
     if key not in public.w:
@@ -145,6 +141,18 @@ def lift_share(
         )
     mask = eval_owf(public.params.owf, level, share.value, share.modulus)
     return (mask + public.w[key]) % share.modulus
+
+
+def _level_congruences(
+    shares: Sequence[Share], level: int, public: PublicBundle
+) -> list[Congruence]:
+    """z_l = lifted share (mod m_i) for every share inside the first N_l."""
+    upper = public.params.hierarchy.cumulative[level - 1]
+    return [
+        Congruence(residue=lift_share(s, level, public), modulus=s.modulus)
+        for s in shares
+        if s.participant <= upper
+    ]
 
 
 def dedupe_shares(shares: Sequence[Share], params: SchemeParams) -> list[Share]:
@@ -179,13 +187,7 @@ def dhss_reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
     if level is None:
         raise NotAuthorized(
             f"no level threshold met by participants {sorted(members)}",
-            failing_levels=tuple(range(1, hier.m + 1)),
+            failing_levels=hier.failing_levels(members),
         )
-    upper = hier.cumulative[level - 1]
-    system = [
-        Congruence(residue=lift_share(s, level, public), modulus=s.modulus)
-        for s in unique
-        if s.participant <= upper
-    ]
-    y = crt_solve(system).value
+    y = crt_solve(_level_congruences(unique, level, public)).value
     return y % params.sequence.m0

@@ -45,10 +45,6 @@ class SecretOutOfRange(Error):
     """Secret not in [0, m0)."""
 
 
-class AbConstraintViolated(Error):
-    """Sequence fails the Asmuth-Bloom product inequality for the threshold."""
-
-
 class TooFewShares(Error):
     """Fewer distinct shares supplied than the threshold requires."""
 

@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
+from typing import Iterable
+
 from .errors import IntervalExhausted, ThresholdOutOfRange
 from .oneway import OwfFamily
 
@@ -184,13 +186,19 @@ def validate_sequence_structure(seq: CompactSequence) -> ValidationReport:
 def validate_compact(seq: CompactSequence) -> ValidationReport:
     """Structural checks plus the open compactness interval bounds.
     Every violation is reported with its indices."""
-    bad = list(validate_sequence_structure(seq).violations)
+    bad = validate_sequence_structure(seq).violations
+    return ValidationReport(bad + _interval_violations(seq))
+
+
+def _interval_violations(seq: CompactSequence) -> tuple[str, ...]:
+    """Moduli outside the open interval (k*m0, k*m0 + floor(m0^theta))."""
     lo = seq.k * seq.m0
     hi = lo + compact_width(seq.m0, seq.theta)
-    for idx, m in enumerate(seq.moduli, start=1):
-        if not lo < m < hi:
-            bad.append(f"m_{idx} = {m} outside open interval ({lo}, {hi})")
-    return ValidationReport(tuple(bad))
+    return tuple(
+        f"m_{idx} = {m} outside open interval ({lo}, {hi})"
+        for idx, m in enumerate(seq.moduli, start=1)
+        if not lo < m < hi
+    )
 
 
 def check_ab_constraint(seq: CompactSequence, t: int) -> bool:
@@ -229,6 +237,23 @@ class Hierarchy:
             acc += size
             out.append(acc)
         return tuple(out)
+
+    @property
+    def n_masked(self) -> int:
+        """Participants below the top level, N_{m-1} (0 with one level): they
+        hold random values and reach each level through published offsets."""
+        return self.cumulative[-2] if self.m > 1 else 0
+
+    def failing_levels(self, members: Iterable[int]) -> tuple[int, ...]:
+        """Levels l whose threshold t_l the set misses inside the first N_l."""
+        got = set(members)
+        return tuple(
+            level
+            for level, (upper, t) in enumerate(
+                zip(self.cumulative, self.thresholds), start=1
+            )
+            if sum(1 for i in got if i <= upper) < t
+        )
 
     def level_of(self, participant: int) -> int:
         """Level l with N_{l-1} < participant <= N_l."""
@@ -307,10 +332,6 @@ def validate_dealable(params: SchemeParams) -> ValidationReport:
 
 def validate_params(params: SchemeParams) -> ValidationReport:
     """Full validation: everything a deal needs plus the compactness bounds."""
-    bad = list(validate_dealable(params).violations)
-    lo = params.sequence.k * params.sequence.m0
-    hi = lo + compact_width(params.sequence.m0, params.sequence.theta)
-    for idx, m in enumerate(params.sequence.moduli, start=1):
-        if not lo < m < hi:
-            bad.append(f"sequence: m_{idx} = {m} outside open interval ({lo}, {hi})")
-    return ValidationReport(tuple(bad))
+    bad = validate_dealable(params).violations
+    interval = tuple(f"sequence: {v}" for v in _interval_violations(params.sequence))
+    return ValidationReport(bad + interval)

@@ -22,7 +22,6 @@ from crthss import (
     Hierarchy,
     OwfFamily,
     SchemeParams,
-    ab_split,
     adversary_view,
     bound_rate_at_least,
     chss_deal,
@@ -34,7 +33,6 @@ from crthss import (
     dhss_reconstruct,
     enumerate_posterior,
     eta_single_layer,
-    flat_view,
     generate_compact_sequence,
     count_grouping,
     rate_at_least,
@@ -311,8 +309,8 @@ def test_c6_eta_dichotomy_and_ladder():
                 hierarchy=Hierarchy((3,), (2,)),
                 owf=OwfFamily(kind="test_affine"),
             )
-            deal = ab_split(m0 // 2, 2, seq, 2)
-            view = flat_view(deal, params, {1})
+            deal = dhss_deal(m0 // 2, params, 2)
+            view = adversary_view(deal, {1})
             report = eta_single_layer(view, 2)
             assert report.d1 + report.d2 == m0
             posterior = enumerate_posterior(view, "dhss")

@@ -15,14 +15,12 @@ from crthss import (
     Hierarchy,
     OwfFamily,
     SchemeParams,
-    ab_split,
     adversary_view,
     bound_rate_at_least,
     chss_deal,
     dhss_deal,
     enumerate_posterior,
     eta_single_layer,
-    flat_view,
     generate_compact_sequence,
     information_rate,
     count_grouping,
@@ -63,9 +61,9 @@ def test_micro_empty_adversary(micro_params):
     assert 0 < report.loss < 0.1
 
 
-def test_flat_posterior_and_eta(micro_seq, flat_params):
-    deal = ab_split(3, 2, micro_seq, AB_SEED)
-    view = flat_view(deal, flat_params, {1})
+def test_flat_posterior_and_eta(flat_params):
+    deal = dhss_deal(3, flat_params, AB_SEED)
+    view = adversary_view(deal, {1})
     report = enumerate_posterior(view, "dhss")
     # frozen from the scan of y in [0, 143) with y = 5 (mod 11)
     assert report.per_secret_counts == {0: 2, 1: 1, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2}
@@ -85,6 +83,18 @@ def test_micro_chss_posterior_matches_scan(micro_params):
         assert scan_posterior_counts(view, "chss") == dict(report.per_secret_counts)
         assert report.loss >= 0
         assert report.per_secret_counts[4] >= 1
+
+
+def test_chss_loss_never_negative_near_uniform():
+    # near-flat counts once rounded the float entropy sum to a loss of
+    # -6.9e-13 bits on this instance; loss is a KL divergence, so >= 0
+    seq = generate_compact_sequence(2153, 9, 1, Fraction(1, 2), 0)
+    params = SchemeParams(sequence=seq, hierarchy=Hierarchy((2, 3, 4), (2, 3, 5)))
+    view = adversary_view(chss_deal(717, params, 1), {1, 3, 6, 7})
+    report = enumerate_posterior(view, "chss")
+    assert report.loss >= 0
+    assert report.conditional_entropy <= report.secret_entropy
+    assert report.loss < 1e-9
 
 
 def test_posterior_rejects_authorized_sets(micro_params):
@@ -116,15 +126,15 @@ def test_count_grouping_micro(micro_params):
     assert decomposition.gamma_total == 7
 
 
-def test_count_grouping_flat(micro_seq, flat_params):
-    deal = ab_split(3, 2, micro_seq, AB_SEED)
-    view = flat_view(deal, flat_params, {1})
+def test_count_grouping_flat(flat_params):
+    deal = dhss_deal(3, flat_params, AB_SEED)
+    view = adversary_view(deal, {1})
     report = enumerate_posterior(view, "dhss")
     decomposition = count_grouping(report, view)
     assert dict(decomposition.groups) == {1: 1, 2: 6}  # floor(143/77) = 1
     assert decomposition.gamma_total == 7
 
-    empty = flat_view(deal, flat_params, set())
+    empty = adversary_view(deal, set())
     report = enumerate_posterior(empty, "dhss")
     decomposition = count_grouping(report, empty)
     assert set(decomposition.groups) <= {143 // 7, 143 // 7 + 1}
@@ -153,8 +163,8 @@ def test_eta_zero_on_non_compact():
     params = SchemeParams(
         sequence=seq, hierarchy=Hierarchy((3,), (2,)), owf=OwfFamily(kind="test_affine")
     )
-    deal = ab_split(5, 2, seq, 3)
-    view = flat_view(deal, params, {3})
+    deal = dhss_deal(5, params, 3)
+    view = adversary_view(deal, {3})
     eta = eta_single_layer(view, 2)
     assert eta.eta == 0
     assert eta.d1 + eta.d2 == 7
@@ -164,10 +174,10 @@ def test_eta_zero_on_non_compact():
     assert set(report.per_secret_counts.values()) <= {0, 1}
 
 
-def test_eta_requires_undersized_flat_set(micro_seq, flat_params, micro_params):
-    deal = ab_split(3, 2, micro_seq, AB_SEED)
+def test_eta_requires_undersized_flat_set(flat_params, micro_params):
+    deal = dhss_deal(3, flat_params, AB_SEED)
     with pytest.raises(NotUnauthorized):
-        eta_single_layer(flat_view(deal, flat_params, {1, 2}), 2)
+        eta_single_layer(adversary_view(deal, {1, 2}), 2)
     two_level = dhss_deal(3, micro_params, 0)
     with pytest.raises(ValueError):
         eta_single_layer(adversary_view(two_level, {2}), 2)
@@ -191,9 +201,9 @@ def test_eta_dichotomy_random_flat():
             hierarchy=Hierarchy((n,), (t,)),
             owf=OwfFamily(kind="test_affine"),
         )
-        deal = ab_split(rng.randrange(m0), t, seq, rng.randrange(2**32))
+        deal = dhss_deal(rng.randrange(m0), params, rng.randrange(2**32))
         members = set(rng.sample(range(1, n + 1), t - 1))
-        view = flat_view(deal, params, members)
+        view = adversary_view(deal, members)
         eta = eta_single_layer(view, t)
         assert eta.d1 + eta.d2 == m0
         report = enumerate_posterior(view, "dhss")
@@ -214,8 +224,8 @@ def test_minority_fraction_shrinks_along_ladder():
             hierarchy=Hierarchy((3,), (2,)),
             owf=OwfFamily(kind="test_affine"),
         )
-        deal = ab_split(m0 // 2, 2, seq, 2)
-        report = eta_single_layer(flat_view(deal, params, {1}), 2)
+        deal = dhss_deal(m0 // 2, params, 2)
+        report = eta_single_layer(adversary_view(deal, {1}), 2)
         fractions.append(min(report.d1, report.d2) / m0)
     assert fractions[0] > fractions[1] > fractions[2]
 

@@ -1,4 +1,8 @@
-"""Flat threshold scheme: worked vectors, round trips, leakage bound."""
+"""Flat threshold scheme: worked vectors, round trips, leakage bound.
+
+A flat deal is ``dhss_deal`` on a single-level hierarchy; reconstruction goes
+through ``ab_reconstruct`` on bare (participant, value) pairs.
+"""
 
 import itertools
 import random
@@ -9,49 +13,65 @@ import pytest
 from conftest import AB_SEED
 from crthss import (
     CompactSequence,
+    Hierarchy,
+    OwfFamily,
+    SchemeParams,
     ab_reconstruct,
-    ab_split,
+    adversary_view,
+    dhss_deal,
     enumerate_posterior,
-    flat_view,
     generate_compact_sequence,
 )
 from crthss.errors import (
-    AbConstraintViolated,
     InconsistentShares,
+    InvalidParams,
     SecretOutOfRange,
     TooFewShares,
 )
 
 
-def test_worked_vector(micro_seq):
-    deal = ab_split(3, 2, micro_seq, AB_SEED)
-    assert deal.alpha == 5
-    assert deal.y == 38
+def flat(seq, t):
+    return SchemeParams(
+        sequence=seq,
+        hierarchy=Hierarchy((seq.n,), (t,)),
+        owf=OwfFamily(kind="test_affine"),
+    )
+
+
+def pairs(deal):
+    return tuple((s.participant, s.value) for s in deal.shares)
+
+
+def test_worked_vector(flat_params):
+    deal = dhss_deal(3, flat_params, AB_SEED, keep_dealer_secrets=True)
+    assert deal.dealer_secrets["alpha"] == (5,)
+    assert deal.dealer_secrets["y"] == (38,)
     # 38 mod 11/13/17 by hand gives 5, 12, 4
-    assert deal.shares == ((1, 5), (2, 12), (3, 4))
+    assert pairs(deal) == ((1, 5), (2, 12), (3, 4))
+    assert deal.public.w == {}
 
 
-def test_zero_secret_zero_alpha(micro_seq):
+def test_zero_secret_zero_alpha(flat_params):
     for seed in range(200):
-        deal = ab_split(0, 2, micro_seq, seed)
-        if deal.alpha == 0:
-            assert deal.y == 0
-            assert all(v == 0 for _, v in deal.shares)
+        deal = dhss_deal(0, flat_params, seed, keep_dealer_secrets=True)
+        if deal.dealer_secrets["alpha"] == (0,):
+            assert deal.dealer_secrets["y"] == (0,)
+            assert all(v == 0 for _, v in pairs(deal))
             return
     pytest.fail("no seed produced alpha = 0")
 
 
-def test_secret_out_of_range(micro_seq):
+def test_secret_out_of_range(flat_params):
     with pytest.raises(SecretOutOfRange):
-        ab_split(7, 2, micro_seq, 0)
+        dhss_deal(7, flat_params, 0)
     with pytest.raises(SecretOutOfRange):
-        ab_split(-1, 2, micro_seq, 0)
+        dhss_deal(-1, flat_params, 0)
 
 
 def test_ab_constraint_gate():
     bad = CompactSequence(m0=12, moduli=(13, 11, 17), k=1, theta=Fraction(1, 2))
-    with pytest.raises(AbConstraintViolated):
-        ab_split(3, 2, bad, 0)
+    with pytest.raises(InvalidParams):
+        dhss_deal(3, flat(bad, 2), 0)
 
 
 def test_reconstruct_worked_vector(micro_seq):
@@ -69,23 +89,23 @@ def test_reconstruct_rejects_conflicts(micro_seq):
         ab_reconstruct([(1, 5), (2, 12), (3, 5)], 2, micro_seq)
 
 
-def test_round_trip_exhaustive(micro_seq):
-    rng = random.Random(30)
+def test_round_trip_exhaustive(micro_seq, flat_params):
     for secret in range(7):
         for seed in range(10):
-            deal = ab_split(secret, 2, micro_seq, seed)
+            deal = dhss_deal(secret, flat_params, seed)
             for r in (2, 3):
-                for subset in itertools.combinations(deal.shares, r):
+                for subset in itertools.combinations(pairs(deal), r):
                     assert ab_reconstruct(list(subset), 2, micro_seq) == secret
 
 
 def test_round_trip_all_secrets_m0_101():
     rng = random.Random(33)
     seq = generate_compact_sequence(101, 4, 1, Fraction(2, 3), 9)
+    params = flat(seq, 2)
     for secret in range(101):
-        deal = ab_split(secret, 2, seq, rng.randrange(2**32))
+        deal = dhss_deal(secret, params, rng.randrange(2**32))
         picks = rng.sample(range(4), rng.randrange(2, 5))
-        subset = [deal.shares[i] for i in picks]
+        subset = [pairs(deal)[i] for i in picks]
         assert ab_reconstruct(subset, 2, seq) == secret
 
 
@@ -97,20 +117,20 @@ def test_round_trip_random_sequences():
         t = rng.randrange(1, n + 1)
         seq = generate_compact_sequence(m0, n, 1, Fraction(2, 3), rng.randrange(2**32))
         secret = rng.randrange(m0)
-        deal = ab_split(secret, t, seq, rng.randrange(2**32))
+        deal = dhss_deal(secret, flat(seq, t), rng.randrange(2**32))
         picks = rng.sample(range(n), t)
-        subset = [deal.shares[i] for i in picks]
+        subset = [pairs(deal)[i] for i in picks]
         assert ab_reconstruct(subset, t, seq) == secret
 
 
-def test_undersized_sets_keep_multiple_secrets(micro_seq, flat_params):
+def test_undersized_sets_keep_multiple_secrets(flat_params):
     # every below-threshold subset stays consistent with at least two secrets
     rng = random.Random(32)
     for seed in range(10):
         secret = rng.randrange(7)
-        deal = ab_split(secret, 2, micro_seq, seed)
+        deal = dhss_deal(secret, flat_params, seed)
         for member in (1, 2, 3):
-            view = flat_view(deal, flat_params, {member})
+            view = adversary_view(deal, {member})
             report = enumerate_posterior(view, "dhss")
             alive = [s for s, c in report.per_secret_counts.items() if c > 0]
             assert report.per_secret_counts[secret] >= 1

@@ -1,8 +1,14 @@
 """End-to-end CLI behavior: exit codes, file outputs, worked vectors."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import crthss
 
 from conftest import CHSS_SEED, DHSS_SEED
 from crthss.cli import main
@@ -212,6 +218,37 @@ def SchemeParamsFlat(micro_params):
         hierarchy=Hierarchy((3,), (2,)),
         owf=micro_params.owf,
     )
+
+
+@pytest.mark.parametrize("scheme, field, corrupt, partner", [
+    ("dhss", "participant", lambda share: 99, "share_002.json"),
+    ("dhss", "value", lambda share: str(int(share["value"]) + 1), "share_001.json"),
+    ("ab", "value", lambda share: share["modulus"], "share_002.json"),
+    ("ab", "participant", lambda share: 99, "share_002.json"),
+], ids=["dhss-participant-99", "dhss-conflicting-values",
+        "ab-value-at-modulus", "ab-participant-99"])
+def test_reconstruct_malformed_shares_exit_2(tmp_path, micro_params, flat_params,
+                                             scheme, field, corrupt, partner):
+    params = flat_params if scheme == "ab" else micro_params
+    param_path = tmp_path / "params.json"
+    param_path.write_text(canonical_dumps(param_file_obj(scheme, params)))
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(param_path), "--secret", "4",
+                 "--seed", "1", "--out-dir", str(out_dir)]) == 0
+    share = read(out_dir / "share_001.json")
+    share[field] = corrupt(share)
+    bad = tmp_path / "bad_share.json"
+    bad.write_text(canonical_dumps(share))
+    shares = [str(bad), str(out_dir / partner)]
+    env = {**os.environ, "PYTHONPATH": str(Path(crthss.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "crthss.cli", "reconstruct",
+         "--public", str(out_dir / "public_bundle.json"), "--shares", *shares],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_audit_micro(tmp_path, micro_param_file, capsys):

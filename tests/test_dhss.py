@@ -163,10 +163,12 @@ def test_completeness_random_instances():
 
 
 def test_single_level_matches_flat(flat_params, micro_seq):
-    from crthss import ab_split
+    # the flat Asmuth-Bloom deal by definition: alpha uniform below
+    # (prod(m_1..m_t) - 1 - s) / m0, the first draw of the seeded dealer
     for seed in (0, 1, 2, 99):
         result = dhss_deal(5, flat_params, seed, keep_dealer_secrets=True)
-        flat = ab_split(5, 2, micro_seq, seed)
-        assert result.dealer_secrets["y"] == (flat.y,)
-        assert [(s.participant, s.value) for s in result.shares] == list(flat.shares)
+        y = 5 + random.Random(seed).randrange((11 * 13 - 1 - 5) // 7 + 1) * 7
+        flat_shares = [(i, y % m) for i, m in enumerate(micro_seq.moduli, start=1)]
+        assert result.dealer_secrets["y"] == (y,)
+        assert [(s.participant, s.value) for s in result.shares] == flat_shares
         assert result.public.w == {}
