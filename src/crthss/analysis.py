@@ -1,4 +1,4 @@
-"""Brute-force security audit: candidate counting, entropy loss, rate bounds.
+"""Exact security audit: candidate counting, entropy loss, rate bounds.
 
 Everything here quantifies what an unauthorized set learns. The adversary's
 usable knowledge is, per level l:
@@ -14,11 +14,14 @@ Hash-preimage consistency of the published offsets for non-members is
 deliberately not modeled; its effect vanishes for large share spaces and is
 out of computational reach, so the posterior here conditions on (i)-(iv).
 
-Candidate counts are computed two ways: a fast path that solves one congruence
-system per (secret, level) and counts range extensions analytically, and a
-full scan over all value tuples that checks the conditions literally. The scan
-is the oracle; it must agree with the fast path exactly wherever it is
-feasible.
+Candidate counts come from one level profile per level: the adversary's
+constraint leaves every secret q or q + 1 in-range candidates at that level,
+and the q + 1 secrets form an arithmetic progression mod m0. The
+disjunctive count of a secret is the product of its level counts; the
+conjunctive count is the cyclic convolution of the level tables, each fold a
+sliding-window sum over the progression. A full scan over all value tuples
+checks the conditions literally; it is the oracle and must agree with the
+profiles exactly wherever it is feasible.
 
 The posterior places equal weight on every consistent tuple, matching the
 counting argument the entropy-loss bound is built on (for an empty adversary
@@ -28,9 +31,11 @@ small but nonzero at small m0).
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import fsum, log2, prod
+from math import log2, prod
+from operator import sub
 from typing import Iterable, Mapping, Optional
 
 from .chss import chss_is_authorized
@@ -82,13 +87,21 @@ class PosteriorReport:
     conditional_entropy: float
     loss: float
     epsilon_tolerance: float
+    # candidate-count value -> number of secrets attaining it; tallied from
+    # per_secret_counts when not given
+    histogram: Optional[Mapping[int, int]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        if self.histogram is None:
+            object.__setattr__(
+                self, "histogram", dict(Counter(self.per_secret_counts.values()))
+            )
 
     def groups(self) -> dict[int, int]:
         """Candidate-count value -> number of secrets attaining it."""
-        out: dict[int, int] = {}
-        for count in self.per_secret_counts.values():
-            out[count] = out.get(count, 0) + 1
-        return out
+        return dict(self.histogram)
 
 
 @dataclass(frozen=True)
@@ -159,70 +172,155 @@ def _view_congruences(view: AdversaryView) -> list[list[Congruence]]:
     ]
 
 
-@dataclass(frozen=True)
-class _LevelSystem:
-    """Congruence data for one level: the adversary's combined constraint
-    (base mod share_modulus), the range bound, and m0 plumbing."""
-
-    base: int           # CRT combination of the member congruences
-    share_modulus: int  # product of the member moduli (1 if none)
-    bound: int          # prod(m_1..m_{t_l})
-    inv_mod_m0: int     # share_modulus^-1 mod m0
-
-    def count_with_residue(self, r: int, m0: int) -> int:
-        """How many z < bound satisfy the member congruences and z = r (mod m0)."""
-        u = ((r - self.base) * self.inv_mod_m0) % m0
-        z = self.base + self.share_modulus * u
-        if z >= self.bound:
-            return 0
-        return (self.bound - 1 - z) // (self.share_modulus * m0) + 1
-
-
-def _level_systems(view: AdversaryView) -> list[_LevelSystem]:
-    params = view.public.params
-    seq, hier = params.sequence, params.hierarchy
+def _member_constraints(view: AdversaryView) -> list[tuple[int, int]]:
+    """Per level, the adversary's combined constraint z = base (mod S) as
+    (base, S); (0, 1) when no member constrains the level."""
     out = []
-    for t, congruences in zip(hier.thresholds, _view_congruences(view)):
+    for congruences in _view_congruences(view):
         if congruences:
             sol = crt_solve(congruences)
-            base, share_mod = sol.value, sol.combined_modulus
+            out.append((sol.value, sol.combined_modulus))
         else:
-            base, share_mod = 0, 1
-        out.append(
-            _LevelSystem(
-                base=base,
-                share_modulus=share_mod,
-                bound=seq.prefix_product(t),
-                inv_mod_m0=mod_inverse(share_mod % seq.m0, seq.m0),
-            )
-        )
+            out.append((0, 1))
     return out
 
 
-def _report_from_counts(
-    counts: dict[int, int], m0: int, epsilon_tolerance: float
+@dataclass(frozen=True)
+class _LevelProfile:
+    """Per-secret candidate counts of one level.
+
+    The in-range solutions of z = base (mod S) are z = base + S*j for
+    0 <= j < K, K = ceil((bound - base) / S). Fixing z = r (mod m0) fixes
+    j = u(r) = (r - base) * S^-1 (mod m0), so count(r) = q + [u(r) < rho]
+    with (q, rho) = divmod(K, m0): the q + 1 secrets form the progression
+    {base + S*u mod m0 : u < rho}.
+    """
+
+    m0: int
+    base: int   # base mod m0
+    step: int   # S mod m0
+    inv: int    # S^-1 mod m0
+    q: int
+    rho: int
+    floor: int  # bound // (S * m0), the floor count_grouping certifies
+
+    def count(self, r: int) -> int:
+        return self.q + (((r - self.base) * self.inv) % self.m0 < self.rho)
+
+    def residues(self, us: range) -> list[int]:
+        """The secrets base + S*u (mod m0) for u in ``us``."""
+        m0, base, step = self.m0, self.base, self.step
+        return [(base + step * u) % m0 for u in us]
+
+    def by_residue(self, by_u: list) -> list:
+        """Reindex a table over u = 0..m0-1 by the secret base + S*u (mod m0)."""
+        m0, inv = self.m0, self.inv
+        start = (-self.base * inv) % m0
+        return [by_u[x % m0] for x in range(start, start + inv * m0, inv)]
+
+
+def _profile(base: int, share_modulus: int, bound: int, m0: int) -> _LevelProfile:
+    reach = -((base - bound) // share_modulus) if bound > base else 0
+    q, rho = divmod(reach, m0)
+    step = share_modulus % m0
+    return _LevelProfile(
+        m0=m0,
+        base=base % m0,
+        step=step,
+        inv=mod_inverse(step, m0),
+        q=q,
+        rho=rho,
+        floor=bound // (share_modulus * m0),
+    )
+
+
+def _level_profiles(view: AdversaryView) -> list[_LevelProfile]:
+    params = view.public.params
+    seq, hier = params.sequence, params.hierarchy
+    return [
+        _profile(base, share_mod, seq.prefix_product(t), seq.m0)
+        for (base, share_mod), t in zip(_member_constraints(view), hier.thresholds)
+    ]
+
+
+def _disjunctive_counts(
+    profiles: list[_LevelProfile], m0: int
+) -> tuple[dict[int, int], Counter]:
+    """Per-secret products of the level counts, and their histogram.
+
+    At each level the shorter side of the q / q + 1 split is a progression
+    of min(rho, m0 - rho) secrets; every secret outside the union of those
+    takes the product of the per-level majority values.
+    """
+    majority = 1
+    exceptions: set[int] = set()
+    for p in profiles:
+        if 2 * p.rho <= m0:
+            majority *= p.q
+            exceptions.update(p.residues(range(p.rho)))
+        else:
+            majority *= p.q + 1
+            exceptions.update(p.residues(range(p.rho, m0)))
+    counts = dict.fromkeys(range(m0), majority)
+    for r in exceptions:
+        counts[r] = prod(p.count(r) for p in profiles)
+    histogram = Counter(counts[r] for r in exceptions)
+    if len(exceptions) < m0:
+        histogram[majority] += m0 - len(exceptions)
+    return counts, histogram
+
+
+def _conjunctive_counts(
+    profiles: list[_LevelProfile], m0: int
+) -> tuple[dict[int, int], Counter]:
+    """Cyclic convolution of the level tables, and its histogram.
+
+    Folding in a level with secret base + S*v gives
+    q * sum(folded) + sum_{u < rho} folded[S*(v - u) mod m0]: a cyclic window
+    of length rho over g(w) = folded[S*w mod m0], read off prefix sums.
+    """
+    first, *rest = profiles
+    folded = first.by_residue([first.q + 1] * first.rho + [first.q] * (m0 - first.rho))
+    for p in rest:
+        g = [folded[x % m0] for x in range(0, p.step * m0, p.step)]
+        prefix = list(itertools.accumulate(itertools.chain(g, g), initial=0))
+        shift = p.q * prefix[m0]
+        lo = m0 + 1 - p.rho
+        window = map(sub, prefix[m0 + 1:], prefix[lo:lo + m0])
+        folded = p.by_residue([w + shift for w in window])
+    return dict(enumerate(folded)), Counter(folded)
+
+
+def _entropy_report(
+    counts: dict[int, int],
+    histogram: Mapping[int, int],
+    m0: int,
+    epsilon_tolerance: float,
 ) -> PosteriorReport:
-    total = sum(counts.values())
+    total = sum(c * g for c, g in histogram.items())
     if total == 0:
         raise ValueError("view admits no consistent tuple; inputs corrupted")
-    values = [c for c in counts.values() if c > 0]
-    if len(values) == m0 and len(set(values)) == 1:
+    if len(histogram) == 1:
         conditional = log2(m0)
         loss = 0.0
     else:
-        conditional = log2(total) - fsum(c * log2(c) for c in values) / total
+        # the exact sum of the per-secret float terms c*log2(c), rounded
+        # once: the correctly rounded float sum over all secrets
+        weighted = sum(g * Fraction(c * log2(c)) for c, g in histogram.items() if c)
+        conditional = log2(total) - float(weighted) / total
         # No distribution over m0 secrets has more than log2(m0) bits of
         # entropy (Gibbs' inequality), so loss >= 0 exactly; near-uniform
         # counts can still round the float sum a few ulps past that bound.
         conditional = min(conditional, log2(m0))
         loss = log2(m0) - conditional
     return PosteriorReport(
-        per_secret_counts=dict(counts),
+        per_secret_counts=counts,
         total=total,
         secret_entropy=log2(m0),
         conditional_entropy=conditional,
         loss=loss,
         epsilon_tolerance=epsilon_tolerance,
+        histogram=histogram,
     )
 
 
@@ -235,50 +333,29 @@ def enumerate_posterior(
     """Exact per-secret candidate counts for an unauthorized view.
 
     Disjunctive: the count for secret s is the product over levels of the
-    number of in-range extensions of the combined congruence system with
-    z = s (mod m0) prepended. Conjunctive: per-level counts are tabulated for
-    every residue mod m0 and cyclically convolved, because the levels are
-    independent given the additive decomposition of the secret.
+    number of in-range solutions of the level's congruence system with
+    z = s (mod m0). Conjunctive: the per-level tables are cyclically
+    convolved, because the levels are independent given the additive
+    decomposition of the secret. Both read each level's counts off its
+    profile, in O(m0) per level.
 
-    Raises IntractableInstance when the estimated work (congruence solves,
-    plus the convolution for the conjunctive case) exceeds ``work_budget``.
+    Raises IntractableInstance when the estimated work, m * m0 table
+    entries, exceeds ``work_budget``.
     """
     _check_unauthorized(view, scheme)
     params = view.public.params
     m0 = params.sequence.m0
-    m = params.hierarchy.m
-    work = m0 * m + (0 if scheme == "dhss" else (m - 1) * m0 * m0)
+    work = m0 * params.hierarchy.m
     if work > work_budget:
         raise IntractableInstance(
             f"estimated work {work} exceeds budget {work_budget}"
         )
-    systems = _level_systems(view)
-    counts: dict[int, int] = {}
+    profiles = _level_profiles(view)
     if scheme == "dhss":
-        for s in range(m0):
-            c = 1
-            for sys_l in systems:
-                c *= sys_l.count_with_residue(s, m0)
-                if c == 0:
-                    break
-            counts[s] = c
+        counts, histogram = _disjunctive_counts(profiles, m0)
     else:
-        tables = [
-            [sys_l.count_with_residue(r, m0) for r in range(m0)]
-            for sys_l in systems
-        ]
-        folded = tables[0]
-        for table in tables[1:]:
-            nxt = [0] * m0
-            for a, ca in enumerate(folded):
-                if ca == 0:
-                    continue
-                for b, cb in enumerate(table):
-                    if cb:
-                        nxt[(a + b) % m0] += ca * cb
-            folded = nxt
-        counts = {s: folded[s] for s in range(m0)}
-    return _report_from_counts(counts, m0, epsilon_tolerance)
+        counts, histogram = _conjunctive_counts(profiles, m0)
+    return _entropy_report(counts, histogram, m0, epsilon_tolerance)
 
 
 def scan_posterior_counts(
@@ -330,17 +407,12 @@ def count_grouping(
     Raises DecompositionMismatch when some count fits no such product; that
     falsifies the grouping claim on this instance and is never swallowed.
     """
-    params = view.public.params
-    m0 = params.sequence.m0
-    systems = _level_systems(view)
-    floors = [s.bound // (s.share_modulus * m0) for s in systems]
+    floors = [p.floor for p in _level_profiles(view)]
     feasible = {
         prod(f + a for f, a in zip(floors, bits))
         for bits in itertools.product((0, 1), repeat=len(floors))
     }
-    groups: dict[int, int] = {}
-    for count in report.per_secret_counts.values():
-        groups[count] = groups.get(count, 0) + 1
+    groups = report.groups()
     for value in groups:
         if value not in feasible:
             raise DecompositionMismatch(
@@ -355,7 +427,8 @@ def eta_single_layer(view: AdversaryView, t: int) -> EtaReport:
 
     eta = floor(prod(m_1..m_t) / (m0 * prod of adversary moduli)); counting
     per secret must land on eta or eta + 1, splitting the secret space into
-    d1 + d2 = m0.
+    d1 + d2 = m0. The split is read off the level profile: m0 - rho secrets
+    take q candidates and rho take q + 1.
     """
     params = view.public.params
     if params.hierarchy.m != 1:
@@ -365,29 +438,17 @@ def eta_single_layer(view: AdversaryView, t: int) -> EtaReport:
             f"{len(view.members)} members meet the threshold {t}"
         )
     seq = params.sequence
-    m0 = seq.m0
-    (system,) = _level_systems(view)
-    bound = seq.prefix_product(t)
-    system = _LevelSystem(
-        base=system.base,
-        share_modulus=system.share_modulus,
-        bound=bound,
-        inv_mod_m0=system.inv_mod_m0,
-    )
-    eta = bound // (m0 * system.share_modulus)
-    d1 = d2 = 0
-    for s in range(m0):
-        c = system.count_with_residue(s, m0)
-        if c == eta:
-            d1 += 1
-        elif c == eta + 1:
-            d2 += 1
-        else:
+    ((base, share_mod),) = _member_constraints(view)
+    profile = _profile(base, share_mod, seq.prefix_product(t), seq.m0)
+    eta = profile.floor
+    split = {profile.q: seq.m0 - profile.rho, profile.q + 1: profile.rho}
+    for count, secrets in split.items():
+        if secrets and count not in (eta, eta + 1):
             raise RuntimeError(
-                f"count {c} for secret {s} outside {{eta, eta+1}} = "
+                f"count {count} for {secrets} secrets outside {{eta, eta+1}} = "
                 f"{{{eta}, {eta + 1}}}"
             )
-    return EtaReport(eta=eta, d1=d1, d2=d2)
+    return EtaReport(eta=eta, d1=split.get(eta, 0), d2=split.get(eta + 1, 0))
 
 
 def limit_ratio(level: int, view: AdversaryView) -> Fraction:
@@ -448,25 +509,39 @@ def information_rate(params: SchemeParams) -> RateReport:
     )
 
 
-def rate_at_least(params: SchemeParams, threshold: Fraction) -> bool:
-    """Exact comparison rho >= threshold via integer powers: with threshold
-    p/q, rho = log(m0)/log(m_n) >= p/q iff m0^q >= m_n^p."""
+# Relative margin around a float rate comparison. log2 of an int is within a
+# few ulps (2^-52 relative) of the true value and each further float step adds
+# one rounding; 2^-40 leaves a factor of over 500 on that error.
+_RATE_MARGIN = 2.0**-40
+
+
+def _log_ratio_at_least(small: int, large: int, threshold: Fraction) -> bool:
+    """Exactly whether log(small)/log(large) >= threshold, for integers
+    large >= small >= 2. With threshold p/q this is small^q >= large^p; a
+    float comparison decides it unless the two sides lie within the rounding
+    margin, and only then are the integer powers formed."""
     threshold = Fraction(threshold)
     if threshold <= 0:
         return True
-    m0 = params.sequence.m0
-    m_n = params.sequence.moduli[-1]
-    return m0 ** threshold.denominator >= m_n ** threshold.numerator
+    ratio, target = log2(small) / log2(large), float(threshold)
+    if abs(ratio - target) > _RATE_MARGIN * target:
+        return ratio > target
+    return small ** threshold.denominator >= large ** threshold.numerator
+
+
+def rate_at_least(params: SchemeParams, threshold: Fraction) -> bool:
+    """Exact comparison rho >= threshold: with threshold p/q,
+    rho = log(m0)/log(m_n) >= p/q iff m0^q >= m_n^p."""
+    seq = params.sequence
+    return _log_ratio_at_least(seq.m0, seq.moduli[-1], threshold)
 
 
 def bound_rate_at_least(m0: int, theta: Fraction, threshold: Fraction) -> bool:
     """Exact check of the analytic floor: log2(m0)/log2(m0 + floor(m0^theta))
-    >= threshold, again via integer powers. No sequence is generated."""
-    threshold = Fraction(threshold)
-    if threshold <= 0:
-        return True
+    >= threshold, decided as in :func:`rate_at_least`. No sequence is
+    generated."""
     worst = m0 + compact_width(m0, Fraction(theta))
-    return m0 ** threshold.denominator >= worst ** threshold.numerator
+    return _log_ratio_at_least(m0, worst, threshold)
 
 
 def worst_case_unauthorized(params: SchemeParams) -> frozenset:

@@ -1,7 +1,7 @@
 """Candidate counting, entropy loss, eta dichotomy, ratios, rates.
 
 The exhaustive tuple scan is the oracle throughout: wherever it is feasible,
-the fast per-secret counting path must agree with it exactly.
+the level-profile counts must agree with it exactly.
 """
 
 import random
@@ -288,6 +288,30 @@ def test_rate_exact_comparisons(micro_params):
     assert bound_rate_at_least(m0, Fraction(1, 2), Fraction(999, 1000))
     assert bound_rate_at_least(m0, Fraction(1, 2), Fraction(999998, 1000000))
     assert not bound_rate_at_least(m0, Fraction(1, 2), Fraction(999999, 1000000))
+
+
+def test_rate_comparisons_match_integer_powers():
+    def ladder(m0, m_n):
+        return SchemeParams(
+            sequence=CompactSequence(m0=m0, moduli=(m_n,), k=1, theta=Fraction(1, 2)),
+            hierarchy=Hierarchy((1,), (1,)),
+        )
+
+    # exact ties (8^5 = 32^3, 4^3 = 8^2) sit inside the float margin, so the
+    # integer powers decide them
+    assert rate_at_least(ladder(8, 32), Fraction(3, 5))
+    assert rate_at_least(ladder(4, 8), Fraction(2, 3))
+    # best rational approximations of rho land on both sides of it
+    from math import log2
+    rng = random.Random(63)
+    for _ in range(300):
+        m0 = rng.randrange(2, 10**6)
+        m_n = m0 + rng.randrange(1, 10**4)
+        approx = Fraction(log2(m0) / log2(m_n)).limit_denominator(rng.randrange(1, 2000))
+        p, q = approx.numerator, approx.denominator
+        for threshold in (approx, Fraction(p + 1, q), Fraction(max(p - 1, 1), q)):
+            exact = m0 ** threshold.denominator >= m_n ** threshold.numerator
+            assert rate_at_least(ladder(m0, m_n), threshold) == exact
 
 
 def test_randomized_oracle_equivalence():

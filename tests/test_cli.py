@@ -316,6 +316,28 @@ def test_audit_chss(tmp_path, micro_param_file, capsys):
     assert report["loss_bits"] >= 0
 
 
+def test_audit_chss_large_m0_within_default_budget(tmp_path, capsys):
+    # the estimated work is m * m0 for both schemes, so a conjunctive audit
+    # at m0 near 10^5 fits the default budget (m * m0^2 once exceeded it)
+    params_path = tmp_path / "params.json"
+    assert main([
+        "gen-params", "--m0", "99991", "--levels", "1,2", "--thresholds", "1,2",
+        "--scheme", "chss", "--seed", "5", "--out", str(params_path),
+    ]) == 0
+    out = tmp_path / "report.json"
+    code = main([
+        "audit", "--params", str(params_path), "--adversary", "2",
+        "--secret", "4242", "--seed", "6", "--out", str(out),
+    ])
+    assert code == 0
+    report = read(out)
+    assert report["scheme"] == "chss"
+    assert report["gamma_total"] == 99991
+    total = sum(int(g["candidates"]) * g["num_secrets"] for g in report["groups"])
+    assert total == int(report["total_candidates"])
+    assert 0 <= report["loss_bits"] < 1e-6
+
+
 def test_gen_params_m0_bits(tmp_path, capsys):
     out = tmp_path / "params.json"
     code = main([
