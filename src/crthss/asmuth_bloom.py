@@ -13,7 +13,8 @@ allowed (secret 0 with alpha 0); the range is [0, prod) throughout.
 
 from typing import Iterable, Sequence
 
-from .crt import Congruence, crt_solve
+from .crt import Congruence
+from .dhss import _solve_level
 from .errors import InconsistentShares, TooFewShares
 from .params import CompactSequence
 
@@ -25,7 +26,7 @@ def _collect(shares: Iterable[tuple[int, int]], seq: CompactSequence) -> dict[in
             raise ValueError(f"participant {i} not in [1, {seq.n}]")
         if i in by_index and by_index[i] != value:
             raise InconsistentShares(
-                f"participant {i} appears with values {by_index[i]} and {value}"
+                f"participant {i} appears with conflicting values"
             )
         by_index[i] = value
     return by_index
@@ -48,9 +49,4 @@ def ab_reconstruct(
         Congruence(residue=value, modulus=seq.modulus_of(i))
         for i, value in sorted(by_index.items())
     ]
-    y = crt_solve(system).value
-    if y >= seq.prefix_product(t):
-        raise InconsistentShares(
-            f"recovered value {y} exceeds the dealer bound; shares disagree"
-        )
-    return y % seq.m0
+    return _solve_level(system, 1, t, seq) % seq.m0

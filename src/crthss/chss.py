@@ -15,7 +15,6 @@ then c_i by participant index, so deals replay byte-for-byte.
 import random
 from typing import Sequence
 
-from .crt import crt_solve
 from .dhss import (
     DealResult,
     PublicBundle,
@@ -23,6 +22,7 @@ from .dhss import (
     _check_dealable,
     _deal,
     _level_congruences,
+    _solve_level,
     dedupe_shares,
 )
 from .errors import NotAuthorized
@@ -62,7 +62,8 @@ def chss_reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
 
     For each level l the congruence inputs are the members inside the first
     N_l participants (top-level holders contribute only at the top level,
-    where their raw values enter directly).
+    where their raw values enter directly). A level whose solution exceeds
+    its dealer bound raises InconsistentShares.
     """
     params = public.params
     hier = params.hierarchy
@@ -76,7 +77,10 @@ def chss_reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
             failing_levels=missing,
         )
     total = sum(
-        crt_solve(_level_congruences(unique, level, public)).value
-        for level in range(1, hier.m + 1)
+        _solve_level(
+            _level_congruences(unique, level, public),
+            level, t, params.sequence,
+        )
+        for level, t in enumerate(hier.thresholds, start=1)
     )
     return total % params.sequence.m0

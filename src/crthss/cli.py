@@ -2,8 +2,8 @@
 
 Exit codes are stable:
   0 success
-  2 flag/validation failure (including a secret out of range or a
-    malformed share)
+  2 flag/validation failure (including a secret out of range, a
+    malformed share, or shares that disagree with each other)
   3 invalid parameter set at deal time
   4 reconstruction refused: no qualifying level (failing levels are named)
   5 parameter digest mismatch between shares and bundle
@@ -113,12 +113,8 @@ def cmd_gen_params(args) -> int:
         theta = Fraction(args.theta)
         seed, seed_note = _resolve_seed(args.seed)
         rng = random.Random(seed)
-        if args.m0 is not None:
-            m0 = args.m0
-            if not is_prime(m0):
-                return _fail(EXIT_VALIDATION, f"m0 = {m0} is not prime")
-        else:
-            m0 = _random_prime(args.m0_bits, rng)
+        # generate_compact_sequence rejects a composite --m0
+        m0 = args.m0 if args.m0 is not None else _random_prime(args.m0_bits, rng)
         hierarchy = Hierarchy(level_sizes=levels, thresholds=thresholds)
         sequence = generate_compact_sequence(
             m0, hierarchy.n, args.k, theta, rng.randrange(2 ** 63)

@@ -1,17 +1,19 @@
 """Exact integer congruence solving.
 
 All arithmetic is arbitrary precision; nothing here ever touches floats or
-fixed-width types. The solver uses the direct summation form
+fixed-width types. The solver folds the congruences in one at a time
+(Garner's incremental form): with x the solution modulo M, the product of
+the moduli folded so far, the next congruence x' = r (mod m) gives
 
-    x = sum(lambda_i * M_i * x_i) mod M,    M = prod(m_i), M_i = M / m_i,
-    lambda_i = M_i^-1 mod m_i,
+    x' = x + M * ((r - x) * M^-1 mod m),    M' = M * m.
 
-rather than an incremental pairwise fold, so the basis terms are individually
-inspectable via :func:`crt_basis`.
+The step inverse M^-1 mod m exists exactly when m is coprime to every
+modulus already folded in, so the fold checks pairwise coprimality as it
+solves; only a failing system is scanned for the offending pair.
 """
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 from typing import Sequence
 
 from .errors import EmptySystem, ModuliNotPairwiseCoprime, NotCoprime
@@ -32,9 +34,8 @@ class Congruence:
         if self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
         if not 0 <= self.residue < self.modulus:
-            raise ValueError(
-                f"residue {self.residue} not in [0, {self.modulus})"
-            )
+            # the residue may be a share value, so only the range is named
+            raise ValueError(f"residue not in [0, {self.modulus})")
 
 
 @dataclass(frozen=True)
@@ -45,63 +46,20 @@ class CrtSolution:
     combined_modulus: int
 
 
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclidean algorithm.
-
-    Returns ``(g, u, v)`` with ``g = gcd(a, b) >= 0`` and ``u*a + v*b = g``.
-    Raises ValueError if both arguments are zero.
-    """
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 def mod_inverse(a: int, m: int) -> int:
     """Inverse of ``a`` modulo ``m``, in [0, m).
 
-    Raises NotCoprime when gcd(a, m) != 1.
+    Raises NotCoprime when gcd(a, m) != 1; the message names a mod m, since
+    ``a`` may be a product too large to print.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    g, u, _ = ext_gcd(a % m, m)
-    if g != 1:
-        raise NotCoprime(f"gcd({a}, {m}) = {g}, inverse does not exist")
-    return u % m
-
-
-def _check_pairwise_coprime(moduli: Sequence[int]) -> None:
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            g = gcd(moduli[i], moduli[j])
-            if g != 1:
-                raise ModuliNotPairwiseCoprime(
-                    f"moduli {moduli[i]} and {moduli[j]} share factor {g}"
-                )
-
-
-def crt_basis(moduli: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
-    """Combined modulus M and the basis terms (M_i, lambda_i) per modulus.
-
-    Each e_i = lambda_i * M_i satisfies e_i = 1 (mod m_i) and
-    e_i = 0 (mod m_j) for j != i.
-    """
-    _check_pairwise_coprime(moduli)
-    combined = prod(moduli)
-    terms = []
-    for m in moduli:
-        partial = combined // m
-        terms.append((partial, mod_inverse(partial, m)))
-    return combined, terms
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NotCoprime(
+            f"gcd({a % m}, {m}) = {gcd(a, m)}, inverse does not exist"
+        ) from None
 
 
 def crt_solve(system: Sequence[Congruence]) -> CrtSolution:
@@ -115,8 +73,18 @@ def crt_solve(system: Sequence[Congruence]) -> CrtSolution:
     """
     if not system:
         raise EmptySystem("need at least one congruence")
-    combined, terms = crt_basis([c.modulus for c in system])
-    acc = 0
-    for c, (partial, lam) in zip(system, terms):
-        acc += lam * partial * c.residue
-    return CrtSolution(value=acc % combined, combined_modulus=combined)
+    value, combined = 0, 1
+    for i, c in enumerate(system):
+        try:
+            step = mod_inverse(combined, c.modulus)
+        except NotCoprime:
+            earlier = next(
+                e.modulus for e in system[:i] if gcd(e.modulus, c.modulus) != 1
+            )
+            raise ModuliNotPairwiseCoprime(
+                f"moduli {earlier} and {c.modulus} share factor "
+                f"{gcd(earlier, c.modulus)}"
+            ) from None
+        value += combined * ((c.residue - value) * step % c.modulus)
+        combined *= c.modulus
+    return CrtSolution(value=value, combined_modulus=combined)

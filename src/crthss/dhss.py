@@ -22,13 +22,14 @@ from typing import Mapping, Optional, Sequence
 
 from .crt import Congruence, crt_solve
 from .errors import (
+    InconsistentShares,
     InvalidParams,
     MissingPublicValue,
     NotAuthorized,
     SecretOutOfRange,
 )
 from .oneway import eval_owf
-from .params import SchemeParams, validate_dealable
+from .params import CompactSequence, SchemeParams, validate_dealable
 
 
 @dataclass(frozen=True)
@@ -155,6 +156,24 @@ def _level_congruences(
     ]
 
 
+def _solve_level(
+    system: Sequence[Congruence], level: int, t: int, seq: CompactSequence
+) -> int:
+    """The level's lift y_l, the system's solution below prod(m_1..m_t).
+
+    A solution at or above that dealer bound cannot come from one deal, so
+    redundant shares that disagree are rejected instead of decoding to a
+    wrong secret. The message names the level, never a value.
+    """
+    y = crt_solve(system).value
+    if y >= seq.prefix_product(t):
+        raise InconsistentShares(
+            f"level {level} shares disagree: their solution exceeds the "
+            f"dealer bound"
+        )
+    return y
+
+
 def dedupe_shares(shares: Sequence[Share], params: SchemeParams) -> list[Share]:
     """One share per participant, checked against the parameter set."""
     seen: dict[int, Share] = {}
@@ -177,7 +196,8 @@ def dhss_reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
     """Recover the secret from an authorized set of shares.
 
     Uses the smallest qualifying level and every available share inside it;
-    the extras only tighten the congruence system.
+    the extras tighten the congruence system, and raise InconsistentShares
+    when they disagree with the rest.
     """
     params = public.params
     hier = params.hierarchy
@@ -189,5 +209,8 @@ def dhss_reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
             f"no level threshold met by participants {sorted(members)}",
             failing_levels=hier.failing_levels(members),
         )
-    y = crt_solve(_level_congruences(unique, level, public)).value
+    y = _solve_level(
+        _level_congruences(unique, level, public),
+        level, hier.thresholds[level - 1], params.sequence,
+    )
     return y % params.sequence.m0

@@ -130,11 +130,20 @@ def parse_share_file(obj: Mapping) -> tuple[str, Share, str]:
         "share file",
     )
     scheme = _check_version_scheme(obj, "share file")
+    participant, modulus = int(obj["participant"]), int(obj["modulus"])
+    # errors name the participant, never the value
+    try:
+        value = int(obj["value"])
+    except (TypeError, ValueError):
+        value = None
+    _require(value is not None and 0 <= value < modulus,
+             f"share file: value of participant {participant} is not an "
+             f"integer in [0, modulus)")
     share = Share(
-        participant=int(obj["participant"]),
+        participant=participant,
         level=int(obj["level"]),
-        modulus=int(obj["modulus"]),
-        value=int(obj["value"]),
+        modulus=modulus,
+        value=value,
     )
     return scheme, share, obj["params_digest"]
 

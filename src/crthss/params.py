@@ -26,10 +26,9 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin with a fixed witness set, deterministic below 3.3e24."""
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n in small:
+    if n in _MR_WITNESSES:
         return True
-    if any(n % p == 0 for p in small):
+    if any(n % p == 0 for p in _MR_WITNESSES):
         return False
     d, r = n - 1, 0
     while d % 2 == 0:

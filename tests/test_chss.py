@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from crthss import (
     dhss_deal,
     generate_compact_sequence,
 )
-from crthss.errors import NotAuthorized
+from crthss.errors import InconsistentShares, NotAuthorized
 
 
 def all_conjunctive_sets(params):
@@ -156,3 +157,22 @@ def test_single_level_degenerates_to_flat(flat_params):
         assert conj.dealer_secrets["delta"] == (5,)
         assert conj.dealer_secrets["y"] == disj.dealer_secrets["y"]
         assert conj.shares == disj.shares
+
+
+def test_share_off_by_one_is_detected():
+    """All five shares of a (2,3)/(2,3) deal at m0=1000003 with one share
+    off by one: level 1 holds exactly t_1 shares and cannot notice, but the
+    level-2 system has two redundant congruences, so its solution lands above
+    the dealer bound instead of decoding to a wrong secret."""
+    hierarchy = Hierarchy((2, 3), (2, 3))
+    sequence = generate_compact_sequence(1000003, hierarchy.n, 1, Fraction(1, 2), 0)
+    params = SchemeParams(sequence=sequence, hierarchy=hierarchy)
+    for seed in range(50):
+        deal = chss_deal(424242, params, seed)
+        assert chss_reconstruct(deal.shares, deal.public) == 424242
+        for position, share in enumerate(deal.shares):
+            shares = list(deal.shares)
+            shares[position] = replace(share, value=(share.value + 1) % share.modulus)
+            with pytest.raises(InconsistentShares, match="^level 2 ") as excinfo:
+                chss_reconstruct(shares, deal.public)
+            assert str(share.value) not in str(excinfo.value)

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,12 @@ import pytest
 import crthss
 
 from conftest import CHSS_SEED, DHSS_SEED
+from crthss import (
+    CompactSequence,
+    Hierarchy,
+    SchemeParams,
+    generate_compact_sequence,
+)
 from crthss.cli import main
 from crthss.fileformat import canonical_dumps, param_file_obj
 
@@ -70,6 +78,15 @@ def test_gen_params_validation_failures(tmp_path, capsys):
         "--owf", "test_affine", "--seed", "1", "--out", str(tmp_path / "x.json"),
     ])
     assert code == 2
+
+
+def test_gen_params_composite_m0(tmp_path, capsys):
+    code = main([
+        "gen-params", "--m0", "15", "--levels", "1,2", "--thresholds", "1,2",
+        "--owf", "test_affine", "--seed", "1", "--out", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: m0 = 15 is not prime\n"
 
 
 def test_deal_and_reconstruct_dhss(tmp_path, micro_param_file, capsys):
@@ -220,22 +237,26 @@ def SchemeParamsFlat(micro_params):
     )
 
 
-@pytest.mark.parametrize("scheme, field, corrupt, partner", [
-    ("dhss", "participant", lambda share: 99, "share_002.json"),
-    ("dhss", "value", lambda share: str(int(share["value"]) + 1), "share_001.json"),
-    ("ab", "value", lambda share: share["modulus"], "share_002.json"),
-    ("ab", "participant", lambda share: 99, "share_002.json"),
+@pytest.mark.parametrize("scheme, victim, field, corrupt, partner", [
+    ("dhss", "share_001.json", "participant", lambda share: 99, "share_002.json"),
+    ("dhss", "share_001.json", "value", lambda share: str(int(share["value"]) + 1),
+     "share_001.json"),
+    ("ab", "share_001.json", "value", lambda share: share["modulus"], "share_002.json"),
+    ("ab", "share_001.json", "participant", lambda share: 99, "share_002.json"),
+    # participant 2 holds a raw top-level residue; value + m_2 is not reduced
+    ("dhss", "share_002.json", "value",
+     lambda share: str(int(share["value"]) + int(share["modulus"])), "share_003.json"),
 ], ids=["dhss-participant-99", "dhss-conflicting-values",
-        "ab-value-at-modulus", "ab-participant-99"])
+        "ab-value-at-modulus", "ab-participant-99", "dhss-top-level-value-plus-modulus"])
 def test_reconstruct_malformed_shares_exit_2(tmp_path, micro_params, flat_params,
-                                             scheme, field, corrupt, partner):
+                                             scheme, victim, field, corrupt, partner):
     params = flat_params if scheme == "ab" else micro_params
     param_path = tmp_path / "params.json"
     param_path.write_text(canonical_dumps(param_file_obj(scheme, params)))
     out_dir = tmp_path / "deal"
     assert main(["deal", "--params", str(param_path), "--secret", "4",
                  "--seed", "1", "--out-dir", str(out_dir)]) == 0
-    share = read(out_dir / "share_001.json")
+    share = read(out_dir / victim)
     share[field] = corrupt(share)
     bad = tmp_path / "bad_share.json"
     bad.write_text(canonical_dumps(share))
@@ -249,6 +270,119 @@ def test_reconstruct_malformed_shares_exit_2(tmp_path, micro_params, flat_params
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_reconstruct_chss_share_off_by_one_exit_2(tmp_path):
+    hierarchy = Hierarchy((2, 3), (2, 3))
+    sequence = generate_compact_sequence(1000003, hierarchy.n, 1, Fraction(1, 2), 0)
+    param_path = tmp_path / "params.json"
+    param_path.write_text(canonical_dumps(param_file_obj(
+        "chss", SchemeParams(sequence=sequence, hierarchy=hierarchy))))
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(param_path), "--secret", "424242",
+                 "--seed", "3", "--out-dir", str(out_dir)]) == 0
+    share = read(out_dir / "share_004.json")
+    share["value"] = str((int(share["value"]) + 1) % int(share["modulus"]))
+    (out_dir / "share_004.json").write_text(canonical_dumps(share))
+    env = {**os.environ, "PYTHONPATH": str(Path(crthss.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "crthss.cli", "reconstruct",
+         "--public", str(out_dir / "public_bundle.json"),
+         "--shares", *sorted(str(p) for p in out_dir.glob("share_*"))],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: level 2 ")
+    assert "Traceback" not in proc.stderr
+    assert "424242" not in proc.stdout + proc.stderr
+
+
+# a 61-bit ladder: the first nine integers above m0 = 2^61 - 1 that are
+# pairwise coprime (and coprime to m0)
+M0_61 = 2**61 - 1
+MODULI_61 = tuple(M0_61 + d for d in (1, 2, 4, 6, 10, 12, 16, 18, 22))
+SECRET_61 = 1234567890123456789
+
+
+def _bump(share, amount):
+    return {**share, "value": str(int(share["value"]) + amount)}
+
+
+# scheme, hierarchy, a function of the dealt shares (by participant) giving
+# the share objects to reconstruct from, and the expected exit code
+LEAK_CASES = {
+    "dhss-top-level-value-plus-modulus": (
+        "dhss", ((2, 3, 4), (2, 3, 5)),
+        lambda s: [s[1], s[2], _bump(s[6], int(s[6]["modulus"]))], 2),
+    "dhss-masked-value-plus-modulus": (
+        "dhss", ((2, 3, 4), (2, 3, 5)),
+        lambda s: [_bump(s[1], int(s[1]["modulus"])), s[2]], 2),
+    "dhss-value-not-an-integer": (
+        "dhss", ((2, 3, 4), (2, 3, 5)),
+        lambda s: [{**s[1], "value": s[1]["value"] + "x"}, s[2]], 2),
+    "dhss-conflicting-values": (
+        "dhss", ((2, 3, 4), (2, 3, 5)), lambda s: [s[1], s[2], _bump(s[2], 1)], 2),
+    "dhss-redundant-share-off-by-one": (
+        "dhss", ((2, 3, 4), (2, 3, 5)),
+        lambda s: [s[1], _bump(s[3], 1), s[4], s[5]], 2),
+    "dhss-wrong-modulus": (
+        "dhss", ((2, 3, 4), (2, 3, 5)),
+        lambda s: [s[1], {**s[2], "modulus": s[3]["modulus"]}], 2),
+    "dhss-participant-99": (
+        "dhss", ((2, 3, 4), (2, 3, 5)), lambda s: [s[1], {**s[2], "participant": 99}], 2),
+    "dhss-not-authorized": (
+        "dhss", ((2, 3, 4), (2, 3, 5)), lambda s: [s[1], s[3]], 4),
+    "chss-share-off-by-one": (
+        "chss", ((2, 3, 4), (2, 3, 5)),
+        lambda s: [_bump(s[i], 1) if i == 7 else s[i] for i in s], 2),
+    "chss-top-level-value-plus-modulus": (
+        "chss", ((2, 3, 4), (2, 3, 5)),
+        lambda s: [_bump(s[i], int(s[i]["modulus"])) if i == 9 else s[i] for i in s], 2),
+    "ab-share-off-by-one": (
+        "ab", ((5,), (3,)), lambda s: [_bump(s[i], 1) if i == 2 else s[i] for i in s], 2),
+    "ab-conflicting-values": (
+        "ab", ((5,), (3,)), lambda s: [s[1], s[2], s[3], _bump(s[3], 1)], 2),
+    "ab-value-plus-modulus": (
+        "ab", ((5,), (3,)), lambda s: [s[1], s[2], _bump(s[3], int(s[3]["modulus"]))], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEAK_CASES))
+def test_reconstruct_errors_never_print_values(tmp_path, capsys, case):
+    """Every refused reconstruct names participants and levels only: no
+    supplied share value, no dealer lift y and no secret reaches the output."""
+    scheme, (sizes, thresholds), pick, expected = LEAK_CASES[case]
+    hierarchy = Hierarchy(sizes, thresholds)
+    params = SchemeParams(
+        sequence=CompactSequence(m0=M0_61, moduli=MODULI_61[:hierarchy.n]),
+        hierarchy=hierarchy,
+    )
+    param_path = tmp_path / "params.json"
+    param_path.write_text(canonical_dumps(param_file_obj(scheme, params)))
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(param_path), "--secret", str(SECRET_61),
+                 "--seed", "5", "--out-dir", str(out_dir),
+                 "--emit-dealer-secrets"]) == 0
+    dealt = {
+        i: read(out_dir / f"share_{i:03d}.json") for i in range(1, hierarchy.n + 1)
+    }
+    supplied = pick(dealt)
+    paths = []
+    for k, share in enumerate(supplied):
+        paths.append(str(tmp_path / f"supplied_{k}.json"))
+        Path(paths[-1]).write_text(canonical_dumps(share))
+    capsys.readouterr()
+    code = main(["reconstruct", "--public", str(out_dir / "public_bundle.json"),
+                 "--shares", *paths])
+    out, err = capsys.readouterr()
+    assert code == expected
+    assert out == "" and err.startswith("error: ")
+    forbidden = {str(SECRET_61)}
+    forbidden |= set(read(out_dir / "dealer_secrets.json")["values"]["y"])
+    forbidden |= {s["value"] for s in [*dealt.values(), *supplied]}
+    assert not [value for value in forbidden if value in err]
+    # nor any value derived from them: the only long numbers are public moduli
+    assert set(re.findall(r"\d{19,}", err)) <= {str(m) for m in MODULI_61}
 
 
 def test_audit_micro(tmp_path, micro_param_file, capsys):

@@ -1,11 +1,12 @@
 """Congruence-solver tests, cross-checked against exhaustive scans."""
 
 import random
+import re
 from math import gcd, prod
 
 import pytest
 
-from crthss import Congruence, crt_basis, crt_solve, ext_gcd, mod_inverse
+from crthss import Congruence, crt_solve, mod_inverse
 from crthss.errors import EmptySystem, ModuliNotPairwiseCoprime, NotCoprime
 
 
@@ -16,38 +17,6 @@ def scan_solutions(system):
         x for x in range(combined)
         if all(x % c.modulus == c.residue for c in system)
     ]
-
-
-def test_ext_gcd_identity_cases():
-    g, u, v = ext_gcd(12, 18)
-    assert g == 6 and 12 * u + 18 * v == 6
-    assert ext_gcd(1, 0) == (1, 1, 0)
-    g, u, v = ext_gcd(3, 7)
-    assert g == 1 and (u * 3) % 7 == 1
-    # exhaustive check: 3*5 = 15 = 1 mod 7, so u = 5 mod 7
-    assert [x for x in range(7) if (3 * x) % 7 == 1] == [5]
-    assert u % 7 == 5
-
-
-def test_ext_gcd_signs_and_zero():
-    for a, b in [(-12, 18), (12, -18), (-12, -18), (0, 5), (5, 0), (-7, 0)]:
-        g, u, v = ext_gcd(a, b)
-        assert g == gcd(a, b) >= 0
-        assert u * a + v * b == g
-    with pytest.raises(ValueError):
-        ext_gcd(0, 0)
-
-
-def test_ext_gcd_random():
-    rng = random.Random(1)
-    for _ in range(500):
-        a = rng.randrange(-10**12, 10**12)
-        b = rng.randrange(-10**12, 10**12)
-        if a == 0 and b == 0:
-            continue
-        g, u, v = ext_gcd(a, b)
-        assert g == gcd(a, b)
-        assert u * a + v * b == g
 
 
 def test_mod_inverse_examples():
@@ -106,17 +75,6 @@ def test_congruence_rejects_unnormalized():
         Congruence(0, 1)
 
 
-def test_crt_basis_terms():
-    combined, terms = crt_basis([3, 5, 7])
-    assert combined == 105
-    moduli = [3, 5, 7]
-    for i, (partial, lam) in enumerate(terms):
-        assert partial == combined // moduli[i]
-        assert (lam * partial) % moduli[i] == 1
-        for j, m in enumerate(moduli):
-            assert (lam * partial) % m == (1 if i == j else 0)
-
-
 def _random_coprime_system(rng, max_product=10**6, max_count=5):
     moduli = []
     product = 1
@@ -164,3 +122,45 @@ def test_crt_redundant_congruence():
         sol2 = crt_solve(augmented)
         assert sol2.value == sol.value
         assert sol2.combined_modulus == sol.combined_modulus * extra
+
+
+def _summation_oracle(system):
+    """x = sum(r_i * M_i * (M_i^-1 mod m_i)) mod M, M_i = M / m_i."""
+    combined = prod(c.modulus for c in system)
+    partials = [(c.residue, combined // c.modulus, c.modulus) for c in system]
+    return sum(r * p * pow(p, -1, m) for r, p, m in partials) % combined
+
+
+def _coprime_moduli(rng, count, bits):
+    moduli = []
+    while len(moduli) < count:
+        m = rng.getrandbits(bits) | (1 << (bits - 1))
+        if all(gcd(m, o) == 1 for o in moduli):
+            moduli.append(m)
+    return moduli
+
+
+def test_crt_fold_at_real_size():
+    rng = random.Random(6)
+    moduli = _coprime_moduli(rng, 200, 256)
+    system = [Congruence(rng.randrange(m), m) for m in moduli]
+    sol = crt_solve(system)
+    assert sol.combined_modulus == prod(moduli)
+    assert 0 <= sol.value < sol.combined_modulus
+    assert all(sol.value % c.modulus == c.residue for c in system)
+    assert sol.value == _summation_oracle(system)
+
+
+@pytest.mark.parametrize("first, second, scale", [
+    (0, 1, 3), (70, 120, 5), (42, 199, 7), (10, 150, 1),
+], ids=["first-pair", "middle", "last-modulus", "duplicated-modulus"])
+def test_crt_fold_names_a_shared_factor(first, second, scale):
+    rng = random.Random(7)
+    moduli = _coprime_moduli(rng, 200, 256)
+    moduli[second] = moduli[first] * scale
+    system = [Congruence(rng.randrange(m), m) for m in moduli]
+    with pytest.raises(ModuliNotPairwiseCoprime) as excinfo:
+        crt_solve(system)
+    a, b, factor = map(int, re.findall(r"\d+", str(excinfo.value)))
+    assert a in moduli and b in moduli
+    assert gcd(a, b) == factor > 1
