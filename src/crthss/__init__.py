@@ -51,7 +51,6 @@ from .params import (
     validate_dealable,
     validate_hierarchy,
     validate_params,
-    validate_sequence_structure,
 )
 
 __version__ = "0.1.0"

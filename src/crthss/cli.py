@@ -326,8 +326,6 @@ def cmd_audit(args) -> int:
             rungs = []
             shape = params.hierarchy
             for m0 in _ints_arg(args.ladder):
-                if not is_prime(m0):
-                    return _fail(EXIT_VALIDATION, f"ladder rung {m0} is not prime")
                 sequence = generate_compact_sequence(
                     m0, shape.n, params.sequence.k, params.sequence.theta,
                     rng.randrange(2 ** 63),

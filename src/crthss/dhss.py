@@ -185,7 +185,7 @@ def dedupe_shares(shares: Sequence[Share], params: SchemeParams) -> list[Share]:
                 f"{s.modulus}, params say {expected}"
             )
         if s.participant in seen and seen[s.participant].value != s.value:
-            raise ValueError(
+            raise InconsistentShares(
                 f"conflicting shares for participant {s.participant}"
             )
         seen[s.participant] = s

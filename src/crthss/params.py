@@ -125,7 +125,7 @@ def generate_compact_sequence(
     """Draw n pairwise-coprime integers from (k*m0, k*m0 + floor(m0^theta)).
 
     Candidates are scanned in seeded random order and accepted greedily when
-    coprime to m0 and to everything already accepted, then sorted ascending.
+    coprime to m0 times everything already accepted, then sorted ascending.
     Deterministic for a given seed. Raises IntervalExhausted when the greedy
     pass cannot place n values (m0 too small for the requested n and theta).
     """
@@ -144,11 +144,11 @@ def generate_compact_sequence(
     rng = random.Random(rng_seed)
     rng.shuffle(candidates)
     accepted: list[int] = []
+    product = m0
     for c in candidates:
-        if gcd(c, m0) != 1:
-            continue
-        if all(gcd(c, a) == 1 for a in accepted):
+        if gcd(c, product) == 1:
             accepted.append(c)
+            product *= c
             if len(accepted) == n:
                 break
     if len(accepted) < n:
@@ -159,9 +159,18 @@ def generate_compact_sequence(
     return CompactSequence(m0=m0, moduli=tuple(sorted(accepted)), k=k, theta=theta)
 
 
-def validate_sequence_structure(seq: CompactSequence) -> ValidationReport:
-    """Primality of m0, strict ordering, pairwise coprimality. These are the
-    properties dealing and reconstruction actually rely on."""
+def validate_compact(seq: CompactSequence) -> ValidationReport:
+    """Structural checks plus the open compactness interval bounds.
+    Every violation is reported with its indices."""
+    return ValidationReport(_structure_violations(seq) + _interval_violations(seq))
+
+
+def _structure_violations(seq: CompactSequence) -> tuple[str, ...]:
+    """Primality of m0, strict ordering, pairwise coprimality: the properties
+    dealing and reconstruction rely on. Coprimality is one fold: a value
+    coprime to the product of those before it is coprime to each, so only a
+    failing value is scanned to name its pairs. gcd, unlike a remainder,
+    gives 0 and negative entries of a malformed file the pairwise verdict."""
     bad: list[str] = []
     if not is_prime(seq.m0):
         bad.append(f"m0 = {seq.m0} is not prime")
@@ -172,21 +181,17 @@ def validate_sequence_structure(seq: CompactSequence) -> ValidationReport:
                 f"not strictly increasing at position {idx}: "
                 f"{full[idx - 1]} >= {full[idx]}"
             )
-    for i in range(len(full)):
-        for j in range(i + 1, len(full)):
-            g = gcd(full[i], full[j])
-            if g != 1:
-                bad.append(
-                    f"gcd(m_{i}, m_{j}) = gcd({full[i]}, {full[j]}) = {g}"
-                )
-    return ValidationReport(tuple(bad))
-
-
-def validate_compact(seq: CompactSequence) -> ValidationReport:
-    """Structural checks plus the open compactness interval bounds.
-    Every violation is reported with its indices."""
-    bad = validate_sequence_structure(seq).violations
-    return ValidationReport(bad + _interval_violations(seq))
+    pairs: list[tuple[int, int]] = []
+    product = 1
+    for j, value in enumerate(full):
+        if gcd(value, product) != 1:
+            pairs += [(i, j) for i in range(j) if gcd(full[i], value) != 1]
+        product *= value
+    bad += [
+        f"gcd(m_{i}, m_{j}) = gcd({full[i]}, {full[j]}) = {gcd(full[i], full[j])}"
+        for i, j in sorted(pairs)
+    ]
+    return tuple(bad)
 
 
 def _interval_violations(seq: CompactSequence) -> tuple[str, ...]:
@@ -308,24 +313,18 @@ class SchemeParams:
 
 
 def validate_dealable(params: SchemeParams) -> ValidationReport:
-    """What a deal needs: structural sequence validity, hierarchy validity,
-    size agreement, and the Asmuth-Bloom product inequality at every level
-    threshold. The compactness interval is deliberately not required here;
-    it governs the asymptotic quality of the scheme, not its correctness."""
-    bad = [
-        f"sequence: {v}"
-        for v in validate_sequence_structure(params.sequence).violations
-    ]
+    """What a deal needs: structural sequence validity, hierarchy validity and
+    size agreement. The Asmuth-Bloom product inequality at a threshold t,
+    m0 * prod(m_1..m_{t-1}) < prod(m_1..m_t), reduces to m0 < m_t, so the
+    ordering check already implies it at every level. The compactness
+    interval is deliberately not required here; it governs the asymptotic
+    quality of the scheme, not its correctness."""
+    bad = [f"sequence: {v}" for v in _structure_violations(params.sequence)]
     bad += [f"hierarchy: {v}" for v in validate_hierarchy(params.hierarchy).violations]
     if params.sequence.n != params.hierarchy.n:
         bad.append(
             f"{params.sequence.n} moduli for {params.hierarchy.n} participants"
         )
-        return ValidationReport(tuple(bad))
-    if not bad:
-        for lvl, t in enumerate(params.hierarchy.thresholds, start=1):
-            if not check_ab_constraint(params.sequence, t):
-                bad.append(f"Asmuth-Bloom inequality fails at level {lvl} (t={t})")
     return ValidationReport(tuple(bad))
 
 

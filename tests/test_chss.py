@@ -16,6 +16,7 @@ from crthss import (
     chss_is_authorized,
     chss_reconstruct,
     dhss_deal,
+    dhss_reconstruct,
     generate_compact_sequence,
 )
 from crthss.errors import InconsistentShares, NotAuthorized
@@ -176,3 +177,15 @@ def test_share_off_by_one_is_detected():
             with pytest.raises(InconsistentShares, match="^level 2 ") as excinfo:
                 chss_reconstruct(shares, deal.public)
             assert str(share.value) not in str(excinfo.value)
+
+
+@pytest.mark.parametrize("deal, reconstruct", [
+    (dhss_deal, dhss_reconstruct), (chss_deal, chss_reconstruct),
+], ids=["dhss", "chss"])
+def test_conflicting_duplicate_shares(micro_params, deal, reconstruct):
+    # the same class ab_reconstruct raises for a participant given twice
+    result = deal(4, micro_params, 0)
+    share = result.shares[0]
+    twin = replace(share, value=(share.value + 1) % share.modulus)
+    with pytest.raises(InconsistentShares, match="^conflicting shares for participant 1$"):
+        reconstruct(list(result.shares) + [twin], result.public)

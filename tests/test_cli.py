@@ -437,6 +437,17 @@ def test_audit_ladder(tmp_path, capsys):
     assert report["strictly_decreasing"] is True
 
 
+def test_audit_ladder_composite_rung(tmp_path, micro_param_file, capsys):
+    out = tmp_path / "ladder.json"
+    code = main([
+        "audit", "--params", str(micro_param_file), "--adversary", "2",
+        "--ladder", "97,100", "--seed", "1", "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: m0 = 100 is not prime\n"
+    assert not out.exists()
+
+
 def test_audit_chss(tmp_path, micro_param_file, capsys):
     out = tmp_path / "report.json"
     code = main([

@@ -1,5 +1,6 @@
 """Sequence generation, compactness validation, thresholds, hierarchies."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -95,6 +96,32 @@ def test_generate_deterministic_and_valid():
             assert check_ab_constraint(seq, t)
 
 
+# SHA-256 of "m0|k|theta|m_1,...,m_n" for seeded draws. Pinning them means a
+# change to how candidates are tested for coprimality cannot change a draw.
+# 2147483659 is the smallest prime above 2^31.
+GENERATOR_DIGESTS = [
+    ((97, 3, 1, Fraction(1, 2), 7),
+     "3a3755176d1852925ae21d435420488cdc039323f1e492a6083220a991e49a8f"),
+    ((9973, 5, 2, Fraction(2, 3), 11),
+     "6de75b1aed63282b0edcc7e506672f8bd96238f2895381dced0c459bdbdd41ea"),
+    ((1000003, 12, 3, Fraction(1, 2), 2**40 + 5),
+     "589370d0ba2b51aae8fe60d653a7a9033508ad02b251bb86280c3b06ead643a3"),
+    ((2147483659, 200, 1, Fraction(1, 2), 1),
+     "7c68c1d54e31520a187afebac6650dbc16445874d7f90804951822d0375b266f"),
+    ((2147483659, 200, 1, Fraction(2, 3), 2),
+     "40f37523ea38a9176a5a60ac0d19837e4548c240c1be31f7f6f9ef9ff00234af"),
+]
+
+
+@pytest.mark.parametrize("args, expected", GENERATOR_DIGESTS,
+                         ids=["97", "9973-k2", "1000003-k3", "32bit-n200-half",
+                              "32bit-n200-two-thirds"])
+def test_generate_pinned_draws(args, expected):
+    seq = generate_compact_sequence(*args)
+    text = f"{seq.m0}|{seq.k}|{seq.theta}|" + ",".join(map(str, seq.moduli))
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
 def test_generate_rejects_bad_inputs():
     with pytest.raises(ValueError):
         generate_compact_sequence(10, 2, 1, Fraction(1, 2), 0)  # composite m0
@@ -188,3 +215,114 @@ def test_validate_params_levels():
 def test_validate_dealable_ignores_interval(micro_params):
     assert validate_dealable(micro_params).ok
     assert not validate_params(micro_params).ok
+
+
+def _pairwise_structure(seq):
+    """The O(n^2) structural validator, kept as the oracle for the fold."""
+    bad = []
+    if not is_prime(seq.m0):
+        bad.append(f"m0 = {seq.m0} is not prime")
+    full = (seq.m0,) + seq.moduli
+    for idx in range(1, len(full)):
+        if full[idx] <= full[idx - 1]:
+            bad.append(
+                f"not strictly increasing at position {idx}: "
+                f"{full[idx - 1]} >= {full[idx]}"
+            )
+    for i in range(len(full)):
+        for j in range(i + 1, len(full)):
+            g = gcd(full[i], full[j])
+            if g != 1:
+                bad.append(f"gcd(m_{i}, m_{j}) = gcd({full[i]}, {full[j]}) = {g}")
+    return tuple(bad)
+
+
+def _interval_reference(seq):
+    lo = seq.k * seq.m0
+    hi = lo + compact_width(seq.m0, seq.theta)
+    return tuple(
+        f"m_{idx} = {m} outside open interval ({lo}, {hi})"
+        for idx, m in enumerate(seq.moduli, start=1)
+        if not lo < m < hi
+    )
+
+
+def _assert_matches_oracle(full):
+    seq = CompactSequence(m0=full[0], moduli=tuple(full[1:]), k=1, theta=Fraction(1, 2))
+    expected = _pairwise_structure(seq)
+    assert validate_compact(seq).violations == expected + _interval_reference(seq)
+    params = SchemeParams(sequence=seq, hierarchy=Hierarchy((seq.n,), (1,)))
+    assert validate_dealable(params).violations == tuple(
+        f"sequence: {v}" for v in expected
+    )
+    return expected
+
+
+def _coprime_above(rng, m0, count, hi):
+    values = []
+    while len(values) < count:
+        v = rng.randrange(m0 + 1, hi)
+        if all(gcd(v, o) == 1 for o in [m0] + values):
+            values.append(v)
+    return sorted(values)
+
+
+MUTATIONS = ("clean", "shared-factor", "duplicate", "zero", "one", "negative", "noise")
+
+
+def _mutated_ladder(rng, kind):
+    if kind == "noise":
+        return [rng.randrange(0, 60)] + [
+            rng.randrange(-20, 60) for _ in range(rng.randrange(1, 9))
+        ]
+    m0 = rng.choice((2, 7, 97, 101, 997))
+    full = [m0] + _coprime_above(rng, m0, rng.randrange(1, 8), 4 * m0 + 40)
+    i, j = sorted(rng.sample(range(len(full)), 2)) if len(full) > 2 else (0, 1)
+    if kind == "shared-factor":
+        p = rng.choice((2, 3, 5, 7, 11, 9973))
+        full[i] *= p
+        full[j] *= p
+    elif kind == "duplicate":
+        full[j] = full[i]
+    elif kind == "zero":
+        full[j] = 0
+    elif kind == "one":
+        full[j] = 1
+    elif kind == "negative":
+        full[j] = -rng.choice((1, full[i], full[j], rng.randrange(2, 50)))
+    if rng.random() < 0.25:
+        rng.shuffle(full)
+        full[0] = abs(full[0])  # the interval bound needs m0 >= 0
+    return full
+
+
+def test_structure_fold_matches_pairwise_oracle():
+    rng = random.Random(2024)
+    named_pairs = {kind: 0 for kind in MUTATIONS}
+    passed = 0
+    for round_ in range(3000):
+        kind = MUTATIONS[round_ % len(MUTATIONS)]
+        expected = _assert_matches_oracle(_mutated_ladder(rng, kind))
+        named_pairs[kind] += any(v.startswith("gcd(") for v in expected)
+        passed += not expected
+    assert passed > 0
+    # 1 is coprime to everything, so the "one" rungs fail on ordering only
+    assert named_pairs["clean"] == named_pairs["one"] == 0
+    assert all(named_pairs[kind] > 100 for kind in MUTATIONS[1:] if kind != "one")
+
+
+@pytest.mark.parametrize("first, second, scale", [
+    (None, None, None), (0, 1, 3), (1, 2, 5), (90, 130, 7), (57, 200, 2**61 - 1),
+    (10, 150, 1),
+], ids=["clean", "m0-and-m1", "first-pair", "middle", "last-modulus",
+        "duplicated-modulus"])
+def test_structure_fold_at_real_size(first, second, scale):
+    rng = random.Random(256)
+    m0 = (1 << 255) + 1
+    while not is_prime(m0):
+        m0 += 2
+    full = [m0] + _coprime_above(rng, m0, 200, 1 << 256)
+    if scale is not None:
+        full[second] = full[first] * scale
+    expected = _assert_matches_oracle(full)
+    assert bool(expected) == (scale is not None)
