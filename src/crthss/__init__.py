@@ -22,7 +22,6 @@ from .analysis import (
     count_grouping,
     limit_ratio,
     rate_at_least,
-    scan_posterior_counts,
     worst_case_unauthorized,
 )
 from .asmuth_bloom import ab_reconstruct

@@ -19,9 +19,9 @@ constraint leaves every secret q or q + 1 in-range candidates at that level,
 and the q + 1 secrets form an arithmetic progression mod m0. The
 disjunctive count of a secret is the product of its level counts; the
 conjunctive count is the cyclic convolution of the level tables, each fold a
-sliding-window sum over the progression. A full scan over all value tuples
-checks the conditions literally; it is the oracle and must agree with the
-profiles exactly wherever it is feasible.
+sliding-window sum over the progression. The test suite's full scan over all
+value tuples checks the conditions literally; it is the oracle and must agree
+with the profiles exactly wherever it is feasible.
 
 The posterior places equal weight on every consistent tuple, matching the
 counting argument the entropy-loss bound is built on (for an empty adversary
@@ -57,7 +57,6 @@ from .params import SchemeParams, compact_width
 
 SCHEMES = ("dhss", "chss")
 DEFAULT_WORK_BUDGET = 10_000_000
-DEFAULT_SCAN_BUDGET = 2_000_000
 DEFAULT_EPSILON = 0.05
 
 
@@ -356,46 +355,6 @@ def enumerate_posterior(
     else:
         counts, histogram = _conjunctive_counts(profiles, m0)
     return _entropy_report(counts, histogram, m0, epsilon_tolerance)
-
-
-def scan_posterior_counts(
-    view: AdversaryView,
-    scheme: str,
-    tuple_budget: int = DEFAULT_SCAN_BUDGET,
-) -> dict[int, int]:
-    """Oracle: per-secret counts by scanning every value tuple.
-
-    Walks the full cartesian product of [0, prod(m_1..m_{t_l})) per level and
-    checks the conditions by direct modular arithmetic; no congruence solving
-    is involved, so this is an independent check of the fast path. Use only
-    on instances where the product of the ranges is small.
-    """
-    _check_unauthorized(view, scheme)
-    params = view.public.params
-    seq, hier = params.sequence, params.hierarchy
-    m0 = seq.m0
-    bounds = [seq.prefix_product(t) for t in hier.thresholds]
-    if prod(bounds) > tuple_budget:
-        raise IntractableInstance(
-            f"{prod(bounds)} tuples exceed the scan budget {tuple_budget}"
-        )
-    constraints = _view_congruences(view)
-    counts = {s: 0 for s in range(m0)}
-    for zs in itertools.product(*(range(b) for b in bounds)):
-        ok = all(
-            z % c.modulus == c.residue
-            for z, level_constraints in zip(zs, constraints)
-            for c in level_constraints
-        )
-        if not ok:
-            continue
-        if scheme == "dhss":
-            residues = {z % m0 for z in zs}
-            if len(residues) == 1:
-                counts[zs[0] % m0] += 1
-        else:
-            counts[sum(zs) % m0] += 1
-    return counts
 
 
 def count_grouping(

@@ -6,7 +6,8 @@ delta_m closes the sum to the secret mod m0. Each delta_l is then lifted and
 shared by the disjunctive dealing core, exactly like a disjunctive level:
 random holdings plus published offsets below the top level, raw y_m residues
 at the top. Only the residues differ: the disjunctive scheme lifts the secret
-itself at every level.
+itself at every level. Reconstruction is the shared recovery core, solving
+and summing every level; this module is its conjunctive entry point.
 
 Draw order per seed: delta_1..delta_{m-1}, then alpha_1..alpha_m by level,
 then c_i by participant index, so deals replay byte-for-byte.
@@ -21,11 +22,8 @@ from .dhss import (
     Share,
     _check_dealable,
     _deal,
-    _level_congruences,
-    _solve_level,
-    dedupe_shares,
+    _recover,
 )
-from .errors import NotAuthorized
 from .params import SchemeParams
 
 
@@ -58,29 +56,6 @@ def chss_deal(
 
 
 def chss_reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
-    """Recover the secret as the sum of the per-level residues mod m0.
-
-    For each level l the congruence inputs are the members inside the first
-    N_l participants (top-level holders contribute only at the top level,
-    where their raw values enter directly). A level whose solution exceeds
-    its dealer bound raises InconsistentShares.
-    """
-    params = public.params
-    hier = params.hierarchy
-    unique = dedupe_shares(shares, params)
-    members = {s.participant for s in unique}
-    missing = hier.failing_levels(members)
-    if missing:
-        raise NotAuthorized(
-            f"level(s) {list(missing)} below threshold for participants "
-            f"{sorted(members)}",
-            failing_levels=missing,
-        )
-    total = sum(
-        _solve_level(
-            _level_congruences(unique, level, public),
-            level, t, params.sequence,
-        )
-        for level, t in enumerate(hier.thresholds, start=1)
-    )
-    return total % params.sequence.m0
+    """Recover the secret as the sum of every level's lift mod m0, each level
+    solved from the shares inside its first N_l participants."""
+    return _recover(shares, public, conjunctive=True)

@@ -28,7 +28,7 @@ from pathlib import Path
 from . import analysis
 from .asmuth_bloom import ab_reconstruct
 from .chss import chss_deal, chss_reconstruct
-from .dhss import dhss_deal, dhss_reconstruct
+from .dhss import dedupe_shares, dhss_deal, dhss_reconstruct
 from .errors import (
     Error,
     IntervalExhausted,
@@ -219,10 +219,12 @@ def cmd_reconstruct(args) -> int:
         elif scheme == "chss":
             secret = chss_reconstruct(shares, public)
         else:
-            t = public.params.hierarchy.thresholds[0]
+            # the files' modulus and level pass the gate before the pairs
+            # drop them
+            gated = dedupe_shares(shares, public.params)
             secret = ab_reconstruct(
-                [(s.participant, s.value) for s in shares],
-                t,
+                [(s.participant, s.value) for s in gated],
+                public.params.hierarchy.thresholds[0],
                 public.params.sequence,
             )
         print(secret)

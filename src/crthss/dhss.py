@@ -13,7 +13,9 @@ Deals are reproducible: for a given seed the dealer draws alpha_1..alpha_m
 The dealing core lifts and shares any per-level residues: the disjunctive
 scheme passes the secret at every level, the conjunctive scheme passes the
 additive parts of it, and a single-level hierarchy is the flat Asmuth-Bloom
-scheme.
+scheme. Recovery mirrors it: every reconstruct entry point (``dhss``, ``chss``
+and flat ``ab``) passes ``dedupe_shares``, the one share gate, and solves its
+levels below their dealer bounds in one core.
 """
 
 import random
@@ -29,7 +31,7 @@ from .errors import (
     SecretOutOfRange,
 )
 from .oneway import eval_owf
-from .params import CompactSequence, SchemeParams, validate_dealable
+from .params import SchemeParams, validate_dealable
 
 
 @dataclass(frozen=True)
@@ -156,61 +158,60 @@ def _level_congruences(
     ]
 
 
-def _solve_level(
-    system: Sequence[Congruence], level: int, t: int, seq: CompactSequence
-) -> int:
-    """The level's lift y_l, the system's solution below prod(m_1..m_t).
-
-    A solution at or above that dealer bound cannot come from one deal, so
-    redundant shares that disagree are rejected instead of decoding to a
-    wrong secret. The message names the level, never a value.
-    """
-    y = crt_solve(system).value
-    if y >= seq.prefix_product(t):
-        raise InconsistentShares(
-            f"level {level} shares disagree: their solution exceeds the "
-            f"dealer bound"
-        )
-    return y
-
-
 def dedupe_shares(shares: Sequence[Share], params: SchemeParams) -> list[Share]:
-    """One share per participant, checked against the parameter set."""
+    """The share gate: one share per participant, each checked against the
+    parameter set (participant range, modulus, level, value in [0, m_i)).
+    Messages name the participant, never a value."""
+    seq, hier = params.sequence, params.hierarchy
     seen: dict[int, Share] = {}
     for s in shares:
-        expected = params.sequence.modulus_of(s.participant)
-        if s.modulus != expected:
-            raise ValueError(
-                f"share for participant {s.participant} carries modulus "
-                f"{s.modulus}, params say {expected}"
-            )
-        if s.participant in seen and seen[s.participant].value != s.value:
-            raise InconsistentShares(
-                f"conflicting shares for participant {s.participant}"
-            )
-        seen[s.participant] = s
+        i = s.participant
+        modulus = seq.modulus_of(i)
+        if s.modulus != modulus:
+            raise ValueError(f"share for participant {i} carries the wrong modulus")
+        if s.level != hier.level_of(i):
+            raise ValueError(f"share for participant {i} carries the wrong level")
+        if not 0 <= s.value < modulus:
+            raise ValueError(f"share value of participant {i} is not in [0, m_{i})")
+        if i in seen and seen[i].value != s.value:
+            raise InconsistentShares(f"conflicting shares for participant {i}")
+        seen[i] = s
     return [seen[i] for i in sorted(seen)]
 
 
-def dhss_reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
-    """Recover the secret from an authorized set of shares.
+def _recover(shares: Sequence[Share], public: PublicBundle, conjunctive: bool) -> int:
+    """The recovery core behind every reconstruct entry point.
 
-    Uses the smallest qualifying level and every available share inside it;
-    the extras tighten the congruence system, and raise InconsistentShares
-    when they disagree with the rest.
+    Gates the shares, then solves the smallest qualifying level (disjunctive)
+    or every level (conjunctive) from all shares inside it, and sums the lifts
+    mod m0. A level solution at or above prod(m_1..m_{t_l}) cannot come from
+    one deal, so redundant shares that disagree raise InconsistentShares
+    naming the level, never a value.
     """
-    params = public.params
-    hier = params.hierarchy
-    unique = dedupe_shares(shares, params)
+    seq, hier = public.params.sequence, public.params.hierarchy
+    unique = dedupe_shares(shares, public.params)
     members = {s.participant for s in unique}
-    level = dhss_authorized_level(members, params)
-    if level is None:
+    failing = hier.failing_levels(members)
+    levels = [lvl for lvl in range(1, hier.m + 1) if lvl not in failing]
+    if not levels or (conjunctive and failing):
         raise NotAuthorized(
-            f"no level threshold met by participants {sorted(members)}",
-            failing_levels=hier.failing_levels(members),
+            f"level(s) {list(failing)} below threshold for participants "
+            f"{sorted(members)}",
+            failing_levels=failing,
         )
-    y = _solve_level(
-        _level_congruences(unique, level, public),
-        level, hier.thresholds[level - 1], params.sequence,
-    )
-    return y % params.sequence.m0
+    total = 0
+    for level in levels if conjunctive else levels[:1]:
+        y = crt_solve(_level_congruences(unique, level, public)).value
+        if y >= seq.prefix_product(hier.thresholds[level - 1]):
+            raise InconsistentShares(
+                f"level {level} shares disagree: their solution exceeds the "
+                f"dealer bound"
+            )
+        total += y
+    return total % seq.m0
+
+
+def dhss_reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
+    """Recover the secret from the smallest qualifying level, using every
+    available share inside it; the extras tighten the congruence system."""
+    return _recover(shares, public, conjunctive=False)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import CHSS_SEED, DHSS_SEED
+from scan_oracle import scan_posterior_counts
 from crthss import (
     CompactSequence,
     Congruence,
@@ -36,7 +37,6 @@ from crthss import (
     generate_compact_sequence,
     count_grouping,
     rate_at_least,
-    scan_posterior_counts,
     worst_case_unauthorized,
 )
 from crthss.cli import main

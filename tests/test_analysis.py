@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import AB_SEED, CHSS_SEED, DHSS_SEED
+from scan_oracle import scan_posterior_counts
 from crthss import (
     CompactSequence,
     Hierarchy,
@@ -26,7 +27,6 @@ from crthss import (
     count_grouping,
     limit_ratio,
     rate_at_least,
-    scan_posterior_counts,
     worst_case_unauthorized,
 )
 from crthss.errors import (

@@ -2,12 +2,13 @@
 
 import itertools
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import CHSS_SEED
+from conftest import CHSS_SEED, SEQ_61, ab_reconstruct_shares
 from crthss import (
     Hierarchy,
     OwfFamily,
@@ -189,3 +190,33 @@ def test_conflicting_duplicate_shares(micro_params, deal, reconstruct):
     twin = replace(share, value=(share.value + 1) % share.modulus)
     with pytest.raises(InconsistentShares, match="^conflicting shares for participant 1$"):
         reconstruct(list(result.shares) + [twin], result.public)
+
+
+# the three reconstruct entry points with the deal and hierarchy each reads
+ENTRY_POINTS = {
+    "dhss": (dhss_deal, dhss_reconstruct, Hierarchy((2, 3), (2, 3))),
+    "chss": (chss_deal, chss_reconstruct, Hierarchy((2, 3), (2, 3))),
+    "ab": (dhss_deal, ab_reconstruct_shares, Hierarchy((5,), (3,))),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("participant, corrupt", [
+    # masked below the top level: h_l(value + m_1) differs from h_l(value),
+    # so the level-1 residue would be wrong, not just unreduced
+    (1, lambda s: replace(s, value=s.value + s.modulus)),
+    # a raw top-level residue must not be reduced silently
+    (3, lambda s: replace(s, value=s.value + s.modulus)),
+    (2, lambda s: replace(s, level=7)),
+], ids=["masked-value-plus-modulus", "top-level-value-plus-modulus", "level-7"])
+def test_gate_rejects_malformed_shares(scheme, participant, corrupt):
+    """An authorized set with one malformed share is refused by the share
+    gate with a ValueError naming only the participant."""
+    deal, reconstruct, hierarchy = ENTRY_POINTS[scheme]
+    result = deal(1234567890123456789, SchemeParams(SEQ_61, hierarchy), 5)
+    shares = list(result.shares[:3])
+    assert reconstruct(shares, result.public) == 1234567890123456789
+    shares[participant - 1] = corrupt(shares[participant - 1])
+    with pytest.raises(ValueError, match=rf"participant {participant}\b") as excinfo:
+        reconstruct(shares, result.public)
+    assert set(re.findall(r"\d+", str(excinfo.value))) <= {str(participant), "0"}

@@ -328,6 +328,8 @@ LEAK_CASES = {
     "dhss-wrong-modulus": (
         "dhss", ((2, 3, 4), (2, 3, 5)),
         lambda s: [s[1], {**s[2], "modulus": s[3]["modulus"]}], 2),
+    "dhss-wrong-level": (
+        "dhss", ((2, 3, 4), (2, 3, 5)), lambda s: [s[1], {**s[2], "level": 3}], 2),
     "dhss-participant-99": (
         "dhss", ((2, 3, 4), (2, 3, 5)), lambda s: [s[1], {**s[2], "participant": 99}], 2),
     "dhss-not-authorized": (
@@ -344,6 +346,11 @@ LEAK_CASES = {
         "ab", ((5,), (3,)), lambda s: [s[1], s[2], s[3], _bump(s[3], 1)], 2),
     "ab-value-plus-modulus": (
         "ab", ((5,), (3,)), lambda s: [s[1], s[2], _bump(s[3], int(s[3]["modulus"]))], 2),
+    "ab-wrong-modulus": (
+        "ab", ((5,), (3,)),
+        lambda s: [s[1], s[2], {**s[3], "modulus": str(int(s[3]["modulus"]) * 7)}], 2),
+    "ab-wrong-level": (
+        "ab", ((5,), (3,)), lambda s: [s[1], s[2], {**s[3], "level": 9}], 2),
 }
 
 
@@ -383,6 +390,29 @@ def test_reconstruct_errors_never_print_values(tmp_path, capsys, case):
     assert not [value for value in forbidden if value in err]
     # nor any value derived from them: the only long numbers are public moduli
     assert set(re.findall(r"\d{19,}", err)) <= {str(m) for m in MODULI_61}
+
+
+def test_reconstruct_ab_worst_case_set_exit_2(tmp_path, capsys):
+    """A flat set one share short exits 2 naming the threshold (the
+    benchmark's lifecycle precheck expects exactly this refusal)."""
+    params = SchemeParams(
+        sequence=CompactSequence(m0=M0_61, moduli=MODULI_61[:5]),
+        hierarchy=Hierarchy((5,), (3,)),
+    )
+    param_path = tmp_path / "params.json"
+    param_path.write_text(canonical_dumps(param_file_obj("ab", params)))
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(param_path), "--secret", str(SECRET_61),
+                 "--seed", "5", "--out-dir", str(out_dir)]) == 0
+    members = sorted(crthss.worst_case_unauthorized(params))
+    assert len(members) == 2
+    capsys.readouterr()
+    code = main(["reconstruct", "--public", str(out_dir / "public_bundle.json"),
+                 "--shares", *(str(out_dir / f"share_{i:03d}.json") for i in members)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "need 3" in err
+    assert out == ""
 
 
 def test_audit_micro(tmp_path, micro_param_file, capsys):
