@@ -23,6 +23,14 @@ sliding-window sum over the progression. The test suite's full scan over all
 value tuples checks the conditions literally; it is the oracle and must agree
 with the profiles exactly wherever it is feasible.
 
+Per-secret counts are a lazy read-only mapping, never a table of m0 entries:
+a disjunctive count is computed from the profiles when it is looked up, and
+the histogram (all that entropy and grouping need) is tallied from the
+minority secrets alone, the shorter side of each level's q / q + 1 split.
+The dhss cost therefore follows the size of those sets, about m * m0^theta
+in the compact regime, not m0. The conjunctive mapping reads its one folded
+list.
+
 The posterior places equal weight on every consistent tuple, matching the
 counting argument the entropy-loss bound is built on (for an empty adversary
 set this differs from the generative view: per-secret tuple counts still
@@ -32,11 +40,12 @@ small but nonzero at small m0).
 
 import itertools
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log2, prod
 from operator import sub
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Optional
 
 from .chss import chss_is_authorized
 from .crt import Congruence, crt_solve, mod_inverse
@@ -53,7 +62,7 @@ from .errors import (
     NotUnauthorized,
     WrongCardinality,
 )
-from .params import SchemeParams, compact_width
+from .params import SchemeParams, compact_width, integer_root
 
 SCHEMES = ("dhss", "chss")
 DEFAULT_WORK_BUDGET = 10_000_000
@@ -73,6 +82,11 @@ class AdversaryView:
 @dataclass(frozen=True)
 class PosteriorReport:
     """Per-secret candidate counts and the entropies they induce.
+
+    per_secret_counts maps each secret in range(m0) to its count; from
+    enumerate_posterior it is a lazy read-only view that computes a count
+    when it is looked up, so no per-secret table is held. histogram is the
+    summary the entropies and groups() are computed from.
 
     conditional_entropy is computed from the counts with equal weight per
     consistent tuple; loss = secret_entropy - conditional_entropy >= 0.
@@ -129,6 +143,28 @@ class CountGrouping:
 
     def weighted_total(self) -> int:
         return sum(y * g for y, g in self.groups.items())
+
+
+class _CountView(Mapping):
+    """Read-only secret -> candidate count over range(m0), equal to the dict
+    of all m0 counts without holding one. Each value comes from ``count``
+    when it is looked up; keys other than the ints in [0, m0) raise
+    KeyError."""
+
+    def __init__(self, m0: int, count: Callable[[int], int]):
+        self._m0 = m0
+        self._count = count
+
+    def __getitem__(self, r):
+        if not isinstance(r, int) or not 0 <= r < self._m0:
+            raise KeyError(r)
+        return self._count(r)
+
+    def __len__(self) -> int:
+        return self._m0
+
+    def __iter__(self):
+        return iter(range(self._m0))
 
 
 def adversary_view(deal: DealResult, members: Iterable[int]) -> AdversaryView:
@@ -244,12 +280,13 @@ def _level_profiles(view: AdversaryView) -> list[_LevelProfile]:
 
 def _disjunctive_counts(
     profiles: list[_LevelProfile], m0: int
-) -> tuple[dict[int, int], Counter]:
+) -> tuple[_CountView, Counter]:
     """Per-secret products of the level counts, and their histogram.
 
     At each level the shorter side of the q / q + 1 split is a progression
     of min(rho, m0 - rho) secrets; every secret outside the union of those
-    takes the product of the per-level majority values.
+    takes the product of the per-level majority values. Only that union is
+    walked, so the cost follows the minority sets, not m0.
     """
     majority = 1
     exceptions: set[int] = set()
@@ -260,18 +297,19 @@ def _disjunctive_counts(
         else:
             majority *= p.q + 1
             exceptions.update(p.residues(range(p.rho, m0)))
-    counts = dict.fromkeys(range(m0), majority)
-    for r in exceptions:
-        counts[r] = prod(p.count(r) for p in profiles)
-    histogram = Counter(counts[r] for r in exceptions)
+
+    def count(r: int) -> int:
+        return prod(p.count(r) for p in profiles)
+
+    histogram = Counter(map(count, exceptions))
     if len(exceptions) < m0:
         histogram[majority] += m0 - len(exceptions)
-    return counts, histogram
+    return _CountView(m0, count), histogram
 
 
 def _conjunctive_counts(
     profiles: list[_LevelProfile], m0: int
-) -> tuple[dict[int, int], Counter]:
+) -> tuple[_CountView, Counter]:
     """Cyclic convolution of the level tables, and its histogram.
 
     Folding in a level with secret base + S*v gives
@@ -287,11 +325,11 @@ def _conjunctive_counts(
         lo = m0 + 1 - p.rho
         window = map(sub, prefix[m0 + 1:], prefix[lo:lo + m0])
         folded = p.by_residue([w + shift for w in window])
-    return dict(enumerate(folded)), Counter(folded)
+    return _CountView(m0, folded.__getitem__), Counter(folded)
 
 
 def _entropy_report(
-    counts: dict[int, int],
+    counts: Mapping[int, int],
     histogram: Mapping[int, int],
     m0: int,
     epsilon_tolerance: float,
@@ -336,7 +374,11 @@ def enumerate_posterior(
     z = s (mod m0). Conjunctive: the per-level tables are cyclically
     convolved, because the levels are independent given the additive
     decomposition of the secret. Both read each level's counts off its
-    profile, in O(m0) per level.
+    profile. The returned per_secret_counts is a lazy read-only view: a
+    disjunctive count is computed when it is looked up, and the disjunctive
+    histogram is tallied from the minority secrets of each level alone, so
+    its cost follows those sets (about m * m0^theta in the compact regime);
+    the conjunctive fold costs O(m0) per level.
 
     Raises IntractableInstance when the estimated work, m * m0 table
     entries, exceeds ``work_budget``.
@@ -474,18 +516,60 @@ def information_rate(params: SchemeParams) -> RateReport:
 _RATE_MARGIN = 2.0**-40
 
 
+def _log2_bounds(x: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2^bits * log2(x) <= hi for x >= 1, with hi - lo small.
+
+    The mantissa v = x / 2^e in [1, 2) is rounded down and up to ``bits``
+    fractional bits; each squaring step emits one bit of log2(v) (v^2 >= 2
+    gives a 1, then v^2 / 2) and rounds the same way, so the down chain
+    never exceeds the true value and the up chain never falls below it.
+    """
+    e = x.bit_length() - 1
+    two = 2 << bits
+
+    def frac(y: int, up: bool) -> int:
+        out = 0
+        for _ in range(bits):
+            y = -(-y * y >> bits) if up else y * y >> bits
+            out <<= 1
+            if y >= two:
+                out |= 1
+                y = (y + up) >> 1
+        return out
+
+    lo = frac((x << bits) >> e, False)
+    hi = frac(-(-x << bits >> e), True) + 1
+    return (e << bits) + lo, (e << bits) + hi
+
+
 def _log_ratio_at_least(small: int, large: int, threshold: Fraction) -> bool:
     """Exactly whether log(small)/log(large) >= threshold, for integers
-    large >= small >= 2. With threshold p/q this is small^q >= large^p; a
-    float comparison decides it unless the two sides lie within the rounding
-    margin, and only then are the integer powers formed."""
+    large >= small >= 2. With threshold p/q this is q*log2(small) >=
+    p*log2(large). A float comparison decides it unless the two sides lie
+    within the rounding margin. Then equality, small^q == large^p, holds
+    exactly when small = b^p and large = b^q for one integer b (p and q are
+    coprime), which needs no power larger than the inputs; otherwise
+    fixed-point logs at doubling precision separate the sides."""
     threshold = Fraction(threshold)
     if threshold <= 0:
         return True
     ratio, target = log2(small) / log2(large), float(threshold)
     if abs(ratio - target) > _RATE_MARGIN * target:
         return ratio > target
-    return small ** threshold.denominator >= large ** threshold.numerator
+    p, q = threshold.numerator, threshold.denominator
+    if p <= small.bit_length() and q <= large.bit_length():
+        base = integer_root(small, p)
+        if base ** p == small and base ** q == large:
+            return True
+    bits = 64
+    while True:
+        small_lo, small_hi = _log2_bounds(small, bits)
+        large_lo, large_hi = _log2_bounds(large, bits)
+        if q * small_lo >= p * large_hi:
+            return True
+        if q * small_hi < p * large_lo:
+            return False
+        bits *= 2
 
 
 def rate_at_least(params: SchemeParams, threshold: Fraction) -> bool:

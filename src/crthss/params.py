@@ -119,6 +119,30 @@ class CompactSequence:
         return prod(self.moduli[:t])
 
 
+# Widths up to this draw from a full shuffle of the interval; wider ones (m0
+# of about 44 bits and up at theta = 1/2) sample it with rejection.
+_SHUFFLE_CUTOFF = 1 << 22
+# Rejection-sampling draws allowed per requested value before giving up.
+_DRAWS_PER_VALUE = 256
+
+
+def _candidate_order(lo: int, width: int, n: int, rng: random.Random):
+    """Candidates from the open interval (lo, lo + width) in seeded random
+    order: a shuffle of every candidate up to the cutoff width, otherwise
+    distinct uniform draws, at most _DRAWS_PER_VALUE * n of them."""
+    if width <= _SHUFFLE_CUTOFF:
+        candidates = list(range(lo + 1, lo + width))
+        rng.shuffle(candidates)
+        yield from candidates
+        return
+    seen: set[int] = set()
+    for _ in range(_DRAWS_PER_VALUE * n):
+        c = lo + 1 + rng.randrange(width - 1)
+        if c not in seen:
+            seen.add(c)
+            yield c
+
+
 def generate_compact_sequence(
     m0: int, n: int, k: int, theta: Fraction, rng_seed: int
 ) -> CompactSequence:
@@ -126,8 +150,11 @@ def generate_compact_sequence(
 
     Candidates are scanned in seeded random order and accepted greedily when
     coprime to m0 times everything already accepted, then sorted ascending.
-    Deterministic for a given seed. Raises IntervalExhausted when the greedy
-    pass cannot place n values (m0 too small for the requested n and theta).
+    Up to a width of 2^22 the order is a shuffle of the whole interval;
+    wider intervals are sampled with rejection, so 128- and 256-bit m0 never
+    materialize the interval. Deterministic for a given seed. Raises
+    IntervalExhausted when the greedy pass cannot place n values (m0 too
+    small for the requested n and theta, or the draw limit reached).
     """
     if not is_prime(m0):
         raise ValueError(f"m0 = {m0} is not prime")
@@ -140,12 +167,10 @@ def generate_compact_sequence(
         raise ValueError(f"n must be >= 1, got {n}")
     lo = k * m0
     width = compact_width(m0, theta)
-    candidates = list(range(lo + 1, lo + width))
     rng = random.Random(rng_seed)
-    rng.shuffle(candidates)
     accepted: list[int] = []
     product = m0
-    for c in candidates:
+    for c in _candidate_order(lo, width, n, rng):
         if gcd(c, product) == 1:
             accepted.append(c)
             product *= c

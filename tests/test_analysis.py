@@ -5,6 +5,7 @@ the level-profile counts must agree with it exactly.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from crthss.errors import (
     NotUnauthorized,
     WrongCardinality,
 )
+from crthss.analysis import _log_ratio_at_least
 
 
 def test_micro_dhss_posterior_matches_scan(micro_params):
@@ -312,6 +314,22 @@ def test_rate_comparisons_match_integer_powers():
         for threshold in (approx, Fraction(p + 1, q), Fraction(max(p - 1, 1), q)):
             exact = m0 ** threshold.denominator >= m_n ** threshold.numerator
             assert rate_at_least(ladder(m0, m_n), threshold) == exact
+
+
+def test_rate_near_ties_decide_fast():
+    # thresholds inside the float margin whose integer powers would have
+    # millions of digits or far more are decided by fixed-point logs, and
+    # an exact tie small^q == large^p still counts as reaching it
+    start = time.perf_counter()
+    # 9910705/9911422 is the float analytic floor through limit_denominator(10**7)
+    assert not bound_rate_at_least(1000003, Fraction(1, 2), Fraction(9910705, 9911422))
+    assert bound_rate_at_least(1000003, Fraction(1, 2), Fraction(9910704, 9911422))
+    p, q = 100003, 100019
+    small, large = 3**p, 3**q
+    assert _log_ratio_at_least(small, large, Fraction(p, q))
+    assert not _log_ratio_at_least(small, large, Fraction(p * 10**9 + 1, q * 10**9))
+    assert _log_ratio_at_least(small, large, Fraction(p * 10**9 - 1, q * 10**9))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_randomized_oracle_equivalence():

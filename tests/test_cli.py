@@ -527,6 +527,51 @@ def test_gen_params_m0_bits(tmp_path, capsys):
     assert is_prime(m0)
 
 
+@pytest.mark.parametrize("bits", [128, 256])
+def test_gen_params_deal_reconstruct_at_real_size(tmp_path, capsys, bits):
+    params_path = tmp_path / "params.json"
+    argv = [
+        "gen-params", "--m0-bits", str(bits), "--levels", "2,3",
+        "--thresholds", "2,3", "--seed", "9", "--out", str(params_path),
+    ]
+    assert main(argv) == 0
+    first = params_path.read_text()
+    assert main(argv) == 0
+    assert params_path.read_text() == first
+    obj = read(params_path)
+    m0 = int(obj["sequence"]["m0"])
+    assert m0.bit_length() == bits
+    assert len(obj["sequence"]["moduli"]) == 5
+    secret = m0 - 12345
+    out_dir = tmp_path / "deal"
+    assert main([
+        "deal", "--params", str(params_path), "--secret", str(secret),
+        "--seed", "4", "--out-dir", str(out_dir),
+    ]) == 0
+    capsys.readouterr()
+    public = str(out_dir / "public_bundle.json")
+    for members in ((1, 2), (3, 4, 5)):
+        assert main([
+            "reconstruct", "--public", public,
+            "--shares", *(str(out_dir / f"share_{i:03d}.json") for i in members),
+        ]) == 0
+        assert capsys.readouterr().out.strip() == str(secret)
+
+
+def test_audit_ladder_127_bit_rung_exceeds_budget(micro_param_file, capsys):
+    # the rung's sequence is drawn and dealt; only the audit's work
+    # estimate refuses it
+    code = main([
+        "audit", "--params", str(micro_param_file), "--adversary", "2",
+        "--ladder", f"97,{2**127 - 1}", "--seed", "1",
+    ])
+    assert code == 8
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: estimated work ")
+    assert "exceeds budget" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_deal_without_seed_prints_commitment_only(tmp_path, micro_param_file, capsys):
     code = main([
         "deal", "--params", str(micro_param_file), "--secret", "4",

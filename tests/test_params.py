@@ -122,6 +122,24 @@ def test_generate_pinned_draws(args, expected):
     assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
+@pytest.mark.parametrize("bits", [128, 256])
+def test_generate_wide_interval_by_rejection(bits):
+    # floor(sqrt(m0)) is far above the 2^22 shuffle cutoff: candidates are
+    # drawn, never listed, and the draws stay seeded
+    m0 = next(p for p in range(2**(bits - 1) + 1, 2**bits, 2) if is_prime(p))
+    seq = generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 5)
+    assert validate_compact(seq).ok
+    assert seq == generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 5)
+    assert seq != generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 6)
+
+
+def test_generate_wide_interval_draw_limit(monkeypatch):
+    monkeypatch.setattr("crthss.params._DRAWS_PER_VALUE", 0)
+    m0 = 2**127 - 1
+    with pytest.raises(IntervalExhausted, match="only 0 of 3"):
+        generate_compact_sequence(m0, 3, 1, Fraction(1, 2), 5)
+
+
 def test_generate_rejects_bad_inputs():
     with pytest.raises(ValueError):
         generate_compact_sequence(10, 2, 1, Fraction(1, 2), 0)  # composite m0

@@ -7,12 +7,21 @@ convolution of the conjunctive tables. They stay here as references at sizes
 the tuple scan cannot reach (m0 up to a few thousand). The entropy reference
 is the correctly rounded float sum of the per-secret terms, so the audit's
 conditional entropy must match it bit for bit.
+
+``dense_disjunctive_counts`` is the disjunctive counter as it stood before
+the audit's counts became a lazy view: the same exception walk, but a dict
+over every secret. It is the reference for the sparse histogram and the
+view's mapping behaviour.
 """
 
 import itertools
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
-from math import fsum, gcd, log2
+from math import fsum, gcd, log2, prod
+
+import pytest
 
 from crthss import (
     CompactSequence,
@@ -27,9 +36,11 @@ from crthss import (
     dhss_authorized_level,
     dhss_deal,
     enumerate_posterior,
+    generate_compact_sequence,
     is_prime,
+    worst_case_unauthorized,
 )
-from crthss.analysis import _view_congruences
+from crthss.analysis import _entropy_report, _level_profiles, _view_congruences
 
 SHAPES = (((1, 2), (1, 2)), ((2, 2), (1, 3)), ((3,), (2,)), ((1, 1, 2), (1, 2, 3)))
 
@@ -172,3 +183,77 @@ def test_profile_counts_match_reference():
     expected_cases = {"q=0", "q>0", "rho=0", "rho>m0/2", "empty"}
     assert seen["dhss"] >= expected_cases
     assert seen["chss"] >= expected_cases
+
+
+def dense_disjunctive_counts(profiles, m0):
+    """Per-secret products of the level counts as a dict over all m0
+    secrets, and their histogram."""
+    majority = 1
+    exceptions = set()
+    for p in profiles:
+        if 2 * p.rho <= m0:
+            majority *= p.q
+            exceptions.update(p.residues(range(p.rho)))
+        else:
+            majority *= p.q + 1
+            exceptions.update(p.residues(range(p.rho, m0)))
+    counts = dict.fromkeys(range(m0), majority)
+    for r in exceptions:
+        counts[r] = prod(p.count(r) for p in profiles)
+    histogram = Counter(counts[r] for r in exceptions)
+    if len(exceptions) < m0:
+        histogram[majority] += m0 - len(exceptions)
+    return counts, histogram
+
+
+def test_sparse_disjunctive_counts_match_dense():
+    rng = random.Random(71)
+    primes = [p for p in range(500, 5000) if is_prime(p)]
+    for i in range(24):
+        m0 = rng.choice(primes)
+        theta = (Fraction(1, 2), Fraction(2, 3))[i % 2]
+        hier = Hierarchy(*rng.choice(SHAPES))
+        seq = generate_compact_sequence(m0, hier.n, 1, theta, rng.randrange(2**32))
+        params = SchemeParams(sequence=seq, hierarchy=hier,
+                              owf=OwfFamily(kind="test_affine"))
+        result = dhss_deal(rng.randrange(m0), params, rng.randrange(2**32))
+        members = rng.choice(list(unauthorized_sets(params, "dhss")))
+        for adversary in (members, worst_case_unauthorized(params), set()):
+            view = adversary_view(result, adversary)
+            report = enumerate_posterior(view, "dhss")
+            dense, histogram = dense_disjunctive_counts(_level_profiles(view), m0)
+            expected = _entropy_report(dense, histogram, m0, report.epsilon_tolerance)
+            counts = report.per_secret_counts
+            assert counts == dense and dense == counts
+            assert dict(counts) == dense
+            assert len(counts) == len(dense) == m0
+            assert list(counts) == list(dense)
+            for key in (-1, m0, "0"):
+                assert key not in counts
+                with pytest.raises(KeyError):
+                    counts[key]
+            assert report.histogram == histogram
+            assert report.total == expected.total
+            assert report.secret_entropy == expected.secret_entropy
+            assert report.conditional_entropy == expected.conditional_entropy
+            assert report.loss == expected.loss
+
+
+def test_sparse_dhss_audit_memory_at_24_bits():
+    # a 2-level worst-case audit at m0 near 1.1e7 touches about 3000
+    # minority secrets; a table over every secret would take hundreds of MB
+    m0 = next(p for p in itertools.count(11_000_001, 2) if is_prime(p))
+    hier = Hierarchy((1, 2), (1, 2))
+    seq = generate_compact_sequence(m0, hier.n, 1, Fraction(1, 2), 7)
+    params = SchemeParams(sequence=seq, hierarchy=hier)
+    view = adversary_view(dhss_deal(m0 // 3, params, 11), worst_case_unauthorized(params))
+    tracemalloc.start()
+    try:
+        report = enumerate_posterior(view, "dhss", work_budget=10**8)
+        grouping = count_grouping(report, view)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert grouping.gamma_total == m0
+    assert report.per_secret_counts[m0 // 3] >= 1
