@@ -12,6 +12,7 @@ from .analysis import (
     AdversaryView,
     EtaReport,
     CountGrouping,
+    LevelProfile,
     PosteriorReport,
     RateReport,
     adversary_view,

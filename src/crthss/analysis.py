@@ -14,9 +14,13 @@ Hash-preimage consistency of the published offsets for non-members is
 deliberately not modeled; its effect vanishes for large share spaces and is
 out of computational reach, so the posterior here conditions on (i)-(iv).
 
-Candidate counts come from one level profile per level: the adversary's
-constraint leaves every secret q or q + 1 in-range candidates at that level,
-and the q + 1 secrets form an arithmetic progression mod m0. The
+Every per-level fact comes from one level profile per level, built in one
+pass over the view: the range bound, the adversary modulus S, the members
+inside N_l and the counts. Its floor bound // (m0 * S) and ratio
+bound / (m0 * S) feed the grouping certificate, the eta dichotomy, the limit
+ratio and the CLI's tables, all read from the report's ``levels``. The
+adversary's constraint leaves every secret q or q + 1 in-range candidates at
+that level, and the q + 1 secrets form an arithmetic progression mod m0. The
 disjunctive count of a secret is the product of its level counts; the
 conjunctive count is the cyclic convolution of the level tables, each fold a
 sliding-window sum over the progression. The test suite's full scan over all
@@ -48,7 +52,7 @@ from operator import sub
 from typing import Callable, Iterable, Optional
 
 from .chss import chss_is_authorized
-from .crt import Congruence, crt_solve, mod_inverse
+from .crt import crt_solve, mod_inverse
 from .dhss import (
     DealResult,
     PublicBundle,
@@ -80,13 +84,79 @@ class AdversaryView:
 
 
 @dataclass(frozen=True)
+class LevelProfile:
+    """What the adversary knows about one level l, and the per-secret
+    candidate counts it leaves.
+
+    The members inside the first N_l pin z_l = base (mod modulus), where
+    modulus = S is the product of their moduli (1 when there are none); the
+    dealer's range is 0 <= z_l < bound = prod(m_1..m_{t_l}). The in-range
+    solutions are z = base + S*j for 0 <= j < K, K = ceil((bound - base) / S).
+    Fixing z = r (mod m0) fixes j = u(r) = (r - base) * S^-1 (mod m0), so
+    count(r) = q + [u(r) < rho] with (q, rho) = divmod(K, m0): the q + 1
+    secrets form the progression {base + S*u mod m0 : u < rho}.
+    """
+
+    threshold: int
+    bound: int
+    modulus: int
+    members: int
+    m0: int
+    base: int   # base mod m0
+    step: int   # S mod m0
+    inv: int    # S^-1 mod m0
+    q: int
+    rho: int
+
+    @property
+    def combined(self) -> int:
+        """m0 * S, the modulus the adversary's view fixes z_l and s to."""
+        return self.m0 * self.modulus
+
+    @property
+    def floor(self) -> int:
+        """The Asmuth-Bloom candidate floor: every count is floor or floor + 1."""
+        return self.bound // self.combined
+
+    @property
+    def ratio(self) -> Fraction:
+        """bound / (m0 * S); for a worst-case level its limit in m0 is k."""
+        return Fraction(self.bound, self.combined)
+
+    @property
+    def worst_case(self) -> bool:
+        """The members inside N_l are exactly t_l - 1."""
+        return self.members == self.threshold - 1
+
+    @property
+    def minority(self) -> range:
+        """The u of the shorter side of the q / q + 1 split."""
+        return range(self.rho) if 2 * self.rho <= self.m0 else range(self.rho, self.m0)
+
+    def count(self, r: int) -> int:
+        return self.q + (((r - self.base) * self.inv) % self.m0 < self.rho)
+
+    def residues(self, us: range) -> list[int]:
+        """The secrets base + S*u (mod m0) for u in ``us``."""
+        m0, base, step = self.m0, self.base, self.step
+        return [(base + step * u) % m0 for u in us]
+
+    def by_residue(self, by_u: list) -> list:
+        """Reindex a table over u = 0..m0-1 by the secret base + S*u (mod m0)."""
+        m0, inv = self.m0, self.inv
+        start = (-self.base * inv) % m0
+        return [by_u[x % m0] for x in range(start, start + inv * m0, inv)]
+
+
+@dataclass(frozen=True)
 class PosteriorReport:
     """Per-secret candidate counts and the entropies they induce.
 
     per_secret_counts maps each secret in range(m0) to its count; from
     enumerate_posterior it is a lazy read-only view that computes a count
     when it is looked up, so no per-secret table is held. histogram is the
-    summary the entropies and groups() are computed from.
+    summary the entropies and groups() are computed from. levels holds the
+    level profiles the counts were read from, one per level.
 
     conditional_entropy is computed from the counts with equal weight per
     consistent tuple; loss = secret_entropy - conditional_entropy >= 0.
@@ -100,6 +170,7 @@ class PosteriorReport:
     conditional_entropy: float
     loss: float
     epsilon_tolerance: float
+    levels: tuple[LevelProfile, ...]
     # candidate-count value -> number of secrets attaining it; tallied from
     # per_secret_counts when not given
     histogram: Optional[Mapping[int, int]] = field(
@@ -191,95 +262,40 @@ def _check_unauthorized(view: AdversaryView, scheme: str) -> None:
             raise NotUnauthorized(f"set {sorted(view.members)} is authorized")
 
 
-def _view_congruences(view: AdversaryView) -> list[list[Congruence]]:
-    """Per level l, z_l = lifted share (mod m_i) for every adversary member
-    inside the first N_l participants."""
-    params = view.public.params
-    seq, hier = params.sequence, params.hierarchy
+def _level_profiles(view: AdversaryView) -> tuple[LevelProfile, ...]:
+    """The one pass from a view to per-level facts: per level l, the member
+    shares inside the first N_l are lifted and solved for z_l = base
+    (mod S), and the profile is read off that constraint and the dealer's
+    range bound."""
+    public = view.public
+    seq, hier = public.params.sequence, public.params.hierarchy
+    m0 = seq.m0
     shares = [
         Share(participant=i, level=hier.level_of(i), modulus=seq.modulus_of(i),
               value=view.shares[i])
         for i in sorted(view.members)
     ]
-    return [
-        _level_congruences(shares, level, view.public)
-        for level in range(1, hier.m + 1)
-    ]
-
-
-def _member_constraints(view: AdversaryView) -> list[tuple[int, int]]:
-    """Per level, the adversary's combined constraint z = base (mod S) as
-    (base, S); (0, 1) when no member constrains the level."""
-    out = []
-    for congruences in _view_congruences(view):
+    profiles = []
+    for level, t in enumerate(hier.thresholds, start=1):
+        congruences = _level_congruences(shares, level, public)
+        base, modulus = 0, 1
         if congruences:
             sol = crt_solve(congruences)
-            out.append((sol.value, sol.combined_modulus))
-        else:
-            out.append((0, 1))
-    return out
-
-
-@dataclass(frozen=True)
-class _LevelProfile:
-    """Per-secret candidate counts of one level.
-
-    The in-range solutions of z = base (mod S) are z = base + S*j for
-    0 <= j < K, K = ceil((bound - base) / S). Fixing z = r (mod m0) fixes
-    j = u(r) = (r - base) * S^-1 (mod m0), so count(r) = q + [u(r) < rho]
-    with (q, rho) = divmod(K, m0): the q + 1 secrets form the progression
-    {base + S*u mod m0 : u < rho}.
-    """
-
-    m0: int
-    base: int   # base mod m0
-    step: int   # S mod m0
-    inv: int    # S^-1 mod m0
-    q: int
-    rho: int
-    floor: int  # bound // (S * m0), the floor count_grouping certifies
-
-    def count(self, r: int) -> int:
-        return self.q + (((r - self.base) * self.inv) % self.m0 < self.rho)
-
-    def residues(self, us: range) -> list[int]:
-        """The secrets base + S*u (mod m0) for u in ``us``."""
-        m0, base, step = self.m0, self.base, self.step
-        return [(base + step * u) % m0 for u in us]
-
-    def by_residue(self, by_u: list) -> list:
-        """Reindex a table over u = 0..m0-1 by the secret base + S*u (mod m0)."""
-        m0, inv = self.m0, self.inv
-        start = (-self.base * inv) % m0
-        return [by_u[x % m0] for x in range(start, start + inv * m0, inv)]
-
-
-def _profile(base: int, share_modulus: int, bound: int, m0: int) -> _LevelProfile:
-    reach = -((base - bound) // share_modulus) if bound > base else 0
-    q, rho = divmod(reach, m0)
-    step = share_modulus % m0
-    return _LevelProfile(
-        m0=m0,
-        base=base % m0,
-        step=step,
-        inv=mod_inverse(step, m0),
-        q=q,
-        rho=rho,
-        floor=bound // (share_modulus * m0),
-    )
-
-
-def _level_profiles(view: AdversaryView) -> list[_LevelProfile]:
-    params = view.public.params
-    seq, hier = params.sequence, params.hierarchy
-    return [
-        _profile(base, share_mod, seq.prefix_product(t), seq.m0)
-        for (base, share_mod), t in zip(_member_constraints(view), hier.thresholds)
-    ]
+            base, modulus = sol.value, sol.combined_modulus
+        bound = seq.prefix_product(t)
+        reach = -((base - bound) // modulus) if bound > base else 0
+        q, rho = divmod(reach, m0)
+        step = modulus % m0
+        profiles.append(LevelProfile(
+            threshold=t, bound=bound, modulus=modulus, members=len(congruences),
+            m0=m0, base=base % m0, step=step, inv=mod_inverse(step, m0),
+            q=q, rho=rho,
+        ))
+    return tuple(profiles)
 
 
 def _disjunctive_counts(
-    profiles: list[_LevelProfile], m0: int
+    profiles: tuple[LevelProfile, ...], m0: int
 ) -> tuple[_CountView, Counter]:
     """Per-secret products of the level counts, and their histogram.
 
@@ -291,12 +307,8 @@ def _disjunctive_counts(
     majority = 1
     exceptions: set[int] = set()
     for p in profiles:
-        if 2 * p.rho <= m0:
-            majority *= p.q
-            exceptions.update(p.residues(range(p.rho)))
-        else:
-            majority *= p.q + 1
-            exceptions.update(p.residues(range(p.rho, m0)))
+        majority *= p.q + (2 * p.rho > m0)
+        exceptions.update(p.residues(p.minority))
 
     def count(r: int) -> int:
         return prod(p.count(r) for p in profiles)
@@ -308,7 +320,7 @@ def _disjunctive_counts(
 
 
 def _conjunctive_counts(
-    profiles: list[_LevelProfile], m0: int
+    profiles: tuple[LevelProfile, ...], m0: int
 ) -> tuple[_CountView, Counter]:
     """Cyclic convolution of the level tables, and its histogram.
 
@@ -331,9 +343,10 @@ def _conjunctive_counts(
 def _entropy_report(
     counts: Mapping[int, int],
     histogram: Mapping[int, int],
-    m0: int,
+    levels: tuple[LevelProfile, ...],
     epsilon_tolerance: float,
 ) -> PosteriorReport:
+    m0 = levels[0].m0
     total = sum(c * g for c, g in histogram.items())
     if total == 0:
         raise ValueError("view admits no consistent tuple; inputs corrupted")
@@ -357,6 +370,7 @@ def _entropy_report(
         conditional_entropy=conditional,
         loss=loss,
         epsilon_tolerance=epsilon_tolerance,
+        levels=levels,
         histogram=histogram,
     )
 
@@ -374,41 +388,40 @@ def enumerate_posterior(
     z = s (mod m0). Conjunctive: the per-level tables are cyclically
     convolved, because the levels are independent given the additive
     decomposition of the secret. Both read each level's counts off its
-    profile. The returned per_secret_counts is a lazy read-only view: a
-    disjunctive count is computed when it is looked up, and the disjunctive
-    histogram is tallied from the minority secrets of each level alone, so
-    its cost follows those sets (about m * m0^theta in the compact regime);
-    the conjunctive fold costs O(m0) per level.
+    profile, and the report keeps those profiles as ``levels``. The
+    returned per_secret_counts is a lazy read-only view: a disjunctive count
+    is computed when it is looked up, and the disjunctive histogram is
+    tallied from the minority secrets of each level alone; the conjunctive
+    fold costs O(m0) per level.
 
-    Raises IntractableInstance when the estimated work, m * m0 table
-    entries, exceeds ``work_budget``.
+    Raises IntractableInstance when the estimated work exceeds
+    ``work_budget``: the size of the walk, sum over levels of
+    min(rho, m0 - rho) secrets, for dhss; m * m0 table entries for chss.
     """
     _check_unauthorized(view, scheme)
-    params = view.public.params
-    m0 = params.sequence.m0
-    work = m0 * params.hierarchy.m
+    m0 = view.public.params.sequence.m0
+    profiles = _level_profiles(view)
+    if scheme == "dhss":
+        work, tally = sum(len(p.minority) for p in profiles), _disjunctive_counts
+    else:
+        work, tally = m0 * len(profiles), _conjunctive_counts
     if work > work_budget:
         raise IntractableInstance(
             f"estimated work {work} exceeds budget {work_budget}"
         )
-    profiles = _level_profiles(view)
-    if scheme == "dhss":
-        counts, histogram = _disjunctive_counts(profiles, m0)
-    else:
-        counts, histogram = _conjunctive_counts(profiles, m0)
-    return _entropy_report(counts, histogram, m0, epsilon_tolerance)
+    counts, histogram = tally(profiles, m0)
+    return _entropy_report(counts, histogram, profiles, epsilon_tolerance)
 
 
-def count_grouping(
-    report: PosteriorReport, view: AdversaryView
-) -> CountGrouping:
+def count_grouping(report: PosteriorReport) -> CountGrouping:
     """Group per-secret counts and certify each distinct value against the
-    product form prod_l(floor(bound_l / combined_l) + a_l), a_l in {0, 1}.
+    product form prod_l(floor_l + a_l), a_l in {0, 1}, over the report's
+    level floors.
 
     Raises DecompositionMismatch when some count fits no such product; that
     falsifies the grouping claim on this instance and is never swallowed.
     """
-    floors = [p.floor for p in _level_profiles(view)]
+    floors = [p.floor for p in report.levels]
     feasible = {
         prod(f + a for f, a in zip(floors, bits))
         for bits in itertools.product((0, 1), repeat=len(floors))
@@ -426,23 +439,24 @@ def count_grouping(
 def eta_single_layer(view: AdversaryView, t: int) -> EtaReport:
     """Flat-scheme candidate dichotomy for an undersized adversary set.
 
-    eta = floor(prod(m_1..m_t) / (m0 * prod of adversary moduli)); counting
-    per secret must land on eta or eta + 1, splitting the secret space into
-    d1 + d2 = m0. The split is read off the level profile: m0 - rho secrets
-    take q candidates and rho take q + 1.
+    eta = floor(prod(m_1..m_t) / (m0 * prod of adversary moduli)), the
+    level profile's floor; counting per secret must land on eta or eta + 1,
+    splitting the secret space into d1 + d2 = m0. The split is read off the
+    same profile: m0 - rho secrets take q candidates and rho take q + 1.
+    ``t`` must be the parameter set's threshold.
     """
-    params = view.public.params
-    if params.hierarchy.m != 1:
+    hier = view.public.params.hierarchy
+    if hier.m != 1:
         raise ValueError("eta analysis applies to single-level parameter sets")
     if len(view.members) >= t:
         raise NotUnauthorized(
             f"{len(view.members)} members meet the threshold {t}"
         )
-    seq = params.sequence
-    ((base, share_mod),) = _member_constraints(view)
-    profile = _profile(base, share_mod, seq.prefix_product(t), seq.m0)
-    eta = profile.floor
-    split = {profile.q: seq.m0 - profile.rho, profile.q + 1: profile.rho}
+    if t != hier.thresholds[0]:
+        raise ValueError(f"t={t} is not the parameter set's threshold")
+    (profile,) = _level_profiles(view)
+    eta, m0 = profile.floor, profile.m0
+    split = {profile.q: m0 - profile.rho, profile.q + 1: profile.rho}
     for count, secrets in split.items():
         if secrets and count not in (eta, eta + 1):
             raise RuntimeError(
@@ -453,28 +467,24 @@ def eta_single_layer(view: AdversaryView, t: int) -> EtaReport:
 
 
 def limit_ratio(level: int, view: AdversaryView) -> Fraction:
-    """Exact ratio prod(m_1..m_{t_l}) / (m0 * prod of adversary moduli in the
-    first N_l), for a worst-case set holding exactly t_l - 1 of them.
+    """The level profile's ratio prod(m_1..m_{t_l}) / (m0 * prod of adversary
+    moduli in the first N_l), for a worst-case set holding exactly t_l - 1
+    of them.
 
     The compactness parameter k is the limit of this ratio as m0 grows; how
     far the ratio sits from k measures how far the instance is from the
     asymptotic regime.
     """
-    params = view.public.params
-    seq, hier = params.sequence, params.hierarchy
+    hier = view.public.params.hierarchy
     if not 1 <= level <= hier.m:
         raise ValueError(f"level {level} not in [1, {hier.m}]")
-    upper = hier.cumulative[level - 1]
-    inside = [i for i in sorted(view.members) if i <= upper]
-    expected = hier.thresholds[level - 1] - 1
-    if len(inside) != expected:
+    profile = _level_profiles(view)[level - 1]
+    if not profile.worst_case:
         raise WrongCardinality(
-            f"|B intersect first {upper}| = {len(inside)}, worst case needs "
-            f"{expected}"
+            f"|B intersect first {hier.cumulative[level - 1]}| = "
+            f"{profile.members}, worst case needs {profile.threshold - 1}"
         )
-    numerator = seq.prefix_product(hier.thresholds[level - 1])
-    denominator = seq.m0 * prod(seq.modulus_of(i) for i in inside)
-    return Fraction(numerator, denominator)
+    return profile.ratio
 
 
 @dataclass(frozen=True)

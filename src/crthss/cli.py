@@ -22,7 +22,6 @@ import random
 import secrets as _secrets
 import sys
 from fractions import Fraction
-from math import prod
 from pathlib import Path
 
 from . import analysis
@@ -65,6 +64,9 @@ EXIT_DIGEST_MISMATCH = 5
 EXIT_MISSING_PUBLIC = 6
 EXIT_AUTHORIZED_ADVERSARY = 7
 EXIT_BUDGET = 8
+
+# what a malformed or mistyped file raises while it is read and parsed
+_FILE_ERRORS = (OSError, ValueError, KeyError, TypeError, ArithmeticError)
 
 
 def _fail(code: int, message: str) -> int:
@@ -149,7 +151,7 @@ def cmd_gen_params(args) -> int:
 def cmd_deal(args) -> int:
     try:
         file_scheme, params = parse_param_file(_load_json(args.params))
-    except (OSError, ValueError, KeyError) as exc:
+    except _FILE_ERRORS as exc:
         return _fail(EXIT_VALIDATION, f"cannot read parameters: {exc}")
     scheme = args.scheme or file_scheme
     seed, seed_note = _resolve_seed(args.seed)
@@ -198,14 +200,14 @@ def cmd_deal(args) -> int:
 def cmd_reconstruct(args) -> int:
     try:
         scheme, public = parse_bundle_file(_load_json(args.public))
-    except (OSError, ValueError, KeyError) as exc:
+    except _FILE_ERRORS as exc:
         return _fail(EXIT_VALIDATION, f"cannot read bundle: {exc}")
     digest = params_digest(scheme, public.params)
     shares = []
     for path in args.shares:
         try:
             share_scheme, share, share_digest = parse_share_file(_load_json(path))
-        except (OSError, ValueError, KeyError) as exc:
+        except _FILE_ERRORS as exc:
             return _fail(EXIT_VALIDATION, f"cannot read share {path}: {exc}")
         if share_digest != digest or share_scheme != scheme:
             return _fail(
@@ -251,50 +253,36 @@ def _audit_one(
     budget: int,
     epsilon: float,
 ) -> dict:
-    """Deal, build the adversary view, and measure the posterior."""
+    """Deal, build the adversary view, and measure the posterior; the eta and
+    ratio tables render the report's level profiles."""
     deal = chss_deal if scheme == "chss" else dhss_deal
     view = analysis.adversary_view(deal(secret, params, deal_seed), adversary)
     report = analysis.enumerate_posterior(
         view, scheme, epsilon_tolerance=epsilon, work_budget=budget
     )
-    hier = params.hierarchy
-    seq = params.sequence
     groups = report.groups()
     decomposition_ok = None
     if scheme == "dhss":
-        analysis.count_grouping(report, view)
+        analysis.count_grouping(report)
         decomposition_ok = True
-    eta_table = []
-    ratio_table = []
-    for level, t in enumerate(hier.thresholds, start=1):
-        upper = hier.cumulative[level - 1]
-        inside = [i for i in adversary if i <= upper]
-        combined = seq.m0 * prod(seq.modulus_of(i) for i in inside)
-        bound = seq.prefix_product(t)
-        eta_table.append(
-            {
-                "level": level,
-                "floor": str(bound // combined),
-                "range_bound": str(bound),
-                "adversary_modulus": str(combined),
-            }
-        )
-        if len(inside) == t - 1:
-            ratio = analysis.limit_ratio(level, view)
-            ratio_table.append(
-                {
-                    "level": level,
-                    "ratio": f"{ratio.numerator}/{ratio.denominator}",
-                    "value": float(ratio),
-                }
-            )
-        else:
-            ratio_table.append({"level": level, "ratio": None, "value": None})
+    eta_table, ratio_table = [], []
+    for level, p in enumerate(report.levels, start=1):
+        eta_table.append({
+            "level": level,
+            "floor": str(p.floor),
+            "range_bound": str(p.bound),
+            "adversary_modulus": str(p.combined),
+        })
+        ratio, value = None, None
+        if p.worst_case:
+            ratio = f"{p.ratio.numerator}/{p.ratio.denominator}"
+            value = float(p.ratio)
+        ratio_table.append({"level": level, "ratio": ratio, "value": value})
     rate = analysis.information_rate(params)
     return {
         "scheme": scheme,
         "params_digest": params_digest(scheme, params),
-        "adversary": sorted(adversary),
+        "adversary": sorted(view.members),
         "total_candidates": str(report.total),
         "groups": [
             {"candidates": str(y), "num_secrets": g}
@@ -315,7 +303,7 @@ def _audit_one(
 def cmd_audit(args) -> int:
     try:
         file_scheme, params = parse_param_file(_load_json(args.params))
-    except (OSError, ValueError, KeyError) as exc:
+    except _FILE_ERRORS as exc:
         return _fail(EXIT_VALIDATION, f"cannot read parameters: {exc}")
     scheme = args.scheme or file_scheme
     if scheme == "ab":

@@ -29,6 +29,16 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _residue(text, modulus: int):
+    """int(text) when it lies in [0, modulus), else None. Callers word their
+    own error, which never quotes the text: it may be a share value."""
+    try:
+        value = int(text)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return value if 0 <= value < modulus else None
+
+
 def _exact_keys(obj: Mapping, keys: set, what: str) -> None:
     _require(isinstance(obj, dict), f"{what} must be an object")
     extra = obj.keys() - keys
@@ -132,11 +142,8 @@ def parse_share_file(obj: Mapping) -> tuple[str, Share, str]:
     scheme = _check_version_scheme(obj, "share file")
     participant, modulus = int(obj["participant"]), int(obj["modulus"])
     # errors name the participant, never the value
-    try:
-        value = int(obj["value"])
-    except (TypeError, ValueError):
-        value = None
-    _require(value is not None and 0 <= value < modulus,
+    value = _residue(obj["value"], modulus)
+    _require(value is not None,
              f"share file: value of participant {participant} is not an "
              f"integer in [0, modulus)")
     share = Share(
@@ -169,10 +176,20 @@ def parse_bundle_file(obj: Mapping) -> tuple[str, PublicBundle]:
     params_scheme, params = parse_param_file(obj["params"])
     _require(params_scheme == scheme,
              "bundle file: scheme differs from embedded parameters")
+    # each key (i, l) has i below the top level and l from i's own level
+    # up; errors name the key, never the value
+    hier, seq = params.hierarchy, params.sequence
+    n_masked = hier.n_masked
     w: dict[tuple[int, int], int] = {}
     for entry in obj["w"]:
         _exact_keys(entry, {"participant", "level", "value"}, "w entry")
-        key = (int(entry["participant"]), int(entry["level"]))
-        _require(key not in w, f"bundle file: duplicate w entry {key}")
-        w[key] = int(entry["value"])
+        key = i, level = int(entry["participant"]), int(entry["level"])
+        if not (1 <= i <= n_masked and hier.level_of(i) <= level <= hier.m):
+            raise ValueError(f"bundle file: unexpected w entry {key}")
+        if key in w:
+            raise ValueError(f"bundle file: duplicate w entry {key}")
+        w[key] = _residue(entry["value"], seq.modulus_of(i))
+        if w[key] is None:
+            raise ValueError(f"bundle file: w entry {key} is not an integer "
+                             f"in [0, m_{i})")
     return scheme, PublicBundle(params=params, w=w)

@@ -9,10 +9,26 @@ product of the per-level ranges is small.
 import itertools
 from math import prod
 
-from crthss.analysis import AdversaryView, _check_unauthorized, _view_congruences
+from crthss.analysis import AdversaryView, _check_unauthorized
+from crthss.dhss import Share, _level_congruences
 from crthss.errors import IntractableInstance
 
 DEFAULT_SCAN_BUDGET = 2_000_000
+
+
+def view_congruences(view: AdversaryView) -> list:
+    """Per level l, z_l = lifted share (mod m_i) for every adversary member
+    inside the first N_l."""
+    seq, hier = view.public.params.sequence, view.public.params.hierarchy
+    shares = [
+        Share(participant=i, level=hier.level_of(i), modulus=seq.modulus_of(i),
+              value=view.shares[i])
+        for i in sorted(view.members)
+    ]
+    return [
+        _level_congruences(shares, level, view.public)
+        for level in range(1, hier.m + 1)
+    ]
 
 
 def scan_posterior_counts(
@@ -36,7 +52,7 @@ def scan_posterior_counts(
         raise IntractableInstance(
             f"{prod(bounds)} tuples exceed the scan budget {tuple_budget}"
         )
-    constraints = _view_congruences(view)
+    constraints = view_congruences(view)
     counts = {s: 0 for s in range(m0)}
     for zs in itertools.product(*(range(b) for b in bounds)):
         ok = all(

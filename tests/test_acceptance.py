@@ -287,7 +287,7 @@ def test_c5_cardinality_grouping():
         assert scan_posterior_counts(view, "dhss", tuple_budget=10**6) == dict(
             report.per_secret_counts
         )
-        decomposition = count_grouping(report, view)
+        decomposition = count_grouping(report)
         assert decomposition.weighted_total() == report.total
         gamma_totals.append(decomposition.gamma_total)
         assert decomposition.gamma_total == m0

@@ -4,6 +4,7 @@ The exhaustive tuple scan is the oracle throughout: wherever it is feasible,
 the level-profile counts must agree with it exactly.
 """
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -121,7 +122,7 @@ def test_count_grouping_micro(micro_params):
     result = dhss_deal(4, micro_params, DHSS_SEED)
     view = adversary_view(result, {2})
     report = enumerate_posterior(view, "dhss")
-    decomposition = count_grouping(report, view)
+    decomposition = count_grouping(report)
     assert dict(decomposition.groups) == {4: 3, 2: 2, 1: 2}
     assert decomposition.weighted_total() == report.total == 18
     # the group sizes count secrets: they sum to m0 (not the level count)
@@ -132,13 +133,13 @@ def test_count_grouping_flat(flat_params):
     deal = dhss_deal(3, flat_params, AB_SEED)
     view = adversary_view(deal, {1})
     report = enumerate_posterior(view, "dhss")
-    decomposition = count_grouping(report, view)
+    decomposition = count_grouping(report)
     assert dict(decomposition.groups) == {1: 1, 2: 6}  # floor(143/77) = 1
     assert decomposition.gamma_total == 7
 
     empty = adversary_view(deal, set())
     report = enumerate_posterior(empty, "dhss")
-    decomposition = count_grouping(report, empty)
+    decomposition = count_grouping(report)
     assert set(decomposition.groups) <= {143 // 7, 143 // 7 + 1}
 
 
@@ -146,16 +147,15 @@ def test_count_grouping_mismatch_is_loud(micro_params):
     result = dhss_deal(4, micro_params, DHSS_SEED)
     view = adversary_view(result, {2})
     report = enumerate_posterior(view, "dhss")
-    doctored = type(report)(
+    # histogram=None recounts the groups from the doctored counts
+    doctored = dataclasses.replace(
+        report,
         per_secret_counts={**report.per_secret_counts, 0: 5},
         total=report.total + 1,
-        secret_entropy=report.secret_entropy,
-        conditional_entropy=report.conditional_entropy,
-        loss=report.loss,
-        epsilon_tolerance=report.epsilon_tolerance,
+        histogram=None,
     )
     with pytest.raises(DecompositionMismatch):
-        count_grouping(doctored, view)
+        count_grouping(doctored)
 
 
 def test_eta_zero_on_non_compact():
@@ -180,6 +180,8 @@ def test_eta_requires_undersized_flat_set(flat_params, micro_params):
     deal = dhss_deal(3, flat_params, AB_SEED)
     with pytest.raises(NotUnauthorized):
         eta_single_layer(adversary_view(deal, {1, 2}), 2)
+    with pytest.raises(ValueError):  # the dealer's range follows t_1 = 2
+        eta_single_layer(adversary_view(deal, {1}), 3)
     two_level = dhss_deal(3, micro_params, 0)
     with pytest.raises(ValueError):
         eta_single_layer(adversary_view(two_level, {2}), 2)
@@ -380,7 +382,7 @@ def test_randomized_oracle_equivalence():
         assert report.loss >= 0
         assert report.per_secret_counts[secret] >= 1
         if scheme == "dhss":
-            decomposition = count_grouping(report, view)
+            decomposition = count_grouping(report)
             assert decomposition.weighted_total() == report.total
             assert decomposition.gamma_total == m0
         instances += 1

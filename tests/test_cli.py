@@ -415,6 +415,51 @@ def test_reconstruct_ab_worst_case_set_exit_2(tmp_path, capsys):
     assert out == ""
 
 
+def _shift_first_w(bundle, amount):
+    first = bundle["w"][0]
+    return {**first, "value": str(int(first["value"]) + amount)}
+
+
+# a bundle change, and the w key the refusal names
+BUNDLE_CASES = {
+    "unknown-participant": (lambda b: {**b, "w": b["w"] + [
+        {**b["w"][0], "participant": 99}]}, "(99, 1)"),
+    "top-level-participant": (lambda b: {**b, "w": b["w"] + [
+        {**b["w"][0], "participant": 3, "level": 2}]}, "(3, 2)"),
+    "value-shifted-by-5-m1": (lambda b: {**b, "w": [
+        _shift_first_w(b, 5 * MODULI_61[0])] + b["w"][1:]}, "(1, 1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUNDLE_CASES))
+def test_reconstruct_rejects_unexpected_w_entries(tmp_path, capsys, case):
+    """A bundle carries exactly the keys (i, l) with i below the top level
+    and l from i's level up, each value in [0, m_i); anything else exits 2
+    naming the key, never the value."""
+    change, key = BUNDLE_CASES[case]
+    params = SchemeParams(
+        sequence=CompactSequence(m0=M0_61, moduli=MODULI_61[:3]),
+        hierarchy=Hierarchy((1, 2), (1, 2)),
+    )
+    param_path = tmp_path / "params.json"
+    param_path.write_text(canonical_dumps(param_file_obj("dhss", params)))
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(param_path), "--secret", str(SECRET_61),
+                 "--seed", "5", "--out-dir", str(out_dir)]) == 0
+    bundle_path = out_dir / "public_bundle.json"
+    bundle = read(bundle_path)
+    changed = change(bundle)
+    bundle_path.write_text(canonical_dumps(changed))
+    capsys.readouterr()
+    code = main(["reconstruct", "--public", str(bundle_path),
+                 "--shares", str(out_dir / "share_001.json")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and key in err
+    values = {e["value"] for e in bundle["w"] + changed["w"]}
+    assert not [v for v in values if v in err]
+
+
 def test_audit_micro(tmp_path, micro_param_file, capsys):
     out = tmp_path / "report.json"
     code = main([
@@ -446,6 +491,77 @@ def test_audit_budget(tmp_path, micro_param_file, capsys):
         "--secret", "4", "--seed", "77", "--budget", "3",
     ])
     assert code == 8
+
+
+def _audit_output(capsys, param_file, adversary):
+    code = main(["audit", "--params", str(param_file), "--adversary", adversary,
+                 "--secret", "3", "--seed", "5"])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_audit_duplicate_adversary_indices(tmp_path, micro_params, capsys):
+    # a repeated index is one member: the report and every table describe
+    # the set {1, 2}, not the raw list
+    flat = SchemeParams(sequence=micro_params.sequence,
+                        hierarchy=Hierarchy((3,), (3,)), owf=micro_params.owf)
+    path = tmp_path / "flat.json"
+    path.write_text(canonical_dumps(param_file_obj("dhss", flat)))
+    pair = _audit_output(capsys, path, "1,2")
+    assert pair[0] == 0
+    assert _audit_output(capsys, path, "1,1,2") == pair
+    (row,) = json.loads(pair[1])["eta_table"]
+    assert row == {"level": 1, "floor": "2", "range_bound": "2431",
+                   "adversary_modulus": "1001"}
+    single = _audit_output(capsys, path, "1")
+    assert single[0] == 0
+    assert _audit_output(capsys, path, "1,1") == single
+    assert json.loads(single[1])["ratio_table"] == [
+        {"level": 1, "ratio": None, "value": None}]
+
+
+def test_audit_single_pass_over_the_view(tmp_path, monkeypatch, capsys):
+    # one lift per member share and level, one solve per level: the 12 OWF
+    # evaluations of the deal, then 5 lifts (1 at level 1, 2 at levels 2
+    # and 3; participants 6 and 7 hold raw top-level residues) and 3 solves
+    hierarchy = Hierarchy((2, 3, 4), (2, 3, 5))
+    sequence = generate_compact_sequence(2153, hierarchy.n, 1, Fraction(1, 2), 0)
+    path = tmp_path / "params.json"
+    path.write_text(canonical_dumps(param_file_obj(
+        "dhss", SchemeParams(sequence=sequence, hierarchy=hierarchy))))
+    calls = {"owf": 0, "crt": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(crthss.dhss, "eval_owf", counted("owf", crthss.dhss.eval_owf))
+    for module in (crthss.analysis, crthss.dhss):
+        monkeypatch.setattr(module, "crt_solve", counted("crt", module.crt_solve))
+    assert main(["audit", "--params", str(path), "--adversary", "1,3,6,7",
+                 "--secret", "717", "--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["decomposition_ok"] is True
+    assert calls == {"owf": 12 + 5, "crt": 3}
+
+
+def test_audit_dhss_work_estimate_is_the_walk(tmp_path, capsys):
+    # a 2-level worst-case dhss audit at m0 near 1.1e7 walks a few thousand
+    # minority secrets, well inside the default budget (m * m0 is not)
+    m0 = next(p for p in range(11_000_001, 11_001_001, 2) if crthss.is_prime(p))
+    hierarchy = Hierarchy((1, 2), (1, 2))
+    sequence = generate_compact_sequence(m0, hierarchy.n, 1, Fraction(1, 2), 7)
+    path = tmp_path / "params.json"
+    path.write_text(canonical_dumps(param_file_obj(
+        "dhss", SchemeParams(sequence=sequence, hierarchy=hierarchy))))
+    assert 2 * m0 > crthss.analysis.DEFAULT_WORK_BUDGET
+    assert main(["audit", "--params", str(path), "--adversary", "2",
+                 "--secret", str(m0 // 3), "--seed", "11"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["gamma_total"] == m0
+    assert report["decomposition_ok"] is True
 
 
 def test_audit_ladder(tmp_path, capsys):
@@ -492,8 +608,8 @@ def test_audit_chss(tmp_path, micro_param_file, capsys):
 
 
 def test_audit_chss_large_m0_within_default_budget(tmp_path, capsys):
-    # the estimated work is m * m0 for both schemes, so a conjunctive audit
-    # at m0 near 10^5 fits the default budget (m * m0^2 once exceeded it)
+    # the conjunctive estimate is m * m0, so a conjunctive audit at m0 near
+    # 10^5 fits the default budget (m * m0^2 once exceeded it)
     params_path = tmp_path / "params.json"
     assert main([
         "gen-params", "--m0", "99991", "--levels", "1,2", "--thresholds", "1,2",

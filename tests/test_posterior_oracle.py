@@ -40,7 +40,8 @@ from crthss import (
     is_prime,
     worst_case_unauthorized,
 )
-from crthss.analysis import _entropy_report, _level_profiles, _view_congruences
+from crthss.analysis import _entropy_report
+from scan_oracle import view_congruences
 
 SHAPES = (((1, 2), (1, 2)), ((2, 2), (1, 3)), ((3,), (2,)), ((1, 1, 2), (1, 2, 3)))
 
@@ -50,7 +51,7 @@ def level_systems(view):
     combined constraint z = base (mod share modulus), 0 <= z < bound."""
     seq, hier = view.public.params.sequence, view.public.params.hierarchy
     out = []
-    for t, congruences in zip(hier.thresholds, _view_congruences(view)):
+    for t, congruences in zip(hier.thresholds, view_congruences(view)):
         if congruences:
             sol = crt_solve(congruences)
             base, share_mod = sol.value, sol.combined_modulus
@@ -158,7 +159,7 @@ def check_against_reference(view, scheme):
     assert sum(groups.values()) == m0
     assert sum(c * g for c, g in groups.items()) == report.total
     if scheme == "dhss":
-        assert dict(count_grouping(report, view).groups) == groups
+        assert dict(count_grouping(report).groups) == groups
 
 
 def test_profile_counts_match_reference():
@@ -221,8 +222,10 @@ def test_sparse_disjunctive_counts_match_dense():
         for adversary in (members, worst_case_unauthorized(params), set()):
             view = adversary_view(result, adversary)
             report = enumerate_posterior(view, "dhss")
-            dense, histogram = dense_disjunctive_counts(_level_profiles(view), m0)
-            expected = _entropy_report(dense, histogram, m0, report.epsilon_tolerance)
+            dense, histogram = dense_disjunctive_counts(report.levels, m0)
+            expected = _entropy_report(
+                dense, histogram, report.levels, report.epsilon_tolerance
+            )
             counts = report.per_secret_counts
             assert counts == dense and dense == counts
             assert dict(counts) == dense
@@ -250,7 +253,7 @@ def test_sparse_dhss_audit_memory_at_24_bits():
     tracemalloc.start()
     try:
         report = enumerate_posterior(view, "dhss", work_budget=10**8)
-        grouping = count_grouping(report, view)
+        grouping = count_grouping(report)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
