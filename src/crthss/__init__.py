@@ -12,7 +12,6 @@ from .analysis import (
     AdversaryView,
     EtaReport,
     CountGrouping,
-    LevelProfile,
     PosteriorReport,
     RateReport,
     adversary_view,

@@ -402,7 +402,8 @@ def enumerate_posterior(
     m0 = view.public.params.sequence.m0
     profiles = _level_profiles(view)
     if scheme == "dhss":
-        work, tally = sum(len(p.minority) for p in profiles), _disjunctive_counts
+        work = sum(min(p.rho, m0 - p.rho) for p in profiles)
+        tally = _disjunctive_counts
     else:
         work, tally = m0 * len(profiles), _conjunctive_counts
     if work > work_budget:
@@ -436,24 +437,22 @@ def count_grouping(report: PosteriorReport) -> CountGrouping:
     return CountGrouping(groups=groups)
 
 
-def eta_single_layer(view: AdversaryView, t: int) -> EtaReport:
+def eta_single_layer(view: AdversaryView) -> EtaReport:
     """Flat-scheme candidate dichotomy for an undersized adversary set.
 
     eta = floor(prod(m_1..m_t) / (m0 * prod of adversary moduli)), the
     level profile's floor; counting per secret must land on eta or eta + 1,
     splitting the secret space into d1 + d2 = m0. The split is read off the
     same profile: m0 - rho secrets take q candidates and rho take q + 1.
-    ``t`` must be the parameter set's threshold.
     """
     hier = view.public.params.hierarchy
     if hier.m != 1:
         raise ValueError("eta analysis applies to single-level parameter sets")
+    (t,) = hier.thresholds
     if len(view.members) >= t:
         raise NotUnauthorized(
             f"{len(view.members)} members meet the threshold {t}"
         )
-    if t != hier.thresholds[0]:
-        raise ValueError(f"t={t} is not the parameter set's threshold")
     (profile,) = _level_profiles(view)
     eta, m0 = profile.floor, profile.m0
     split = {profile.q: m0 - profile.rho, profile.q + 1: profile.rho}

@@ -9,6 +9,7 @@ by the SHA-256 of the canonical parameter document.
 
 import hashlib
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Mapping
 
@@ -177,18 +178,18 @@ def parse_bundle_file(obj: Mapping) -> tuple[str, PublicBundle]:
     _require(params_scheme == scheme,
              "bundle file: scheme differs from embedded parameters")
     # each key (i, l) has i below the top level and l from i's own level
-    # up; errors name the key, never the value
-    hier, seq = params.hierarchy, params.sequence
-    n_masked = hier.n_masked
+    # (bisect_left(N, i) + 1) up; errors name the key, never the value
+    hier, moduli = params.hierarchy, params.sequence.moduli
+    cumulative, n_masked, m = hier.cumulative, hier.n_masked, hier.m
     w: dict[tuple[int, int], int] = {}
     for entry in obj["w"]:
         _exact_keys(entry, {"participant", "level", "value"}, "w entry")
         key = i, level = int(entry["participant"]), int(entry["level"])
-        if not (1 <= i <= n_masked and hier.level_of(i) <= level <= hier.m):
+        if not (1 <= i <= n_masked and bisect_left(cumulative, i) < level <= m):
             raise ValueError(f"bundle file: unexpected w entry {key}")
         if key in w:
             raise ValueError(f"bundle file: duplicate w entry {key}")
-        w[key] = _residue(entry["value"], seq.modulus_of(i))
+        w[key] = _residue(entry["value"], moduli[i - 1])
         if w[key] is None:
             raise ValueError(f"bundle file: w entry {key} is not an integer "
                              f"in [0, m_{i})")

@@ -311,7 +311,7 @@ def test_c6_eta_dichotomy_and_ladder():
             )
             deal = dhss_deal(m0 // 2, params, 2)
             view = adversary_view(deal, {1})
-            report = eta_single_layer(view, 2)
+            report = eta_single_layer(view)
             assert report.d1 + report.d2 == m0
             posterior = enumerate_posterior(view, "dhss")
             assert set(posterior.per_secret_counts.values()) <= {

@@ -71,7 +71,7 @@ def test_flat_posterior_and_eta(flat_params):
     # frozen from the scan of y in [0, 143) with y = 5 (mod 11)
     assert report.per_secret_counts == {0: 2, 1: 1, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2}
     assert scan_posterior_counts(view, "dhss") == dict(report.per_secret_counts)
-    eta = eta_single_layer(view, 2)
+    eta = eta_single_layer(view)
     assert eta.eta == 143 // 77 == 1
     assert (eta.d1, eta.d2) == (1, 6)
     assert eta.d1 + eta.d2 == 7
@@ -167,7 +167,7 @@ def test_eta_zero_on_non_compact():
     )
     deal = dhss_deal(5, params, 3)
     view = adversary_view(deal, {3})
-    eta = eta_single_layer(view, 2)
+    eta = eta_single_layer(view)
     assert eta.eta == 0
     assert eta.d1 + eta.d2 == 7
     assert eta.d2 == eta.total_candidates
@@ -179,12 +179,10 @@ def test_eta_zero_on_non_compact():
 def test_eta_requires_undersized_flat_set(flat_params, micro_params):
     deal = dhss_deal(3, flat_params, AB_SEED)
     with pytest.raises(NotUnauthorized):
-        eta_single_layer(adversary_view(deal, {1, 2}), 2)
-    with pytest.raises(ValueError):  # the dealer's range follows t_1 = 2
-        eta_single_layer(adversary_view(deal, {1}), 3)
+        eta_single_layer(adversary_view(deal, {1, 2}))
     two_level = dhss_deal(3, micro_params, 0)
     with pytest.raises(ValueError):
-        eta_single_layer(adversary_view(two_level, {2}), 2)
+        eta_single_layer(adversary_view(two_level, {2}))
 
 
 def test_eta_dichotomy_random_flat():
@@ -208,7 +206,7 @@ def test_eta_dichotomy_random_flat():
         deal = dhss_deal(rng.randrange(m0), params, rng.randrange(2**32))
         members = set(rng.sample(range(1, n + 1), t - 1))
         view = adversary_view(deal, members)
-        eta = eta_single_layer(view, t)
+        eta = eta_single_layer(view)
         assert eta.d1 + eta.d2 == m0
         report = enumerate_posterior(view, "dhss")
         assert set(report.per_secret_counts.values()) <= {eta.eta, eta.eta + 1}
@@ -229,7 +227,7 @@ def test_minority_fraction_shrinks_along_ladder():
             owf=OwfFamily(kind="test_affine"),
         )
         deal = dhss_deal(m0 // 2, params, 2)
-        report = eta_single_layer(adversary_view(deal, {1}), 2)
+        report = eta_single_layer(adversary_view(deal, {1}))
         fractions.append(min(report.d1, report.d2) / m0)
     assert fractions[0] > fractions[1] > fractions[2]
 

@@ -688,6 +688,20 @@ def test_audit_ladder_127_bit_rung_exceeds_budget(micro_param_file, capsys):
     assert "Traceback" not in captured.err + captured.out
 
 
+def test_audit_ladder_256_bit_rung_exceeds_budget(micro_param_file, capsys):
+    # the dhss estimate counts minority secrets as integers: a level's
+    # split far above 2**63 is refused by the budget, never by len()
+    for seed in (1, 2, 3):
+        code = main([
+            "audit", "--params", str(micro_param_file), "--adversary", "2",
+            "--ladder", f"97,{2**255 - 19}", "--seed", str(seed),
+        ])
+        assert code == 8
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: estimated work ")
+        assert "Traceback" not in captured.err + captured.out
+
+
 def test_deal_without_seed_prints_commitment_only(tmp_path, micro_param_file, capsys):
     code = main([
         "deal", "--params", str(micro_param_file), "--secret", "4",
