@@ -78,6 +78,14 @@ def _ints_arg(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part)
 
 
+def _theta_arg(text: str) -> Fraction:
+    """--theta as an exact fraction; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction p/q: {text!r}") from None
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -85,6 +93,10 @@ def _load_json(path: str):
 
 def _write_canonical(path: Path, obj) -> None:
     path.write_text(canonical_dumps(obj), encoding="utf-8")
+
+
+def _cannot_write(path, exc: OSError) -> int:
+    return _fail(EXIT_VALIDATION, f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _resolve_seed(seed: int | None) -> tuple[int, str]:
@@ -112,14 +124,13 @@ def cmd_gen_params(args) -> int:
     try:
         levels = _ints_arg(args.levels)
         thresholds = _ints_arg(args.thresholds)
-        theta = Fraction(args.theta)
         seed, seed_note = _resolve_seed(args.seed)
         rng = random.Random(seed)
         # generate_compact_sequence rejects a composite --m0
         m0 = args.m0 if args.m0 is not None else _random_prime(args.m0_bits, rng)
         hierarchy = Hierarchy(level_sizes=levels, thresholds=thresholds)
         sequence = generate_compact_sequence(
-            m0, hierarchy.n, args.k, theta, rng.randrange(2 ** 63)
+            m0, hierarchy.n, args.k, args.theta, rng.randrange(2 ** 63)
         )
         owf = OwfFamily(
             kind=args.owf,
@@ -133,7 +144,10 @@ def cmd_gen_params(args) -> int:
     except (IntervalExhausted, ValueError) as exc:
         return _fail(EXIT_VALIDATION, str(exc))
     out = Path(args.out)
-    _write_canonical(out, param_file_obj(args.scheme, params))
+    try:
+        _write_canonical(out, param_file_obj(args.scheme, params))
+    except OSError as exc:
+        return _cannot_write(out, exc)
     rate = analysis.information_rate(params)
     print(f"wrote {out}")
     print(seed_note)
@@ -167,18 +181,14 @@ def cmd_deal(args) -> int:
     except InvalidParams as exc:
         return _fail(EXIT_INVALID_PARAMS, str(exc))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     digest = params_digest(scheme, params)
-    for share in result.shares:
-        _write_canonical(
-            out_dir / f"share_{share.participant:03d}.json",
-            share_file_obj(scheme, share, digest),
-        )
-    _write_canonical(
-        out_dir / "public_bundle.json", bundle_file_obj(scheme, result.public)
-    )
+    files = {
+        f"share_{share.participant:03d}.json": share_file_obj(scheme, share, digest)
+        for share in result.shares
+    }
+    files["public_bundle.json"] = bundle_file_obj(scheme, result.public)
     if args.emit_dealer_secrets:
-        secrets_obj = {
+        files["dealer_secrets.json"] = {
             "WARNING": "dealer secrets; test use only, never publish",
             "scheme": scheme,
             "params_digest": digest,
@@ -188,7 +198,12 @@ def cmd_deal(args) -> int:
                 for key, vals in (result.dealer_secrets or {}).items()
             },
         }
-        _write_canonical(out_dir / "dealer_secrets.json", secrets_obj)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, obj in files.items():
+            _write_canonical(out_dir / name, obj)
+    except OSError as exc:
+        return _cannot_write(out_dir, exc)
     print(f"wrote {len(result.shares)} share files and public_bundle.json to {out_dir}")
     print(seed_note)
     print(f"params digest: {digest}")
@@ -354,7 +369,10 @@ def cmd_audit(args) -> int:
         return _fail(EXIT_VALIDATION, str(exc))
     text = canonical_dumps(out_obj)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
         print(f"wrote {args.out}")
     else:
         print(text, end="")
@@ -400,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", required=True, help="per-level sizes, e.g. 1,2")
     p.add_argument("--thresholds", required=True, help="per-level thresholds, e.g. 1,2")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--theta", default="1/2", help="compactness exponent p/q")
+    p.add_argument("--theta", type=_theta_arg, default="1/2",
+                   help="compactness exponent p/q")
     p.add_argument("--owf", choices=KINDS, default="hash_based")
     p.add_argument("--family-tag", default="", help="hex domain-separation tag")
     p.add_argument("--digest", default="sha256")

@@ -1,10 +1,13 @@
 """Canonical JSON files for parameters, shares, and public bundles.
 
-All big integers travel as decimal strings, theta as "p/q", byte tags as
-lowercase hex; no floats anywhere. Serialization is canonical (sorted keys,
-two-space indent, trailing newline) so files round-trip byte-identically and
-the parameter digest is well defined: shares and bundles are bound together
-by the SHA-256 of the canonical parameter document.
+Big integers (m0, moduli, share and w values) travel as decimal strings and
+small counts (participant, level, k, level sizes, thresholds) as JSON
+integers; theta as "p/q", byte tags as lowercase hex; no floats anywhere.
+Parsing is as strict as writing: any other JSON type is refused.
+Serialization is canonical (sorted keys, two-space indent, trailing newline)
+so files round-trip byte-identically and the parameter digest is well
+defined: shares and bundles are bound together by the SHA-256 of the
+canonical parameter document.
 """
 
 import hashlib
@@ -30,14 +33,55 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _digits(text):
+    """The integer a JSON string of ASCII digits spells, else None.
+    bytes.isdigit accepts ASCII digits only, and is a table lookup per
+    character where str.isdigit consults the Unicode database."""
+    if isinstance(text, str) and text.isascii() and text.encode().isdigit():
+        try:
+            return int(text)
+        except ValueError:  # beyond the interpreter's integer-string digit limit
+            pass
+    return None
+
+
 def _residue(text, modulus: int):
-    """int(text) when it lies in [0, modulus), else None. Callers word their
-    own error, which never quotes the text: it may be a share value."""
-    try:
-        value = int(text)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return value if 0 <= value < modulus else None
+    """_digits(text) when it lies in [0, modulus), else None. Callers word
+    their own error, which never quotes the text: it may be a share value."""
+    value = _digits(text)
+    return value if value is not None and value < modulus else None
+
+
+# Readers of one field: each returns its value or raises a ValueError that
+# names the field, never the value.
+
+def _decimal(text, name: str) -> int:
+    value = _digits(text)
+    _require(value is not None, f"{name} is not a decimal string")
+    return value
+
+
+def _decimals(texts, name: str) -> tuple[int, ...]:
+    """A list of decimal strings, n of them for the moduli: one check of
+    their join covers every character, and all(texts) rules out ""."""
+    _require(isinstance(texts, list) and all(type(t) is str for t in texts),
+             f"{name} is not a list of strings")
+    joined = "".join(texts)
+    _require(not texts or (all(texts) and joined.isascii()
+                           and joined.encode().isdigit()),
+             f"{name} holds a string that is not a decimal")
+    return tuple(map(int, texts))
+
+
+def _json_int(value, name: str) -> int:
+    _require(type(value) is int, f"{name} is not a JSON integer")
+    return value
+
+
+def _json_ints(values, name: str) -> tuple[int, ...]:
+    _require(isinstance(values, list) and all(type(v) is int for v in values),
+             f"{name} is not a list of JSON integers")
+    return tuple(values)
 
 
 def _exact_keys(obj: Mapping, keys: set, what: str) -> None:
@@ -87,17 +131,19 @@ def parse_param_file(obj: Mapping) -> tuple[str, SchemeParams]:
     scheme = _check_version_scheme(obj, "parameter file")
     seq_obj = obj["sequence"]
     _exact_keys(seq_obj, {"m0", "moduli", "k", "theta"}, "sequence")
+    _require(isinstance(seq_obj["theta"], str),
+             'sequence: theta is not a "p/q" string')
     sequence = CompactSequence(
-        m0=int(seq_obj["m0"]),
-        moduli=tuple(int(m) for m in seq_obj["moduli"]),
-        k=int(seq_obj["k"]),
+        m0=_decimal(seq_obj["m0"], "sequence: m0"),
+        moduli=_decimals(seq_obj["moduli"], "sequence: moduli"),
+        k=_json_int(seq_obj["k"], "sequence: k"),
         theta=Fraction(seq_obj["theta"]),
     )
     hier_obj = obj["hierarchy"]
     _exact_keys(hier_obj, {"level_sizes", "thresholds"}, "hierarchy")
     hierarchy = Hierarchy(
-        level_sizes=tuple(hier_obj["level_sizes"]),
-        thresholds=tuple(hier_obj["thresholds"]),
+        level_sizes=_json_ints(hier_obj["level_sizes"], "hierarchy: level_sizes"),
+        thresholds=_json_ints(hier_obj["thresholds"], "hierarchy: thresholds"),
     )
     owf_obj = obj["owf"]
     _require(isinstance(owf_obj, dict) and owf_obj.get("kind") in KINDS,
@@ -141,18 +187,15 @@ def parse_share_file(obj: Mapping) -> tuple[str, Share, str]:
         "share file",
     )
     scheme = _check_version_scheme(obj, "share file")
-    participant, modulus = int(obj["participant"]), int(obj["modulus"])
+    participant = _json_int(obj["participant"], "share file: participant")
+    level = _json_int(obj["level"], "share file: level")
+    modulus = _decimal(obj["modulus"], "share file: modulus")
     # errors name the participant, never the value
     value = _residue(obj["value"], modulus)
     _require(value is not None,
              f"share file: value of participant {participant} is not an "
              f"integer in [0, modulus)")
-    share = Share(
-        participant=participant,
-        level=int(obj["level"]),
-        modulus=modulus,
-        value=value,
-    )
+    share = Share(participant=participant, level=level, modulus=modulus, value=value)
     return scheme, share, obj["params_digest"]
 
 
@@ -184,7 +227,10 @@ def parse_bundle_file(obj: Mapping) -> tuple[str, PublicBundle]:
     w: dict[tuple[int, int], int] = {}
     for entry in obj["w"]:
         _exact_keys(entry, {"participant", "level", "value"}, "w entry")
-        key = i, level = int(entry["participant"]), int(entry["level"])
+        key = i, level = entry["participant"], entry["level"]
+        _require(type(i) is int and type(level) is int,
+                 "bundle file: a w entry's participant or level is not a JSON "
+                 "integer")
         if not (1 <= i <= n_masked and bisect_left(cumulative, i) < level <= m):
             raise ValueError(f"bundle file: unexpected w entry {key}")
         if key in w:

@@ -35,6 +35,19 @@ class OwfFamily:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown OWF kind {self.kind!r}, expected one of {KINDS}")
+        if self.kind == "hash_based" and _digest_size(self.digest_name) < 1:
+            raise ValueError(
+                f"digest {self.digest_name!r} is not a fixed-size hashlib digest"
+            )
+
+
+def _digest_size(name) -> int:
+    """Output size of the hashlib digest called name; 0 when hashlib cannot
+    build it, and for the variable-length shake_* digests."""
+    try:
+        return hashlib.new(name).digest_size
+    except (TypeError, ValueError):
+        return 0
 
 
 def _uint_bytes(n: int) -> bytes:

@@ -11,6 +11,7 @@ t_1 < ... < t_m with t_l <= N_l (cumulative size).
 """
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
@@ -53,6 +54,8 @@ def integer_root(x: int, q: int) -> int:
         raise ValueError("need x >= 0 and q >= 1")
     if x in (0, 1) or q == 1:
         return x
+    if q >= x.bit_length():  # x < 2**q, so the root is 1
+        return 1
     r = 1 << ((x.bit_length() + q - 1) // q)  # upper start
     while True:
         nxt = ((q - 1) * r + x // r ** (q - 1)) // q
@@ -126,14 +129,33 @@ _SHUFFLE_CUTOFF = 1 << 22
 _DRAWS_PER_VALUE = 256
 
 
+def _shuffle(x, rng: random.Random) -> None:
+    """rng.shuffle(x) in place, draw for draw: CPython's Random.shuffle loop
+    with _randbelow(i + 1) inlined as getrandbits(k) redrawn while above i.
+    k = (i + 1).bit_length() is fixed over each power-of-two block of i."""
+    getrandbits = rng.getrandbits
+    top = len(x) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        low = (1 << (k - 1)) - 1  # the smallest i with (i + 1).bit_length() == k
+        for i in range(top, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = low - 1
+
+
 def _candidate_order(lo: int, width: int, n: int, rng: random.Random):
     """Candidates from the open interval (lo, lo + width) in seeded random
-    order: a shuffle of every candidate up to the cutoff width, otherwise
-    distinct uniform draws, at most _DRAWS_PER_VALUE * n of them."""
+    order: up to the cutoff width, a shuffle of every offset from lo + 1,
+    held as an array of unsigned C ints (the cutoff fits in 32 bits);
+    otherwise distinct uniform draws, at most _DRAWS_PER_VALUE * n of them."""
     if width <= _SHUFFLE_CUTOFF:
-        candidates = list(range(lo + 1, lo + width))
-        rng.shuffle(candidates)
-        yield from candidates
+        offsets = array("I", range(width - 1))
+        _shuffle(offsets, rng)
+        for offset in offsets:
+            yield lo + 1 + offset
         return
     seen: set[int] = set()
     for _ in range(_DRAWS_PER_VALUE * n):

@@ -79,6 +79,16 @@ def test_gen_params_validation_failures(tmp_path, capsys):
     ])
     assert code == 2
 
+    # hashlib cannot build the first; shake_* has no fixed digest size
+    for digest in ("nope", "shake_128"):
+        code = main([
+            "gen-params", "--m0", "97", "--levels", "1,2", "--thresholds", "1,2",
+            "--digest", digest, "--seed", "1", "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert f"digest {digest!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
 
 def test_gen_params_composite_m0(tmp_path, capsys):
     code = main([
@@ -87,6 +97,69 @@ def test_gen_params_composite_m0(tmp_path, capsys):
     ])
     assert code == 2
     assert capsys.readouterr().err == "error: m0 = 15 is not prime\n"
+
+
+def test_gen_params_degenerate_theta(tmp_path, capsys):
+    base = ["gen-params", "--m0-bits", "40", "--levels", "1,2",
+            "--thresholds", "1,2", "--seed", "1", "--out", str(tmp_path / "x.json")]
+    # a zero denominator used to end in a ZeroDivisionError traceback
+    assert main([*base, "--theta", "1/0"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --theta: not a fraction p/q: '1/0'" in err
+    assert "Traceback" not in err
+    # theta = 1/10**300 used to hang in integer_root; the width is 1, so the
+    # interval holds no candidate
+    assert main([*base, "--theta", "1e-300"]) == 2
+    assert "interval" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_unusable_digest_in_files_exit_2(tmp_path, capsys):
+    """A parameter file or bundle naming a digest hashlib cannot build is
+    refused at parse time by deal, audit and reconstruct."""
+    params_path = tmp_path / "params.json"
+    assert main(["gen-params", "--m0", "97", "--levels", "1,2", "--thresholds",
+                 "1,2", "--seed", "1", "--out", str(params_path)]) == 0
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(params_path), "--secret", "5",
+                 "--seed", "1", "--out-dir", str(out_dir)]) == 0
+    obj = read(params_path)
+    obj["owf"]["digest_name"] = "nope"
+    params_path.write_text(canonical_dumps(obj))
+    bundle_path = out_dir / "public_bundle.json"
+    bundle = read(bundle_path)
+    bundle["params"]["owf"]["digest_name"] = "nope"
+    bundle_path.write_text(canonical_dumps(bundle))
+    capsys.readouterr()
+    for argv in (
+        ["deal", "--params", str(params_path), "--secret", "5", "--seed", "1",
+         "--out-dir", str(tmp_path / "again")],
+        ["audit", "--params", str(params_path), "--adversary", "2", "--seed", "1"],
+        ["reconstruct", "--public", str(bundle_path),
+         "--shares", str(out_dir / "share_001.json")],
+    ):
+        assert main(argv) == 2, argv[0]
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot read ")
+        assert "digest 'nope'" in err
+
+
+def test_unwritable_output_paths_exit_2(tmp_path, micro_param_file, capsys):
+    missing = tmp_path / "missing"
+    assert main(["gen-params", "--m0", "97", "--levels", "1,2", "--thresholds",
+                 "1,2", "--seed", "1", "--out", str(missing / "params.json")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {missing}")
+    # deal creates a missing --out-dir, but not one beneath a regular file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["deal", "--params", str(micro_param_file), "--secret", "4",
+                 "--seed", "1", "--out-dir", str(blocker / "shares")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {blocker}")
+    assert main(["audit", "--params", str(micro_param_file), "--adversary", "2",
+                 "--seed", "1", "--out", str(missing / "audit.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {missing}")
+    assert "Traceback" not in err
 
 
 def test_deal_and_reconstruct_dhss(tmp_path, micro_param_file, capsys):
@@ -460,6 +533,78 @@ def test_reconstruct_rejects_unexpected_w_entries(tmp_path, capsys, case):
     assert not [v for v in values if v in err]
 
 
+def _replace(obj, path, value):
+    """Set obj at a key path; returns the value replaced."""
+    for key in path[:-1]:
+        obj = obj[key]
+    old, obj[path[-1]] = obj[path[-1]], value
+    return old
+
+
+# file, key path, the replacement, and the field the refusal names: the
+# small counts must be JSON integers, the big integers strings of ASCII digits
+STRICT_TYPE_CASES = {
+    "share-value-float": ("share", ("value",), 1.9, "value of participant 1"),
+    "share-value-true": ("share", ("value",), True, "value of participant 1"),
+    "share-value-json-number": ("share", ("value",), None, "value of participant 1"),
+    "share-value-signed": ("share", ("value",), "+5", "value of participant 1"),
+    "share-value-arabic-digits": ("share", ("value",), "\u0665", "value of participant 1"),
+    "share-modulus-json-number": ("share", ("modulus",), None, "modulus"),
+    "share-participant-float": ("share", ("participant",), 1.0, "participant"),
+    "share-participant-string": ("share", ("participant",), "1", "participant"),
+    "share-level-true": ("share", ("level",), True, "level"),
+    "bundle-w-value-json-number": ("bundle", ("w", 0, "value"), None, "w entry (1, 1)"),
+    "bundle-w-participant-true": ("bundle", ("w", 0, "participant"), True, "participant"),
+    "bundle-m0-json-number": ("bundle", ("params", "sequence", "m0"), None, "m0"),
+    "params-m0-float": ("params", ("sequence", "m0"), float(M0_61), "m0"),
+    "params-modulus-json-number": ("params", ("sequence", "moduli", 1), None, "moduli"),
+    "params-k-float": ("params", ("sequence", "k"), 1.0, "k"),
+    "params-k-true": ("params", ("sequence", "k"), True, "k"),
+    "params-theta-float": ("params", ("sequence", "theta"), 0.5, "theta"),
+    "params-level-sizes-float": ("params", ("hierarchy", "level_sizes", 0), 1.0,
+                                 "level_sizes"),
+    "params-thresholds-string": ("params", ("hierarchy", "thresholds"), "12",
+                                 "thresholds"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_TYPE_CASES))
+def test_strict_json_types_exit_2(tmp_path, capsys, case):
+    """A field of the wrong JSON type exits 2 naming the field, never the
+    value; None in a case means the right number as a JSON number."""
+    which, path, value, field = STRICT_TYPE_CASES[case]
+    params = SchemeParams(
+        sequence=CompactSequence(m0=M0_61, moduli=MODULI_61[:3]),
+        hierarchy=Hierarchy((1, 2), (1, 2)),
+    )
+    param_path = tmp_path / "params.json"
+    param_path.write_text(canonical_dumps(param_file_obj("dhss", params)))
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(param_path), "--secret", str(SECRET_61),
+                 "--seed", "5", "--out-dir", str(out_dir)]) == 0
+    values = {read(out_dir / "share_001.json")["value"]}
+    values |= {e["value"] for e in read(out_dir / "public_bundle.json")["w"]}
+    target = {"params": param_path, "share": out_dir / "share_001.json",
+              "bundle": out_dir / "public_bundle.json"}[which]
+    obj = read(target)
+    if value is None:
+        value = int(_replace(obj, path, None))
+    _replace(obj, path, value)
+    target.write_text(json.dumps(obj))
+    capsys.readouterr()
+    if which == "params":
+        argv = ["deal", "--params", str(param_path), "--secret", "5",
+                "--seed", "1", "--out-dir", str(tmp_path / "again")]
+    else:
+        argv = ["reconstruct", "--public", str(out_dir / "public_bundle.json"),
+                "--shares", str(out_dir / "share_001.json")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot read ") and field in err
+    assert not [v for v in values if v in err]
+    assert set(re.findall(r"\d{19,}", err)) <= {str(m) for m in MODULI_61}
+
+
 def test_audit_micro(tmp_path, micro_param_file, capsys):
     out = tmp_path / "report.json"
     code = main([
@@ -643,7 +788,7 @@ def test_gen_params_m0_bits(tmp_path, capsys):
     assert is_prime(m0)
 
 
-@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("bits", [40, 128, 256])
 def test_gen_params_deal_reconstruct_at_real_size(tmp_path, capsys, bits):
     params_path = tmp_path / "params.json"
     argv = [

@@ -83,6 +83,15 @@ def test_bad_inputs():
         OwfFamily(kind="nonsense")
 
 
+@pytest.mark.parametrize("digest", ["nope", "shake_128", "", None])
+def test_hash_based_needs_fixed_size_digest(digest):
+    # shake_* digests need a length, which eval_owf never passes
+    with pytest.raises(ValueError, match="fixed-size hashlib digest"):
+        OwfFamily(kind="hash_based", digest_name=digest)
+    # test_affine never hashes, so its digest name is not looked up
+    OwfFamily(kind="test_affine", digest_name=digest)
+
+
 def test_oversized_x_accepted():
     family = OwfFamily(kind="hash_based")
     assert 0 <= eval_owf(family, 1, 10**50, 11) < 11

@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import tracemalloc
+from array import array
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -22,6 +24,7 @@ from crthss import (
     validate_params,
 )
 from crthss.errors import IntervalExhausted, ThresholdOutOfRange
+from crthss.params import _shuffle
 
 
 def test_integer_root_matches_scan():
@@ -31,6 +34,15 @@ def test_integer_root_matches_scan():
             assert r ** q <= x < (r + 1) ** q
     assert integer_root(10**18, 2) == 10**9
     assert integer_root(10**18 - 1, 2) == 10**9 - 1
+
+
+def test_integer_root_huge_exponent():
+    # q at or above the bit length of x: the root is 1, found without
+    # forming r ** (q - 1) (theta = 1e-300 asks for q = 10**300)
+    assert integer_root(2**40 + 15, 41) == 1
+    assert integer_root(2**40 + 15, 40) == 2
+    assert integer_root(2**40 + 15, 10**300) == 1
+    assert compact_width(2**61 - 1, Fraction(1, 10**300)) == 1
 
 
 def test_is_prime_against_sieve():
@@ -120,6 +132,39 @@ def test_generate_pinned_draws(args, expected):
     seq = generate_compact_sequence(*args)
     text = f"{seq.m0}|{seq.k}|{seq.theta}|" + ",".join(map(str, seq.moduli))
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def test_shuffle_matches_random_shuffle():
+    # _shuffle inlines Random.shuffle's _randbelow; the order and the state
+    # left behind must match, at every power-of-two edge of the bit count
+    edges = list(range(71)) + [2**j + d for j in range(1, 17) for d in (-1, 0, 1)]
+    picker = random.Random(9)
+    cases = [(width, seed) for width in edges for seed in (1, 2**40 + 3)]
+    cases += [(picker.randrange(2**18), picker.getrandbits(64)) for _ in range(3)]
+    for width, seed in cases:
+        expected, ours = random.Random(seed), random.Random(seed)
+        listed = list(range(width))
+        expected.shuffle(listed)
+        offsets = array("I", range(width))
+        _shuffle(offsets, ours)
+        assert offsets.tolist() == listed, width
+        assert ours.getstate() == expected.getstate(), width
+
+
+def test_generate_shuffle_memory_is_an_offset_array():
+    # m0 ~ 2^36: about 2^18 candidates. A list of them costs about 10 MiB
+    # of int objects; 4-byte array offsets cost about 1 MiB.
+    m0 = 2**36 + 31
+    assert is_prime(m0)
+    assert compact_width(m0, Fraction(1, 2)) == 2**18
+    tracemalloc.start()
+    try:
+        seq = generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert validate_compact(seq).ok
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("bits", [128, 256])
