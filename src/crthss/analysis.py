@@ -33,7 +33,7 @@ the histogram (all that entropy and grouping need) is tallied from the
 minority secrets alone, the shorter side of each level's q / q + 1 split.
 The dhss cost therefore follows the size of those sets, about m * m0^theta
 in the compact regime, not m0. The conjunctive mapping reads its one folded
-list.
+table, indexed by the last level's u.
 
 The posterior places equal weight on every consistent tuple, matching the
 counting argument the entropy-loss bound is built on (for an empty adversary
@@ -75,12 +75,15 @@ DEFAULT_EPSILON = 0.05
 
 @dataclass(frozen=True)
 class AdversaryView:
-    """What an unauthorized set holds: its members, their share values, and
+    """What an unauthorized set holds: the deal's shares of its members and
     the public bundle (parameters plus published offsets)."""
 
-    members: frozenset
-    shares: Mapping[int, int]
+    shares: tuple[Share, ...]
     public: PublicBundle
+
+    @property
+    def members(self) -> frozenset:
+        return frozenset(s.participant for s in self.shares)
 
 
 @dataclass(frozen=True)
@@ -140,12 +143,6 @@ class LevelProfile:
         """The secrets base + S*u (mod m0) for u in ``us``."""
         m0, base, step = self.m0, self.base, self.step
         return [(base + step * u) % m0 for u in us]
-
-    def by_residue(self, by_u: list) -> list:
-        """Reindex a table over u = 0..m0-1 by the secret base + S*u (mod m0)."""
-        m0, inv = self.m0, self.inv
-        start = (-self.base * inv) % m0
-        return [by_u[x % m0] for x in range(start, start + inv * m0, inv)]
 
 
 @dataclass(frozen=True)
@@ -241,10 +238,11 @@ class _CountView(Mapping):
 def adversary_view(deal: DealResult, members: Iterable[int]) -> AdversaryView:
     """Collect the view of ``members`` out of a deal result."""
     got = frozenset(members)
-    values = {s.participant: s.value for s in deal.shares if s.participant in got}
-    if got - values.keys():
-        raise ValueError(f"no shares for participants {sorted(got - values.keys())}")
-    return AdversaryView(members=got, shares=values, public=deal.public)
+    view = AdversaryView(tuple(s for s in deal.shares if s.participant in got),
+                         deal.public)
+    if got - view.members:
+        raise ValueError(f"no shares for participants {sorted(got - view.members)}")
+    return view
 
 
 def _check_unauthorized(view: AdversaryView, scheme: str) -> None:
@@ -270,14 +268,9 @@ def _level_profiles(view: AdversaryView) -> tuple[LevelProfile, ...]:
     public = view.public
     seq, hier = public.params.sequence, public.params.hierarchy
     m0 = seq.m0
-    shares = [
-        Share(participant=i, level=hier.level_of(i), modulus=seq.modulus_of(i),
-              value=view.shares[i])
-        for i in sorted(view.members)
-    ]
     profiles = []
     for level, t in enumerate(hier.thresholds, start=1):
-        congruences = _level_congruences(shares, level, public)
+        congruences = _level_congruences(view.shares, level, public)
         base, modulus = 0, 1
         if congruences:
             sol = crt_solve(congruences)
@@ -322,22 +315,26 @@ def _disjunctive_counts(
 def _conjunctive_counts(
     profiles: tuple[LevelProfile, ...], m0: int
 ) -> tuple[_CountView, Counter]:
-    """Cyclic convolution of the level tables, and its histogram.
-
-    Folding in a level with secret base + S*v gives
-    q * sum(folded) + sum_{u < rho} folded[S*(v - u) mod m0]: a cyclic window
-    of length rho over g(w) = folded[S*w mod m0], read off prefix sums.
-    """
-    first, *rest = profiles
-    folded = first.by_residue([first.q + 1] * first.rho + [first.q] * (m0 - first.rho))
+    """Cyclic convolution of the level tables, and its histogram. The table is
+    kept over the u of the level folded last (secret base + S*u); folding in
+    base' + S'*v gives q' * sum + sum_{w < rho'} g(v - w), g(v) the table at
+    the secret S'*v, so each level reindexes once and its cyclic windows
+    accumulate g minus g lagged by rho'."""
+    last, *rest = profiles
+    table = [last.q + 1] * last.rho + [last.q] * (m0 - last.rho)
     for p in rest:
-        g = [folded[x % m0] for x in range(0, p.step * m0, p.step)]
-        prefix = list(itertools.accumulate(itertools.chain(g, g), initial=0))
-        shift = p.q * prefix[m0]
-        lo = m0 + 1 - p.rho
-        window = map(sub, prefix[m0 + 1:], prefix[lo:lo + m0])
-        folded = p.by_residue([w + shift for w in window])
-    return _CountView(m0, folded.__getitem__), Counter(folded)
+        step, start = p.step * last.inv % m0, -last.base * last.inv % m0
+        g = [table[x % m0] for x in range(start, start + step * m0, step)]
+        lag = itertools.chain(itertools.islice(g, m0 - p.rho, None), g)
+        init = p.q * sum(g) + sum(itertools.islice(g, m0 - p.rho, None))
+        sums = itertools.accumulate(map(sub, g, lag), initial=init)
+        next(sums)  # the window ending at v = -1
+        table, last = list(sums), p
+
+    def count(r: int) -> int:
+        return table[(r - last.base) * last.inv % m0]
+
+    return _CountView(m0, count), Counter(table)
 
 
 def _entropy_report(

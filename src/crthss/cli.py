@@ -27,7 +27,7 @@ from pathlib import Path
 from . import analysis
 from .asmuth_bloom import ab_reconstruct
 from .chss import chss_deal, chss_reconstruct
-from .dhss import dedupe_shares, dhss_deal, dhss_reconstruct
+from .dhss import dhss_deal, dhss_reconstruct
 from .errors import (
     Error,
     IntervalExhausted,
@@ -122,13 +122,15 @@ def _random_prime(bits: int, rng: random.Random) -> int:
 
 def cmd_gen_params(args) -> int:
     try:
-        levels = _ints_arg(args.levels)
-        thresholds = _ints_arg(args.thresholds)
+        hierarchy = Hierarchy(
+            level_sizes=_ints_arg(args.levels), thresholds=_ints_arg(args.thresholds)
+        )
+        if args.scheme == "ab" and hierarchy.m != 1:
+            return _fail(EXIT_VALIDATION, "flat parameters need a single level")
         seed, seed_note = _resolve_seed(args.seed)
         rng = random.Random(seed)
         # generate_compact_sequence rejects a composite --m0
         m0 = args.m0 if args.m0 is not None else _random_prime(args.m0_bits, rng)
-        hierarchy = Hierarchy(level_sizes=levels, thresholds=thresholds)
         sequence = generate_compact_sequence(
             m0, hierarchy.n, args.k, args.theta, rng.randrange(2 ** 63)
         )
@@ -230,21 +232,12 @@ def cmd_reconstruct(args) -> int:
                 f"share {path} does not belong to this bundle's parameters",
             )
         shares.append(share)
+    # looked up per call, not at import, so a patched entry point is the one run
+    reconstruct = {
+        "dhss": dhss_reconstruct, "chss": chss_reconstruct, "ab": ab_reconstruct,
+    }[scheme]
     try:
-        if scheme == "dhss":
-            secret = dhss_reconstruct(shares, public)
-        elif scheme == "chss":
-            secret = chss_reconstruct(shares, public)
-        else:
-            # the files' modulus and level pass the gate before the pairs
-            # drop them
-            gated = dedupe_shares(shares, public.params)
-            secret = ab_reconstruct(
-                [(s.participant, s.value) for s in gated],
-                public.params.hierarchy.thresholds[0],
-                public.params.sequence,
-            )
-        print(secret)
+        print(reconstruct(shares, public))
         return 0
     except NotAuthorized as exc:
         return _fail(

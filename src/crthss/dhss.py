@@ -14,8 +14,8 @@ The dealing core lifts and shares any per-level residues: the disjunctive
 scheme passes the secret at every level, the conjunctive scheme passes the
 additive parts of it, and a single-level hierarchy is the flat Asmuth-Bloom
 scheme. Recovery mirrors it: every reconstruct entry point (``dhss``, ``chss``
-and flat ``ab``) passes ``dedupe_shares``, the one share gate, and solves its
-levels below their dealer bounds in one core.
+and flat ``ab``) takes (shares, public), passes ``dedupe_shares``, the one
+share gate, once, and solves its levels below their dealer bounds in one core.
 """
 
 import random

@@ -12,7 +12,6 @@ canonical parameter document.
 
 import hashlib
 import json
-from bisect import bisect_left
 from fractions import Fraction
 from typing import Mapping
 
@@ -220,10 +219,10 @@ def parse_bundle_file(obj: Mapping) -> tuple[str, PublicBundle]:
     params_scheme, params = parse_param_file(obj["params"])
     _require(params_scheme == scheme,
              "bundle file: scheme differs from embedded parameters")
-    # each key (i, l) has i below the top level and l from i's own level
-    # (bisect_left(N, i) + 1) up; errors name the key, never the value
+    # each key (i, l) has i below the top level and l from i's own level up;
+    # errors name the key, never the value
     hier, moduli = params.hierarchy, params.sequence.moduli
-    cumulative, n_masked, m = hier.cumulative, hier.n_masked, hier.m
+    n_masked, m = hier.n_masked, hier.m
     w: dict[tuple[int, int], int] = {}
     for entry in obj["w"]:
         _exact_keys(entry, {"participant", "level", "value"}, "w entry")
@@ -231,7 +230,7 @@ def parse_bundle_file(obj: Mapping) -> tuple[str, PublicBundle]:
         _require(type(i) is int and type(level) is int,
                  "bundle file: a w entry's participant or level is not a JSON "
                  "integer")
-        if not (1 <= i <= n_masked and bisect_left(cumulative, i) < level <= m):
+        if not (1 <= i <= n_masked and hier.level_of(i) <= level <= m):
             raise ValueError(f"bundle file: unexpected w entry {key}")
         if key in w:
             raise ValueError(f"bundle file: duplicate w entry {key}")

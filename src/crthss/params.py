@@ -12,9 +12,11 @@ t_1 < ... < t_m with t_l <= N_l (cumulative size).
 
 import random
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from itertools import accumulate
+from math import gcd, log2, prod
 from typing import Iterable
 
 from .errors import IntervalExhausted, ThresholdOutOfRange
@@ -49,14 +51,20 @@ def is_prime(n: int) -> bool:
 
 
 def integer_root(x: int, q: int) -> int:
-    """Largest r with r**q <= x, exact (Newton on integers)."""
+    """Largest r with r**q <= x, exact: Newton on integers descending from the
+    float 2^(log2(x) / q) nudged up (a few steps, where a start up to twice the
+    root takes order q), or from the power-of-two bound if that falls short."""
     if x < 0 or q < 1:
         raise ValueError("need x >= 0 and q >= 1")
     if x in (0, 1) or q == 1:
         return x
     if q >= x.bit_length():  # x < 2**q, so the root is 1
         return 1
-    r = 1 << ((x.bit_length() + q - 1) // q)  # upper start
+    e = log2(x) / q
+    r = int(2.0 ** (e % 1 + 52)) << int(e) >> 52
+    r += (r >> 20) + 1
+    if r ** q < x:
+        r = 1 << ((x.bit_length() + q - 1) // q)
     while True:
         nxt = ((q - 1) * r + x // r ** (q - 1)) // q
         if nxt >= r:
@@ -67,9 +75,19 @@ def integer_root(x: int, q: int) -> int:
     return r
 
 
+# compact_width's limit on p * bits(m0), the size of the m0**p it must form
+_MAX_POWER_BITS = 1 << 18
+
+
 def compact_width(m0: int, theta: Fraction) -> int:
-    """floor(m0^theta) for rational theta = p/q, via an exact integer q-th root."""
+    """floor(m0^theta) for rational theta = p/q, via an exact integer q-th root
+    of m0**p; ValueError when p * bits(m0) exceeds _MAX_POWER_BITS."""
     theta = Fraction(theta)
+    if theta.numerator * m0.bit_length() > _MAX_POWER_BITS:
+        raise ValueError(
+            f"theta = {theta} needs m0**{theta.numerator}, beyond the limit of "
+            f"{_MAX_POWER_BITS} bits"
+        )
     return integer_root(m0 ** theta.numerator, theta.denominator)
 
 
@@ -265,10 +283,13 @@ class Hierarchy:
 
     level_sizes: tuple[int, ...]
     thresholds: tuple[int, ...]
+    # N_l = n_1 + ... + n_l for l = 1..m, derived once from level_sizes
+    cumulative: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "level_sizes", tuple(int(v) for v in self.level_sizes))
         object.__setattr__(self, "thresholds", tuple(int(v) for v in self.thresholds))
+        object.__setattr__(self, "cumulative", tuple(accumulate(self.level_sizes)))
 
     @property
     def m(self) -> int:
@@ -279,15 +300,6 @@ class Hierarchy:
     def n(self) -> int:
         """Total number of participants."""
         return sum(self.level_sizes)
-
-    @property
-    def cumulative(self) -> tuple[int, ...]:
-        """N_l = n_1 + ... + n_l for l = 1..m."""
-        acc, out = 0, []
-        for size in self.level_sizes:
-            acc += size
-            out.append(acc)
-        return tuple(out)
 
     @property
     def n_masked(self) -> int:
@@ -310,10 +322,7 @@ class Hierarchy:
         """Level l with N_{l-1} < participant <= N_l."""
         if not 1 <= participant <= self.n:
             raise ValueError(f"participant {participant} not in [1, {self.n}]")
-        for lvl, upper in enumerate(self.cumulative, start=1):
-            if participant <= upper:
-                return lvl
-        raise AssertionError("unreachable")
+        return bisect_left(self.cumulative, participant) + 1
 
     def members_of(self, level: int) -> range:
         """Participant indices belonging to one level."""

@@ -15,8 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from crthss import CompactSequence, Hierarchy, OwfFamily, SchemeParams, ab_reconstruct
-from crthss.dhss import dedupe_shares
+from crthss import CompactSequence, Hierarchy, OwfFamily, SchemeParams
 
 AB_SEED = 18
 DHSS_SEED = 263
@@ -27,18 +26,6 @@ CHSS_SEED = 5277
 SEQ_61 = CompactSequence(
     m0=2**61 - 1, moduli=tuple(2**61 - 1 + d for d in (1, 2, 4, 6, 10))
 )
-
-
-def ab_reconstruct_shares(shares, public):
-    """Flat reconstruct of Share objects as ``crthss reconstruct`` does it:
-    the gate checks their modulus and level, then the bare pairs go to
-    ``ab_reconstruct``."""
-    gated = dedupe_shares(shares, public.params)
-    return ab_reconstruct(
-        [(s.participant, s.value) for s in gated],
-        public.params.hierarchy.thresholds[0],
-        public.params.sequence,
-    )
 
 
 @pytest.fixture

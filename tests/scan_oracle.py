@@ -10,7 +10,7 @@ import itertools
 from math import prod
 
 from crthss.analysis import AdversaryView, _check_unauthorized
-from crthss.dhss import Share, _level_congruences
+from crthss.dhss import _level_congruences
 from crthss.errors import IntractableInstance
 
 DEFAULT_SCAN_BUDGET = 2_000_000
@@ -19,15 +19,9 @@ DEFAULT_SCAN_BUDGET = 2_000_000
 def view_congruences(view: AdversaryView) -> list:
     """Per level l, z_l = lifted share (mod m_i) for every adversary member
     inside the first N_l."""
-    seq, hier = view.public.params.sequence, view.public.params.hierarchy
-    shares = [
-        Share(participant=i, level=hier.level_of(i), modulus=seq.modulus_of(i),
-              value=view.shares[i])
-        for i in sorted(view.members)
-    ]
     return [
-        _level_congruences(shares, level, view.public)
-        for level in range(1, hier.m + 1)
+        _level_congruences(view.shares, level, view.public)
+        for level in range(1, view.public.params.hierarchy.m + 1)
     ]
 
 

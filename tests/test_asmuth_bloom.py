@@ -1,7 +1,7 @@
 """Flat threshold scheme: worked vectors, round trips, leakage bound.
 
 A flat deal is ``dhss_deal`` on a single-level hierarchy; reconstruction goes
-through ``ab_reconstruct`` on bare (participant, value) pairs.
+through ``ab_reconstruct`` on the deal's shares and its single-level bundle.
 """
 
 import itertools
@@ -15,7 +15,9 @@ from crthss import (
     CompactSequence,
     Hierarchy,
     OwfFamily,
+    PublicBundle,
     SchemeParams,
+    Share,
     ab_reconstruct,
     adversary_view,
     dhss_deal,
@@ -40,6 +42,13 @@ def flat(seq, t):
 
 def pairs(deal):
     return tuple((s.participant, s.value) for s in deal.shares)
+
+
+def flat_shares(seq, t, *values):
+    """Shares of a flat (t, n) deal over ``seq`` from (participant, value)
+    pairs, with the single-level bundle they belong to."""
+    shares = [Share(i, 1, seq.modulus_of(i), value) for i, value in values]
+    return shares, PublicBundle(params=flat(seq, t), w={})
 
 
 def test_worked_vector(flat_params):
@@ -75,27 +84,35 @@ def test_ab_constraint_gate():
 
 
 def test_reconstruct_worked_vector(micro_seq):
-    assert ab_reconstruct([(1, 5), (2, 12)], 2, micro_seq) == 3
-    assert ab_reconstruct([(1, 5), (2, 12), (3, 4)], 2, micro_seq) == 3
-    with pytest.raises(TooFewShares):
-        ab_reconstruct([(1, 5)], 2, micro_seq)
+    assert ab_reconstruct(*flat_shares(micro_seq, 2, (1, 5), (2, 12))) == 3
+    assert ab_reconstruct(*flat_shares(micro_seq, 2, (1, 5), (2, 12), (3, 4))) == 3
+    with pytest.raises(TooFewShares, match="^got 1 distinct shares, need 2$"):
+        ab_reconstruct(*flat_shares(micro_seq, 2, (1, 5)))
 
 
 def test_reconstruct_rejects_conflicts(micro_seq):
     with pytest.raises(InconsistentShares):
-        ab_reconstruct([(1, 5), (1, 6), (2, 12)], 2, micro_seq)
+        ab_reconstruct(*flat_shares(micro_seq, 2, (1, 5), (1, 6), (2, 12)))
     # a corrupted share pushing the solution past the dealer bound is caught
     with pytest.raises(InconsistentShares):
-        ab_reconstruct([(1, 5), (2, 12), (3, 5)], 2, micro_seq)
+        ab_reconstruct(*flat_shares(micro_seq, 2, (1, 5), (2, 12), (3, 5)))
 
 
-def test_round_trip_exhaustive(micro_seq, flat_params):
+def test_reconstruct_refuses_multi_level_bundle(micro_params):
+    # the shares of a two-level deal are not flat shares, whatever the
+    # threshold of their first level
+    deal = dhss_deal(4, micro_params, 0)
+    with pytest.raises(ValueError, match="^flat reconstruction needs one level, got 2$"):
+        ab_reconstruct(deal.shares, deal.public)
+
+
+def test_round_trip_exhaustive(flat_params):
     for secret in range(7):
         for seed in range(10):
             deal = dhss_deal(secret, flat_params, seed)
             for r in (2, 3):
-                for subset in itertools.combinations(pairs(deal), r):
-                    assert ab_reconstruct(list(subset), 2, micro_seq) == secret
+                for subset in itertools.combinations(deal.shares, r):
+                    assert ab_reconstruct(subset, deal.public) == secret
 
 
 def test_round_trip_all_secrets_m0_101():
@@ -105,8 +122,8 @@ def test_round_trip_all_secrets_m0_101():
     for secret in range(101):
         deal = dhss_deal(secret, params, rng.randrange(2**32))
         picks = rng.sample(range(4), rng.randrange(2, 5))
-        subset = [pairs(deal)[i] for i in picks]
-        assert ab_reconstruct(subset, 2, seq) == secret
+        subset = [deal.shares[i] for i in picks]
+        assert ab_reconstruct(subset, deal.public) == secret
 
 
 def test_round_trip_random_sequences():
@@ -119,8 +136,8 @@ def test_round_trip_random_sequences():
         secret = rng.randrange(m0)
         deal = dhss_deal(secret, flat(seq, t), rng.randrange(2**32))
         picks = rng.sample(range(n), t)
-        subset = [pairs(deal)[i] for i in picks]
-        assert ab_reconstruct(subset, t, seq) == secret
+        subset = [deal.shares[i] for i in picks]
+        assert ab_reconstruct(subset, deal.public) == secret
 
 
 def test_undersized_sets_keep_multiple_secrets(flat_params):

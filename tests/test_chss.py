@@ -8,11 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CHSS_SEED, SEQ_61, ab_reconstruct_shares
+from conftest import CHSS_SEED, SEQ_61
 from crthss import (
     Hierarchy,
     OwfFamily,
     SchemeParams,
+    ab_reconstruct,
     chss_deal,
     chss_is_authorized,
     chss_reconstruct,
@@ -196,7 +197,7 @@ def test_conflicting_duplicate_shares(micro_params, deal, reconstruct):
 ENTRY_POINTS = {
     "dhss": (dhss_deal, dhss_reconstruct, Hierarchy((2, 3), (2, 3))),
     "chss": (chss_deal, chss_reconstruct, Hierarchy((2, 3), (2, 3))),
-    "ab": (dhss_deal, ab_reconstruct_shares, Hierarchy((5,), (3,))),
+    "ab": (dhss_deal, ab_reconstruct, Hierarchy((5,), (3,))),
 }
 
 

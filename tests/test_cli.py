@@ -20,7 +20,13 @@ from crthss import (
     generate_compact_sequence,
 )
 from crthss.cli import main
-from crthss.fileformat import canonical_dumps, param_file_obj
+from crthss.fileformat import (
+    bundle_file_obj,
+    canonical_dumps,
+    param_file_obj,
+    params_digest,
+    share_file_obj,
+)
 
 
 @pytest.fixture
@@ -87,6 +93,15 @@ def test_gen_params_validation_failures(tmp_path, capsys):
         ])
         assert code == 2
         assert f"digest {digest!r}" in capsys.readouterr().err
+
+    # deal refuses a multi-level flat parameter set, so gen-params does not
+    # write one
+    code = main([
+        "gen-params", "--m0", "997", "--levels", "1,2", "--thresholds", "1,2",
+        "--scheme", "ab", "--seed", "1", "--out", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert "flat parameters need a single level" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 
@@ -112,6 +127,35 @@ def test_gen_params_degenerate_theta(tmp_path, capsys):
     assert main([*base, "--theta", "1e-300"]) == 2
     assert "interval" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+def _run_cli(*argv, timeout=60):
+    env = {**os.environ, "PYTHONPATH": str(Path(crthss.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "crthss.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_theta_near_one_is_refused_quickly(tmp_path):
+    # m0**99999 has millions of bits; gen-params used to run Newton steps on
+    # it for minutes, and audit did the same on a file carrying that theta
+    out = tmp_path / "x.json"
+    for bits in (40, 256):
+        proc = _run_cli("gen-params", "--m0-bits", str(bits), "--levels", "1,2",
+                        "--thresholds", "1,2", "--theta", "99999/100000",
+                        "--seed", "1", "--out", str(out), timeout=30)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: theta = 99999/100000 needs m0**99999, "
+                               "beyond the limit of 262144 bits\n")
+        assert not out.exists()
+    assert main(["gen-params", "--m0", "997", "--levels", "1,2", "--thresholds",
+                 "1,2", "--seed", "1", "--out", str(out)]) == 0
+    obj = read(out)
+    obj["sequence"]["theta"] = "99999/100000"
+    out.write_text(canonical_dumps(obj))
+    proc = _run_cli("audit", "--params", str(out), "--adversary", "2",
+                    "--seed", "1", timeout=30)
+    assert proc.returncode == 2
+    assert "beyond the limit of 262144 bits" in proc.stderr
 
 
 def test_unusable_digest_in_files_exit_2(tmp_path, capsys):
@@ -486,6 +530,61 @@ def test_reconstruct_ab_worst_case_set_exit_2(tmp_path, capsys):
     assert code == 2
     assert "need 3" in err
     assert out == ""
+
+
+def _write_deal(out_dir, scheme, result):
+    """Share files and bundle of ``result`` under ``scheme``'s label and digest."""
+    out_dir.mkdir()
+    digest = params_digest(scheme, result.public.params)
+    for share in result.shares:
+        (out_dir / f"share_{share.participant:03d}.json").write_text(
+            canonical_dumps(share_file_obj(scheme, share, digest)))
+    (out_dir / "public_bundle.json").write_text(
+        canonical_dumps(bundle_file_obj(scheme, result.public)))
+
+
+def test_reconstruct_two_level_bundle_labelled_ab_exit_2(tmp_path, capsys):
+    """A two-level deal labelled ``ab``, digests matching, is not a flat
+    deal: reconstruct refuses it instead of solving it as one level (which
+    printed a wrong secret for every seed)."""
+    params = SchemeParams(
+        sequence=CompactSequence(m0=M0_61, moduli=MODULI_61[:5]),
+        hierarchy=Hierarchy((2, 3), (2, 3)),
+    )
+    for seed in range(20):
+        out_dir = tmp_path / f"deal{seed}"
+        _write_deal(out_dir, "ab", crthss.dhss_deal(SECRET_61, params, seed))
+        code = main(["reconstruct", "--public", str(out_dir / "public_bundle.json"),
+                     "--shares", str(out_dir / "share_001.json"),
+                     str(out_dir / "share_002.json")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: flat reconstruction needs one level, got 2\n"
+
+
+def test_reconstruct_ab_gates_shares_once(tmp_path, monkeypatch, capsys):
+    # the CLI hands the parsed shares to ab_reconstruct, whose recovery core
+    # runs the share gate; it used to gate them itself first
+    params = SchemeParams(
+        sequence=CompactSequence(m0=M0_61, moduli=MODULI_61[:5]),
+        hierarchy=Hierarchy((5,), (3,)),
+    )
+    out_dir = tmp_path / "deal"
+    _write_deal(out_dir, "ab", crthss.dhss_deal(SECRET_61, params, 5))
+    calls = []
+
+    def counted(shares, params):
+        calls.append(len(shares))
+        return gate(shares, params)
+
+    gate = crthss.dhss.dedupe_shares
+    monkeypatch.setattr(crthss.dhss, "dedupe_shares", counted)
+    monkeypatch.setattr(crthss.cli, "dedupe_shares", counted, raising=False)
+    assert main(["reconstruct", "--public", str(out_dir / "public_bundle.json"),
+                 "--shares", *(str(out_dir / f"share_00{i}.json") for i in (1, 3, 5))]) == 0
+    assert capsys.readouterr().out == f"{SECRET_61}\n"
+    assert calls == [3]
 
 
 def _shift_first_w(bundle, amount):

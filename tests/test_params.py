@@ -4,6 +4,7 @@ import hashlib
 import random
 import tracemalloc
 from array import array
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -43,6 +44,41 @@ def test_integer_root_huge_exponent():
     assert integer_root(2**40 + 15, 40) == 2
     assert integer_root(2**40 + 15, 10**300) == 1
     assert compact_width(2**61 - 1, Fraction(1, 10**300)) == 1
+
+
+def test_integer_root_float_start_is_exact():
+    # the float estimate only starts Newton; the root is still the exact one
+    rng = random.Random(19)
+    for _ in range(2000):
+        x = rng.getrandbits(rng.randrange(1, 4000))
+        q = rng.randrange(1, 80)
+        r = integer_root(x, q)
+        assert r ** q <= x < (r + 1) ** q
+    for base in range(2, 200):
+        for q in range(2, 9):
+            for x in (base ** q - 1, base ** q, base ** q + 1):
+                r = integer_root(x, q)
+                assert r ** q <= x < (r + 1) ** q
+
+
+@pytest.mark.parametrize("m0, theta", [
+    (2**40 - 87, Fraction(6553, 6554)),
+    (2**256 - 189, Fraction(1023, 1024)),
+], ids=["40-bit", "256-bit"])
+def test_compact_width_near_one_at_the_power_limit(m0, theta):
+    # p * bits(m0) just inside the limit: a power-of-two Newton start took
+    # minutes here
+    p, q = theta.numerator, theta.denominator
+    assert p * m0.bit_length() <= 1 << 18
+    width = compact_width(m0, theta)
+    assert width ** q <= m0 ** p < (width + 1) ** q
+
+
+def test_compact_width_refuses_powers_past_the_limit():
+    with pytest.raises(ValueError, match="beyond the limit of 262144 bits"):
+        compact_width(2**40 - 87, Fraction(99999, 100000))
+    with pytest.raises(ValueError, match=r"m0\*\*6554, beyond"):
+        compact_width(2**40 - 87, Fraction(6554, 6555))
 
 
 def test_is_prime_against_sieve():
@@ -250,6 +286,38 @@ def test_hierarchy_helpers():
     assert list(h.members_of(2)) == [2, 3]
     with pytest.raises(ValueError):
         h.level_of(7)
+
+
+def test_level_of_matches_the_loop():
+    # level_of bisects the cumulative sizes; the reference is the first level
+    # whose N_l reaches the participant
+    rng = random.Random(23)
+    for _ in range(200):
+        sizes = tuple(rng.randrange(1, 7) for _ in range(rng.randrange(1, 6)))
+        h = Hierarchy(sizes, tuple(range(1, len(sizes) + 1)))
+        for i in range(1, h.n + 1):
+            loop = next(lvl for lvl, upper in enumerate(h.cumulative, start=1)
+                        if i <= upper)
+            assert h.level_of(i) == loop
+
+
+def test_hierarchy_equality_hash_and_replace():
+    # cumulative is derived, so it takes no part in equality, hashing, repr
+    # or construction
+    h = Hierarchy((1, 2, 3), (1, 2, 4))
+    same = Hierarchy([1, 2, 3], [1, 2, 4])
+    assert h == same and hash(h) == hash(same)
+    assert hash(h) == hash(((1, 2, 3), (1, 2, 4)))
+    assert h != Hierarchy((1, 2, 3), (1, 2, 5))
+    assert len({h, same}) == 1
+    assert repr(h) == "Hierarchy(level_sizes=(1, 2, 3), thresholds=(1, 2, 4))"
+    moved = replace(h, level_sizes=(2, 2, 2))
+    assert moved.cumulative == (2, 4, 6) and h.cumulative == (1, 3, 6)
+    with pytest.raises(TypeError):
+        Hierarchy((1,), (1,), cumulative=(1,))
+    params = SchemeParams(CompactSequence(m0=7, moduli=(11, 13, 17)), h)
+    assert params == SchemeParams(CompactSequence(m0=7, moduli=(11, 13, 17)), same)
+    assert hash(params) == hash(replace(params, hierarchy=same))
 
 
 def test_prefix_validity_agreement():

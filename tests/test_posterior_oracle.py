@@ -260,3 +260,23 @@ def test_sparse_dhss_audit_memory_at_24_bits():
     assert peak < 20 * 2**20
     assert grouping.gamma_total == m0
     assert report.per_secret_counts[m0 // 3] >= 1
+
+
+def test_chss_audit_memory_at_m0_100003():
+    # the conjunctive fold holds a few lists of m0 entries, reindexed once per
+    # level; a prefix list of 2 * m0 + 1 sums and a table per reindex took
+    # 14.5 MiB here
+    m0 = 100_003
+    hier = Hierarchy((1, 2), (1, 2))
+    seq = generate_compact_sequence(m0, hier.n, 1, Fraction(1, 2), 7)
+    params = SchemeParams(sequence=seq, hierarchy=hier)
+    view = adversary_view(chss_deal(m0 // 3, params, 11), {2})
+    tracemalloc.start()
+    try:
+        report = enumerate_posterior(view, "chss")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert sum(report.histogram.values()) == m0
+    assert sum(report.per_secret_counts.values()) == report.total

@@ -14,10 +14,11 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SEQ_61, ab_reconstruct_shares
+from conftest import SEQ_61
 from crthss import (
     Hierarchy,
     SchemeParams,
+    ab_reconstruct,
     chss_deal,
     chss_is_authorized,
     chss_reconstruct,
@@ -37,7 +38,7 @@ SCHEMES = {
              lambda members: dhss_authorized_level(members, TIERED) is not None),
     "chss": (chss_deal(SECRET, TIERED, 5), chss_reconstruct,
              lambda members: chss_is_authorized(members, TIERED)),
-    "ab": (dhss_deal(SECRET, FLAT, 5), ab_reconstruct_shares,
+    "ab": (dhss_deal(SECRET, FLAT, 5), ab_reconstruct,
            lambda members: len(members) >= 3),
 }
 N = SEQ_61.n
