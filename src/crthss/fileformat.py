@@ -132,12 +132,14 @@ def parse_param_file(obj: Mapping) -> tuple[str, SchemeParams]:
     _exact_keys(seq_obj, {"m0", "moduli", "k", "theta"}, "sequence")
     _require(isinstance(seq_obj["theta"], str),
              'sequence: theta is not a "p/q" string')
-    sequence = CompactSequence(
-        m0=_decimal(seq_obj["m0"], "sequence: m0"),
-        moduli=_decimals(seq_obj["moduli"], "sequence: moduli"),
-        k=_json_int(seq_obj["k"], "sequence: k"),
-        theta=Fraction(seq_obj["theta"]),
-    )
+    m0 = _decimal(seq_obj["m0"], "sequence: m0")
+    moduli = _decimals(seq_obj["moduli"], "sequence: moduli")
+    # the ranges gen-params draws from, which the interval width needs
+    k = _json_int(seq_obj["k"], "sequence: k")
+    _require(k >= 1, "sequence: k is below 1")
+    theta = Fraction(seq_obj["theta"])
+    _require(0 < theta < 1, "sequence: theta is not in (0, 1)")
+    sequence = CompactSequence(m0=m0, moduli=moduli, k=k, theta=theta)
     hier_obj = obj["hierarchy"]
     _exact_keys(hier_obj, {"level_sizes", "thresholds"}, "hierarchy")
     hierarchy = Hierarchy(

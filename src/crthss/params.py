@@ -15,39 +15,91 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from math import gcd, log2, prod
+from itertools import accumulate, islice
+from math import gcd, isqrt, log2, prod
 from typing import Iterable
 
 from .errors import IntervalExhausted, ThresholdOutOfRange
 from .oneway import OwfFamily
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness set, deterministic below 3.3e24."""
+    """Baillie-PSW (Baillie and Wagstaff, Math. Comp. 1980): trial division by
+    small primes, a strong base-2 Miller-Rabin test, then a strong Lucas test.
+    No composite is known to pass; none below 2^64 does."""
     if n < 2:
         return False
-    if n in _MR_WITNESSES:
+    if n in _SMALL_PRIMES:
         return True
-    if any(n % p == 0 for p in _MR_WITNESSES):
+    if any(n % p == 0 for p in _SMALL_PRIMES):
         return False
+    return _strong_base2(n) and _strong_lucas(n)
+
+
+def _strong_base2(n: int) -> bool:
+    """Miller-Rabin to base 2 for odd n > 2."""
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    x = pow(2, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test for odd n > 2, using Selfridge's
+    parameters: the first D of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D) / 4. A square n has no such D."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (symbol := _jacobi(D, n)) != -1:
+        if symbol == 0 and gcd(D, n) < n:  # a proper factor of n
             return False
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_k, V_k and Q^k mod n from k = 1 up to k = d along d's bits
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def integer_root(x: int, q: int) -> int:
@@ -164,16 +216,71 @@ def _shuffle(x, rng: random.Random) -> None:
         top = low - 1
 
 
+def _shuffled_prefix(width: int, keep: int, rng: random.Random) -> array:
+    """The first keep entries of rng.shuffle(list(range(width))), as an array
+    of unsigned C ints, with the same draws and the same state left behind.
+
+    A step i >= keep of the shuffle reaches the prefix only through what it
+    moves into position j, so instead of swapping it records moved_by[j] = i.
+    Going down in i, the last record is the smallest step that moved a value
+    into j, and position i holds, at its own step, what that step brought.
+    So position p < keep ends the tail steps holding the last entry of the
+    chain p -> moved_by[p] -> ... (records are steps, never 0). A self-swap
+    records i at i, which no chain reaches: step i moved nothing elsewhere.
+    The steps keep - 1 .. 1 then act on the prefix alone, as _shuffle does."""
+    keep = min(keep, width)
+    prefix = array("I", range(keep))
+    if keep < width:
+        getrandbits = rng.getrandbits
+        # zeros grown in 16 KiB steps: one width-sized allocation per call
+        # raised the peak RSS of repeated calls by about one array (glibc kept
+        # the heap block a call freed and mapped the next, larger one beside it)
+        moved_by, zeros = array("I"), array("I", [0]) * 4096
+        for start in range(0, width, 4096):
+            moved_by += zeros[:width - start]
+        stop = max(keep, 1)  # the shuffle has no step 0
+        top = width - 1
+        while top >= stop:
+            k = (top + 1).bit_length()
+            low = max((1 << (k - 1)) - 1, stop)
+            for i in range(top, low - 1, -1):
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                moved_by[j] = i
+            top = low - 1
+        for p in range(keep):
+            q = p
+            while moved_by[q]:
+                q = moved_by[q]
+            prefix[p] = q
+    _shuffle(prefix, rng)
+    return prefix
+
+
+# Shuffled candidates placed per requested value, plus a margin. Over 8 seeds
+# per m0 of 24..40 bits at theta = 1/2, the greedy pass read about 10 per
+# value: at most 2,057 for n = 200 and 20 for n = 3.
+_PREFIX_PER_VALUE, _PREFIX_MARGIN = 16, 64
+
+
 def _candidate_order(lo: int, width: int, n: int, rng: random.Random):
     """Candidates from the open interval (lo, lo + width) in seeded random
-    order: up to the cutoff width, a shuffle of every offset from lo + 1,
-    held as an array of unsigned C ints (the cutoff fits in 32 bits);
-    otherwise distinct uniform draws, at most _DRAWS_PER_VALUE * n of them."""
+    order. Up to the cutoff width it is Random.shuffle of every offset from
+    lo + 1, draw for draw, but only the prefix the greedy pass is expected to
+    read is placed; a pass that reads past it gets the rest of the full
+    shuffle, redrawn from the saved state. Wider intervals give distinct
+    uniform draws, at most _DRAWS_PER_VALUE * n of them."""
     if width <= _SHUFFLE_CUTOFF:
-        offsets = array("I", range(width - 1))
-        _shuffle(offsets, rng)
-        for offset in offsets:
+        count = width - 1  # offsets 0 .. width - 2
+        keep = _PREFIX_PER_VALUE * n + _PREFIX_MARGIN
+        state = rng.getstate()
+        for offset in _shuffled_prefix(count, keep, rng):
             yield lo + 1 + offset
+        if keep < count:
+            rng.setstate(state)
+            for offset in islice(_shuffled_prefix(count, count, rng), keep, None):
+                yield lo + 1 + offset
         return
     seen: set[int] = set()
     for _ in range(_DRAWS_PER_VALUE * n):
@@ -190,7 +297,8 @@ def generate_compact_sequence(
 
     Candidates are scanned in seeded random order and accepted greedily when
     coprime to m0 times everything already accepted, then sorted ascending.
-    Up to a width of 2^22 the order is a shuffle of the whole interval;
+    Up to a width of 2^22 the order is, draw for draw, Random.shuffle of the
+    whole interval, but only the prefix the greedy pass reads is placed;
     wider intervals are sampled with rejection, so 128- and 256-bit m0 never
     materialize the interval. Deterministic for a given seed. Raises
     IntervalExhausted when the greedy pass cannot place n values (m0 too

@@ -129,6 +129,56 @@ def test_gen_params_degenerate_theta(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_gen_params_refuses_a_strong_pseudoprime_m0(tmp_path, capsys):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to each of the
+    # first 12 prime bases
+    psi12 = 318665857834031151167461
+    out = tmp_path / "x.json"
+    assert main(["gen-params", "--m0", str(psi12), "--levels", "1,2",
+                 "--thresholds", "1,2", "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: m0 = {psi12} is not prime\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("theta", "-1/2", "theta is not in (0, 1)"),
+    ("theta", "0", "theta is not in (0, 1)"),
+    ("theta", "1", "theta is not in (0, 1)"),
+    ("theta", "3/2", "theta is not in (0, 1)"),
+    ("k", 0, "k is below 1"),
+    ("k", -1, "k is below 1"),
+])
+def test_param_file_theta_or_k_out_of_range_exit_2(tmp_path, capsys, field, value,
+                                                   message):
+    """deal, audit and reconstruct refuse a theta outside (0, 1) or a k below
+    1, the ranges gen-params draws from; a negative theta used to end audit
+    in an AttributeError traceback, and the others were accepted silently."""
+    params_path = tmp_path / "params.json"
+    assert main(["gen-params", "--m0", "997", "--levels", "1,2", "--thresholds",
+                 "1,2", "--seed", "1", "--out", str(params_path)]) == 0
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(params_path), "--secret", "5",
+                 "--seed", "2", "--out-dir", str(out_dir)]) == 0
+    bundle_path = out_dir / "public_bundle.json"
+    params, bundle = read(params_path), read(bundle_path)
+    params["sequence"][field] = bundle["params"]["sequence"][field] = value
+    params_path.write_text(canonical_dumps(params))
+    bundle_path.write_text(canonical_dumps(bundle))
+    capsys.readouterr()
+    for argv in (
+        ["deal", "--params", str(params_path), "--secret", "5", "--seed", "2",
+         "--out-dir", str(tmp_path / "again")],
+        ["audit", "--params", str(params_path), "--adversary", "2", "--seed", "3"],
+        ["reconstruct", "--public", str(bundle_path),
+         "--shares", str(out_dir / "share_001.json")],
+    ):
+        assert main(argv) == 2, argv[0]
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot read ")
+        assert err.endswith(f"sequence: {message}\n")
+
+
 def _run_cli(*argv, timeout=60):
     env = {**os.environ, "PYTHONPATH": str(Path(crthss.__file__).parents[1])}
     return subprocess.run([sys.executable, "-m", "crthss.cli", *argv],

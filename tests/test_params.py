@@ -25,7 +25,7 @@ from crthss import (
     validate_params,
 )
 from crthss.errors import IntervalExhausted, ThresholdOutOfRange
-from crthss.params import _shuffle
+from crthss.params import _shuffle, _shuffled_prefix, _strong_lucas
 
 
 def test_integer_root_matches_scan():
@@ -82,7 +82,7 @@ def test_compact_width_refuses_powers_past_the_limit():
 
 
 def test_is_prime_against_sieve():
-    limit = 5000
+    limit = 200000
     sieve = [True] * limit
     sieve[0] = sieve[1] = False
     for i in range(2, isqrt(limit) + 1):
@@ -93,6 +93,61 @@ def test_is_prime_against_sieve():
         assert is_prime(n) == sieve[n]
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31)
+
+
+# Composites that pass Miller-Rabin to every one of the first 12 prime bases
+# (psi_12 and psi_13, the smallest such numbers), and Arnault's product of
+# three primes, a strong pseudoprime to every base below 307.
+_ARNAULT_P1 = int(
+    "29674495668685510550154174642905332730771991799853043350995075531276838"
+    "753171770199594238596428121188033664754218345562493168782883"
+)
+MR_PSEUDOPRIMES = [
+    318665857834031151167461,  # 399165290221 * 798330580441
+    3317044064679887385961981,
+    _ARNAULT_P1 * (313 * (_ARNAULT_P1 - 1) + 1) * (353 * (_ARNAULT_P1 - 1) + 1),
+]
+
+
+def _strong_probable_prime(n, base):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", MR_PSEUDOPRIMES, ids=["psi12", "psi13", "arnault"])
+def test_is_prime_refuses_fixed_base_pseudoprimes(n):
+    assert all(_strong_probable_prime(n, a) for a in (2, 3, 5, 7, 11, 13, 17, 19,
+                                                       23, 29, 31, 37))
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_base_2_and_lucas_pseudoprimes():
+    # strong base-2 pseudoprimes, which the Lucas half must catch, and the
+    # first strong Lucas pseudoprimes under Selfridge's parameters (OEIS
+    # A217255), which base 2 catches
+    base2 = [2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633,
+             3215031751, 2152302898747, 3474749660383, 341550071728321]
+    lucas = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519]
+    for n in base2:
+        assert _strong_probable_prime(n, 2) and not _strong_lucas(n), n
+        assert not is_prime(n), n
+    for n in lucas:
+        assert _strong_lucas(n) and not _strong_probable_prime(n, 2), n
+        assert not is_prime(n), n
+    assert not is_prime(49) and not is_prime(1681) and not is_prime(1849)
+    assert is_prime(_ARNAULT_P1)
+    for e in (61, 89, 107, 127, 521):
+        assert is_prime(2**e - 1)
+        assert not is_prime((2**e - 1) * (2**61 - 1))
 
 
 def test_compact_width_exact():
@@ -185,6 +240,66 @@ def test_shuffle_matches_random_shuffle():
         _shuffle(offsets, ours)
         assert offsets.tolist() == listed, width
         assert ours.getstate() == expected.getstate(), width
+
+
+def test_shuffled_prefix_matches_random_shuffle():
+    # the first keep entries of Random.shuffle, and the state it leaves, at
+    # every power-of-two edge of the bit count and every edge of keep
+    edges = list(range(71)) + [2**j + d for j in range(1, 14) for d in (-1, 0, 1)]
+    for width in edges:
+        for keep in {0, 1, 2, 5, width // 3, width - 1, width} - {-1}:
+            for seed in (1, 2**40 + 3):
+                expected, ours = random.Random(seed), random.Random(seed)
+                listed = list(range(width))
+                expected.shuffle(listed)
+                prefix = _shuffled_prefix(width, keep, ours)
+                assert prefix.tolist() == listed[:keep], (width, keep, seed)
+                assert ours.getstate() == expected.getstate(), (width, keep, seed)
+
+
+def _full_shuffle_greedy(m0, n, k, theta, seed):
+    """The greedy pass over a full Random.shuffle of the interval: the sorted
+    moduli, or the IntervalExhausted message."""
+    lo, width = k * m0, compact_width(m0, theta)
+    offsets = list(range(width - 1))
+    random.Random(seed).shuffle(offsets)
+    accepted, product = [], m0
+    for offset in offsets:
+        if gcd(lo + 1 + offset, product) == 1:
+            accepted.append(lo + 1 + offset)
+            product *= lo + 1 + offset
+            if len(accepted) == n:
+                return tuple(sorted(accepted))
+    return (f"interval ({lo}, {lo + width}) yielded only {len(accepted)} of "
+            f"{n} pairwise-coprime values")
+
+
+def test_generate_reads_past_the_prefix(monkeypatch):
+    # a prefix of n candidates in a crowded interval: the greedy pass reads
+    # past it and continues in the full shuffle, with the same moduli or the
+    # same refusal as a pass over the full shuffle
+    monkeypatch.setattr("crthss.params._PREFIX_PER_VALUE", 1)
+    monkeypatch.setattr("crthss.params._PREFIX_MARGIN", 0)
+    calls = []
+
+    def spy(width, keep, rng):
+        calls.append(keep)
+        return _shuffled_prefix(width, keep, rng)
+
+    monkeypatch.setattr("crthss.params._shuffled_prefix", spy)
+    outcomes = set()
+    for m0, theta, n in [(97, Fraction(1, 2), 3), (97, Fraction(1, 2), 5),
+                         (997, Fraction(2, 3), 8), (997, Fraction(2, 3), 20)]:
+        for seed in range(6):
+            calls.clear()
+            try:
+                got = generate_compact_sequence(m0, n, 1, theta, seed).moduli
+            except IntervalExhausted as exc:
+                got = str(exc)
+            assert got == _full_shuffle_greedy(m0, n, 1, theta, seed), (m0, n, seed)
+            if len(calls) == 2:
+                outcomes.add(type(got))
+    assert outcomes == {tuple, str}
 
 
 def test_generate_shuffle_memory_is_an_offset_array():
