@@ -9,12 +9,12 @@ at the top. Only the residues differ: the disjunctive scheme lifts the secret
 itself at every level. Reconstruction is the shared recovery core, solving
 and summing every level; this module is its conjunctive entry point.
 
-Draw order per seed: delta_1..delta_{m-1}, then alpha_1..alpha_m by level,
-then c_i by participant index, so deals replay byte-for-byte.
+Without a seed every draw, the deltas included, comes from the system CSPRNG.
+Draw order per explicit seed: delta_1..delta_{m-1}, then alpha_1..alpha_m by
+level, then c_i by participant index, so seeded deals replay byte-for-byte.
 """
 
-import random
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .dhss import (
     DealResult,
@@ -22,6 +22,7 @@ from .dhss import (
     Share,
     _check_dealable,
     _deal,
+    _dealer_rng,
     _recover,
 )
 from .params import SchemeParams
@@ -37,17 +38,18 @@ def chss_is_authorized(
 def chss_deal(
     secret: int,
     params: SchemeParams,
-    rng_seed: int,
+    rng_seed: Optional[int] = None,
     keep_dealer_secrets: bool = False,
 ) -> DealResult:
-    """Deal ``secret`` conjunctively. Deterministic for a given seed.
+    """Deal ``secret`` conjunctively. Draws from the system CSPRNG when
+    ``rng_seed`` is None; deterministic for a given seed.
 
     With a single level the random prefix is empty, delta_1 equals the secret,
     and the deal coincides with the flat scheme under the same seed.
     """
     _check_dealable(secret, params)
     m0 = params.sequence.m0
-    rng = random.Random(rng_seed)
+    rng = _dealer_rng(rng_seed)
     deltas = [rng.randrange(m0) for _ in range(params.hierarchy.m - 1)]
     deltas.append((secret - sum(deltas)) % m0)
     shares, public, lifts = _deal(deltas, params, rng)

@@ -11,13 +11,19 @@ Exit codes are stable:
   7 audit adversary set is actually authorized
   8 enumeration work budget exceeded
 
-No error path prints a secret. Without an explicit --seed the dealer draws
-one from the platform entropy source and prints only its SHA-256 commitment.
+No error path prints a secret. Without --seed, deal takes every dealer draw
+from the operating system's CSPRNG; --seed makes a deal reproducible.
+
+The parser is built once, when this module is imported, and ``main(argv)``
+may be called any number of times in one process. It looks up the command's
+``cmd_*`` function by name on every call, so a function replaced after import
+is the one that runs.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import random
 import secrets as _secrets
 import sys
@@ -75,7 +81,13 @@ def _fail(code: int, message: str) -> int:
 
 
 def _ints_arg(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part)
+    """A comma-separated integer list; anything else is a usage error."""
+    try:
+        return tuple(int(part) for part in text.split(",") if part)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}"
+        ) from None
 
 
 def _theta_arg(text: str) -> Fraction:
@@ -84,6 +96,20 @@ def _theta_arg(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a fraction p/q: {text!r}") from None
+
+
+def _epsilon_arg(text: str) -> float:
+    """--epsilon as a finite, non-negative float; NaN and infinities would
+    end up in the report, which must stay valid JSON."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:  # NaN fails every comparison
+        raise argparse.ArgumentTypeError(
+            f"not a finite non-negative number: {text!r}"
+        )
+    return value
 
 
 def _load_json(path: str):
@@ -100,8 +126,9 @@ def _cannot_write(path, exc: OSError) -> int:
 
 
 def _resolve_seed(seed: int | None) -> tuple[int, str]:
-    """Explicit seed, or a fresh one from platform entropy. Returns the seed
-    and a printable note (the commitment when the seed was drawn here)."""
+    """For gen-params and the audit's test deals, whose draws are public: an
+    explicit seed, or a fresh one from platform entropy. Returns the seed and
+    a printable note (the commitment when the seed was drawn here)."""
     if seed is not None:
         return seed, f"seed: {seed} (explicit)"
     drawn = _secrets.randbits(64)
@@ -122,9 +149,7 @@ def _random_prime(bits: int, rng: random.Random) -> int:
 
 def cmd_gen_params(args) -> int:
     try:
-        hierarchy = Hierarchy(
-            level_sizes=_ints_arg(args.levels), thresholds=_ints_arg(args.thresholds)
-        )
+        hierarchy = Hierarchy(level_sizes=args.levels, thresholds=args.thresholds)
         if args.scheme == "ab" and hierarchy.m != 1:
             return _fail(EXIT_VALIDATION, "flat parameters need a single level")
         seed, seed_note = _resolve_seed(args.seed)
@@ -170,14 +195,14 @@ def cmd_deal(args) -> int:
     except _FILE_ERRORS as exc:
         return _fail(EXIT_VALIDATION, f"cannot read parameters: {exc}")
     scheme = args.scheme or file_scheme
-    seed, seed_note = _resolve_seed(args.seed)
     if scheme == "ab" and params.hierarchy.m != 1:
         return _fail(
             EXIT_INVALID_PARAMS, "flat dealing needs a single-level parameter set"
         )
     deal = chss_deal if scheme == "chss" else dhss_deal
     try:
-        result = deal(args.secret, params, seed, keep_dealer_secrets=True)
+        # no --seed: every draw comes from the system CSPRNG
+        result = deal(args.secret, params, args.seed, keep_dealer_secrets=True)
     except SecretOutOfRange as exc:
         return _fail(EXIT_VALIDATION, str(exc))
     except InvalidParams as exc:
@@ -194,7 +219,7 @@ def cmd_deal(args) -> int:
             "WARNING": "dealer secrets; test use only, never publish",
             "scheme": scheme,
             "params_digest": digest,
-            "seed": str(seed),
+            "seed": None if args.seed is None else str(args.seed),
             "values": {
                 key: [str(v) for v in vals]
                 for key, vals in (result.dealer_secrets or {}).items()
@@ -207,7 +232,8 @@ def cmd_deal(args) -> int:
     except OSError as exc:
         return _cannot_write(out_dir, exc)
     print(f"wrote {len(result.shares)} share files and public_bundle.json to {out_dir}")
-    print(seed_note)
+    if args.seed is not None:
+        print(f"seed: {args.seed} (explicit)")
     print(f"params digest: {digest}")
     return 0
 
@@ -316,14 +342,13 @@ def cmd_audit(args) -> int:
     scheme = args.scheme or file_scheme
     if scheme == "ab":
         scheme = "dhss"
-    adversary = _ints_arg(args.adversary)
     seed, seed_note = _resolve_seed(args.seed)
     rng = random.Random(seed)
     try:
         if args.ladder:
             rungs = []
             shape = params.hierarchy
-            for m0 in _ints_arg(args.ladder):
+            for m0 in args.ladder:
                 sequence = generate_compact_sequence(
                     m0, shape.n, params.sequence.k, params.sequence.theta,
                     rng.randrange(2 ** 63),
@@ -333,7 +358,7 @@ def cmd_audit(args) -> int:
                 )
                 secret = args.secret if args.secret is not None else rng.randrange(m0)
                 entry = _audit_one(
-                    scheme, rung_params, adversary, secret,
+                    scheme, rung_params, args.adversary, secret,
                     rng.randrange(2 ** 63), args.budget, args.epsilon,
                 )
                 entry["m0"] = str(m0)
@@ -351,7 +376,7 @@ def cmd_audit(args) -> int:
             if secret is None:
                 secret = rng.randrange(params.sequence.m0)
             out_obj = _audit_one(
-                scheme, params, adversary, secret,
+                scheme, params, args.adversary, secret,
                 rng.randrange(2 ** 63), args.budget, args.epsilon,
             )
     except NotUnauthorized as exc:
@@ -398,6 +423,8 @@ def cmd_inspect(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree. It holds no function objects, so it can be
+    built once and shared by every call of ``main``."""
     parser = argparse.ArgumentParser(
         prog="crthss",
         description="CRT-based hierarchical secret sharing and audit tool",
@@ -408,8 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--m0", type=int, help="prime secret-space modulus")
     group.add_argument("--m0-bits", type=int, help="draw a random prime of this size")
-    p.add_argument("--levels", required=True, help="per-level sizes, e.g. 1,2")
-    p.add_argument("--thresholds", required=True, help="per-level thresholds, e.g. 1,2")
+    p.add_argument("--levels", type=_ints_arg, required=True,
+                   help="per-level sizes, e.g. 1,2")
+    p.add_argument("--thresholds", type=_ints_arg, required=True,
+                   help="per-level thresholds, e.g. 1,2")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--theta", type=_theta_arg, default="1/2",
                    help="compactness exponent p/q")
@@ -419,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--scheme", choices=("dhss", "chss", "ab"), default="dhss")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_params)
 
     p = sub.add_parser("deal", help="split a secret into share files")
     p.add_argument("--params", required=True)
@@ -431,39 +459,40 @@ def build_parser() -> argparse.ArgumentParser:
         "--emit-dealer-secrets", action="store_true",
         help="also write dealer_secrets.json (test use only)",
     )
-    p.set_defaults(func=cmd_deal)
 
     p = sub.add_parser("reconstruct", help="recover the secret from share files")
     p.add_argument("--public", required=True)
     p.add_argument("--shares", nargs="+", required=True)
-    p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("audit", help="measure what an unauthorized set learns")
     p.add_argument("--params", required=True)
     p.add_argument("--scheme", choices=("dhss", "chss", "ab"))
-    p.add_argument("--adversary", required=True, help="participant indices, e.g. 2,3")
-    p.add_argument("--ladder", help="regenerate the same shape at these m0 rungs")
+    p.add_argument("--adversary", type=_ints_arg, required=True,
+                   help="participant indices, e.g. 2,3")
+    p.add_argument("--ladder", type=_ints_arg,
+                   help="regenerate the same shape at these m0 rungs")
     p.add_argument("--budget", type=int, default=analysis.DEFAULT_WORK_BUDGET)
-    p.add_argument("--epsilon", type=float, default=analysis.DEFAULT_EPSILON)
+    p.add_argument("--epsilon", type=_epsilon_arg, default=analysis.DEFAULT_EPSILON)
     p.add_argument("--secret", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("inspect", help="pretty-print any file of this tool")
     p.add_argument("file")
-    p.set_defaults(func=cmd_inspect)
 
     return parser
 
 
+# built at import: the one-time cost is paid there, not by every command
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
-    return args.func(args)
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 def entry() -> None:

@@ -7,8 +7,10 @@ value c_i and the published offset w[i, l] = (y_l - h_l(c_i)) mod m_i converts
 it into a level-l residue. Top-level participants hold y_m mod m_i directly
 and have no published offsets.
 
-Deals are reproducible: for a given seed the dealer draws alpha_1..alpha_m
-(by level), then c_1..c_{N_{m-1}} (by participant index).
+Without a seed every dealer draw comes from the operating system's CSPRNG.
+An explicit seed makes a deal reproducible: the dealer draws alpha_1..alpha_m
+(by level), then c_1..c_{N_{m-1}} (by participant index), from a Mersenne
+Twister seeded with it.
 
 The dealing core lifts and shares any per-level residues: the disjunctive
 scheme passes the secret at every level, the conjunctive scheme passes the
@@ -19,6 +21,7 @@ share gate, once, and solves its levels below their dealer bounds in one core.
 """
 
 import random
+import secrets
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -73,6 +76,14 @@ def _check_dealable(secret: int, params: SchemeParams) -> None:
         )
 
 
+def _dealer_rng(rng_seed: Optional[int]) -> random.Random:
+    """The seeded Mersenne Twister for an explicit seed (reproducible deals);
+    otherwise the system CSPRNG, so no seed exists that decides the deal."""
+    if rng_seed is None:
+        return secrets.SystemRandom()
+    return random.Random(rng_seed)
+
+
 def _deal(
     residues: Sequence[int], params: SchemeParams, rng: random.Random
 ) -> tuple[tuple[Share, ...], PublicBundle, dict]:
@@ -103,19 +114,19 @@ def _deal(
 def dhss_deal(
     secret: int,
     params: SchemeParams,
-    rng_seed: int,
+    rng_seed: Optional[int] = None,
     keep_dealer_secrets: bool = False,
 ) -> DealResult:
     """Deal ``secret`` disjunctively: every level lifts the secret itself.
-    Deterministic for a given seed; with a single level this is the flat
-    Asmuth-Bloom deal.
+    Draws from the system CSPRNG when ``rng_seed`` is None; deterministic for
+    a given seed. With a single level this is the flat Asmuth-Bloom deal.
 
     dealer_secrets (y_l and alpha_l per level) is populated only when
     keep_dealer_secrets is set; it must never leave a test or audit context.
     """
     _check_dealable(secret, params)
     shares, public, lifts = _deal(
-        [secret] * params.hierarchy.m, params, random.Random(rng_seed)
+        [secret] * params.hierarchy.m, params, _dealer_rng(rng_seed)
     )
     return DealResult(shares, public, lifts if keep_dealer_secrets else None)
 

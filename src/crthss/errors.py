@@ -75,7 +75,8 @@ class MissingPublicValue(Error):
 # -- security analysis -----------------------------------------------------
 
 class IntractableInstance(Error):
-    """Estimated enumeration work exceeds the configured budget."""
+    """Estimated enumeration work exceeds the configured budget, or an exact
+    rate comparison would need more precision than its fixed cap."""
 
 
 class NotUnauthorized(Error):

@@ -332,6 +332,18 @@ def test_rate_near_ties_decide_fast():
     assert time.perf_counter() - start < 1.0
 
 
+def test_rate_near_tie_beyond_the_precision_cap_is_refused():
+    # the two logs agree to far more than the capped fixed-point precision;
+    # without the cap the doubling search ran for minutes
+    p, q = 100003, 100019
+    small, large = 3**p, 3**q + 1
+    start = time.perf_counter()
+    with pytest.raises(IntractableInstance) as info:
+        _log_ratio_at_least(small, large, Fraction(p, q))
+    assert time.perf_counter() - start < 5.0
+    assert str(p) not in str(info.value) and str(q) not in str(info.value)
+
+
 def test_randomized_oracle_equivalence():
     rng = random.Random(61)
     instances = 0

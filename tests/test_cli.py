@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -996,15 +997,51 @@ def test_audit_ladder_256_bit_rung_exceeds_budget(micro_param_file, capsys):
         assert "Traceback" not in captured.err + captured.out
 
 
-def test_deal_without_seed_prints_commitment_only(tmp_path, micro_param_file, capsys):
-    code = main([
-        "deal", "--params", str(micro_param_file), "--secret", "4",
-        "--out-dir", str(tmp_path / "d"),
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "seed commitment: " in out
-    assert "(explicit)" not in out
+@pytest.mark.parametrize("scheme", ["dhss", "chss"])
+def test_deal_without_seed_uses_system_randomness(tmp_path, monkeypatch, capsys,
+                                                   scheme):
+    """A seedless deal draws from the system CSPRNG: no Mersenne Twister is
+    built, no seed or commitment is printed or stored, and two deals of one
+    secret share no dealt or published value."""
+    def no_seeded_rng(*args, **kwargs):
+        raise AssertionError("a seedless deal constructed random.Random")
+
+    hierarchy = Hierarchy((2, 3, 4), (2, 3, 5))
+    params = SchemeParams(
+        sequence=CompactSequence(m0=M0_61, moduli=MODULI_61[:hierarchy.n]),
+        hierarchy=hierarchy,
+    )
+    param_path = tmp_path / "params.json"
+    param_path.write_text(canonical_dumps(param_file_obj(scheme, params)))
+    monkeypatch.setattr(random, "Random", no_seeded_rng)
+    dealt = []
+    for run in ("a", "b"):
+        out_dir = tmp_path / run
+        assert main(["deal", "--params", str(param_path), "--secret", str(SECRET_61),
+                     "--out-dir", str(out_dir), "--emit-dealer-secrets"]) == 0
+        out = capsys.readouterr().out
+        assert "seed:" not in out and "commitment" not in out
+        assert read(out_dir / "dealer_secrets.json")["seed"] is None
+        shares = [read(out_dir / f"share_{i:03d}.json")["value"]
+                  for i in range(1, hierarchy.n + 1)]
+        masked = [e["value"] for e in read(out_dir / "public_bundle.json")["w"]]
+        dealt.append((set(shares), set(masked)))
+        assert main(["reconstruct", "--public", str(out_dir / "public_bundle.json"),
+                     "--shares", *[str(out_dir / f"share_{i:03d}.json")
+                                   for i in range(1, hierarchy.n + 1)]]) == 0
+        assert capsys.readouterr().out == f"{SECRET_61}\n"
+    (shares_a, w_a), (shares_b, w_b) = dealt
+    assert not shares_a & shares_b
+    assert not w_a & w_b
+
+
+def test_deal_with_seed_prints_it(tmp_path, micro_param_file, capsys):
+    out_dir = tmp_path / "d"
+    assert main(["deal", "--params", str(micro_param_file), "--secret", "4",
+                 "--seed", "9", "--out-dir", str(out_dir),
+                 "--emit-dealer-secrets"]) == 0
+    assert "seed: 9 (explicit)" in capsys.readouterr().out
+    assert read(out_dir / "dealer_secrets.json")["seed"] == "9"
 
 
 def test_inspect(tmp_path, micro_param_file, capsys):
@@ -1019,3 +1056,151 @@ def test_inspect(tmp_path, micro_param_file, capsys):
 
 def test_unknown_command_exits_2(capsys):
     assert main(["bogus"]) == 2
+
+
+# -- flag types --------------------------------------------------------------------
+
+@pytest.mark.parametrize("flag, value", [
+    ("--adversary", "x"),
+    ("--adversary", "2,x"),
+    ("--ladder", "97,x"),
+    ("--epsilon", "nan"),
+    ("--epsilon", "inf"),
+    ("--epsilon", "-0.5"),
+    ("--epsilon", "x"),
+])
+def test_audit_malformed_flag_is_a_usage_error(micro_param_file, capsys, flag, value):
+    code = main(["audit", "--params", str(micro_param_file), "--adversary", "2",
+                 "--seed", "3", flag, value])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "usage: crthss audit" in err and flag in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--levels", "--thresholds"])
+def test_gen_params_malformed_list_is_a_usage_error(tmp_path, capsys, flag):
+    argv = {"--levels": "1,2", "--thresholds": "1,2"}
+    argv[flag] = "1;2"
+    code = main(["gen-params", "--m0", "997", "--levels", argv["--levels"],
+                 "--thresholds", argv["--thresholds"], "--seed", "1",
+                 "--out", str(tmp_path / "p.json")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "usage: crthss gen-params" in err and "Traceback" not in err
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_audit_epsilon_zero_is_accepted(micro_param_file, capsys):
+    assert main(["audit", "--params", str(micro_param_file), "--adversary", "2",
+                 "--seed", "3", "--epsilon", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["epsilon_tolerance"] == 0.0
+
+
+# -- one parser per process ------------------------------------------------------
+
+def _run(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _files(directory):
+    return {p: p.read_bytes() for p in sorted(Path(directory).rglob("*")) if p.is_file()}
+
+
+def test_every_command_runs_twice_in_one_process(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    shares = tmp_path / "shares"
+    commands = [
+        ["gen-params", "--m0", "997", "--levels", "1,2", "--thresholds", "1,2",
+         "--seed", "1", "--out", str(params)],
+        ["deal", "--params", str(params), "--secret", "123", "--seed", "2",
+         "--out-dir", str(shares), "--emit-dealer-secrets"],
+        ["reconstruct", "--public", str(shares / "public_bundle.json"),
+         "--shares", str(shares / "share_002.json"), str(shares / "share_003.json")],
+        ["audit", "--params", str(params), "--adversary", "2", "--seed", "3",
+         "--out", str(tmp_path / "audit.json")],
+        ["audit", "--params", str(params), "--adversary", "2", "--seed", "3",
+         "--ladder", "97,997"],
+        ["inspect", str(params)],
+    ]
+    for argv in commands:
+        first = _run(argv, capsys), _files(tmp_path)
+        second = _run(argv, capsys), _files(tmp_path)
+        assert first == second, argv[0]
+        assert first[0][0] == 0, argv[0]
+    assert first[0][1].startswith(f"# {params}: parameter file")
+
+
+def test_no_option_leaks_into_the_next_call(tmp_path, micro_param_file, monkeypatch,
+                                            capsys):
+    from crthss import cli
+
+    out_dir = tmp_path / "d"
+    deal = ["deal", "--params", str(micro_param_file), "--secret", "4",
+            "--seed", "1", "--out-dir", str(out_dir)]
+    assert main([*deal, "--scheme", "chss"]) == 0
+    assert read(out_dir / "public_bundle.json")["scheme"] == "chss"
+    assert main(deal) == 0
+    assert read(out_dir / "public_bundle.json")["scheme"] == "dhss"
+
+    dealt = []
+    real_deal = cli.dhss_deal
+
+    def recording_deal(secret, *rest):
+        dealt.append(secret)
+        return real_deal(secret, *rest)
+
+    monkeypatch.setattr(cli, "dhss_deal", recording_deal)
+    audit = ["audit", "--params", str(micro_param_file), "--adversary", "2",
+             "--seed", "3"]
+    drawn = random.Random(3).randrange(7)
+    assert drawn != 5
+    assert main([*audit, "--secret", "5"]) == 0
+    assert main(audit) == 0
+    assert dealt == [5, drawn]
+    capsys.readouterr()
+
+
+def test_main_does_not_rebuild_the_parser(tmp_path, micro_param_file, monkeypatch,
+                                          capsys):
+    from crthss import cli
+
+    def no_build():
+        raise AssertionError("build_parser called per command")
+
+    monkeypatch.setattr(cli, "build_parser", no_build)
+    out_dir = tmp_path / "d"
+    assert main(["deal", "--params", str(micro_param_file), "--secret", "4",
+                 "--seed", "1", "--out-dir", str(out_dir)]) == 0
+    assert main(["reconstruct", "--public", str(out_dir / "public_bundle.json"),
+                 "--shares", str(out_dir / "share_001.json")]) == 0
+    assert main(["audit", "--params", str(micro_param_file), "--adversary", "2",
+                 "--seed", "3"]) == 0
+    assert main(["bogus"]) == 2
+    capsys.readouterr()
+
+
+def test_command_patched_after_import_is_the_one_run(monkeypatch, capsys):
+    from crthss import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_audit", lambda args: seen.append(args) or 42)
+    assert main(["audit", "--params", "p.json", "--adversary", "2,3"]) == 42
+    assert seen[0].adversary == (2, 3)
+
+
+@pytest.mark.parametrize("command", [[], ["gen-params"], ["deal"], ["reconstruct"],
+                                     ["audit"], ["inspect"]])
+def test_help_matches_a_freshly_built_parser(monkeypatch, capsys, command):
+    from crthss import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([*command, "--help"])
+    fresh = capsys.readouterr().out
+    assert fresh.startswith(f"usage: crthss {' '.join(command)}".rstrip())
+    for _ in range(2):
+        assert main([*command, "--help"]) == 0
+        assert capsys.readouterr().out == fresh
