@@ -41,7 +41,6 @@ from .params import (
     Hierarchy,
     SchemeParams,
     ValidationReport,
-    check_ab_constraint,
     compact_width,
     generate_compact_sequence,
     integer_root,

@@ -168,17 +168,8 @@ class PosteriorReport:
     loss: float
     epsilon_tolerance: float
     levels: tuple[LevelProfile, ...]
-    # candidate-count value -> number of secrets attaining it; tallied from
-    # per_secret_counts when not given
-    histogram: Optional[Mapping[int, int]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        if self.histogram is None:
-            object.__setattr__(
-                self, "histogram", dict(Counter(self.per_secret_counts.values()))
-            )
+    # candidate-count value -> number of secrets attaining it
+    histogram: Mapping[int, int] = field(repr=False, compare=False)
 
     def groups(self) -> dict[int, int]:
         """Candidate-count value -> number of secrets attaining it."""

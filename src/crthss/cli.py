@@ -4,15 +4,16 @@ Exit codes are stable:
   0 success
   2 flag/validation failure (including a secret out of range, a
     malformed share, or shares that disagree with each other)
-  3 invalid parameter set at deal time
+  3 invalid parameter set at deal time, or a multi-level "ab" file in audit
   4 reconstruction refused: no qualifying level (failing levels are named)
   5 parameter digest mismatch between shares and bundle
   6 missing published value
   7 audit adversary set is actually authorized
   8 enumeration work budget exceeded
 
-No error path prints a secret. Without --seed, deal takes every dealer draw
-from the operating system's CSPRNG; --seed makes a deal reproducible.
+No error path prints a secret. The parameter file names the scheme (only
+gen-params takes --scheme), and --seed alone makes a run reproducible: without
+it every draw comes from the operating system's CSPRNG and no seed is printed.
 
 The parser is built once, when this module is imported, and ``main(argv)``
 may be called any number of times in one process. It looks up the command's
@@ -21,11 +22,9 @@ is the one that runs.
 """
 
 import argparse
-import hashlib
 import json
 import math
 import random
-import secrets as _secrets
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +32,7 @@ from pathlib import Path
 from . import analysis
 from .asmuth_bloom import ab_reconstruct
 from .chss import chss_deal, chss_reconstruct
-from .dhss import dhss_deal, dhss_reconstruct
+from .dhss import _dealer_rng, dhss_deal, dhss_reconstruct
 from .errors import (
     Error,
     IntervalExhausted,
@@ -125,15 +124,19 @@ def _cannot_write(path, exc: OSError) -> int:
     return _fail(EXIT_VALIDATION, f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _resolve_seed(seed: int | None) -> tuple[int, str]:
-    """For gen-params and the audit's test deals, whose draws are public: an
-    explicit seed, or a fresh one from platform entropy. Returns the seed and
-    a printable note (the commitment when the seed was drawn here)."""
-    if seed is not None:
-        return seed, f"seed: {seed} (explicit)"
-    drawn = _secrets.randbits(64)
-    digest = hashlib.sha256(drawn.to_bytes(8, "big")).hexdigest()
-    return drawn, f"seed commitment: {digest}"
+def _load_params(path: str) -> tuple[str, SchemeParams] | int:
+    """The scheme and parameters a parameter file names, for deal and audit,
+    or the exit code after refusing it: 2 for an unreadable file, 3 for a flat
+    ("ab") file with more than one level, which no flat deal can serve."""
+    try:
+        scheme, params = parse_param_file(_load_json(path))
+    except _FILE_ERRORS as exc:
+        return _fail(EXIT_VALIDATION, f"cannot read parameters: {exc}")
+    if scheme == "ab" and params.hierarchy.m != 1:
+        return _fail(
+            EXIT_INVALID_PARAMS, "flat dealing needs a single-level parameter set"
+        )
+    return scheme, params
 
 
 def _random_prime(bits: int, rng: random.Random) -> int:
@@ -152,8 +155,7 @@ def cmd_gen_params(args) -> int:
         hierarchy = Hierarchy(level_sizes=args.levels, thresholds=args.thresholds)
         if args.scheme == "ab" and hierarchy.m != 1:
             return _fail(EXIT_VALIDATION, "flat parameters need a single level")
-        seed, seed_note = _resolve_seed(args.seed)
-        rng = random.Random(seed)
+        rng = _dealer_rng(args.seed)
         # generate_compact_sequence rejects a composite --m0
         m0 = args.m0 if args.m0 is not None else _random_prime(args.m0_bits, rng)
         sequence = generate_compact_sequence(
@@ -177,7 +179,8 @@ def cmd_gen_params(args) -> int:
         return _cannot_write(out, exc)
     rate = analysis.information_rate(params)
     print(f"wrote {out}")
-    print(seed_note)
+    if args.seed is not None:
+        print(f"seed: {args.seed} (explicit)")
     print(f"m0 = {m0}, moduli = {list(sequence.moduli)}")
     for level, t in enumerate(hierarchy.thresholds, start=1):
         print(f"Asmuth-Bloom inequality holds at level {level} (t={t})")
@@ -190,18 +193,12 @@ def cmd_gen_params(args) -> int:
 # -- deal ----------------------------------------------------------------------
 
 def cmd_deal(args) -> int:
-    try:
-        file_scheme, params = parse_param_file(_load_json(args.params))
-    except _FILE_ERRORS as exc:
-        return _fail(EXIT_VALIDATION, f"cannot read parameters: {exc}")
-    scheme = args.scheme or file_scheme
-    if scheme == "ab" and params.hierarchy.m != 1:
-        return _fail(
-            EXIT_INVALID_PARAMS, "flat dealing needs a single-level parameter set"
-        )
+    loaded = _load_params(args.params)
+    if isinstance(loaded, int):
+        return loaded
+    scheme, params = loaded
     deal = chss_deal if scheme == "chss" else dhss_deal
     try:
-        # no --seed: every draw comes from the system CSPRNG
         result = deal(args.secret, params, args.seed, keep_dealer_secrets=True)
     except SecretOutOfRange as exc:
         return _fail(EXIT_VALIDATION, str(exc))
@@ -335,15 +332,13 @@ def _audit_one(
 
 
 def cmd_audit(args) -> int:
-    try:
-        file_scheme, params = parse_param_file(_load_json(args.params))
-    except _FILE_ERRORS as exc:
-        return _fail(EXIT_VALIDATION, f"cannot read parameters: {exc}")
-    scheme = args.scheme or file_scheme
+    loaded = _load_params(args.params)
+    if isinstance(loaded, int):
+        return loaded
+    scheme, params = loaded
     if scheme == "ab":
         scheme = "dhss"
-    seed, seed_note = _resolve_seed(args.seed)
-    rng = random.Random(seed)
+    rng = _dealer_rng(args.seed)
     try:
         if args.ladder:
             rungs = []
@@ -394,7 +389,8 @@ def cmd_audit(args) -> int:
         print(f"wrote {args.out}")
     else:
         print(text, end="")
-    print(seed_note, file=sys.stderr)
+    if args.seed is not None:
+        print(f"seed: {args.seed} (explicit)", file=sys.stderr)
     return 0
 
 
@@ -453,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--secret", type=int, required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--scheme", choices=("dhss", "chss", "ab"))
     p.add_argument("--out-dir", required=True)
     p.add_argument(
         "--emit-dealer-secrets", action="store_true",
@@ -466,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="measure what an unauthorized set learns")
     p.add_argument("--params", required=True)
-    p.add_argument("--scheme", choices=("dhss", "chss", "ab"))
     p.add_argument("--adversary", type=_ints_arg, required=True,
                    help="participant indices, e.g. 2,3")
     p.add_argument("--ladder", type=_ints_arg,

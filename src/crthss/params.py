@@ -199,23 +199,6 @@ _SHUFFLE_CUTOFF = 1 << 22
 _DRAWS_PER_VALUE = 256
 
 
-def _shuffle(x, rng: random.Random) -> None:
-    """rng.shuffle(x) in place, draw for draw: CPython's Random.shuffle loop
-    with _randbelow(i + 1) inlined as getrandbits(k) redrawn while above i.
-    k = (i + 1).bit_length() is fixed over each power-of-two block of i."""
-    getrandbits = rng.getrandbits
-    top = len(x) - 1
-    while top > 0:
-        k = (top + 1).bit_length()
-        low = (1 << (k - 1)) - 1  # the smallest i with (i + 1).bit_length() == k
-        for i in range(top, low - 1, -1):
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            x[i], x[j] = x[j], x[i]
-        top = low - 1
-
-
 def _shuffled_prefix(width: int, keep: int, rng: random.Random) -> array:
     """The first keep entries of rng.shuffle(list(range(width))), as an array
     of unsigned C ints, with the same draws and the same state left behind.
@@ -227,7 +210,7 @@ def _shuffled_prefix(width: int, keep: int, rng: random.Random) -> array:
     So position p < keep ends the tail steps holding the last entry of the
     chain p -> moved_by[p] -> ... (records are steps, never 0). A self-swap
     records i at i, which no chain reaches: step i moved nothing elsewhere.
-    The steps keep - 1 .. 1 then act on the prefix alone, as _shuffle does."""
+    The steps keep - 1 .. 1 then act on the prefix alone: rng.shuffle(prefix)."""
     keep = min(keep, width)
     prefix = array("I", range(keep))
     if keep < width:
@@ -254,7 +237,7 @@ def _shuffled_prefix(width: int, keep: int, rng: random.Random) -> array:
             while moved_by[q]:
                 q = moved_by[q]
             prefix[p] = q
-    _shuffle(prefix, rng)
+    rng.shuffle(prefix)
     return prefix
 
 
@@ -376,13 +359,6 @@ def _interval_violations(seq: CompactSequence) -> tuple[str, ...]:
         for idx, m in enumerate(seq.moduli, start=1)
         if not lo < m < hi
     )
-
-
-def check_ab_constraint(seq: CompactSequence, t: int) -> bool:
-    """True iff m0 * prod(m_1..m_{t-1}) < prod(m_1..m_t), compared exactly."""
-    if not 1 <= t <= seq.n:
-        raise ThresholdOutOfRange(f"t={t} with only {seq.n} moduli")
-    return seq.m0 * seq.prefix_product(t - 1) < seq.prefix_product(t)
 
 
 @dataclass(frozen=True)

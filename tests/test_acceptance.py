@@ -409,21 +409,21 @@ def test_c9_format_stability_and_pipeline(tmp_path, micro_params):
         assert canonical_dumps(bundle_file_obj(b_scheme, b_public)) == bundle_text
 
     # end-to-end through the CLI: generate, deal, reconstruct, refuse
-    params_path = tmp_path / "params.json"
-    assert main([
-        "gen-params", "--m0", "9973", "--levels", "1,2", "--thresholds", "1,2",
-        "--theta", "2/3", "--owf", "hash_based", "--seed", "11",
-        "--out", str(params_path),
-    ]) == 0
     for scheme, shares_ok, shares_bad in (
         ("dhss", ["share_002.json", "share_003.json"], ["share_002.json"]),
         ("chss", ["share_001.json", "share_002.json"], ["share_002.json",
                                                         "share_003.json"]),
     ):
+        params_path = tmp_path / f"params_{scheme}.json"
+        assert main([
+            "gen-params", "--m0", "9973", "--levels", "1,2", "--thresholds", "1,2",
+            "--theta", "2/3", "--owf", "hash_based", "--scheme", scheme,
+            "--seed", "11", "--out", str(params_path),
+        ]) == 0
         deal_dir = tmp_path / scheme
         assert main([
             "deal", "--params", str(params_path), "--secret", "1234",
-            "--scheme", scheme, "--seed", "12", "--out-dir", str(deal_dir),
+            "--seed", "12", "--out-dir", str(deal_dir),
         ]) == 0
         bundle = str(deal_dir / "public_bundle.json")
         assert main([

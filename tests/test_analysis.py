@@ -7,6 +7,7 @@ the level-profile counts must agree with it exactly.
 import dataclasses
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -147,12 +148,13 @@ def test_count_grouping_mismatch_is_loud(micro_params):
     result = dhss_deal(4, micro_params, DHSS_SEED)
     view = adversary_view(result, {2})
     report = enumerate_posterior(view, "dhss")
-    # histogram=None recounts the groups from the doctored counts
+    # secret 0 doctored to 5 candidates, a count no level floors produce
+    counts = {**report.per_secret_counts, 0: 5}
     doctored = dataclasses.replace(
         report,
-        per_secret_counts={**report.per_secret_counts, 0: 5},
+        per_secret_counts=counts,
         total=report.total + 1,
-        histogram=None,
+        histogram=Counter(counts.values()),
     )
     with pytest.raises(DecompositionMismatch):
         count_grouping(doctored)

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: exit codes, file outputs, worked vectors."""
 
+import hashlib
 import json
 import os
 import random
 import re
+import secrets
 import subprocess
 import sys
 from fractions import Fraction
@@ -34,6 +36,13 @@ from crthss.fileformat import (
 def micro_param_file(tmp_path, micro_params):
     path = tmp_path / "micro.json"
     path.write_text(canonical_dumps(param_file_obj("dhss", micro_params)))
+    return path
+
+
+@pytest.fixture
+def micro_chss_param_file(tmp_path, micro_params):
+    path = tmp_path / "micro_chss.json"
+    path.write_text(canonical_dumps(param_file_obj("chss", micro_params)))
     return path
 
 
@@ -296,11 +305,11 @@ def test_deal_and_reconstruct_dhss(tmp_path, micro_param_file, capsys):
     assert "failing level" in capsys.readouterr().err
 
 
-def test_deal_and_reconstruct_chss(tmp_path, micro_param_file, capsys):
+def test_deal_and_reconstruct_chss(tmp_path, micro_chss_param_file, capsys):
     out_dir = tmp_path / "deal"
     code = main([
-        "deal", "--params", str(micro_param_file), "--secret", "4",
-        "--scheme", "chss", "--seed", str(CHSS_SEED), "--out-dir", str(out_dir),
+        "deal", "--params", str(micro_chss_param_file), "--secret", "4",
+        "--seed", str(CHSS_SEED), "--out-dir", str(out_dir),
     ])
     assert code == 0
     shares = {i: read(out_dir / f"share_{i:03d}.json") for i in (1, 2, 3)}
@@ -349,13 +358,13 @@ def test_deal_invalid_params(tmp_path, micro_params, capsys):
     assert code == 3
 
 
-def test_digest_mismatch(tmp_path, micro_param_file, capsys):
+def test_digest_mismatch(tmp_path, micro_param_file, micro_chss_param_file, capsys):
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"
     main(["deal", "--params", str(micro_param_file), "--secret", "4",
           "--seed", str(DHSS_SEED), "--out-dir", str(dir_a)])
-    main(["deal", "--params", str(micro_param_file), "--secret", "4",
-          "--scheme", "chss", "--seed", "9", "--out-dir", str(dir_b)])
+    main(["deal", "--params", str(micro_chss_param_file), "--secret", "4",
+          "--seed", "9", "--out-dir", str(dir_b)])
     code = main([
         "reconstruct", "--public", str(dir_a / "public_bundle.json"),
         "--shares", str(dir_b / "share_001.json"),
@@ -394,6 +403,56 @@ def test_flat_scheme_via_cli(tmp_path, micro_params, capsys):
     ])
     assert code == 0
     assert capsys.readouterr().out.strip() == "3"
+
+
+def test_multi_level_flat_file_exit_3_in_deal_and_audit(tmp_path, micro_params,
+                                                        capsys):
+    # a two-level parameter file labelled ab: no flat deal can serve it, so
+    # audit refuses it as deal does instead of auditing it as dhss
+    path = tmp_path / "flat2.json"
+    path.write_text(canonical_dumps(param_file_obj("ab", micro_params)))
+    refusal = "error: flat dealing needs a single-level parameter set\n"
+    assert main(["deal", "--params", str(path), "--secret", "3", "--seed", "5",
+                 "--out-dir", str(tmp_path / "d")]) == 3
+    assert capsys.readouterr() == ("", refusal)
+    assert not (tmp_path / "d").exists()
+    assert main(["audit", "--params", str(path), "--adversary", "2",
+                 "--seed", "3"]) == 3
+    assert capsys.readouterr() == ("", refusal)
+
+
+@pytest.mark.parametrize("argv", [
+    ["deal", "--secret", "4", "--seed", "1", "--scheme", "chss", "--out-dir"],
+    ["audit", "--adversary", "2", "--seed", "3", "--scheme", "dhss", "--out"],
+], ids=["deal", "audit"])
+def test_scheme_flag_belongs_to_gen_params_alone(tmp_path, micro_param_file, capsys,
+                                                 argv):
+    # the parameter file names the scheme; deal and audit take no override
+    out = tmp_path / "out"
+    code = main([*argv, str(out), "--params", str(micro_param_file)])
+    stdout, err = capsys.readouterr()
+    assert code == 2
+    assert stdout == "" and err.startswith("usage: crthss ")
+    assert "unrecognized arguments: --scheme" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme, levels, thresholds", [
+    ("dhss", "1,2", "1,2"), ("chss", "1,2", "1,2"), ("ab", "3", "2"),
+])
+def test_share_digest_is_the_param_file_hash(tmp_path, capsys, scheme, levels,
+                                             thresholds):
+    params = tmp_path / "params.json"
+    assert main(["gen-params", "--m0", "997", "--levels", levels,
+                 "--thresholds", thresholds, "--scheme", scheme, "--seed", "1",
+                 "--out", str(params)]) == 0
+    assert main(["deal", "--params", str(params), "--secret", "123", "--seed", "2",
+                 "--out-dir", str(tmp_path / "d")]) == 0
+    digest = hashlib.sha256(params.read_bytes()).hexdigest()
+    shares = sorted((tmp_path / "d").glob("share_*.json"))
+    assert len(shares) == 3
+    assert {read(p)["params_digest"] for p in shares} == {digest}
+    assert f"params digest: {digest}\n" in capsys.readouterr().out
 
 
 def SchemeParamsFlat(micro_params):
@@ -889,10 +948,10 @@ def test_audit_ladder_composite_rung(tmp_path, micro_param_file, capsys):
     assert not out.exists()
 
 
-def test_audit_chss(tmp_path, micro_param_file, capsys):
+def test_audit_chss(tmp_path, micro_chss_param_file, capsys):
     out = tmp_path / "report.json"
     code = main([
-        "audit", "--params", str(micro_param_file), "--scheme", "chss",
+        "audit", "--params", str(micro_chss_param_file),
         "--adversary", "1", "--secret", "4", "--seed", "77", "--out", str(out),
     ])
     assert code == 0
@@ -1035,6 +1094,52 @@ def test_deal_without_seed_uses_system_randomness(tmp_path, monkeypatch, capsys,
     assert not w_a & w_b
 
 
+def test_gen_params_and_audit_without_seed_use_system_randomness(
+        tmp_path, micro_param_file, monkeypatch, capsys):
+    """Without --seed, gen-params and audit draw from the system CSPRNG and
+    print no seed line: no seed exists to print or commit to."""
+    built = []
+
+    class SpyRandom(secrets.SystemRandom):
+        def __init__(self):
+            built.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(secrets, "SystemRandom", SpyRandom)
+    gen = ["gen-params", "--m0-bits", "24", "--levels", "1,2", "--thresholds", "1,2"]
+    assert main([*gen, "--out", str(tmp_path / "p.json")]) == 0
+    out, err = capsys.readouterr()
+    assert len(built) == 1
+    assert out.startswith(f"wrote {tmp_path / 'p.json'}\nm0 = ") and err == ""
+    assert "seed" not in out and "commitment" not in out
+
+    assert main(["audit", "--params", str(micro_param_file), "--adversary", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert len(built) == 2
+    assert json.loads(out)["scheme"] == "dhss" and err == ""
+
+    # with --seed, the seed line, every draw and the file bytes stay pinned
+    path = tmp_path / "seeded.json"
+    assert main([*gen, "--seed", "1", "--out", str(path)]) == 0
+    assert capsys.readouterr() == (
+        f"wrote {path}\n"
+        "seed: 1 (explicit)\n"
+        "m0 = 10931917, moduli = [10934135, 10934932, 10935037]\n"
+        "Asmuth-Bloom inequality holds at level 1 (t=1)\n"
+        "Asmuth-Bloom inequality holds at level 2 (t=2)\n"
+        "information rate rho = 0.999982\n"
+        "1-compact analytic floor = 0.999981\n",
+        "",
+    )
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "6bc5860e5d264e8789e5d7e214c3fb707ebffaa4f7ca4c38337f9d375ba3d1f3"
+    )
+    assert main(["audit", "--params", str(micro_param_file), "--adversary", "2",
+                 "--seed", "3"]) == 0
+    assert capsys.readouterr().err == "seed: 3 (explicit)\n"
+    assert len(built) == 2
+
+
 def test_deal_with_seed_prints_it(tmp_path, micro_param_file, capsys):
     out_dir = tmp_path / "d"
     assert main(["deal", "--params", str(micro_param_file), "--secret", "4",
@@ -1137,13 +1242,11 @@ def test_no_option_leaks_into_the_next_call(tmp_path, micro_param_file, monkeypa
                                             capsys):
     from crthss import cli
 
-    out_dir = tmp_path / "d"
-    deal = ["deal", "--params", str(micro_param_file), "--secret", "4",
-            "--seed", "1", "--out-dir", str(out_dir)]
-    assert main([*deal, "--scheme", "chss"]) == 0
-    assert read(out_dir / "public_bundle.json")["scheme"] == "chss"
-    assert main(deal) == 0
-    assert read(out_dir / "public_bundle.json")["scheme"] == "dhss"
+    deal = ["deal", "--params", str(micro_param_file), "--secret", "4", "--seed", "1"]
+    assert main([*deal, "--out-dir", str(tmp_path / "a"), "--emit-dealer-secrets"]) == 0
+    assert (tmp_path / "a" / "dealer_secrets.json").exists()
+    assert main([*deal, "--out-dir", str(tmp_path / "b")]) == 0
+    assert not (tmp_path / "b" / "dealer_secrets.json").exists()
 
     dealt = []
     real_deal = cli.dhss_deal

@@ -3,7 +3,6 @@
 import hashlib
 import random
 import tracemalloc
-from array import array
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, isqrt
@@ -14,7 +13,6 @@ from crthss import (
     CompactSequence,
     Hierarchy,
     SchemeParams,
-    check_ab_constraint,
     compact_width,
     generate_compact_sequence,
     integer_root,
@@ -24,8 +22,8 @@ from crthss import (
     validate_hierarchy,
     validate_params,
 )
-from crthss.errors import IntervalExhausted, ThresholdOutOfRange
-from crthss.params import _shuffle, _shuffled_prefix, _strong_lucas
+from crthss.errors import IntervalExhausted
+from crthss.params import _shuffled_prefix, _strong_lucas
 
 
 def test_integer_root_matches_scan():
@@ -196,7 +194,7 @@ def test_generate_deterministic_and_valid():
         # every generated sequence satisfies the product inequality at
         # every threshold (the compact form of the classical guarantee)
         for t in range(1, n + 1):
-            assert check_ab_constraint(seq, t)
+            assert seq.m0 * seq.prefix_product(t - 1) < seq.prefix_product(t)
 
 
 # SHA-256 of "m0|k|theta|m_1,...,m_n" for seeded draws. Pinning them means a
@@ -223,23 +221,6 @@ def test_generate_pinned_draws(args, expected):
     seq = generate_compact_sequence(*args)
     text = f"{seq.m0}|{seq.k}|{seq.theta}|" + ",".join(map(str, seq.moduli))
     assert hashlib.sha256(text.encode()).hexdigest() == expected
-
-
-def test_shuffle_matches_random_shuffle():
-    # _shuffle inlines Random.shuffle's _randbelow; the order and the state
-    # left behind must match, at every power-of-two edge of the bit count
-    edges = list(range(71)) + [2**j + d for j in range(1, 17) for d in (-1, 0, 1)]
-    picker = random.Random(9)
-    cases = [(width, seed) for width in edges for seed in (1, 2**40 + 3)]
-    cases += [(picker.randrange(2**18), picker.getrandbits(64)) for _ in range(3)]
-    for width, seed in cases:
-        expected, ours = random.Random(seed), random.Random(seed)
-        listed = list(range(width))
-        expected.shuffle(listed)
-        offsets = array("I", range(width))
-        _shuffle(offsets, ours)
-        assert offsets.tolist() == listed, width
-        assert ours.getstate() == expected.getstate(), width
 
 
 def test_shuffled_prefix_matches_random_shuffle():
@@ -367,19 +348,15 @@ def test_validate_compact_ordering():
 
 
 def test_ab_constraint_examples():
+    # m0 * prod(m_1..m_{t-1}) < prod(m_1..m_t) reduces to m0 < m_t, so the
+    # ordering check of validate_dealable refuses every sequence breaking it
     seq = CompactSequence(m0=7, moduli=(11, 13, 17), k=1, theta=Fraction(1, 2))
-    assert check_ab_constraint(seq, 2)  # 7*11 = 77 < 11*13 = 143
-    assert check_ab_constraint(seq, 1)  # empty product: 7 < 11
-    assert check_ab_constraint(seq, 3)
-    with pytest.raises(ThresholdOutOfRange):
-        check_ab_constraint(seq, 4)
-    near = CompactSequence(m0=100 // 1, moduli=(101, 103), k=1, theta=Fraction(1, 2))
-    assert check_ab_constraint(near, 2)  # 100*101 = 10100 < 101*103 = 10403
-    loose = CompactSequence(m0=10, moduli=(11, 12), k=1, theta=Fraction(1, 2))
-    assert check_ab_constraint(loose, 2)  # 10*11 = 110 < 11*12 = 132
-    # a failing case needs a later modulus at or below m0
+    assert validate_dealable(SchemeParams(seq, Hierarchy((3,), (2,)))).ok
+    # a failing case needs a later modulus at or below m0:
+    # 12 * 13 = 156 >= 13 * 11 = 143 at t = 2
     broken = CompactSequence(m0=12, moduli=(13, 11), k=1, theta=Fraction(1, 2))
-    assert not check_ab_constraint(broken, 2)  # 12*13 = 156 >= 13*11 = 143
+    report = validate_dealable(SchemeParams(broken, Hierarchy((2,), (2,))))
+    assert any("not strictly increasing" in v for v in report.violations)
 
 
 def test_hierarchy_examples():
