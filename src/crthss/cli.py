@@ -276,7 +276,7 @@ def cmd_reconstruct(args) -> int:
 # -- audit -----------------------------------------------------------------------
 
 def _audit_one(
-    scheme: str,
+    label: str,
     params: SchemeParams,
     adversary: tuple[int, ...],
     secret: int,
@@ -285,7 +285,10 @@ def _audit_one(
     epsilon: float,
 ) -> dict:
     """Deal, build the adversary view, and measure the posterior; the eta and
-    ratio tables render the report's level profiles."""
+    ratio tables render the report's level profiles. A flat ("ab") file is
+    counted as the single-level disjunctive scheme, but reported under its
+    own label and digest."""
+    scheme = "chss" if label == "chss" else "dhss"
     deal = chss_deal if scheme == "chss" else dhss_deal
     view = analysis.adversary_view(deal(secret, params, deal_seed), adversary)
     report = analysis.enumerate_posterior(
@@ -311,8 +314,8 @@ def _audit_one(
         ratio_table.append({"level": level, "ratio": ratio, "value": value})
     rate = analysis.information_rate(params)
     return {
-        "scheme": scheme,
-        "params_digest": params_digest(scheme, params),
+        "scheme": label,
+        "params_digest": params_digest(label, params),
         "adversary": sorted(view.members),
         "total_candidates": str(report.total),
         "groups": [
@@ -335,9 +338,7 @@ def cmd_audit(args) -> int:
     loaded = _load_params(args.params)
     if isinstance(loaded, int):
         return loaded
-    scheme, params = loaded
-    if scheme == "ab":
-        scheme = "dhss"
+    label, params = loaded
     rng = _dealer_rng(args.seed)
     try:
         if args.ladder:
@@ -353,7 +354,7 @@ def cmd_audit(args) -> int:
                 )
                 secret = args.secret if args.secret is not None else rng.randrange(m0)
                 entry = _audit_one(
-                    scheme, rung_params, args.adversary, secret,
+                    label, rung_params, args.adversary, secret,
                     rng.randrange(2 ** 63), args.budget, args.epsilon,
                 )
                 entry["m0"] = str(m0)
@@ -371,7 +372,7 @@ def cmd_audit(args) -> int:
             if secret is None:
                 secret = rng.randrange(params.sequence.m0)
             out_obj = _audit_one(
-                scheme, params, args.adversary, secret,
+                label, params, args.adversary, secret,
                 rng.randrange(2 ** 63), args.budget, args.epsilon,
             )
     except NotUnauthorized as exc:

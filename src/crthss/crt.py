@@ -9,7 +9,9 @@ the moduli folded so far, the next congruence x' = r (mod m) gives
 
 The step inverse M^-1 mod m exists exactly when m is coprime to every
 modulus already folded in, so the fold checks pairwise coprimality as it
-solves; only a failing system is scanned for the offending pair.
+solves; only a failing system is scanned for the offending pair. x is
+reduced mod m before the product, so each step multiplies numbers of m's
+size rather than x's, which grows to the size of M.
 """
 
 from dataclasses import dataclass
@@ -85,6 +87,6 @@ def crt_solve(system: Sequence[Congruence]) -> CrtSolution:
                 f"moduli {earlier} and {c.modulus} share factor "
                 f"{gcd(earlier, c.modulus)}"
             ) from None
-        value += combined * ((c.residue - value) * step % c.modulus)
+        value += combined * ((c.residue - value % c.modulus) * step % c.modulus)
         combined *= c.modulus
     return CrtSolution(value=value, combined_modulus=combined)

@@ -15,11 +15,19 @@ from fractions import Fraction
 
 import pytest
 
-from crthss import CompactSequence, Hierarchy, OwfFamily, SchemeParams
+from crthss import CompactSequence, Hierarchy, OwfFamily, SchemeParams, is_prime
 
 AB_SEED = 18
 DHSS_SEED = 263
 CHSS_SEED = 5277
+
+
+def random_prime(rng, bits):
+    """A prime of exactly ``bits`` bits drawn from ``rng``."""
+    while True:
+        candidate = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        if is_prime(candidate):
+            return candidate
 
 # a 61-bit ladder: m0 = 2^61 - 1 and the first five integers above it that are
 # pairwise coprime (and coprime to m0)

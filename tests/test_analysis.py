@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import AB_SEED, CHSS_SEED, DHSS_SEED
+from conftest import AB_SEED, CHSS_SEED, DHSS_SEED, random_prime
 from scan_oracle import scan_posterior_counts
 from crthss import (
     CompactSequence,
@@ -39,7 +39,7 @@ from crthss.errors import (
     NotUnauthorized,
     WrongCardinality,
 )
-from crthss.analysis import _log_ratio_at_least
+from crthss.analysis import _floor_sum, _log_ratio_at_least
 
 
 def test_micro_dhss_posterior_matches_scan(micro_params):
@@ -117,6 +117,38 @@ def test_posterior_budget(micro_params):
         enumerate_posterior(view, "dhss", work_budget=3)
     with pytest.raises(IntractableInstance):
         scan_posterior_counts(view, "dhss", tuple_budget=10)
+
+
+def test_floor_sum_matches_brute_force():
+    rng = random.Random(41)
+    for _ in range(3000):
+        n, m = rng.randrange(60), rng.randrange(1, 90)
+        a, b = rng.randrange(-400, 400), rng.randrange(-400, 400)
+        assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+    for bits in (127, 256):
+        m = rng.getrandbits(bits) | 1
+        for _ in range(20):
+            n = rng.randrange(200)
+            a, b = rng.randrange(-m, 2 * m), rng.randrange(-2 * m, m)
+            assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_two_level_dhss_posterior_at_real_sizes(bits):
+    # the histogram costs O(log m0) for two levels; the work estimate still
+    # counts the minority walk, so the budget is lifted here
+    m0 = random_prime(random.Random(bits), bits)
+    hier = Hierarchy((1, 2), (1, 2))
+    seq = generate_compact_sequence(m0, hier.n, 1, Fraction(1, 2), 7)
+    params = SchemeParams(sequence=seq, hierarchy=hier)
+    view = adversary_view(dhss_deal(m0 // 3, params, 11), worst_case_unauthorized(params))
+    start = time.perf_counter()
+    report = enumerate_posterior(view, "dhss", work_budget=2**300)
+    elapsed = time.perf_counter() - start
+    grouping = count_grouping(report)
+    assert grouping.gamma_total == m0
+    assert grouping.weighted_total() == report.total
+    assert elapsed < 1.0
 
 
 def test_count_grouping_micro(micro_params):

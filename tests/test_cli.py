@@ -455,6 +455,28 @@ def test_share_digest_is_the_param_file_hash(tmp_path, capsys, scheme, levels,
     assert f"params digest: {digest}\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scheme, levels, thresholds, adversary", [
+    ("dhss", "1,2", "1,2", "2"), ("chss", "1,2", "1,2", "2"), ("ab", "5", "3", "1,2"),
+])
+def test_audit_digest_is_the_param_file_hash(tmp_path, capsys, scheme, levels,
+                                             thresholds, adversary):
+    # a flat file is counted as single-level dhss but reported as itself
+    params = tmp_path / "params.json"
+    assert main(["gen-params", "--m0", "997", "--levels", levels,
+                 "--thresholds", thresholds, "--scheme", scheme, "--seed", "6",
+                 "--out", str(params)]) == 0
+    capsys.readouterr()
+    assert main(["audit", "--params", str(params), "--adversary", adversary,
+                 "--seed", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["scheme"] == scheme
+    assert report["params_digest"] == hashlib.sha256(params.read_bytes()).hexdigest()
+    assert main(["audit", "--params", str(params), "--adversary", adversary,
+                 "--ladder", "997,9973", "--seed", "3"]) == 0
+    rungs = json.loads(capsys.readouterr().out)["ladder"]
+    assert [r["scheme"] for r in rungs] == [scheme, scheme]
+
+
 def SchemeParamsFlat(micro_params):
     from crthss.params import Hierarchy, SchemeParams
     return SchemeParams(

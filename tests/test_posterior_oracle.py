@@ -10,8 +10,11 @@ conditional entropy must match it bit for bit.
 
 ``dense_disjunctive_counts`` is the disjunctive counter as it stood before
 the audit's counts became a lazy view: the same exception walk, but a dict
-over every secret. It is the reference for the sparse histogram and the
-view's mapping behaviour.
+over every secret. It is the reference for the view's mapping behaviour.
+``sparse_disjunctive_counts`` is the histogram as it stood before the audit
+counted secrets per minority pattern: a walk over the union of every level's
+minority secrets. It is the reference for the pattern histogram at sizes
+where the dense dict is too large.
 """
 
 import itertools
@@ -41,6 +44,7 @@ from crthss import (
     worst_case_unauthorized,
 )
 from crthss.analysis import _entropy_report
+from conftest import random_prime
 from scan_oracle import view_congruences
 
 SHAPES = (((1, 2), (1, 2)), ((2, 2), (1, 3)), ((3,), (2,)), ((1, 1, 2), (1, 2, 3)))
@@ -205,6 +209,62 @@ def dense_disjunctive_counts(profiles, m0):
     if len(exceptions) < m0:
         histogram[majority] += m0 - len(exceptions)
     return counts, histogram
+
+
+def sparse_disjunctive_counts(profiles, m0):
+    """The histogram of the per-secret products of the level counts, tallied
+    over the union of every level's minority secrets; every secret outside
+    it takes the product of the majority values."""
+    majority = 1
+    exceptions = set()
+    for p in profiles:
+        majority *= p.q + (2 * p.rho > m0)
+        exceptions.update(p.residues(p.minority))
+    histogram = Counter(prod(p.count(r) for p in profiles) for r in exceptions)
+    if len(exceptions) < m0:
+        histogram[majority] += m0 - len(exceptions)
+    return histogram
+
+
+def test_pattern_histogram_matches_minority_walk():
+    # 2-, 3- and 4-level hierarchies; 3 and 4 levels walk the smallest
+    # minority set and recurse, 2 levels take the floor-sum overlap alone
+    shapes = (
+        ((1, 2), (1, 2)), ((2, 2), (1, 3)),
+        ((1, 1, 2), (1, 2, 3)), ((2, 1, 2), (2, 3, 4)),
+        ((1, 1, 1, 2), (1, 2, 3, 4)), ((1, 2, 2, 1), (1, 2, 4, 5)),
+    )
+    rng = random.Random(97)
+    seen = set()
+    for i in range(60):
+        shape = shapes[i % len(shapes)]
+        theta = (Fraction(1, 2), Fraction(2, 3))[i // len(shapes) % 2]
+        m0 = random_prime(rng, rng.randrange(10, 17))
+        hier = Hierarchy(*shape)
+        seq = generate_compact_sequence(m0, hier.n, 1, theta, rng.randrange(2**32))
+        params = SchemeParams(sequence=seq, hierarchy=hier,
+                              owf=OwfFamily(kind="test_affine"))
+        result = dhss_deal(rng.randrange(m0), params, rng.randrange(2**32))
+        partial = rng.choice([s for s in unauthorized_sets(params, "dhss") if s])
+        adversaries = {
+            "empty": set(), "partial": partial,
+            "worst": worst_case_unauthorized(params),
+        }
+        for kind, adversary in adversaries.items():
+            view = adversary_view(result, adversary)
+            report = enumerate_posterior(view, "dhss", work_budget=2**64)
+            histogram = sparse_disjunctive_counts(report.levels, m0)
+            expected = _entropy_report(
+                report.per_secret_counts, histogram, report.levels,
+                report.epsilon_tolerance,
+            )
+            assert report.histogram == histogram
+            assert report.total == expected.total
+            assert report.secret_entropy == expected.secret_entropy
+            assert report.conditional_entropy == expected.conditional_entropy
+            assert report.loss == expected.loss
+            seen.add((hier.m, theta, kind))
+    assert len(seen) == 3 * 2 * 3
 
 
 def test_sparse_disjunctive_counts_match_dense():
