@@ -413,6 +413,15 @@ def _conjunctive_counts(
     return _CountView(m0, count), Counter(table)
 
 
+def _xlog2x(c: int) -> Fraction:
+    """c*log2(c) as the float product, or, for a count so large that the
+    product is past the float range, c times the float log2(c), exactly."""
+    try:
+        return Fraction(c * log2(c))
+    except OverflowError:  # inf, or c itself too large for a float
+        return c * Fraction(log2(c))
+
+
 def _entropy_report(
     counts: Mapping[int, int],
     histogram: Mapping[int, int],
@@ -429,8 +438,12 @@ def _entropy_report(
     else:
         # the exact sum of the per-secret float terms c*log2(c), rounded
         # once: the correctly rounded float sum over all secrets
-        weighted = sum(g * Fraction(c * log2(c)) for c, g in histogram.items() if c)
-        conditional = log2(total) - float(weighted) / total
+        weighted = sum(g * _xlog2x(c) for c, g in histogram.items() if c)
+        try:
+            mean = float(weighted) / total
+        except OverflowError:  # weighted or total past the float range
+            mean = float(weighted / total)
+        conditional = log2(total) - mean
         # No distribution over m0 secrets has more than log2(m0) bits of
         # entropy (Gibbs' inequality), so loss >= 0 exactly; near-uniform
         # counts can still round the float sum a few ulps past that bound.

@@ -24,7 +24,9 @@ is the one that runs.
 import argparse
 import json
 import math
+import os
 import random
+import stat
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -116,8 +118,36 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _write_canonical(path: Path, obj) -> None:
-    path.write_text(canonical_dumps(obj), encoding="utf-8")
+def _write_text(path, text: str, private: bool = False) -> None:
+    """Write text as UTF-8 over whatever the path holds, in place.
+
+    The file is opened without O_TRUNC and cut to the new length after the
+    write: truncating a non-empty file to zero makes ext4 (with its default
+    auto_da_alloc), xfs and btrfs start writeback when the file is closed,
+    which costs more than the write. Nothing is fsynced. If a write fails
+    partway the file is left empty, never a mix of old and new bytes. A
+    private file (one holding share values or dealer randomness) is created
+    0o600, and an existing one is set to 0o600. A path that is not a regular
+    file, such as /dev/null or a pipe, is only written to.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o600 if private else 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        if private and regular:
+            os.fchmod(fd, 0o600)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if regular:
+                os.ftruncate(fd, len(data))
+        except OSError:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
 
 
 def _cannot_write(path, exc: OSError) -> int:
@@ -174,7 +204,7 @@ def cmd_gen_params(args) -> int:
         return _fail(EXIT_VALIDATION, str(exc))
     out = Path(args.out)
     try:
-        _write_canonical(out, param_file_obj(args.scheme, params))
+        _write_text(out, canonical_dumps(param_file_obj(args.scheme, params)))
     except OSError as exc:
         return _cannot_write(out, exc)
     rate = analysis.information_rate(params)
@@ -225,7 +255,11 @@ def cmd_deal(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, obj in files.items():
-            _write_canonical(out_dir / name, obj)
+            # share files and dealer secrets are private; the bundle is public
+            _write_text(
+                out_dir / name, canonical_dumps(obj),
+                private=name != "public_bundle.json",
+            )
     except OSError as exc:
         return _cannot_write(out_dir, exc)
     print(f"wrote {len(result.shares)} share files and public_bundle.json to {out_dir}")
@@ -384,7 +418,7 @@ def cmd_audit(args) -> int:
     text = canonical_dumps(out_obj)
     if args.out:
         try:
-            Path(args.out).write_text(text, encoding="utf-8")
+            _write_text(args.out, text)
         except OSError as exc:
             return _cannot_write(args.out, exc)
         print(f"wrote {args.out}")

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: exit codes, file outputs, worked vectors."""
 
+import errno
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -22,7 +24,7 @@ from crthss import (
     SchemeParams,
     generate_compact_sequence,
 )
-from crthss.cli import main
+from crthss.cli import _write_text, main
 from crthss.fileformat import (
     bundle_file_obj,
     canonical_dumps,
@@ -264,6 +266,118 @@ def test_unwritable_output_paths_exit_2(tmp_path, micro_param_file, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: cannot write {missing}")
     assert "Traceback" not in err
+
+
+def test_write_text_overwrites_in_place(tmp_path):
+    # the file ends up holding exactly the new bytes, whatever it held before
+    path = tmp_path / "out.json"
+    for text in ("a longer first text\n", "short\n", "", "é, then longer again\n"):
+        _write_text(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_audit_out_may_be_a_device(micro_param_file, capsys):
+    # a path that is not a regular file is written to, never cut
+    assert main(["audit", "--params", str(micro_param_file), "--adversary", "2",
+                 "--seed", "1", "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == f"wrote {os.devnull}\n"
+
+
+def test_outputs_are_never_opened_with_o_trunc(tmp_path, micro_param_file,
+                                               monkeypatch, capsys):
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    out_dir, report = tmp_path / "deal", tmp_path / "audit.json"
+    for secret in ("4", "5"):  # the second run overwrites the first
+        assert main(["deal", "--params", str(micro_param_file), "--secret", secret,
+                     "--seed", "1", "--out-dir", str(out_dir),
+                     "--emit-dealer-secrets"]) == 0
+        assert main(["audit", "--params", str(micro_param_file), "--adversary", "2",
+                     "--secret", secret, "--seed", "1", "--out", str(report)]) == 0
+        assert main(["gen-params", "--m0", "97", "--levels", "1,2", "--thresholds",
+                     "1,2", "--seed", secret, "--out", str(tmp_path / "p.json")]) == 0
+    writes = [f for f in flags if f & os.O_WRONLY]
+    assert len(writes) == 2 * (5 + 1 + 1)
+    assert not any(f & os.O_TRUNC for f in flags)
+
+
+def test_failed_write_leaves_an_empty_file(tmp_path, micro_param_file, monkeypatch,
+                                           capsys):
+    out_dir, report = tmp_path / "deal", tmp_path / "audit.json"
+    assert main(["deal", "--params", str(micro_param_file), "--secret", "4",
+                 "--seed", "1", "--out-dir", str(out_dir)]) == 0
+    report.write_text("x" * 10_000)
+    capsys.readouterr()
+    real_write = os.write
+
+    def flaky(fd, data):
+        # the first write lands in part, the next one fails
+        if flaky.failed:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        flaky.failed = True
+        return real_write(fd, data[:3])
+
+    for argv, path, named in (
+        (["deal", "--params", str(micro_param_file), "--secret", "5", "--seed", "2",
+          "--out-dir", str(out_dir)], out_dir / "share_001.json", out_dir),
+        (["audit", "--params", str(micro_param_file), "--adversary", "2",
+          "--seed", "1", "--out", str(report)], report, report),
+    ):
+        flaky.failed = False
+        monkeypatch.setattr(os, "write", flaky)
+        assert main(argv) == 2
+        monkeypatch.setattr(os, "write", real_write)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot write {named}: {os.strerror(errno.ENOSPC)}\n"
+        assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("scheme, levels, thresholds", [
+    ("dhss", "2,3", "2,3"), ("chss", "2,3", "2,3"), ("ab", "5", "3"),
+])
+def test_redeal_over_an_old_deal_matches_a_fresh_one(tmp_path, capsys, scheme,
+                                                     levels, thresholds):
+    params = tmp_path / "params.json"
+    assert main(["gen-params", "--m0-bits", "64", "--levels", levels,
+                 "--thresholds", thresholds, "--scheme", scheme, "--seed", "1",
+                 "--out", str(params)]) == 0
+    old, fresh = tmp_path / "old", tmp_path / "fresh"
+    deal = ["deal", "--params", str(params), "--emit-dealer-secrets", "--out-dir"]
+    assert main(deal + [str(old), "--secret", "987654321987654321", "--seed", "2"]) == 0
+    for out_dir in (old, fresh):
+        assert main(deal + [str(out_dir), "--secret", "7", "--seed", "3"]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in old.iterdir()) == names
+    for name in names:
+        assert (old / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_share_files_and_dealer_secrets_are_private(tmp_path, micro_param_file,
+                                                    capsys):
+    out_dir = tmp_path / "deal"
+    out_dir.mkdir()
+    for name in ("share_001.json", "dealer_secrets.json", "public_bundle.json"):
+        (out_dir / name).write_text("{}")
+        (out_dir / name).chmod(0o644)
+    old_umask = os.umask(0o022)
+    try:
+        assert main(["deal", "--params", str(micro_param_file), "--secret", "4",
+                     "--seed", "1", "--out-dir", str(out_dir),
+                     "--emit-dealer-secrets"]) == 0
+    finally:
+        os.umask(old_umask)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in out_dir.iterdir()}
+    assert modes == {
+        "share_001.json": 0o600, "share_002.json": 0o600, "share_003.json": 0o600,
+        "dealer_secrets.json": 0o600, "public_bundle.json": 0o644,
+    }
 
 
 def test_deal_and_reconstruct_dhss(tmp_path, micro_param_file, capsys):
@@ -938,6 +1052,23 @@ def test_audit_dhss_work_estimate_is_the_walk(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["gamma_total"] == m0
     assert report["decomposition_ok"] is True
+
+
+def test_audit_counts_past_the_float_range(tmp_path, capsys):
+    # one share of six at a 256-bit m0 leaves each secret about 2^1023
+    # candidates, so c*log2(c) is past the float range
+    m0 = next(p for p in range(2**255 + 1, 2**255 + 10**5, 2) if crthss.is_prime(p))
+    hierarchy = Hierarchy((6,), (6,))
+    sequence = generate_compact_sequence(m0, hierarchy.n, 1, Fraction(1, 2), 1)
+    assert all(m0 < m < m0 + math.isqrt(m0) for m in sequence.moduli)
+    path = tmp_path / "big6.json"
+    path.write_text(canonical_dumps(param_file_obj(
+        "dhss", SchemeParams(sequence=sequence, hierarchy=hierarchy))))
+    assert main(["audit", "--params", str(path), "--adversary", "1", "--seed", "1",
+                 "--budget", str(2**400)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert max(int(g["candidates"]) for g in report["groups"]) > 2**1000
+    assert 0 <= report["loss_bits"] <= report["secret_entropy_bits"]
 
 
 def test_audit_ladder(tmp_path, capsys):
