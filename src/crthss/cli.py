@@ -59,6 +59,7 @@ from .oneway import KINDS, OwfFamily
 from .params import (
     Hierarchy,
     SchemeParams,
+    check_power_limit,
     generate_compact_sequence,
     is_prime,
     validate_params,
@@ -187,7 +188,10 @@ def cmd_gen_params(args) -> int:
             return _fail(EXIT_VALIDATION, "flat parameters need a single level")
         rng = _dealer_rng(args.seed)
         # generate_compact_sequence rejects a composite --m0
-        m0 = args.m0 if args.m0 is not None else _random_prime(args.m0_bits, rng)
+        m0 = args.m0
+        if m0 is None:
+            check_power_limit(args.m0_bits, args.theta)
+            m0 = _random_prime(args.m0_bits, rng)
         sequence = generate_compact_sequence(
             m0, hierarchy.n, args.k, args.theta, rng.randrange(2 ** 63)
         )

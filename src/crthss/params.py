@@ -11,11 +11,10 @@ t_1 < ... < t_m with t_l <= N_l (cumulative size).
 """
 
 import random
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import gcd, isqrt, log2, prod
 from typing import Iterable
 
@@ -131,15 +130,23 @@ def integer_root(x: int, q: int) -> int:
 _MAX_POWER_BITS = 1 << 18
 
 
-def compact_width(m0: int, theta: Fraction) -> int:
-    """floor(m0^theta) for rational theta = p/q, via an exact integer q-th root
-    of m0**p; ValueError when p * bits(m0) exceeds _MAX_POWER_BITS."""
+def check_power_limit(m0_bits: int, theta: Fraction) -> None:
+    """ValueError when theta = p/q makes compact_width form an m0**p beyond
+    _MAX_POWER_BITS for an m0 of m0_bits bits. Callers that pick m0 by its
+    size run it first, so an oversized request is refused before any search."""
     theta = Fraction(theta)
-    if theta.numerator * m0.bit_length() > _MAX_POWER_BITS:
+    if theta.numerator * m0_bits > _MAX_POWER_BITS:
         raise ValueError(
             f"theta = {theta} needs m0**{theta.numerator}, beyond the limit of "
             f"{_MAX_POWER_BITS} bits"
         )
+
+
+def compact_width(m0: int, theta: Fraction) -> int:
+    """floor(m0^theta) for rational theta = p/q, via an exact integer q-th root
+    of m0**p; ValueError when p * bits(m0) exceeds _MAX_POWER_BITS."""
+    theta = Fraction(theta)
+    check_power_limit(m0.bit_length(), theta)
     return integer_root(m0 ** theta.numerator, theta.denominator)
 
 
@@ -192,85 +199,19 @@ class CompactSequence:
         return prod(self.moduli[:t])
 
 
-# Widths up to this draw from a full shuffle of the interval; wider ones (m0
-# of about 44 bits and up at theta = 1/2) sample it with rejection.
-_SHUFFLE_CUTOFF = 1 << 22
-# Rejection-sampling draws allowed per requested value before giving up.
-_DRAWS_PER_VALUE = 256
-
-
-def _shuffled_prefix(width: int, keep: int, rng: random.Random) -> array:
-    """The first keep entries of rng.shuffle(list(range(width))), as an array
-    of unsigned C ints, with the same draws and the same state left behind.
-
-    A step i >= keep of the shuffle reaches the prefix only through what it
-    moves into position j, so instead of swapping it records moved_by[j] = i.
-    Going down in i, the last record is the smallest step that moved a value
-    into j, and position i holds, at its own step, what that step brought.
-    So position p < keep ends the tail steps holding the last entry of the
-    chain p -> moved_by[p] -> ... (records are steps, never 0). A self-swap
-    records i at i, which no chain reaches: step i moved nothing elsewhere.
-    The steps keep - 1 .. 1 then act on the prefix alone: rng.shuffle(prefix)."""
-    keep = min(keep, width)
-    prefix = array("I", range(keep))
-    if keep < width:
-        getrandbits = rng.getrandbits
-        # zeros grown in 16 KiB steps: one width-sized allocation per call
-        # raised the peak RSS of repeated calls by about one array (glibc kept
-        # the heap block a call freed and mapped the next, larger one beside it)
-        moved_by, zeros = array("I"), array("I", [0]) * 4096
-        for start in range(0, width, 4096):
-            moved_by += zeros[:width - start]
-        stop = max(keep, 1)  # the shuffle has no step 0
-        top = width - 1
-        while top >= stop:
-            k = (top + 1).bit_length()
-            low = max((1 << (k - 1)) - 1, stop)
-            for i in range(top, low - 1, -1):
-                j = getrandbits(k)
-                while j > i:
-                    j = getrandbits(k)
-                moved_by[j] = i
-            top = low - 1
-        for p in range(keep):
-            q = p
-            while moved_by[q]:
-                q = moved_by[q]
-            prefix[p] = q
-    rng.shuffle(prefix)
-    return prefix
-
-
-# Shuffled candidates placed per requested value, plus a margin. Over 8 seeds
-# per m0 of 24..40 bits at theta = 1/2, the greedy pass read about 10 per
-# value: at most 2,057 for n = 200 and 20 for n = 3.
-_PREFIX_PER_VALUE, _PREFIX_MARGIN = 16, 64
-
-
-def _candidate_order(lo: int, width: int, n: int, rng: random.Random):
-    """Candidates from the open interval (lo, lo + width) in seeded random
-    order. Up to the cutoff width it is Random.shuffle of every offset from
-    lo + 1, draw for draw, but only the prefix the greedy pass is expected to
-    read is placed; a pass that reads past it gets the rest of the full
-    shuffle, redrawn from the saved state. Wider intervals give distinct
-    uniform draws, at most _DRAWS_PER_VALUE * n of them."""
-    if width <= _SHUFFLE_CUTOFF:
-        count = width - 1  # offsets 0 .. width - 2
-        keep = _PREFIX_PER_VALUE * n + _PREFIX_MARGIN
-        state = rng.getstate()
-        for offset in _shuffled_prefix(count, keep, rng):
-            yield lo + 1 + offset
-        if keep < count:
-            rng.setstate(state)
-            for offset in islice(_shuffled_prefix(count, count, rng), keep, None):
-                yield lo + 1 + offset
-        return
-    seen: set[int] = set()
-    for _ in range(_DRAWS_PER_VALUE * n):
-        c = lo + 1 + rng.randrange(width - 1)
-        if c not in seen:
-            seen.add(c)
-            yield c
+def _candidate_order(lo: int, width: int, rng: random.Random):
+    """Every candidate of the open interval (lo, lo + width) once, in seeded
+    uniform order: a Fisher-Yates shuffle of the offsets run forward and
+    placed lazily. Step i swaps position i with a uniform j in [i, count);
+    positions that hold other than their own offset live in a dict, so a pass
+    that reads r candidates costs r draws and at most r entries at any width."""
+    count = width - 1  # offsets 0 .. width - 2
+    randrange = rng.randrange
+    swapped: dict[int, int] = {}
+    for i in range(count):
+        j = i + randrange(count - i)
+        yield lo + 1 + swapped.get(j, j)
+        swapped[j] = swapped.pop(i, i)
 
 
 def generate_compact_sequence(
@@ -278,14 +219,14 @@ def generate_compact_sequence(
 ) -> CompactSequence:
     """Draw n pairwise-coprime integers from (k*m0, k*m0 + floor(m0^theta)).
 
-    Candidates are scanned in seeded random order and accepted greedily when
-    coprime to m0 times everything already accepted, then sorted ascending.
-    Up to a width of 2^22 the order is, draw for draw, Random.shuffle of the
-    whole interval, but only the prefix the greedy pass reads is placed;
-    wider intervals are sampled with rejection, so 128- and 256-bit m0 never
-    materialize the interval. Deterministic for a given seed. Raises
-    IntervalExhausted when the greedy pass cannot place n values (m0 too
-    small for the requested n and theta, or the draw limit reached).
+    Candidates are scanned in seeded uniform random order, each at most once,
+    and accepted greedily when coprime to m0 times everything already
+    accepted, then sorted ascending. The order is placed lazily, so draws and
+    memory grow with the candidates read, never with the interval: 128- and
+    256-bit m0 take the same path as small ones. Deterministic for a given
+    seed. Raises IntervalExhausted when every candidate of the interval has
+    been read and fewer than n values were placed (m0 too small for the
+    requested n and theta).
     """
     if not is_prime(m0):
         raise ValueError(f"m0 = {m0} is not prime")
@@ -301,7 +242,7 @@ def generate_compact_sequence(
     rng = random.Random(rng_seed)
     accepted: list[int] = []
     product = m0
-    for c in _candidate_order(lo, width, n, rng):
+    for c in _candidate_order(lo, width, rng):
         if gcd(c, product) == 1:
             accepted.append(c)
             product *= c

@@ -197,6 +197,25 @@ def _run_cli(*argv, timeout=60):
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 
+@pytest.mark.parametrize("bits, theta", [("300000", "1/2"), ("3000", "99/100")])
+def test_oversized_m0_bits_is_refused_before_the_prime_search(
+        tmp_path, monkeypatch, capsys, bits, theta):
+    # --m0-bits 300000 used to search for a 300000-bit prime, for far longer
+    # than a user waits, before compact_width refused that size
+    def no_primes(n):
+        raise AssertionError("is_prime called")
+
+    monkeypatch.setattr("crthss.cli.is_prime", no_primes)
+    monkeypatch.setattr("crthss.params.is_prime", no_primes)
+    out = tmp_path / "x.json"
+    assert main(["gen-params", "--m0-bits", bits, "--theta", theta, "--levels",
+                 "1,2", "--thresholds", "1,2", "--seed", "1", "--out", str(out)]) == 2
+    p = theta.split("/")[0]
+    assert capsys.readouterr() == (
+        "", f"error: theta = {theta} needs m0**{p}, beyond the limit of 262144 bits\n")
+    assert not out.exists()
+
+
 def test_theta_near_one_is_refused_quickly(tmp_path):
     # m0**99999 has millions of bits; gen-params used to run Newton steps on
     # it for minutes, and audit did the same on a file carrying that theta
@@ -1277,15 +1296,15 @@ def test_gen_params_and_audit_without_seed_use_system_randomness(
     assert capsys.readouterr() == (
         f"wrote {path}\n"
         "seed: 1 (explicit)\n"
-        "m0 = 10931917, moduli = [10934135, 10934932, 10935037]\n"
+        "m0 = 10931917, moduli = [10932121, 10932991, 10934366]\n"
         "Asmuth-Bloom inequality holds at level 1 (t=1)\n"
         "Asmuth-Bloom inequality holds at level 2 (t=2)\n"
-        "information rate rho = 0.999982\n"
+        "information rate rho = 0.999986\n"
         "1-compact analytic floor = 0.999981\n",
         "",
     )
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "6bc5860e5d264e8789e5d7e214c3fb707ebffaa4f7ca4c38337f9d375ba3d1f3"
+        "0cfbe107c83e34bc0170c5e45471a3dfddeab7cb1ed8e56c00a039e6584f3536"
     )
     assert main(["audit", "--params", str(micro_param_file), "--adversary", "2",
                  "--seed", "3"]) == 0

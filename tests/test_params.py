@@ -23,7 +23,7 @@ from crthss import (
     validate_params,
 )
 from crthss.errors import IntervalExhausted
-from crthss.params import _shuffled_prefix, _strong_lucas
+from crthss.params import _candidate_order, _strong_lucas
 
 
 def test_integer_root_matches_scan():
@@ -202,15 +202,15 @@ def test_generate_deterministic_and_valid():
 # 2147483659 is the smallest prime above 2^31.
 GENERATOR_DIGESTS = [
     ((97, 3, 1, Fraction(1, 2), 7),
-     "3a3755176d1852925ae21d435420488cdc039323f1e492a6083220a991e49a8f"),
+     "0762c34d834bc72f49b74948459b3c5e3778cb28d1b1baf0477899c355735c75"),
     ((9973, 5, 2, Fraction(2, 3), 11),
-     "6de75b1aed63282b0edcc7e506672f8bd96238f2895381dced0c459bdbdd41ea"),
+     "b4df670aa7feb0ecb87cc16d4cf43c2b91202ab12ed352f3bcb52926d47e6e34"),
     ((1000003, 12, 3, Fraction(1, 2), 2**40 + 5),
-     "589370d0ba2b51aae8fe60d653a7a9033508ad02b251bb86280c3b06ead643a3"),
+     "2741424a4e18d3cbc5989bdbcc5aa92f96083ebdb7f833955f92e58d3f2ce9e4"),
     ((2147483659, 200, 1, Fraction(1, 2), 1),
-     "7c68c1d54e31520a187afebac6650dbc16445874d7f90804951822d0375b266f"),
+     "96d3fec1a343f9aeccbbf43fecfeb9fcd233db8615895eb72b681369f1362da8"),
     ((2147483659, 200, 1, Fraction(2, 3), 2),
-     "40f37523ea38a9176a5a60ac0d19837e4548c240c1be31f7f6f9ef9ff00234af"),
+     "7d5f8ef83ff10b1dd64e7b71585add930e9326e24c1697336dc4b40e888e9ff5"),
 ]
 
 
@@ -223,69 +223,86 @@ def test_generate_pinned_draws(args, expected):
     assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
-def test_shuffled_prefix_matches_random_shuffle():
-    # the first keep entries of Random.shuffle, and the state it leaves, at
-    # every power-of-two edge of the bit count and every edge of keep
-    edges = list(range(71)) + [2**j + d for j in range(1, 14) for d in (-1, 0, 1)]
+def _eager_order(lo, width, rng):
+    """Reference: a forward Fisher-Yates shuffle of the whole list of
+    candidates of (lo, lo + width), done eagerly."""
+    order = list(range(lo + 1, lo + width))
+    for i in range(len(order)):
+        j = i + rng.randrange(len(order) - i)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def test_candidate_order_matches_eager_fisher_yates():
+    # the same candidates, draw for draw, and the same state left behind, at
+    # every power-of-two edge of the bit count
+    edges = list(range(71)) + [2**j + d for j in range(1, 14) for d in (-1, 1)]
     for width in edges:
-        for keep in {0, 1, 2, 5, width // 3, width - 1, width} - {-1}:
-            for seed in (1, 2**40 + 3):
-                expected, ours = random.Random(seed), random.Random(seed)
-                listed = list(range(width))
-                expected.shuffle(listed)
-                prefix = _shuffled_prefix(width, keep, ours)
-                assert prefix.tolist() == listed[:keep], (width, keep, seed)
-                assert ours.getstate() == expected.getstate(), (width, keep, seed)
+        for seed in (1, 2**40 + 3):
+            expected, ours = random.Random(seed), random.Random(seed)
+            eager = _eager_order(1000, width, expected)
+            assert list(_candidate_order(1000, width, ours)) == eager, (width, seed)
+            assert ours.getstate() == expected.getstate(), (width, seed)
 
 
-def _full_shuffle_greedy(m0, n, k, theta, seed):
-    """The greedy pass over a full Random.shuffle of the interval: the sorted
-    moduli, or the IntervalExhausted message."""
+def _eager_greedy(m0, n, k, theta, seed):
+    """The greedy pass over the eager order: the sorted moduli, or the
+    IntervalExhausted message."""
     lo, width = k * m0, compact_width(m0, theta)
-    offsets = list(range(width - 1))
-    random.Random(seed).shuffle(offsets)
     accepted, product = [], m0
-    for offset in offsets:
-        if gcd(lo + 1 + offset, product) == 1:
-            accepted.append(lo + 1 + offset)
-            product *= lo + 1 + offset
+    for c in _eager_order(lo, width, random.Random(seed)):
+        if gcd(c, product) == 1:
+            accepted.append(c)
+            product *= c
             if len(accepted) == n:
                 return tuple(sorted(accepted))
     return (f"interval ({lo}, {lo + width}) yielded only {len(accepted)} of "
             f"{n} pairwise-coprime values")
 
 
-def test_generate_reads_past_the_prefix(monkeypatch):
-    # a prefix of n candidates in a crowded interval: the greedy pass reads
-    # past it and continues in the full shuffle, with the same moduli or the
-    # same refusal as a pass over the full shuffle
-    monkeypatch.setattr("crthss.params._PREFIX_PER_VALUE", 1)
-    monkeypatch.setattr("crthss.params._PREFIX_MARGIN", 0)
-    calls = []
-
-    def spy(width, keep, rng):
-        calls.append(keep)
-        return _shuffled_prefix(width, keep, rng)
-
-    monkeypatch.setattr("crthss.params._shuffled_prefix", spy)
+def test_generate_matches_eager_greedy_on_crowded_intervals():
+    # intervals where the greedy pass reads most or all of the candidates:
+    # the same moduli or the same refusal as a pass over the eager order
     outcomes = set()
     for m0, theta, n in [(97, Fraction(1, 2), 3), (97, Fraction(1, 2), 5),
                          (997, Fraction(2, 3), 8), (997, Fraction(2, 3), 20)]:
         for seed in range(6):
-            calls.clear()
             try:
                 got = generate_compact_sequence(m0, n, 1, theta, seed).moduli
             except IntervalExhausted as exc:
                 got = str(exc)
-            assert got == _full_shuffle_greedy(m0, n, 1, theta, seed), (m0, n, seed)
-            if len(calls) == 2:
-                outcomes.add(type(got))
+            assert got == _eager_greedy(m0, n, 1, theta, seed), (m0, n, seed)
+            outcomes.add(type(got))
     assert outcomes == {tuple, str}
 
 
+def _spy_order(monkeypatch):
+    """Replace the candidate order with one that records what it yields."""
+    read = []
+
+    def spy(lo, width, rng):
+        for c in _candidate_order(lo, width, rng):
+            read.append(c)
+            yield c
+
+    monkeypatch.setattr("crthss.params._candidate_order", spy)
+    return read
+
+
+@pytest.mark.parametrize("m0, theta, n", [(97, Fraction(1, 2), 8),
+                                          (997, Fraction(2, 3), 60)],
+                         ids=["97-half", "997-two-thirds"])
+def test_generate_exhausts_every_candidate_once(monkeypatch, m0, theta, n):
+    # IntervalExhausted only after every candidate was read, each once
+    read = _spy_order(monkeypatch)
+    with pytest.raises(IntervalExhausted, match=f"of {n} pairwise-coprime"):
+        generate_compact_sequence(m0, n, 1, theta, 5)
+    assert sorted(read) == list(range(m0 + 1, m0 + compact_width(m0, theta)))
+
+
 def test_generate_shuffle_memory_is_an_offset_array():
-    # m0 ~ 2^36: about 2^18 candidates. A list of them costs about 10 MiB
-    # of int objects; 4-byte array offsets cost about 1 MiB.
+    # m0 ~ 2^36: about 2^18 candidates, of which the greedy pass reads a few
+    # thousand; a list of them all would cost about 10 MiB of int objects
     m0 = 2**36 + 31
     assert is_prime(m0)
     assert compact_width(m0, Fraction(1, 2)) == 2**18
@@ -299,22 +316,41 @@ def test_generate_shuffle_memory_is_an_offset_array():
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("bits", [40, 64, 128, 256])
+def test_generate_draws_and_memory_at_real_sizes(monkeypatch, bits):
+    # one draw per candidate read, and memory for what was read, whatever
+    # the width: floor(sqrt(m0)) runs from about 2^19 to 2^127 candidates
+    m0 = next(p for p in range(2**(bits - 1) + 1, 2**bits, 2) if is_prime(p))
+    read = _spy_order(monkeypatch)
+    draws = 0
+    randrange = random.Random.randrange
+
+    def counting(self, *args):
+        nonlocal draws
+        draws += 1
+        return randrange(self, *args)
+
+    monkeypatch.setattr(random.Random, "randrange", counting)
+    tracemalloc.start()
+    try:
+        seq = generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws == len(read) >= 200
+    assert peak < 512 * 2**10
+    assert validate_compact(seq).ok
+
+
 @pytest.mark.parametrize("bits", [128, 256])
 def test_generate_wide_interval_by_rejection(bits):
-    # floor(sqrt(m0)) is far above the 2^22 shuffle cutoff: candidates are
-    # drawn, never listed, and the draws stay seeded
+    # floor(sqrt(m0)) is 2^63 and more: candidates are drawn, never listed,
+    # and the draws stay seeded
     m0 = next(p for p in range(2**(bits - 1) + 1, 2**bits, 2) if is_prime(p))
     seq = generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 5)
     assert validate_compact(seq).ok
     assert seq == generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 5)
     assert seq != generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 6)
-
-
-def test_generate_wide_interval_draw_limit(monkeypatch):
-    monkeypatch.setattr("crthss.params._DRAWS_PER_VALUE", 0)
-    m0 = 2**127 - 1
-    with pytest.raises(IntervalExhausted, match="only 0 of 3"):
-        generate_compact_sequence(m0, 3, 1, Fraction(1, 2), 5)
 
 
 def test_generate_rejects_bad_inputs():
