@@ -170,9 +170,17 @@ def _load_params(path: str) -> tuple[str, SchemeParams] | int:
     return scheme, params
 
 
+# the largest --m0-bits: the prime search runs a pure-Python BPSW test on
+# each candidate, which takes seconds at 2048 bits and grows with about the
+# cube of the size
+MAX_M0_BITS = 2048
+
+
 def _random_prime(bits: int, rng: random.Random) -> int:
     if bits < 2:
         raise ValueError("need at least 2 bits")
+    if bits > MAX_M0_BITS:
+        raise ValueError(f"--m0-bits {bits} is above the limit of {MAX_M0_BITS}")
     while True:
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if is_prime(candidate):
@@ -469,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-params", help="generate and validate a parameter file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--m0", type=int, help="prime secret-space modulus")
-    group.add_argument("--m0-bits", type=int, help="draw a random prime of this size")
+    group.add_argument("--m0-bits", type=int,
+                       help=f"draw a random prime of this size, at most {MAX_M0_BITS} bits")
     p.add_argument("--levels", type=_ints_arg, required=True,
                    help="per-level sizes, e.g. 1,2")
     p.add_argument("--thresholds", type=_ints_arg, required=True,

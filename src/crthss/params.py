@@ -22,6 +22,8 @@ from .errors import IntervalExhausted, ThresholdOutOfRange
 from .oneway import OwfFamily
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# their product, 43 bits: one gcd with it finds every small prime factor
+SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 
 def is_prime(n: int) -> bool:
@@ -32,7 +34,7 @@ def is_prime(n: int) -> bool:
         return False
     if n in _SMALL_PRIMES:
         return True
-    if any(n % p == 0 for p in _SMALL_PRIMES):
+    if gcd(n, SMALL_PRODUCT) != 1:
         return False
     return _strong_base2(n) and _strong_lucas(n)
 
@@ -204,12 +206,21 @@ def _candidate_order(lo: int, width: int, rng: random.Random):
     uniform order: a Fisher-Yates shuffle of the offsets run forward and
     placed lazily. Step i swaps position i with a uniform j in [i, count);
     positions that hold other than their own offset live in a dict, so a pass
-    that reads r candidates costs r draws and at most r entries at any width."""
+    that reads r candidates costs r accepted draws and at most r entries at
+    any width. A draw below bound takes bits(bound) random bits and redraws
+    while the value is bound or more (at most twice on average): the
+    rejection loop behind Random.randrange, written out here so the order is
+    defined by this code and skips that method's argument checks."""
     count = width - 1  # offsets 0 .. width - 2
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     swapped: dict[int, int] = {}
     for i in range(count):
-        j = i + randrange(count - i)
+        bound = count - i
+        bits = bound.bit_length()
+        j = getrandbits(bits)
+        while j >= bound:
+            j = getrandbits(bits)
+        j += i
         yield lo + 1 + swapped.get(j, j)
         swapped[j] = swapped.pop(i, i)
 
@@ -223,10 +234,14 @@ def generate_compact_sequence(
     and accepted greedily when coprime to m0 times everything already
     accepted, then sorted ascending. The order is placed lazily, so draws and
     memory grow with the candidates read, never with the interval: 128- and
-    256-bit m0 take the same path as small ones. Deterministic for a given
-    seed. Raises IntervalExhausted when every candidate of the interval has
-    been read and fewer than n values were placed (m0 too small for the
-    requested n and theta).
+    256-bit m0 take the same path as small ones. Most refused candidates
+    share a prime up to 37 with that product: a gcd with `shared`, the
+    product of those small primes, refuses them without the gcd against the
+    product itself, whose cost grows with everything accepted. The screen
+    only skips work; acceptance is exactly gcd(c, product) == 1.
+    Deterministic for a given seed. Raises IntervalExhausted when every
+    candidate of the interval has been read and fewer than n values were
+    placed (m0 too small for the requested n and theta).
     """
     if not is_prime(m0):
         raise ValueError(f"m0 = {m0} is not prime")
@@ -242,10 +257,12 @@ def generate_compact_sequence(
     rng = random.Random(rng_seed)
     accepted: list[int] = []
     product = m0
+    shared = gcd(m0, SMALL_PRODUCT)  # the primes <= 37 dividing product
     for c in _candidate_order(lo, width, rng):
-        if gcd(c, product) == 1:
+        if gcd(c, shared) == 1 and gcd(c, product) == 1:
             accepted.append(c)
             product *= c
+            shared *= gcd(c, SMALL_PRODUCT)
             if len(accepted) == n:
                 break
     if len(accepted) < n:

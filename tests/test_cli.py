@@ -24,7 +24,7 @@ from crthss import (
     SchemeParams,
     generate_compact_sequence,
 )
-from crthss.cli import _write_text, main
+from crthss.cli import MAX_M0_BITS, _write_text, main
 from crthss.fileformat import (
     bundle_file_obj,
     canonical_dumps,
@@ -214,6 +214,32 @@ def test_oversized_m0_bits_is_refused_before_the_prime_search(
     assert capsys.readouterr() == (
         "", f"error: theta = {theta} needs m0**{p}, beyond the limit of 262144 bits\n")
     assert not out.exists()
+
+
+def test_m0_bits_above_the_cap_is_refused_before_the_prime_search(
+        tmp_path, monkeypatch, capsys):
+    # --m0-bits 4096 used to search for a prime for well over 20 s; sizes
+    # above MAX_M0_BITS exit 2 at once, and MAX_M0_BITS itself is drawn
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return True  # any candidate passes, so the search ends at once
+
+    monkeypatch.setattr("crthss.cli.is_prime", spy)
+    monkeypatch.setattr("crthss.params.is_prime", spy)
+    out = tmp_path / "x.json"
+    argv = ["gen-params", "--levels", "1,2", "--thresholds", "1,2", "--seed", "1",
+            "--out", str(out), "--m0-bits"]
+    assert main(argv + [str(MAX_M0_BITS + 1)]) == 2
+    assert main(argv + ["4096"]) == 2
+    assert calls == []
+    assert capsys.readouterr() == ("", (
+        f"error: --m0-bits {MAX_M0_BITS + 1} is above the limit of {MAX_M0_BITS}\n"
+        f"error: --m0-bits 4096 is above the limit of {MAX_M0_BITS}\n"))
+    assert not out.exists()
+    assert main(argv + [str(MAX_M0_BITS)]) == 0
+    assert calls[0].bit_length() == MAX_M0_BITS
 
 
 def test_theta_near_one_is_refused_quickly(tmp_path):

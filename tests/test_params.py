@@ -23,7 +23,7 @@ from crthss import (
     validate_params,
 )
 from crthss.errors import IntervalExhausted
-from crthss.params import _candidate_order, _strong_lucas
+from crthss.params import SMALL_PRODUCT, _candidate_order, _strong_lucas
 
 
 def test_integer_root_matches_scan():
@@ -316,29 +316,71 @@ def test_generate_shuffle_memory_is_an_offset_array():
     assert peak < 4 * 2**20
 
 
+def _real_size_prime(bits):
+    """The smallest prime of exactly ``bits`` bits."""
+    return next(p for p in range(2**(bits - 1) + 1, 2**bits, 2) if is_prime(p))
+
+
 @pytest.mark.parametrize("bits", [40, 64, 128, 256])
 def test_generate_draws_and_memory_at_real_sizes(monkeypatch, bits):
-    # one draw per candidate read, and memory for what was read, whatever
-    # the width: floor(sqrt(m0)) runs from about 2^19 to 2^127 candidates
-    m0 = next(p for p in range(2**(bits - 1) + 1, 2**bits, 2) if is_prime(p))
+    # one accepted draw per candidate read, and memory for what was read,
+    # whatever the width: floor(sqrt(m0)) runs from about 2^19 to 2^127
+    # candidates. The spy records every getrandbits call; step i of the order
+    # draws below bound = count - i, so the calls split into one run per
+    # candidate read: draws of bits(bound) bits of which only the last is
+    # below bound
+    m0 = _real_size_prime(bits)
     read = _spy_order(monkeypatch)
-    draws = 0
-    randrange = random.Random.randrange
+    calls = []
+    getrandbits = random.Random.getrandbits
 
-    def counting(self, *args):
-        nonlocal draws
-        draws += 1
-        return randrange(self, *args)
+    def recording(self, k):
+        value = getrandbits(self, k)
+        calls.append((k, value))
+        return value
 
-    monkeypatch.setattr(random.Random, "randrange", counting)
+    monkeypatch.setattr(random.Random, "getrandbits", recording)
     tracemalloc.start()
     try:
         seq = generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert draws == len(read) >= 200
+    count = compact_width(m0, Fraction(1, 2)) - 1
+    accepted, bound = 0, count
+    for k, value in calls:
+        assert k == bound.bit_length()
+        if value < bound:
+            accepted += 1
+            bound -= 1
+    assert accepted == len(read) >= 200
+    assert calls[-1][1] <= bound  # the last call was an accepted draw
     assert peak < 512 * 2**10
+    assert validate_compact(seq).ok
+
+
+@pytest.mark.parametrize("bits", [40, 256])
+def test_generate_screens_small_primes_before_the_product_gcd(monkeypatch, bits):
+    # most candidates share a prime up to 37 with the running product; the
+    # screen refuses them without a gcd against that product, whose cost
+    # grows with every accepted value. Counted: gcd calls with an operand
+    # above both the small-prime product and every candidate, which only the
+    # running product (m0 times an accepted value or more) is
+    n, theta = 200, Fraction(1, 2)
+    m0 = _real_size_prime(bits)
+    top = max(SMALL_PRODUCT, m0 + compact_width(m0, theta))
+    read = _spy_order(monkeypatch)
+    full = 0
+
+    def counting(*args):
+        nonlocal full
+        full += max(args) > top
+        return gcd(*args)
+
+    monkeypatch.setattr("crthss.params.gcd", counting)
+    seq = generate_compact_sequence(m0, n, 1, theta, 8)
+    assert len(read) >= 5 * n
+    assert full <= 2 * n
     assert validate_compact(seq).ok
 
 
@@ -346,7 +388,7 @@ def test_generate_draws_and_memory_at_real_sizes(monkeypatch, bits):
 def test_generate_wide_interval_by_rejection(bits):
     # floor(sqrt(m0)) is 2^63 and more: candidates are drawn, never listed,
     # and the draws stay seeded
-    m0 = next(p for p in range(2**(bits - 1) + 1, 2**bits, 2) if is_prime(p))
+    m0 = _real_size_prime(bits)
     seq = generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 5)
     assert validate_compact(seq).ok
     assert seq == generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 5)
