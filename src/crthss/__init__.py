@@ -10,18 +10,13 @@ exact counting, how much an unauthorized set learns.
 from . import errors
 from .analysis import (
     AdversaryView,
-    EtaReport,
     CountGrouping,
     PosteriorReport,
     RateReport,
     adversary_view,
-    bound_rate_at_least,
     enumerate_posterior,
-    eta_single_layer,
     information_rate,
     count_grouping,
-    limit_ratio,
-    rate_at_least,
     worst_case_unauthorized,
 )
 from .asmuth_bloom import ab_reconstruct

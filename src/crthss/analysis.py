@@ -1,4 +1,4 @@
-"""Exact security audit: candidate counting, entropy loss, rate bounds.
+"""Exact security audit: candidate counting, entropy loss, information rate.
 
 Everything here quantifies what an unauthorized set learns. The adversary's
 usable knowledge is, per level l:
@@ -17,15 +17,16 @@ out of computational reach, so the posterior here conditions on (i)-(iv).
 Every per-level fact comes from one level profile per level, built in one
 pass over the view: the range bound, the adversary modulus S, the members
 inside N_l and the counts. Its floor bound // (m0 * S) and ratio
-bound / (m0 * S) feed the grouping certificate, the eta dichotomy, the limit
-ratio and the CLI's tables, all read from the report's ``levels``. The
-adversary's constraint leaves every secret q or q + 1 in-range candidates at
-that level, and the q + 1 secrets form an arithmetic progression mod m0. The
-disjunctive count of a secret is the product of its level counts; the
-conjunctive count is the cyclic convolution of the level tables, each fold a
-sliding-window sum over the progression. The test suite's full scan over all
-value tuples checks the conditions literally; it is the oracle and must agree
-with the profiles exactly wherever it is feasible.
+bound / (m0 * S) feed the grouping certificate (with one level, the eta /
+eta + 1 dichotomy) and the CLI's eta and ratio tables, all read from the
+report's ``levels``. The adversary's constraint leaves every secret q or q + 1
+in-range candidates at that level, and the q + 1 secrets form an arithmetic
+progression mod m0. The disjunctive count of a secret is the product of its
+level counts; the conjunctive count is the cyclic convolution of the level
+tables, each fold a sliding-window sum over the progression. The test
+suite's full scan over all value tuples checks the conditions literally; it
+is the oracle and must agree with the profiles exactly wherever it is
+feasible.
 
 Per-secret counts are a lazy read-only mapping, never a table of m0 entries:
 a disjunctive count is computed from the profiles when it is looked up. The
@@ -63,13 +64,8 @@ from .dhss import (
     _level_congruences,
     dhss_authorized_level,
 )
-from .errors import (
-    DecompositionMismatch,
-    IntractableInstance,
-    NotUnauthorized,
-    WrongCardinality,
-)
-from .params import SchemeParams, compact_width, integer_root
+from .errors import DecompositionMismatch, IntractableInstance, NotUnauthorized
+from .params import SchemeParams, compact_width
 
 SCHEMES = ("dhss", "chss")
 DEFAULT_WORK_BUDGET = 10_000_000
@@ -183,19 +179,6 @@ class PosteriorReport:
     def groups(self) -> dict[int, int]:
         """Candidate-count value -> number of secrets attaining it."""
         return dict(self.histogram)
-
-
-@dataclass(frozen=True)
-class EtaReport:
-    """Flat-scheme dichotomy: every secret admits eta or eta + 1 candidates."""
-
-    eta: int
-    d1: int
-    d2: int
-
-    @property
-    def total_candidates(self) -> int:
-        return self.eta * (self.d1 + self.d2) + self.d2
 
 
 @dataclass(frozen=True)
@@ -527,55 +510,6 @@ def count_grouping(report: PosteriorReport) -> CountGrouping:
     return CountGrouping(groups=groups)
 
 
-def eta_single_layer(view: AdversaryView) -> EtaReport:
-    """Flat-scheme candidate dichotomy for an undersized adversary set.
-
-    eta = floor(prod(m_1..m_t) / (m0 * prod of adversary moduli)), the
-    level profile's floor; counting per secret must land on eta or eta + 1,
-    splitting the secret space into d1 + d2 = m0. The split is read off the
-    same profile: m0 - rho secrets take q candidates and rho take q + 1.
-    """
-    hier = view.public.params.hierarchy
-    if hier.m != 1:
-        raise ValueError("eta analysis applies to single-level parameter sets")
-    (t,) = hier.thresholds
-    if len(view.members) >= t:
-        raise NotUnauthorized(
-            f"{len(view.members)} members meet the threshold {t}"
-        )
-    (profile,) = _level_profiles(view)
-    eta, m0 = profile.floor, profile.m0
-    split = {profile.q: m0 - profile.rho, profile.q + 1: profile.rho}
-    for count, secrets in split.items():
-        if secrets and count not in (eta, eta + 1):
-            raise RuntimeError(
-                f"count {count} for {secrets} secrets outside {{eta, eta+1}} = "
-                f"{{{eta}, {eta + 1}}}"
-            )
-    return EtaReport(eta=eta, d1=split.get(eta, 0), d2=split.get(eta + 1, 0))
-
-
-def limit_ratio(level: int, view: AdversaryView) -> Fraction:
-    """The level profile's ratio prod(m_1..m_{t_l}) / (m0 * prod of adversary
-    moduli in the first N_l), for a worst-case set holding exactly t_l - 1
-    of them.
-
-    The compactness parameter k is the limit of this ratio as m0 grows; how
-    far the ratio sits from k measures how far the instance is from the
-    asymptotic regime.
-    """
-    hier = view.public.params.hierarchy
-    if not 1 <= level <= hier.m:
-        raise ValueError(f"level {level} not in [1, {hier.m}]")
-    profile = _level_profiles(view)[level - 1]
-    if not profile.worst_case:
-        raise WrongCardinality(
-            f"|B intersect first {hier.cumulative[level - 1]}| = "
-            f"{profile.members}, worst case needs {profile.threshold - 1}"
-        )
-    return profile.ratio
-
-
 @dataclass(frozen=True)
 class RateReport:
     """Information rate log2|secret space| / log2|largest share space|."""
@@ -588,8 +522,7 @@ class RateReport:
 
 def information_rate(params: SchemeParams) -> RateReport:
     """Rate from the actual largest modulus, in float64 (relative error is
-    far below any tolerance used here; exact threshold comparisons are
-    available via :func:`rate_at_least`).
+    far below any tolerance used here).
 
     For k = 1 sequences the analytic floor log2(m0)/log2(m0 + floor(m0^theta))
     is reported alongside; the actual rate can only beat it because the
@@ -607,92 +540,6 @@ def information_rate(params: SchemeParams) -> RateReport:
         max_share_bits=max_share_bits,
         compact_lower_bound=lower,
     )
-
-
-# Relative margin around a float rate comparison. log2 of an int is within a
-# few ulps (2^-52 relative) of the true value and each further float step adds
-# one rounding; 2^-40 leaves a factor of over 500 on that error.
-_RATE_MARGIN = 2.0**-40
-# Most fractional bits the exact fallback works to. Its cost grows faster
-# than the square of the precision: 2^12 bits takes about 0.2 s per log of a
-# 160k-bit input, 2^14 bits about 7 s.
-_LOG_BITS_CAP = 2**12
-
-
-def _log2_bounds(x: int, bits: int) -> tuple[int, int]:
-    """Integers lo <= 2^bits * log2(x) <= hi for x >= 1, with hi - lo small.
-
-    The mantissa v = x / 2^e in [1, 2) is rounded down and up to ``bits``
-    fractional bits; each squaring step emits one bit of log2(v) (v^2 >= 2
-    gives a 1, then v^2 / 2) and rounds the same way, so the down chain
-    never exceeds the true value and the up chain never falls below it.
-    """
-    e = x.bit_length() - 1
-    two = 2 << bits
-
-    def frac(y: int, up: bool) -> int:
-        out = 0
-        for _ in range(bits):
-            y = -(-y * y >> bits) if up else y * y >> bits
-            out <<= 1
-            if y >= two:
-                out |= 1
-                y = (y + up) >> 1
-        return out
-
-    lo = frac((x << bits) >> e, False)
-    hi = frac(-(-x << bits >> e), True) + 1
-    return (e << bits) + lo, (e << bits) + hi
-
-
-def _log_ratio_at_least(small: int, large: int, threshold: Fraction) -> bool:
-    """Exactly whether log(small)/log(large) >= threshold, for integers
-    large >= small >= 2. With threshold p/q this is q*log2(small) >=
-    p*log2(large). A float comparison decides it unless the two sides lie
-    within the rounding margin. Then equality, small^q == large^p, holds
-    exactly when small = b^p and large = b^q for one integer b (p and q are
-    coprime), which needs no power larger than the inputs; otherwise
-    fixed-point logs at doubling precision separate the sides, up to
-    _LOG_BITS_CAP fractional bits. Sides still inseparable there raise
-    IntractableInstance."""
-    threshold = Fraction(threshold)
-    if threshold <= 0:
-        return True
-    ratio, target = log2(small) / log2(large), float(threshold)
-    if abs(ratio - target) > _RATE_MARGIN * target:
-        return ratio > target
-    p, q = threshold.numerator, threshold.denominator
-    if p <= small.bit_length() and q <= large.bit_length():
-        base = integer_root(small, p)
-        if base ** p == small and base ** q == large:
-            return True
-    bits = 64
-    while bits <= _LOG_BITS_CAP:
-        small_lo, small_hi = _log2_bounds(small, bits)
-        large_lo, large_hi = _log2_bounds(large, bits)
-        if q * small_lo >= p * large_hi:
-            return True
-        if q * small_hi < p * large_lo:
-            return False
-        bits *= 2
-    raise IntractableInstance(
-        f"rate comparison undecided at {_LOG_BITS_CAP} fractional bits of log2"
-    )
-
-
-def rate_at_least(params: SchemeParams, threshold: Fraction) -> bool:
-    """Exact comparison rho >= threshold: with threshold p/q,
-    rho = log(m0)/log(m_n) >= p/q iff m0^q >= m_n^p."""
-    seq = params.sequence
-    return _log_ratio_at_least(seq.m0, seq.moduli[-1], threshold)
-
-
-def bound_rate_at_least(m0: int, theta: Fraction, threshold: Fraction) -> bool:
-    """Exact check of the analytic floor: log2(m0)/log2(m0 + floor(m0^theta))
-    >= threshold, decided as in :func:`rate_at_least`. No sequence is
-    generated."""
-    worst = m0 + compact_width(m0, Fraction(theta))
-    return _log_ratio_at_least(m0, worst, threshold)
 
 
 def worst_case_unauthorized(params: SchemeParams) -> frozenset:

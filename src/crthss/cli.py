@@ -62,7 +62,7 @@ from .params import (
     check_power_limit,
     generate_compact_sequence,
     is_prime,
-    validate_params,
+    validate_hierarchy,
 )
 
 EXIT_VALIDATION = 2
@@ -115,8 +115,14 @@ def _epsilon_arg(text: str) -> float:
 
 
 def _load_json(path: str):
+    """The parsed file. The decoder recurses once per nesting level, so a
+    file nested past the interpreter's recursion limit is refused as a
+    ValueError like any other malformed file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("the file nests too deeply") from None
 
 
 def _write_text(path, text: str, private: bool = False) -> None:
@@ -194,6 +200,11 @@ def cmd_gen_params(args) -> int:
         hierarchy = Hierarchy(level_sizes=args.levels, thresholds=args.thresholds)
         if args.scheme == "ab" and hierarchy.m != 1:
             return _fail(EXIT_VALIDATION, "flat parameters need a single level")
+        # refused before the prime search, which can take seconds
+        report = validate_hierarchy(hierarchy)
+        if not report.ok:
+            return _fail(EXIT_VALIDATION, "; ".join(
+                f"hierarchy: {v}" for v in report.violations))
         rng = _dealer_rng(args.seed)
         # generate_compact_sequence rejects a composite --m0
         m0 = args.m0
@@ -208,10 +219,10 @@ def cmd_gen_params(args) -> int:
             family_tag=bytes.fromhex(args.family_tag),
             digest_name=args.digest,
         )
+        # not validated again: the hierarchy was checked above, and
+        # generate_compact_sequence returns only a prime m0 and sorted,
+        # pairwise-coprime moduli inside the interval
         params = SchemeParams(sequence=sequence, hierarchy=hierarchy, owf=owf)
-        report = validate_params(params)
-        if not report.ok:
-            return _fail(EXIT_VALIDATION, str(report))
     except (IntervalExhausted, ValueError) as exc:
         return _fail(EXIT_VALIDATION, str(exc))
     out = Path(args.out)

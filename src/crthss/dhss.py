@@ -71,9 +71,8 @@ def _check_dealable(secret: int, params: SchemeParams) -> None:
     if not report.ok:
         raise InvalidParams(str(report))
     if not 0 <= secret < params.sequence.m0:
-        raise SecretOutOfRange(
-            f"secret {secret} not in [0, {params.sequence.m0})"
-        )
+        # the secret itself is never named: only the public range is
+        raise SecretOutOfRange(f"secret not in [0, {params.sequence.m0})")
 
 
 def _dealer_rng(rng_seed: Optional[int]) -> random.Random:

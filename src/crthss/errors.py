@@ -75,8 +75,7 @@ class MissingPublicValue(Error):
 # -- security analysis -----------------------------------------------------
 
 class IntractableInstance(Error):
-    """Estimated enumeration work exceeds the configured budget, or an exact
-    rate comparison would need more precision than its fixed cap."""
+    """Estimated enumeration work exceeds the configured budget."""
 
 
 class NotUnauthorized(Error):
@@ -85,7 +84,3 @@ class NotUnauthorized(Error):
 
 class DecompositionMismatch(Error):
     """A per-secret candidate count matches no floor/floor+1 product form."""
-
-
-class WrongCardinality(Error):
-    """Level ratio requested for a set that is not at the worst-case size."""

@@ -24,7 +24,6 @@ from crthss import (
     OwfFamily,
     SchemeParams,
     adversary_view,
-    bound_rate_at_least,
     chss_deal,
     chss_is_authorized,
     chss_reconstruct,
@@ -33,10 +32,8 @@ from crthss import (
     dhss_deal,
     dhss_reconstruct,
     enumerate_posterior,
-    eta_single_layer,
     generate_compact_sequence,
     count_grouping,
-    rate_at_least,
     validate_compact,
     worst_case_unauthorized,
 )
@@ -312,13 +309,16 @@ def test_c6_eta_dichotomy_and_ladder():
             )
             deal = dhss_deal(m0 // 2, params, 2)
             view = adversary_view(deal, {1})
-            report = eta_single_layer(view)
-            assert report.d1 + report.d2 == m0
             posterior = enumerate_posterior(view, "dhss")
-            assert set(posterior.per_secret_counts.values()) <= {
-                report.eta, report.eta + 1
-            }
-            minority.append(min(report.d1, report.d2) / m0)
+            # at one level, count_grouping certifies every count as the
+            # profile's floor eta or eta + 1
+            count_grouping(posterior)
+            (profile,) = posterior.levels
+            eta = profile.floor
+            d1, d2 = posterior.histogram[eta], posterior.histogram[eta + 1]
+            assert d1 + d2 == m0
+            assert set(posterior.per_secret_counts.values()) <= {eta, eta + 1}
+            minority.append(min(d1, d2) / m0)
         assert minority[0] > minority[1] > minority[2], (k, minority)
     note("6: eta/eta+1 dichotomy exact for k in {1,2,3}; minority fraction "
          "strictly shrinks along m0 in {97, 997, 9973} PASS")
@@ -380,19 +380,15 @@ def test_c7_loss_entropy_ladder():
 def test_c8_information_rate_bounds():
     for m0 in (97, 997, 9973, 99991, 2**31 - 1):
         seq = generate_compact_sequence(m0, 3, 1, Fraction(1, 2), 1)
-        params = SchemeParams(
-            sequence=seq,
-            hierarchy=Hierarchy((1, 2), (1, 2)),
-            owf=OwfFamily(kind="hash_based"),
-        )
         # rho >= log2(m0)/log2(m0 + floor(sqrt m0)) holds exactly: the largest
         # modulus never reaches the top of the compactness interval
         assert seq.moduli[-1] <= m0 + isqrt(m0)
         if m0 >= 2**31 - 1:
-            assert rate_at_least(params, Fraction(999, 1000))
+            # rho >= 999/1000 exactly when m0^1000 >= m_n^999
+            assert m0**1000 >= seq.moduli[-1] ** 999
     # analytic floor, no enumeration and no generated sequence
-    assert bound_rate_at_least(2**31 - 1, Fraction(1, 2), Fraction(999, 1000))
-    assert bound_rate_at_least(2**61 - 1, Fraction(1, 2), Fraction(999, 1000))
+    for m0 in (2**31 - 1, 2**61 - 1):
+        assert m0**1000 >= (m0 + isqrt(m0)) ** 999
     note("8: 1-compact rate floor holds exactly; rho > 0.999 at m0 = 2^31-1 "
          "(exact integer-power comparison) PASS")
 

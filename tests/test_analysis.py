@@ -1,5 +1,9 @@
 """Candidate counting, entropy loss, eta dichotomy, ratios, rates.
 
+The eta / eta + 1 dichotomy is count_grouping at one level, and the limit
+ratio is a level profile's ratio; the paper's rate claims are checked by
+integer powers: rho = log m0 / log m_n >= p/q exactly when m0^q >= m_n^p.
+
 The exhaustive tuple scan is the oracle throughout: wherever it is feasible,
 the level-profile counts must agree with it exactly.
 """
@@ -8,7 +12,9 @@ import dataclasses
 import random
 import time
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -20,16 +26,12 @@ from crthss import (
     OwfFamily,
     SchemeParams,
     adversary_view,
-    bound_rate_at_least,
     chss_deal,
     dhss_deal,
     enumerate_posterior,
-    eta_single_layer,
     generate_compact_sequence,
     information_rate,
     count_grouping,
-    limit_ratio,
-    rate_at_least,
     worst_case_unauthorized,
 )
 from crthss.errors import (
@@ -37,9 +39,18 @@ from crthss.errors import (
     IntervalExhausted,
     IntractableInstance,
     NotUnauthorized,
-    WrongCardinality,
 )
-from crthss.analysis import _floor_sum, _log_ratio_at_least
+from crthss.analysis import _floor_sum, _level_profiles
+
+
+def eta_split(report):
+    """The one-level floor eta and the secrets d1, d2 with eta and eta + 1
+    candidates, after count_grouping has certified that no other count
+    occurs."""
+    count_grouping(report)
+    (profile,) = report.levels
+    eta = profile.floor
+    return eta, report.histogram[eta], report.histogram[eta + 1]
 
 
 def test_micro_dhss_posterior_matches_scan(micro_params):
@@ -72,11 +83,12 @@ def test_flat_posterior_and_eta(flat_params):
     # frozen from the scan of y in [0, 143) with y = 5 (mod 11)
     assert report.per_secret_counts == {0: 2, 1: 1, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2}
     assert scan_posterior_counts(view, "dhss") == dict(report.per_secret_counts)
-    eta = eta_single_layer(view)
-    assert eta.eta == 143 // 77 == 1
-    assert (eta.d1, eta.d2) == (1, 6)
-    assert eta.d1 + eta.d2 == 7
-    assert eta.total_candidates == report.total == 13
+    eta, d1, d2 = eta_split(report)
+    assert eta == 143 // 77 == 1
+    assert (d1, d2) == (1, 6)
+    assert d1 + d2 == 7
+    # the division identity: C = m0*eta + d2 = eta*(d1 + d2) + d2
+    assert eta * (d1 + d2) + d2 == report.total == 13
 
 
 def test_micro_chss_posterior_matches_scan(micro_params):
@@ -201,11 +213,11 @@ def test_eta_zero_on_non_compact():
     )
     deal = dhss_deal(5, params, 3)
     view = adversary_view(deal, {3})
-    eta = eta_single_layer(view)
-    assert eta.eta == 0
-    assert eta.d1 + eta.d2 == 7
-    assert eta.d2 == eta.total_candidates
     report = enumerate_posterior(view, "dhss")
+    eta, d1, d2 = eta_split(report)
+    assert eta == 0
+    assert d1 + d2 == 7
+    assert d2 == eta * (d1 + d2) + d2 == report.total
     assert scan_posterior_counts(view, "dhss") == dict(report.per_secret_counts)
     assert set(report.per_secret_counts.values()) <= {0, 1}
 
@@ -213,10 +225,13 @@ def test_eta_zero_on_non_compact():
 def test_eta_requires_undersized_flat_set(flat_params, micro_params):
     deal = dhss_deal(3, flat_params, AB_SEED)
     with pytest.raises(NotUnauthorized):
-        eta_single_layer(adversary_view(deal, {1, 2}))
+        enumerate_posterior(adversary_view(deal, {1, 2}), "dhss")
+    # with two levels the counts are products of two floor / floor + 1
+    # factors: 1 * 1 and 2 * 2 here, so no single eta / eta + 1 split holds
     two_level = dhss_deal(3, micro_params, 0)
-    with pytest.raises(ValueError):
-        eta_single_layer(adversary_view(two_level, {2}))
+    report = enumerate_posterior(adversary_view(two_level, {2}), "dhss")
+    assert [p.floor for p in report.levels] == [1, 1]
+    assert sorted(count_grouping(report).groups) == [1, 4]
 
 
 def test_eta_dichotomy_random_flat():
@@ -240,13 +255,13 @@ def test_eta_dichotomy_random_flat():
         deal = dhss_deal(rng.randrange(m0), params, rng.randrange(2**32))
         members = set(rng.sample(range(1, n + 1), t - 1))
         view = adversary_view(deal, members)
-        eta = eta_single_layer(view)
-        assert eta.d1 + eta.d2 == m0
         report = enumerate_posterior(view, "dhss")
-        assert set(report.per_secret_counts.values()) <= {eta.eta, eta.eta + 1}
+        eta, d1, d2 = eta_split(report)
+        assert d1 + d2 == m0
+        assert set(report.per_secret_counts.values()) <= {eta, eta + 1}
         # without the secret congruence the candidate total obeys the
         # division identity C = m0*eta + d2
-        assert report.total == eta.total_candidates
+        assert report.total == m0 * eta + d2
 
 
 def test_minority_fraction_shrinks_along_ladder():
@@ -261,8 +276,8 @@ def test_minority_fraction_shrinks_along_ladder():
             owf=OwfFamily(kind="test_affine"),
         )
         deal = dhss_deal(m0 // 2, params, 2)
-        report = eta_single_layer(adversary_view(deal, {1}))
-        fractions.append(min(report.d1, report.d2) / m0)
+        _, d1, d2 = eta_split(enumerate_posterior(adversary_view(deal, {1}), "dhss"))
+        fractions.append(min(d1, d2) / m0)
     assert fractions[0] > fractions[1] > fractions[2]
 
 
@@ -271,14 +286,16 @@ def test_limit_ratio_micro(micro_params):
     worst = worst_case_unauthorized(micro_params)
     assert worst == {2}
     view = adversary_view(result, worst)
+    profiles = _level_profiles(view)
+    assert all(p.worst_case for p in profiles)
     # far from the k=1 asymptotic regime: both ratios sit at 11/7
-    assert limit_ratio(1, view) == Fraction(11, 7)
-    assert limit_ratio(2, view) == Fraction(143, 7 * 13)
+    assert profiles[0].ratio == Fraction(11, 7)
+    assert profiles[1].ratio == Fraction(143, 7 * 13)
     width = Fraction(2, 7)  # floor(sqrt 7) / m0
-    assert abs(limit_ratio(2, view) - 1) > width
+    assert abs(profiles[1].ratio - 1) > width
 
-    with pytest.raises(WrongCardinality):
-        limit_ratio(2, adversary_view(result, {2, 3}))
+    # {2, 3} holds t_2 members inside N_2: not a worst-case set at level 2
+    assert not _level_profiles(adversary_view(result, {2, 3}))[1].worst_case
 
 
 def test_limit_ratio_compact_instance():
@@ -292,11 +309,12 @@ def test_limit_ratio_compact_instance():
     result = dhss_deal(123, params, 6)
     view = adversary_view(result, worst_case_unauthorized(params))
     envelope = Fraction(compact_width := 31, 997)  # floor(sqrt 997) = 31
-    for level in (1, 2):
-        ratio = limit_ratio(level, view)
-        assert 1 < ratio < 1 + envelope
+    profiles = _level_profiles(view)
+    for profile in profiles:
+        assert profile.worst_case
+        assert 1 < profile.ratio < 1 + envelope
     # level 1 with an empty prefix is the interval condition itself
-    assert limit_ratio(1, view) == Fraction(seq.moduli[0], 997)
+    assert profiles[0].ratio == Fraction(seq.moduli[0], 997)
 
 
 def test_information_rate(micro_params):
@@ -315,67 +333,23 @@ def test_information_rate(micro_params):
 
 def test_rate_exact_comparisons(micro_params):
     # rho = log 7 / log 17 = 0.6868...; bracket it exactly
-    assert rate_at_least(micro_params, Fraction(686, 1000))
-    assert not rate_at_least(micro_params, Fraction(687, 1000))
+    m0, m_n = micro_params.sequence.m0, micro_params.sequence.moduli[-1]
+    assert m0**1000 >= m_n**686
+    assert not m0**1000 >= m_n**687
 
     # the analytic floor for m0 = 2^31 - 1 at theta = 1/2 clears 0.999 by a
     # wide margin but sits just under six nines
     m0 = 2**31 - 1
-    assert bound_rate_at_least(m0, Fraction(1, 2), Fraction(999, 1000))
-    assert bound_rate_at_least(m0, Fraction(1, 2), Fraction(999998, 1000000))
-    assert not bound_rate_at_least(m0, Fraction(1, 2), Fraction(999999, 1000000))
-
-
-def test_rate_comparisons_match_integer_powers():
-    def ladder(m0, m_n):
-        return SchemeParams(
-            sequence=CompactSequence(m0=m0, moduli=(m_n,), k=1, theta=Fraction(1, 2)),
-            hierarchy=Hierarchy((1,), (1,)),
-        )
-
-    # exact ties (8^5 = 32^3, 4^3 = 8^2) sit inside the float margin, so the
-    # integer powers decide them
-    assert rate_at_least(ladder(8, 32), Fraction(3, 5))
-    assert rate_at_least(ladder(4, 8), Fraction(2, 3))
-    # best rational approximations of rho land on both sides of it
-    from math import log2
-    rng = random.Random(63)
-    for _ in range(300):
-        m0 = rng.randrange(2, 10**6)
-        m_n = m0 + rng.randrange(1, 10**4)
-        approx = Fraction(log2(m0) / log2(m_n)).limit_denominator(rng.randrange(1, 2000))
-        p, q = approx.numerator, approx.denominator
-        for threshold in (approx, Fraction(p + 1, q), Fraction(max(p - 1, 1), q)):
-            exact = m0 ** threshold.denominator >= m_n ** threshold.numerator
-            assert rate_at_least(ladder(m0, m_n), threshold) == exact
-
-
-def test_rate_near_ties_decide_fast():
-    # thresholds inside the float margin whose integer powers would have
-    # millions of digits or far more are decided by fixed-point logs, and
-    # an exact tie small^q == large^p still counts as reaching it
-    start = time.perf_counter()
-    # 9910705/9911422 is the float analytic floor through limit_denominator(10**7)
-    assert not bound_rate_at_least(1000003, Fraction(1, 2), Fraction(9910705, 9911422))
-    assert bound_rate_at_least(1000003, Fraction(1, 2), Fraction(9910704, 9911422))
-    p, q = 100003, 100019
-    small, large = 3**p, 3**q
-    assert _log_ratio_at_least(small, large, Fraction(p, q))
-    assert not _log_ratio_at_least(small, large, Fraction(p * 10**9 + 1, q * 10**9))
-    assert _log_ratio_at_least(small, large, Fraction(p * 10**9 - 1, q * 10**9))
-    assert time.perf_counter() - start < 1.0
-
-
-def test_rate_near_tie_beyond_the_precision_cap_is_refused():
-    # the two logs agree to far more than the capped fixed-point precision;
-    # without the cap the doubling search ran for minutes
-    p, q = 100003, 100019
-    small, large = 3**p, 3**q + 1
-    start = time.perf_counter()
-    with pytest.raises(IntractableInstance) as info:
-        _log_ratio_at_least(small, large, Fraction(p, q))
-    assert time.perf_counter() - start < 5.0
-    assert str(p) not in str(info.value) and str(q) not in str(info.value)
+    top = m0 + isqrt(m0)
+    assert m0**1000 >= top**999
+    # the six-nines powers have 31 million bits each; decimal's correctly
+    # rounded ln at 40 digits separates q*ln(m0) from p*ln(top) instead,
+    # which differ by at least 0.09
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ln_m0, ln_top = Decimal(m0).ln(), Decimal(top).ln()
+        assert 1000000 * ln_m0 - 999998 * ln_top > Decimal("0.09")
+        assert 1000000 * ln_m0 - 999999 * ln_top < Decimal("-0.09")
 
 
 def test_randomized_oracle_equivalence():

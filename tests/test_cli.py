@@ -242,6 +242,29 @@ def test_m0_bits_above_the_cap_is_refused_before_the_prime_search(
     assert calls[0].bit_length() == MAX_M0_BITS
 
 
+@pytest.mark.parametrize("m0_flag", [("--m0-bits", "2048"), ("--m0", "997")],
+                         ids=["m0-bits", "m0"])
+@pytest.mark.parametrize("levels, thresholds, message", [
+    ("1,2", "3,2", "hierarchy: thresholds not strictly increasing: t_1 = 3 >= "
+                   "t_2 = 2; hierarchy: t_1 = 3 > N_1 = 1"),
+    ("0", "1", "hierarchy: level 1 size 0 < 1; hierarchy: t_1 = 1 > N_1 = 0"),
+], ids=["decreasing", "empty-level"])
+def test_bad_hierarchy_is_refused_before_the_prime_search(
+        tmp_path, monkeypatch, capsys, m0_flag, levels, thresholds, message):
+    # a 2048-bit search used to run for seconds before the hierarchy was
+    # checked, and --levels 0 was refused as "n must be >= 1"
+    def no_primes(n):
+        raise AssertionError("is_prime called")
+
+    monkeypatch.setattr("crthss.cli.is_prime", no_primes)
+    monkeypatch.setattr("crthss.params.is_prime", no_primes)
+    out = tmp_path / "x.json"
+    assert main(["gen-params", *m0_flag, "--levels", levels, "--thresholds",
+                 thresholds, "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_theta_near_one_is_refused_quickly(tmp_path):
     # m0**99999 has millions of bits; gen-params used to run Newton steps on
     # it for minutes, and audit did the same on a file carrying that theta
@@ -293,6 +316,36 @@ def test_unusable_digest_in_files_exit_2(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: cannot read ")
         assert "digest 'nope'" in err
+
+
+@pytest.mark.parametrize("command", [
+    "inspect", "deal", "audit", "reconstruct-public", "reconstruct-share",
+])
+def test_deeply_nested_json_exit_2(tmp_path, micro_param_file, capsys, command):
+    # json.load recurses once per level: past the recursion limit it used to
+    # end every command in a RecursionError traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(micro_param_file), "--secret", "4",
+                 "--seed", "1", "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    argv = {
+        "inspect": ["inspect", str(deep)],
+        "deal": ["deal", "--params", str(deep), "--secret", "1",
+                 "--out-dir", str(tmp_path / "again")],
+        "audit": ["audit", "--params", str(deep), "--adversary", "2"],
+        "reconstruct-public": ["reconstruct", "--public", str(deep),
+                               "--shares", str(out_dir / "share_001.json")],
+        "reconstruct-share": ["reconstruct", "--public",
+                              str(out_dir / "public_bundle.json"),
+                              "--shares", str(out_dir / "share_002.json"), str(deep)],
+    }[command]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot read ")
+    assert err.endswith("the file nests too deeply\n")
+    assert "Traceback" not in err
 
 
 def test_unwritable_output_paths_exit_2(tmp_path, micro_param_file, capsys):
@@ -503,6 +556,22 @@ def test_deal_secret_out_of_range(tmp_path, micro_param_file, capsys):
         "--seed", "1", "--out-dir", str(tmp_path / "d"),
     ])
     assert code == 2
+
+
+def test_out_of_range_secret_is_not_printed(tmp_path, micro_param_file, capsys):
+    # the refusal used to name the secret, so a real secret dealt against
+    # the wrong parameter file ended up on stderr
+    secret = "318665857834031151167461"
+    for argv in (
+        ["deal", "--params", str(micro_param_file), "--secret", secret,
+         "--seed", "1", "--out-dir", str(tmp_path / "d")],
+        ["audit", "--params", str(micro_param_file), "--adversary", "2",
+         "--secret", secret, "--seed", "1"],
+    ):
+        assert main(argv) == 2, argv[0]
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: secret not in [0, 7)\n"
+        assert secret not in err
 
 
 def test_deal_invalid_params(tmp_path, micro_params, capsys):
