@@ -10,7 +10,6 @@ exact counting, how much an unauthorized set learns.
 from . import errors
 from .analysis import (
     AdversaryView,
-    CountGrouping,
     PosteriorReport,
     RateReport,
     adversary_view,

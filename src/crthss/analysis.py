@@ -28,16 +28,16 @@ suite's full scan over all value tuples checks the conditions literally; it
 is the oracle and must agree with the profiles exactly wherever it is
 feasible.
 
-Per-secret counts are a lazy read-only mapping, never a table of m0 entries:
-a disjunctive count is computed from the profiles when it is looked up. The
-histogram (all that entropy and grouping need) follows from how many secrets
-lie on the minority side, the shorter side of each level's q / q + 1 split,
-of each subset of levels. For one or two levels those numbers come from the
-set sizes and one overlap, a difference of two floor sums, in O(log m0) at
-any size. With more levels the smallest minority set, about m0^theta
-secrets in the compact regime, is walked against the other levels, which
-recurse down to two. The conjunctive mapping reads its one folded table,
-indexed by the last level's u.
+The report is the histogram of the per-secret counts, never a table of m0
+entries: entropy, loss and grouping need only how many secrets take each
+count. A disjunctive count is fixed by the set of levels on whose minority
+side, the shorter side of the level's q / q + 1 split, the secret lies, so
+the histogram follows from how many secrets lie on the minority side of each
+subset of levels. For one or two levels those numbers come from the set
+sizes and one overlap, a difference of two floor sums, in O(log m0) at any
+size. With more levels the smallest minority set, about m0^theta secrets in
+the compact regime, is walked against the other levels, which recurse down
+to two. The conjunctive histogram tallies the one folded table.
 
 The posterior places equal weight on every consistent tuple, matching the
 counting argument the entropy-loss bound is built on (for an empty adversary
@@ -48,12 +48,11 @@ small but nonzero at small m0).
 
 import itertools
 from collections import Counter
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import log2, prod
 from operator import sub
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .chss import chss_is_authorized
 from .crt import crt_solve, mod_inverse
@@ -69,7 +68,6 @@ from .params import SchemeParams, compact_width
 
 SCHEMES = ("dhss", "chss")
 DEFAULT_WORK_BUDGET = 10_000_000
-DEFAULT_EPSILON = 0.05
 
 
 @dataclass(frozen=True)
@@ -141,9 +139,6 @@ class LevelProfile:
         overflows past 2^63."""
         return min(self.rho, self.m0 - self.rho)
 
-    def count(self, r: int) -> int:
-        return self.q + (((r - self.base) * self.inv) % self.m0 < self.rho)
-
     def residues(self, us: range) -> list[int]:
         """The secrets base + S*u (mod m0) for u in ``us``."""
         m0, base, step = self.m0, self.base, self.step
@@ -152,70 +147,23 @@ class LevelProfile:
 
 @dataclass(frozen=True)
 class PosteriorReport:
-    """Per-secret candidate counts and the entropies they induce.
+    """The histogram of the per-secret candidate counts and the entropies it
+    induces.
 
-    per_secret_counts maps each secret in range(m0) to its count; from
-    enumerate_posterior it is a lazy read-only view that computes a count
-    when it is looked up, so no per-secret table is held. histogram is the
-    summary the entropies and groups() are computed from. levels holds the
-    level profiles the counts were read from, one per level.
+    histogram maps each count value to the number of secrets in range(m0)
+    that take it, and total is the number of consistent tuples. levels holds
+    the level profiles the histogram was read from, one per level.
 
     conditional_entropy is computed from the counts with equal weight per
     consistent tuple; loss = secret_entropy - conditional_entropy >= 0.
-    epsilon_tolerance carries the acceptance threshold the caller compares
-    loss against; it does not affect the computation.
     """
 
-    per_secret_counts: Mapping[int, int]
+    histogram: Counter
     total: int
     secret_entropy: float
     conditional_entropy: float
     loss: float
-    epsilon_tolerance: float
     levels: tuple[LevelProfile, ...]
-    # candidate-count value -> number of secrets attaining it
-    histogram: Mapping[int, int] = field(repr=False, compare=False)
-
-    def groups(self) -> dict[int, int]:
-        """Candidate-count value -> number of secrets attaining it."""
-        return dict(self.histogram)
-
-
-@dataclass(frozen=True)
-class CountGrouping:
-    """Grouping of per-secret counts: count value Y -> number of secrets gamma,
-    each Y certified to factor as prod over levels of (floor + 0 or 1)."""
-
-    groups: Mapping[int, int]
-
-    @property
-    def gamma_total(self) -> int:
-        return sum(self.groups.values())
-
-    def weighted_total(self) -> int:
-        return sum(y * g for y, g in self.groups.items())
-
-
-class _CountView(Mapping):
-    """Read-only secret -> candidate count over range(m0), equal to the dict
-    of all m0 counts without holding one. Each value comes from ``count``
-    when it is looked up; keys other than the ints in [0, m0) raise
-    KeyError."""
-
-    def __init__(self, m0: int, count: Callable[[int], int]):
-        self._m0 = m0
-        self._count = count
-
-    def __getitem__(self, r):
-        if not isinstance(r, int) or not 0 <= r < self._m0:
-            raise KeyError(r)
-        return self._count(r)
-
-    def __len__(self) -> int:
-        return self._m0
-
-    def __iter__(self):
-        return iter(range(self._m0))
 
 
 def adversary_view(deal: DealResult, members: Iterable[int]) -> AdversaryView:
@@ -343,20 +291,16 @@ def _minority_patterns(
     return patterns
 
 
-def _disjunctive_counts(
+def _disjunctive_histogram(
     profiles: tuple[LevelProfile, ...], m0: int
-) -> tuple[_CountView, Counter]:
-    """Per-secret products of the level counts, and their histogram.
+) -> Counter:
+    """The histogram of the per-secret products of the level counts.
 
     At each level the q + 1 secrets, or the q ones when they are fewer, form
     the minority side of the split. A secret's count is fixed by the set of
     levels on whose minority side it lies, so the histogram is read off the
     number of secrets per such pattern: O(log m0) for one or two levels.
     """
-
-    def count(r: int) -> int:
-        return prod(p.count(r) for p in profiles)
-
     histogram = Counter()
     patterns = _minority_patterns(profiles, tuple(range(len(profiles))))
     for pattern, secrets in patterns.items():
@@ -368,13 +312,13 @@ def _disjunctive_counts(
                 for l, p in enumerate(profiles)
             )
             histogram[value] += secrets
-    return _CountView(m0, count), histogram
+    return histogram
 
 
-def _conjunctive_counts(
+def _conjunctive_histogram(
     profiles: tuple[LevelProfile, ...], m0: int
-) -> tuple[_CountView, Counter]:
-    """Cyclic convolution of the level tables, and its histogram. The table is
+) -> Counter:
+    """The histogram of the cyclic convolution of the level tables. The table is
     kept over the u of the level folded last (secret base + S*u); folding in
     base' + S'*v gives q' * sum + sum_{w < rho'} g(v - w), g(v) the table at
     the secret S'*v, so each level reindexes once and its cyclic windows
@@ -389,11 +333,7 @@ def _conjunctive_counts(
         sums = itertools.accumulate(map(sub, g, lag), initial=init)
         next(sums)  # the window ending at v = -1
         table, last = list(sums), p
-
-    def count(r: int) -> int:
-        return table[(r - last.base) * last.inv % m0]
-
-    return _CountView(m0, count), Counter(table)
+    return Counter(table)
 
 
 def _xlog2x(c: int) -> Fraction:
@@ -406,10 +346,7 @@ def _xlog2x(c: int) -> Fraction:
 
 
 def _entropy_report(
-    counts: Mapping[int, int],
-    histogram: Mapping[int, int],
-    levels: tuple[LevelProfile, ...],
-    epsilon_tolerance: float,
+    histogram: Counter, levels: tuple[LevelProfile, ...]
 ) -> PosteriorReport:
     m0 = levels[0].m0
     total = sum(c * g for c, g in histogram.items())
@@ -433,33 +370,30 @@ def _entropy_report(
         conditional = min(conditional, log2(m0))
         loss = log2(m0) - conditional
     return PosteriorReport(
-        per_secret_counts=counts,
+        histogram=histogram,
         total=total,
         secret_entropy=log2(m0),
         conditional_entropy=conditional,
         loss=loss,
-        epsilon_tolerance=epsilon_tolerance,
         levels=levels,
-        histogram=histogram,
     )
 
 
 def enumerate_posterior(
     view: AdversaryView,
     scheme: str,
-    epsilon_tolerance: float = DEFAULT_EPSILON,
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> PosteriorReport:
-    """Exact per-secret candidate counts for an unauthorized view.
+    """The exact histogram of the per-secret candidate counts for an
+    unauthorized view.
 
     Disjunctive: the count for secret s is the product over levels of the
     number of in-range solutions of the level's congruence system with
     z = s (mod m0). Conjunctive: the per-level tables are cyclically
     convolved, because the levels are independent given the additive
     decomposition of the secret. Both read each level's counts off its
-    profile, and the report keeps those profiles as ``levels``. The
-    returned per_secret_counts is a lazy read-only view: a disjunctive count
-    is computed when it is looked up. The disjunctive histogram costs
+    profile, and the report keeps those profiles as ``levels``; no
+    per-secret table is returned. The disjunctive histogram costs
     O(log m0) for one or two levels and, for more, a walk of the smallest
     minority set; the conjunctive fold costs O(m0) per level.
 
@@ -476,21 +410,20 @@ def enumerate_posterior(
     profiles = _level_profiles(view)
     if scheme == "dhss":
         work = sum(p.minority_size for p in profiles)
-        tally = _disjunctive_counts
+        tally = _disjunctive_histogram
     else:
-        work, tally = m0 * len(profiles), _conjunctive_counts
+        work, tally = m0 * len(profiles), _conjunctive_histogram
     if work > work_budget:
         raise IntractableInstance(
             f"estimated work {work} exceeds budget {work_budget}"
         )
-    counts, histogram = tally(profiles, m0)
-    return _entropy_report(counts, histogram, profiles, epsilon_tolerance)
+    return _entropy_report(tally(profiles, m0), profiles)
 
 
-def count_grouping(report: PosteriorReport) -> CountGrouping:
-    """Group per-secret counts and certify each distinct value against the
+def count_grouping(report: PosteriorReport) -> None:
+    """Certify each count value in the report's histogram against the
     product form prod_l(floor_l + a_l), a_l in {0, 1}, over the report's
-    level floors.
+    level floors; the groups themselves are the histogram.
 
     Raises DecompositionMismatch when some count fits no such product; that
     falsifies the grouping claim on this instance and is never swallowed.
@@ -500,14 +433,12 @@ def count_grouping(report: PosteriorReport) -> CountGrouping:
         prod(f + a for f, a in zip(floors, bits))
         for bits in itertools.product((0, 1), repeat=len(floors))
     }
-    groups = report.groups()
-    for value in groups:
+    for value in report.histogram:
         if value not in feasible:
             raise DecompositionMismatch(
                 f"count {value} matches no floor/floor+1 product over levels "
                 f"(floors {floors})"
             )
-    return CountGrouping(groups=groups)
 
 
 @dataclass(frozen=True)
@@ -515,8 +446,6 @@ class RateReport:
     """Information rate log2|secret space| / log2|largest share space|."""
 
     rho: float
-    secret_bits: float
-    max_share_bits: float
     compact_lower_bound: Optional[float]
 
 
@@ -536,8 +465,6 @@ def information_rate(params: SchemeParams) -> RateReport:
         lower = secret_bits / log2(seq.m0 + compact_width(seq.m0, seq.theta))
     return RateReport(
         rho=secret_bits / max_share_bits,
-        secret_bits=secret_bits,
-        max_share_bits=max_share_bits,
         compact_lower_bound=lower,
     )
 

@@ -73,6 +73,10 @@ EXIT_MISSING_PUBLIC = 6
 EXIT_AUTHORIZED_ADVERSARY = 7
 EXIT_BUDGET = 8
 
+# the acceptance threshold an audit report carries for its reader to compare
+# loss_bits against; the audit itself does not read it
+DEFAULT_EPSILON = 0.05
+
 # what a malformed or mistyped file raises while it is read and parsed
 _FILE_ERRORS = (OSError, ValueError, KeyError, TypeError, ArithmeticError)
 
@@ -348,10 +352,7 @@ def _audit_one(
     scheme = "chss" if label == "chss" else "dhss"
     deal = chss_deal if scheme == "chss" else dhss_deal
     view = analysis.adversary_view(deal(secret, params, deal_seed), adversary)
-    report = analysis.enumerate_posterior(
-        view, scheme, epsilon_tolerance=epsilon, work_budget=budget
-    )
-    groups = report.groups()
+    report = analysis.enumerate_posterior(view, scheme, work_budget=budget)
     decomposition_ok = None
     if scheme == "dhss":
         analysis.count_grouping(report)
@@ -377,14 +378,14 @@ def _audit_one(
         "total_candidates": str(report.total),
         "groups": [
             {"candidates": str(y), "num_secrets": g}
-            for y, g in sorted(groups.items())
+            for y, g in sorted(report.histogram.items())
         ],
-        "gamma_total": sum(groups.values()),
+        "gamma_total": sum(report.histogram.values()),
         "decomposition_ok": decomposition_ok,
         "secret_entropy_bits": report.secret_entropy,
         "conditional_entropy_bits": report.conditional_entropy,
         "loss_bits": report.loss,
-        "epsilon_tolerance": report.epsilon_tolerance,
+        "epsilon_tolerance": epsilon,
         "eta_table": eta_table,
         "ratio_table": ratio_table,
         "rho": rate.rho,
@@ -525,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ladder", type=_ints_arg,
                    help="regenerate the same shape at these m0 rungs")
     p.add_argument("--budget", type=int, default=analysis.DEFAULT_WORK_BUDGET)
-    p.add_argument("--epsilon", type=_epsilon_arg, default=analysis.DEFAULT_EPSILON)
+    p.add_argument("--epsilon", type=_epsilon_arg, default=DEFAULT_EPSILON)
     p.add_argument("--secret", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")

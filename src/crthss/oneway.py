@@ -71,7 +71,8 @@ def eval_owf(family: OwfFamily, level: int, x: int, modulus: int) -> int:
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+        # x is a share's private value, so only the range is named
+        raise ValueError("x must be >= 0")
     if family.kind == "test_affine":
         return (3 * x + level) % modulus
     message = _encode(family.family_tag, level, x)

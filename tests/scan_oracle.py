@@ -4,12 +4,23 @@ The scan checks the adversary's conditions literally over every value tuple,
 with no congruence solving, so it is an independent reference for the
 profile-based counting in ``crthss.analysis``. It is feasible only where the
 product of the per-level ranges is small.
+
+The audit reports only the histogram of the counts. ``profile_counts``
+rebuilds the per-secret counts from the report's level profiles alone, with
+the plain product (dhss) or a naive cyclic convolution (chss), so the
+profiles can be compared with the scan secret by secret, and the histogram
+checked against them at sizes the scan cannot reach.
 """
 
 import itertools
 from math import prod
 
-from crthss.analysis import AdversaryView, _check_unauthorized
+from crthss.analysis import (
+    AdversaryView,
+    LevelProfile,
+    PosteriorReport,
+    _check_unauthorized,
+)
 from crthss.dhss import _level_congruences
 from crthss.errors import IntractableInstance
 
@@ -23,6 +34,33 @@ def view_congruences(view: AdversaryView) -> list:
         _level_congruences(view.shares, level, view.public)
         for level in range(1, view.public.params.hierarchy.m + 1)
     ]
+
+
+def level_count(profile: LevelProfile, r: int) -> int:
+    """Candidates that level leaves secret r: q + [u(r) < rho], with
+    u(r) = (r - base) * S^-1 (mod m0)."""
+    u = (r - profile.base) * profile.inv % profile.m0
+    return profile.q + (u < profile.rho)
+
+
+def profile_counts(report: PosteriorReport, scheme: str) -> dict[int, int]:
+    """Per-secret counts from ``report.levels`` alone: for dhss the product
+    over levels of each level's count, for chss the O(m * m0^2) cyclic
+    convolution of the per-level count vectors."""
+    m0 = report.levels[0].m0
+    tables = [[level_count(p, r) for r in range(m0)] for p in report.levels]
+    if scheme == "dhss":
+        return dict(enumerate(map(prod, zip(*tables))))
+    folded, *rest = tables
+    for table in rest:
+        out = [0] * m0
+        for a, ca in enumerate(folded):
+            if ca:
+                # shifted[s] = table[(s - a) mod m0]
+                shifted = table[m0 - a:] + table[:m0 - a]
+                out = [x + ca * y for x, y in zip(out, shifted)]
+        folded = out
+    return dict(enumerate(folded))
 
 
 def scan_posterior_counts(

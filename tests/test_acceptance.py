@@ -9,6 +9,7 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import CHSS_SEED, DHSS_SEED
-from scan_oracle import scan_posterior_counts
+from scan_oracle import profile_counts, scan_posterior_counts
 from crthss import (
     CompactSequence,
     Congruence,
@@ -252,7 +253,6 @@ def test_c4_worked_vectors(micro_params):
 
 def test_c5_cardinality_grouping():
     rng = random.Random(1005)
-    gamma_totals = []
     instances = 0
     while instances < 24:
         m0 = rng.choice([5, 7, 11, 13])
@@ -282,13 +282,12 @@ def test_c5_cardinality_grouping():
         ]
         view = adversary_view(result, rng.choice(unauthorized))
         report = enumerate_posterior(view, "dhss")
-        assert scan_posterior_counts(view, "dhss", tuple_budget=10**6) == dict(
-            report.per_secret_counts
-        )
-        decomposition = count_grouping(report)
-        assert decomposition.weighted_total() == report.total
-        gamma_totals.append(decomposition.gamma_total)
-        assert decomposition.gamma_total == m0
+        scan = scan_posterior_counts(view, "dhss", tuple_budget=10**6)
+        assert scan == profile_counts(report, "dhss")
+        assert report.histogram == Counter(scan.values())
+        count_grouping(report)
+        assert sum(y * g for y, g in report.histogram.items()) == report.total
+        assert sum(report.histogram.values()) == m0
         instances += 1
     note(f"5: fast path == scan oracle on {instances} instances; all counts "
          f"factor as floor/floor+1 products; group sizes always sum to m0 "
@@ -317,7 +316,7 @@ def test_c6_eta_dichotomy_and_ladder():
             eta = profile.floor
             d1, d2 = posterior.histogram[eta], posterior.histogram[eta + 1]
             assert d1 + d2 == m0
-            assert set(posterior.per_secret_counts.values()) <= {eta, eta + 1}
+            assert set(posterior.histogram) <= {eta, eta + 1}
             minority.append(min(d1, d2) / m0)
         assert minority[0] > minority[1] > minority[2], (k, minority)
     note("6: eta/eta+1 dichotomy exact for k in {1,2,3}; minority fraction "
@@ -362,7 +361,7 @@ def test_c7_loss_entropy_ladder():
             report = enumerate_posterior(adversary_view(result, members), "dhss")
             assert report.loss >= 0
             losses.append(report.loss)
-            minority.append(min(report.groups().values()) / m0)
+            minority.append(min(report.histogram.values()) / m0)
         assert all(a > b for a, b in zip(losses, losses[1:])), (members, losses)
         assert all(a > b for a, b in zip(minority, minority[1:])), (members, minority)
         assert losses[-1] < 0.05

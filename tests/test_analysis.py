@@ -19,7 +19,7 @@ from math import isqrt
 import pytest
 
 from conftest import AB_SEED, CHSS_SEED, DHSS_SEED, random_prime
-from scan_oracle import scan_posterior_counts
+from scan_oracle import profile_counts, scan_posterior_counts
 from crthss import (
     CompactSequence,
     Hierarchy,
@@ -57,11 +57,14 @@ def test_micro_dhss_posterior_matches_scan(micro_params):
     result = dhss_deal(4, micro_params, DHSS_SEED)
     view = adversary_view(result, {2})
     report = enumerate_posterior(view, "dhss")
+    counts = profile_counts(report, "dhss")
     # frozen from the exhaustive scan over z_1 < 11, z_2 < 143
-    assert report.per_secret_counts == {0: 4, 1: 4, 2: 4, 3: 2, 4: 1, 5: 1, 6: 2}
+    assert counts == {0: 4, 1: 4, 2: 4, 3: 2, 4: 1, 5: 1, 6: 2}
     assert report.total == 18
-    assert scan_posterior_counts(view, "dhss") == dict(report.per_secret_counts)
-    assert report.per_secret_counts[4] >= 1  # the true secret stays alive
+    scan = scan_posterior_counts(view, "dhss")
+    assert scan == counts
+    assert report.histogram == Counter(scan.values())
+    assert counts[4] >= 1  # the true secret stays alive
     assert report.loss >= 0
 
 
@@ -71,8 +74,11 @@ def test_micro_empty_adversary(micro_params):
     result = dhss_deal(4, micro_params, DHSS_SEED)
     view = adversary_view(result, set())
     report = enumerate_posterior(view, "dhss")
-    assert report.per_secret_counts == {0: 42, 1: 42, 2: 42, 3: 40, 4: 20, 5: 20, 6: 20}
-    assert scan_posterior_counts(view, "dhss") == dict(report.per_secret_counts)
+    counts = profile_counts(report, "dhss")
+    assert counts == {0: 42, 1: 42, 2: 42, 3: 40, 4: 20, 5: 20, 6: 20}
+    scan = scan_posterior_counts(view, "dhss")
+    assert scan == counts
+    assert report.histogram == Counter(scan.values())
     assert 0 < report.loss < 0.1
 
 
@@ -81,8 +87,11 @@ def test_flat_posterior_and_eta(flat_params):
     view = adversary_view(deal, {1})
     report = enumerate_posterior(view, "dhss")
     # frozen from the scan of y in [0, 143) with y = 5 (mod 11)
-    assert report.per_secret_counts == {0: 2, 1: 1, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2}
-    assert scan_posterior_counts(view, "dhss") == dict(report.per_secret_counts)
+    counts = profile_counts(report, "dhss")
+    assert counts == {0: 2, 1: 1, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2}
+    scan = scan_posterior_counts(view, "dhss")
+    assert scan == counts
+    assert report.histogram == Counter(scan.values())
     eta, d1, d2 = eta_split(report)
     assert eta == 143 // 77 == 1
     assert (d1, d2) == (1, 6)
@@ -96,9 +105,12 @@ def test_micro_chss_posterior_matches_scan(micro_params):
     for members in (set(), {1}, {2}, {3}, {2, 3}):
         view = adversary_view(result, members)
         report = enumerate_posterior(view, "chss")
-        assert scan_posterior_counts(view, "chss") == dict(report.per_secret_counts)
+        counts = profile_counts(report, "chss")
+        scan = scan_posterior_counts(view, "chss")
+        assert scan == counts
+        assert report.histogram == Counter(scan.values())
         assert report.loss >= 0
-        assert report.per_secret_counts[4] >= 1
+        assert counts[4] >= 1
 
 
 def test_chss_loss_never_negative_near_uniform():
@@ -157,9 +169,9 @@ def test_two_level_dhss_posterior_at_real_sizes(bits):
     start = time.perf_counter()
     report = enumerate_posterior(view, "dhss", work_budget=2**300)
     elapsed = time.perf_counter() - start
-    grouping = count_grouping(report)
-    assert grouping.gamma_total == m0
-    assert grouping.weighted_total() == report.total
+    count_grouping(report)
+    assert sum(report.histogram.values()) == m0
+    assert sum(y * g for y, g in report.histogram.items()) == report.total
     assert elapsed < 1.0
 
 
@@ -167,25 +179,25 @@ def test_count_grouping_micro(micro_params):
     result = dhss_deal(4, micro_params, DHSS_SEED)
     view = adversary_view(result, {2})
     report = enumerate_posterior(view, "dhss")
-    decomposition = count_grouping(report)
-    assert dict(decomposition.groups) == {4: 3, 2: 2, 1: 2}
-    assert decomposition.weighted_total() == report.total == 18
+    count_grouping(report)
+    assert report.histogram == {4: 3, 2: 2, 1: 2}
+    assert sum(y * g for y, g in report.histogram.items()) == report.total == 18
     # the group sizes count secrets: they sum to m0 (not the level count)
-    assert decomposition.gamma_total == 7
+    assert sum(report.histogram.values()) == 7
 
 
 def test_count_grouping_flat(flat_params):
     deal = dhss_deal(3, flat_params, AB_SEED)
     view = adversary_view(deal, {1})
     report = enumerate_posterior(view, "dhss")
-    decomposition = count_grouping(report)
-    assert dict(decomposition.groups) == {1: 1, 2: 6}  # floor(143/77) = 1
-    assert decomposition.gamma_total == 7
+    count_grouping(report)
+    assert report.histogram == {1: 1, 2: 6}  # floor(143/77) = 1
+    assert sum(report.histogram.values()) == 7
 
     empty = adversary_view(deal, set())
     report = enumerate_posterior(empty, "dhss")
-    decomposition = count_grouping(report)
-    assert set(decomposition.groups) <= {143 // 7, 143 // 7 + 1}
+    count_grouping(report)
+    assert set(report.histogram) <= {143 // 7, 143 // 7 + 1}
 
 
 def test_count_grouping_mismatch_is_loud(micro_params):
@@ -193,12 +205,9 @@ def test_count_grouping_mismatch_is_loud(micro_params):
     view = adversary_view(result, {2})
     report = enumerate_posterior(view, "dhss")
     # secret 0 doctored to 5 candidates, a count no level floors produce
-    counts = {**report.per_secret_counts, 0: 5}
+    counts = {**profile_counts(report, "dhss"), 0: 5}
     doctored = dataclasses.replace(
-        report,
-        per_secret_counts=counts,
-        total=report.total + 1,
-        histogram=Counter(counts.values()),
+        report, total=report.total + 1, histogram=Counter(counts.values())
     )
     with pytest.raises(DecompositionMismatch):
         count_grouping(doctored)
@@ -218,8 +227,10 @@ def test_eta_zero_on_non_compact():
     assert eta == 0
     assert d1 + d2 == 7
     assert d2 == eta * (d1 + d2) + d2 == report.total
-    assert scan_posterior_counts(view, "dhss") == dict(report.per_secret_counts)
-    assert set(report.per_secret_counts.values()) <= {0, 1}
+    scan = scan_posterior_counts(view, "dhss")
+    assert scan == profile_counts(report, "dhss")
+    assert report.histogram == Counter(scan.values())
+    assert set(report.histogram) <= {0, 1}
 
 
 def test_eta_requires_undersized_flat_set(flat_params, micro_params):
@@ -231,7 +242,8 @@ def test_eta_requires_undersized_flat_set(flat_params, micro_params):
     two_level = dhss_deal(3, micro_params, 0)
     report = enumerate_posterior(adversary_view(two_level, {2}), "dhss")
     assert [p.floor for p in report.levels] == [1, 1]
-    assert sorted(count_grouping(report).groups) == [1, 4]
+    count_grouping(report)
+    assert sorted(report.histogram) == [1, 4]
 
 
 def test_eta_dichotomy_random_flat():
@@ -258,7 +270,7 @@ def test_eta_dichotomy_random_flat():
         report = enumerate_posterior(view, "dhss")
         eta, d1, d2 = eta_split(report)
         assert d1 + d2 == m0
-        assert set(report.per_secret_counts.values()) <= {eta, eta + 1}
+        assert set(report.histogram) <= {eta, eta + 1}
         # without the secret congruence the candidate total obeys the
         # division identity C = m0*eta + d2
         assert report.total == m0 * eta + d2
@@ -394,13 +406,14 @@ def test_randomized_oracle_equivalence():
         members = rng.choice(candidates)
         view = adversary_view(result, members)
         report = enumerate_posterior(view, scheme)
-        assert scan_posterior_counts(view, scheme, tuple_budget=10**6) == dict(
-            report.per_secret_counts
-        )
+        counts = profile_counts(report, scheme)
+        scan = scan_posterior_counts(view, scheme, tuple_budget=10**6)
+        assert scan == counts
+        assert report.histogram == Counter(scan.values())
         assert report.loss >= 0
-        assert report.per_secret_counts[secret] >= 1
+        assert counts[secret] >= 1
         if scheme == "dhss":
-            decomposition = count_grouping(report)
-            assert decomposition.weighted_total() == report.total
-            assert decomposition.gamma_total == m0
+            count_grouping(report)
+            assert sum(y * g for y, g in report.histogram.items()) == report.total
+            assert sum(report.histogram.values()) == m0
         instances += 1

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import AB_SEED
+from scan_oracle import profile_counts
 from crthss import (
     CompactSequence,
     Hierarchy,
@@ -149,6 +150,7 @@ def test_undersized_sets_keep_multiple_secrets(flat_params):
         for member in (1, 2, 3):
             view = adversary_view(deal, {member})
             report = enumerate_posterior(view, "dhss")
-            alive = [s for s, c in report.per_secret_counts.items() if c > 0]
-            assert report.per_secret_counts[secret] >= 1
+            counts = profile_counts(report, "dhss")
+            alive = [s for s, c in counts.items() if c > 0]
+            assert counts[secret] >= 1
             assert len(alive) >= 2

@@ -1,5 +1,6 @@
 """Disjunctive scheme: worked vectors, authorization, completeness."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -107,6 +108,18 @@ def test_lift_consistency_and_congruences(micro_params):
         for (i, level), _ in result.public.w.items():
             share = next(s for s in result.shares if s.participant == i)
             assert lift_share(share, level, result.public) == ys[level - 1] % share.modulus
+
+
+def test_lift_of_negative_share_names_no_value(micro_params):
+    # the OWF refuses a negative input; the value is a share's private
+    # value, so the message names only the range
+    from crthss.dhss import lift_share
+    result = dhss_deal(4, micro_params, DHSS_SEED)
+    share = dataclasses.replace(result.shares[0], value=-987654321987654321)
+    with pytest.raises(ValueError) as excinfo:
+        lift_share(share, 1, result.public)
+    assert "987654321987654321" not in str(excinfo.value)
+    assert ">= 0" in str(excinfo.value)
 
 
 def test_completeness_exhaustive_micro(micro_params):

@@ -8,13 +8,14 @@ the tuple scan cannot reach (m0 up to a few thousand). The entropy reference
 is the correctly rounded float sum of the per-secret terms, so the audit's
 conditional entropy must match it bit for bit.
 
-``dense_disjunctive_counts`` is the disjunctive counter as it stood before
-the audit's counts became a lazy view: the same exception walk, but a dict
-over every secret. It is the reference for the view's mapping behaviour.
 ``sparse_disjunctive_counts`` is the histogram as it stood before the audit
 counted secrets per minority pattern: a walk over the union of every level's
 minority secrets. It is the reference for the pattern histogram at sizes
-where the dense dict is too large.
+where a dict over every secret is too large.
+
+The audit reports only the histogram of the counts; ``profile_counts``
+rebuilds the per-secret counts from the report's level profiles, so the
+naive convolution there checks the conjunctive fold at m0 in the thousands.
 """
 
 import itertools
@@ -23,8 +24,6 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import fsum, gcd, log2, prod
-
-import pytest
 
 from crthss import (
     CompactSequence,
@@ -45,7 +44,7 @@ from crthss import (
 )
 from crthss.analysis import _entropy_report
 from conftest import random_prime
-from scan_oracle import view_congruences
+from scan_oracle import level_count, profile_counts, view_congruences
 
 SHAPES = (((1, 2), (1, 2)), ((2, 2), (1, 3)), ((3,), (2,)), ((1, 1, 2), (1, 2, 3)))
 
@@ -155,15 +154,15 @@ def check_against_reference(view, scheme):
     m0 = view.public.params.sequence.m0
     report = enumerate_posterior(view, scheme)
     expected = reference_counts(view, scheme)
-    assert report.per_secret_counts == expected
+    assert profile_counts(report, scheme) == expected
+    assert report.histogram == Counter(expected.values())
     assert report.total == sum(expected.values())
     assert report.conditional_entropy == reference_conditional_entropy(expected, m0)
     assert report.loss == log2(m0) - report.conditional_entropy
-    groups = report.groups()
-    assert sum(groups.values()) == m0
-    assert sum(c * g for c, g in groups.items()) == report.total
+    assert sum(report.histogram.values()) == m0
+    assert sum(c * g for c, g in report.histogram.items()) == report.total
     if scheme == "dhss":
-        assert dict(count_grouping(report).groups) == groups
+        count_grouping(report)
 
 
 def test_profile_counts_match_reference():
@@ -190,27 +189,6 @@ def test_profile_counts_match_reference():
     assert seen["chss"] >= expected_cases
 
 
-def dense_disjunctive_counts(profiles, m0):
-    """Per-secret products of the level counts as a dict over all m0
-    secrets, and their histogram."""
-    majority = 1
-    exceptions = set()
-    for p in profiles:
-        if 2 * p.rho <= m0:
-            majority *= p.q
-            exceptions.update(p.residues(range(p.rho)))
-        else:
-            majority *= p.q + 1
-            exceptions.update(p.residues(range(p.rho, m0)))
-    counts = dict.fromkeys(range(m0), majority)
-    for r in exceptions:
-        counts[r] = prod(p.count(r) for p in profiles)
-    histogram = Counter(counts[r] for r in exceptions)
-    if len(exceptions) < m0:
-        histogram[majority] += m0 - len(exceptions)
-    return counts, histogram
-
-
 def sparse_disjunctive_counts(profiles, m0):
     """The histogram of the per-secret products of the level counts, tallied
     over the union of every level's minority secrets; every secret outside
@@ -220,7 +198,9 @@ def sparse_disjunctive_counts(profiles, m0):
     for p in profiles:
         majority *= p.q + (2 * p.rho > m0)
         exceptions.update(p.residues(p.minority))
-    histogram = Counter(prod(p.count(r) for p in profiles) for r in exceptions)
+    histogram = Counter(
+        prod(level_count(p, r) for p in profiles) for r in exceptions
+    )
     if len(exceptions) < m0:
         histogram[majority] += m0 - len(exceptions)
     return histogram
@@ -254,10 +234,7 @@ def test_pattern_histogram_matches_minority_walk():
             view = adversary_view(result, adversary)
             report = enumerate_posterior(view, "dhss", work_budget=2**64)
             histogram = sparse_disjunctive_counts(report.levels, m0)
-            expected = _entropy_report(
-                report.per_secret_counts, histogram, report.levels,
-                report.epsilon_tolerance,
-            )
+            expected = _entropy_report(histogram, report.levels)
             assert report.histogram == histogram
             assert report.total == expected.total
             assert report.secret_entropy == expected.secret_entropy
@@ -282,24 +259,47 @@ def test_sparse_disjunctive_counts_match_dense():
         for adversary in (members, worst_case_unauthorized(params), set()):
             view = adversary_view(result, adversary)
             report = enumerate_posterior(view, "dhss")
-            dense, histogram = dense_disjunctive_counts(report.levels, m0)
-            expected = _entropy_report(
-                dense, histogram, report.levels, report.epsilon_tolerance
-            )
-            counts = report.per_secret_counts
-            assert counts == dense and dense == counts
-            assert dict(counts) == dense
-            assert len(counts) == len(dense) == m0
-            assert list(counts) == list(dense)
-            for key in (-1, m0, "0"):
-                assert key not in counts
-                with pytest.raises(KeyError):
-                    counts[key]
+            dense = profile_counts(report, "dhss")
+            histogram = Counter(dense.values())
+            expected = _entropy_report(histogram, report.levels)
+            assert len(dense) == m0
             assert report.histogram == histogram
+            assert report.histogram == sparse_disjunctive_counts(report.levels, m0)
             assert report.total == expected.total
             assert report.secret_entropy == expected.secret_entropy
             assert report.conditional_entropy == expected.conditional_entropy
             assert report.loss == expected.loss
+
+
+def test_chss_histogram_matches_naive_convolution():
+    # m0 in the thousands, past the tuple scan: the naive convolution of the
+    # level profiles checks the fold's histogram, total and entropies; it
+    # costs m0^2 per level after the first, so m0 shrinks as levels grow
+    cases = (
+        (((1, 2), (1, 2)), 2003), (((2, 2), (1, 3)), 1511),
+        (((1, 1, 2), (1, 2, 3)), 1201), (((2, 1, 2), (2, 3, 4)), 1009),
+    )
+    rng = random.Random(83)
+    seen = set()
+    for shape, m0 in cases:
+        hier = Hierarchy(*shape)
+        seq = generate_compact_sequence(m0, hier.n, 1, Fraction(1, 2), rng.randrange(2**32))
+        params = SchemeParams(sequence=seq, hierarchy=hier,
+                              owf=OwfFamily(kind="test_affine"))
+        result = chss_deal(rng.randrange(m0), params, rng.randrange(2**32))
+        worst = worst_case_unauthorized(params)
+        partial = rng.choice([s for s in unauthorized_sets(params, "chss")
+                              if s and s != worst])
+        for kind, adversary in (("empty", set()), ("partial", partial),
+                                ("worst", worst)):
+            report = enumerate_posterior(adversary_view(result, adversary), "chss")
+            counts = profile_counts(report, "chss")
+            assert report.histogram == Counter(counts.values())
+            assert report.total == sum(counts.values())
+            assert report.secret_entropy == log2(m0)
+            assert report.conditional_entropy == reference_conditional_entropy(counts, m0)
+            seen.add((hier.m, kind))
+    assert seen == {(m, kind) for m in (2, 3) for kind in ("empty", "partial", "worst")}
 
 
 def test_sparse_dhss_audit_memory_at_24_bits():
@@ -313,13 +313,14 @@ def test_sparse_dhss_audit_memory_at_24_bits():
     tracemalloc.start()
     try:
         report = enumerate_posterior(view, "dhss", work_budget=10**8)
-        grouping = count_grouping(report)
+        count_grouping(report)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
-    assert grouping.gamma_total == m0
-    assert report.per_secret_counts[m0 // 3] >= 1
+    assert sum(report.histogram.values()) == m0
+    # the true secret keeps a candidate at every level
+    assert prod(level_count(p, m0 // 3) for p in report.levels) >= 1
 
 
 def test_chss_audit_memory_at_m0_100003():
@@ -339,4 +340,5 @@ def test_chss_audit_memory_at_m0_100003():
         tracemalloc.stop()
     assert peak < 10 * 2**20
     assert sum(report.histogram.values()) == m0
-    assert sum(report.per_secret_counts.values()) == report.total
+    # the convolution's total is the product of the level totals q * m0 + rho
+    assert report.total == prod(p.q * m0 + p.rho for p in report.levels)
