@@ -21,9 +21,10 @@ from .errors import NotAuthorized, TooFewShares
 def ab_reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
     """Recover the secret from at least t shares of a single-level bundle.
 
-    All supplied shares enter the congruence system; extras tighten the
-    combined modulus and never change a consistent answer. A solution at or
-    above prod(m_1..m_t) cannot come from one deal and is rejected
+    The first t shares, in participant order, are solved for y; every
+    further share is checked against it by residue and never changes a
+    consistent answer. A y at or above prod(m_1..m_t), or a further share
+    whose residue differs, cannot come from one deal and is rejected
     (best-effort inconsistency detection). A bundle with more than one level
     raises ValueError: its shares are not flat shares.
     """

@@ -58,6 +58,7 @@ def chss_deal(
 
 
 def chss_reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
-    """Recover the secret as the sum of every level's lift mod m0, each level
-    solved from the shares inside its first N_l participants."""
+    """Recover the secret as the sum of every level's lift mod m0, each lift
+    solved from the first t_l shares inside its first N_l participants and
+    checked against the level's further shares by residue."""
     return _recover(shares, public, conjunctive=True)

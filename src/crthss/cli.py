@@ -119,14 +119,19 @@ def _epsilon_arg(text: str) -> float:
 
 
 def _load_json(path: str):
-    """The parsed file. The decoder recurses once per nesting level, so a
-    file nested past the interpreter's recursion limit is refused as a
-    ValueError like any other malformed file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError("the file nests too deeply") from None
+    """The parsed file. Its bytes are read unbuffered in one call and
+    decoded as strict UTF-8 before ``json.loads`` sees them: a text-mode
+    read costs more per small file, and bytes handed to ``json.loads`` would
+    be sniffed for UTF-16 and UTF-32, which are refused. Invalid UTF-8 raises
+    UnicodeDecodeError, a ValueError. The decoder recurses once per nesting
+    level, so a file nested past the interpreter's recursion limit is
+    refused as a ValueError like any other malformed file."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("the file nests too deeply") from None
 
 
 def _write_text(path, text: str, private: bool = False) -> None:
@@ -135,23 +140,26 @@ def _write_text(path, text: str, private: bool = False) -> None:
     The file is opened without O_TRUNC and cut to the new length after the
     write: truncating a non-empty file to zero makes ext4 (with its default
     auto_da_alloc), xfs and btrfs start writeback when the file is closed,
-    which costs more than the write. Nothing is fsynced. If a write fails
-    partway the file is left empty, never a mix of old and new bytes. A
-    private file (one holding share values or dealer randomness) is created
-    0o600, and an existing one is set to 0o600. A path that is not a regular
+    which costs more than the write. The one fstat after opening decides
+    the rest: the file is cut only when it held more bytes than the new
+    data, and a private file (one holding share values or dealer
+    randomness), created 0o600, is chmod-ed to 0o600 only when its mode
+    differs. Nothing is fsynced. If a write fails partway the file is left
+    empty, never a mix of old and new bytes. A path that is not a regular
     file, such as /dev/null or a pipe, is only written to.
     """
     data = text.encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o600 if private else 0o666)
     try:
-        regular = stat.S_ISREG(os.fstat(fd).st_mode)
-        if private and regular:
+        st = os.fstat(fd)
+        regular = stat.S_ISREG(st.st_mode)
+        if private and regular and stat.S_IMODE(st.st_mode) != 0o600:
             os.fchmod(fd, 0o600)
         try:
             view = memoryview(data)
             while view:
                 view = view[os.write(fd, view):]
-            if regular:
+            if regular and st.st_size > len(data):
                 os.ftruncate(fd, len(data))
         except OSError:
             if regular:

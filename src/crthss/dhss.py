@@ -17,7 +17,11 @@ scheme passes the secret at every level, the conjunctive scheme passes the
 additive parts of it, and a single-level hierarchy is the flat Asmuth-Bloom
 scheme. Recovery mirrors it: every reconstruct entry point (``dhss``, ``chss``
 and flat ``ab``) takes (shares, public), passes ``dedupe_shares``, the one
-share gate, once, and solves its levels below their dealer bounds in one core.
+share gate, once, and recovers its levels below their dealer bounds in one
+core. A level is solved by congruence from its first t_l shares alone (or
+fewer, where their moduli already reach the bound), which fix the lift below
+the bound (Asmuth-Bloom); each share beyond those is checked by its residue
+instead of entering the solve.
 """
 
 import random
@@ -192,11 +196,18 @@ def dedupe_shares(shares: Sequence[Share], params: SchemeParams) -> list[Share]:
 def _recover(shares: Sequence[Share], public: PublicBundle, conjunctive: bool) -> int:
     """The recovery core behind every reconstruct entry point.
 
-    Gates the shares, then solves the smallest qualifying level (disjunctive)
-    or every level (conjunctive) from all shares inside it, and sums the lifts
-    mod m0. A level solution at or above prod(m_1..m_{t_l}) cannot come from
-    one deal, so redundant shares that disagree raise InconsistentShares
-    naming the level, never a value.
+    Gates the shares, then recovers the lift y_l of the smallest qualifying
+    level (disjunctive) or of every level (conjunctive), and sums the lifts
+    mod m0. A level's congruences, in participant order, are split at the
+    shortest prefix whose moduli multiply to at least the dealer bound
+    B_l = prod(m_1..m_{t_l}): at most its first t_l when the moduli increase,
+    as ``deal`` requires, since the j-th of them is then at least m_j. Only
+    that prefix is solved, to y; every later share is checked by its residue,
+    y mod m_i. The full system's solution x is y plus a multiple of the
+    prefix product M >= B_l, so x is below B_l exactly when y is and every
+    later residue matches: the full solve's verdict, from at most t_l fold
+    steps. Shares with no lift below B_l cannot come from one deal and raise
+    InconsistentShares naming the level, never a value.
     """
     seq, hier = public.params.sequence, public.params.hierarchy
     unique = dedupe_shares(shares, public.params)
@@ -211,17 +222,24 @@ def _recover(shares: Sequence[Share], public: PublicBundle, conjunctive: bool) -
         )
     total = 0
     for level in levels if conjunctive else levels[:1]:
-        y = crt_solve(_level_congruences(unique, level, public)).value
-        if y >= seq.prefix_product(hier.thresholds[level - 1]):
+        bound = seq.prefix_product(hier.thresholds[level - 1])
+        system = _level_congruences(unique, level, public)
+        solved, combined = 0, 1
+        while combined < bound and solved < len(system):
+            combined *= system[solved].modulus
+            solved += 1
+        y = crt_solve(system[:solved]).value
+        if y >= bound or any(y % c.modulus != c.residue for c in system[solved:]):
             raise InconsistentShares(
-                f"level {level} shares disagree: their solution exceeds the "
-                f"dealer bound"
+                f"level {level} shares disagree: no value below the dealer "
+                f"bound fits them all"
             )
         total += y
     return total % seq.m0
 
 
 def dhss_reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
-    """Recover the secret from the smallest qualifying level, using every
-    available share inside it; the extras tighten the congruence system."""
+    """Recover the secret from the smallest qualifying level: its first t_l
+    shares fix the lift, and every further share inside the level is checked
+    against it by residue."""
     return _recover(shares, public, conjunctive=False)

@@ -7,12 +7,17 @@ Parsing is as strict as writing: any other JSON type is refused.
 Serialization is canonical (sorted keys, two-space indent, trailing newline)
 so files round-trip byte-identically and the parameter digest is well
 defined: shares and bundles are bound together by the SHA-256 of the
-canonical parameter document.
+canonical parameter document. ``canonical_dumps`` writes those bytes itself,
+the bytes ``json.dumps(obj, sort_keys=True, indent=2)`` gives plus a newline:
+with an indent set the stdlib leaves its C encoder for a generator-based
+pure-Python one that costs about twice as much per file. The CLI reads
+files back with ``json.loads``.
 """
 
 import hashlib
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import inf
 from typing import Mapping
 
 from .dhss import PublicBundle, Share
@@ -23,8 +28,102 @@ FORMAT_VERSION = 1
 SCHEMES = ("dhss", "chss", "ab")
 
 
+def _float_text(value: float) -> str:
+    """json's spelling of a float, NaN and the infinities included."""
+    if value != value:
+        return "NaN"
+    if value == inf:
+        return "Infinity"
+    if value == -inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# marks an exhausted iterator in canonical_dumps
+_DONE = object()
+
+
+def _key_text(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _quote(key) + ": "
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte,
+    for str-keyed dicts, lists, tuples, str, int, float, bool and None; any
+    other key or value raises TypeError.
+
+    Containers are walked with an explicit stack, not by recursion, so any
+    nesting ``json.loads`` accepts can be written back, and a container that
+    holds itself raises ValueError as in json. Each stack frame is (the
+    container, an iterator over its items or sorted keys, whether it is a
+    dict, the indent outside it, the separator between items, the closing
+    bracket).
+    """
+    parts: list[str] = []
+    append = parts.append
+    stack: list[tuple] = []
+    open_ids: set[int] = set()
+    indent = "\n"
+    while True:
+        if isinstance(obj, str):
+            append(_quote(obj))
+        elif isinstance(obj, (dict, list, tuple)):
+            if not obj:
+                append("{}" if isinstance(obj, dict) else "[]")
+            else:
+                if id(obj) in open_ids:
+                    raise ValueError("Circular reference detected")
+                open_ids.add(id(obj))
+                inner = indent + "  "
+                if isinstance(obj, dict):
+                    items = iter(sorted(obj))
+                    key = next(items)
+                    append("{" + inner + _key_text(key))
+                    stack.append((obj, items, True, indent, "," + inner, "}"))
+                    obj = obj[key]
+                else:
+                    items = iter(obj)
+                    append("[" + inner)
+                    stack.append((obj, items, False, indent, "," + inner, "]"))
+                    obj = next(items)
+                indent = inner
+                continue
+        elif obj is None:
+            append("null")
+        elif obj is True:
+            append("true")
+        elif obj is False:
+            append("false")
+        elif isinstance(obj, int):
+            append(int.__repr__(obj))
+        elif isinstance(obj, float):
+            append(_float_text(obj))
+        else:
+            raise TypeError(
+                f"Object of type {type(obj).__name__} is not JSON serializable"
+            )
+        # the value is written: move to the next item of the innermost
+        # container that has one, closing every container that has none
+        while stack:
+            container, items, keyed, outer, separator, close = stack[-1]
+            item = next(items, _DONE)
+            if item is not _DONE:
+                if keyed:
+                    append(separator + _key_text(item))
+                    obj = container[item]
+                else:
+                    append(separator)
+                    obj = item
+                break
+            stack.pop()
+            open_ids.remove(id(container))
+            append(outer + close)
+            indent = outer
+        else:
+            append("\n")
+            return "".join(parts)
 
 
 def _require(condition: bool, message: str) -> None:

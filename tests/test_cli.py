@@ -8,6 +8,7 @@ import os
 import random
 import re
 import secrets
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -318,34 +319,97 @@ def test_unusable_digest_in_files_exit_2(tmp_path, capsys):
         assert "digest 'nope'" in err
 
 
-@pytest.mark.parametrize("command", [
-    "inspect", "deal", "audit", "reconstruct-public", "reconstruct-share",
-])
+# every command position that reads a JSON file
+READERS = ["inspect", "deal", "audit", "reconstruct-public", "reconstruct-share"]
+
+
+def reader_argv(command, path, tmp_path, micro_param_file):
+    """argv for a command that reads ``path`` where it wants a JSON file,
+    with a good micro deal's files in every other position, and the text
+    that command would read there from that deal."""
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(micro_param_file), "--secret", "4",
+                 "--seed", "1", "--out-dir", str(out_dir)]) == 0
+    bundle, share_2 = out_dir / "public_bundle.json", out_dir / "share_002.json"
+    argv, good = {
+        "inspect": (["inspect", str(path)], micro_param_file),
+        "deal": (["deal", "--params", str(path), "--secret", "1",
+                  "--out-dir", str(tmp_path / "again")], micro_param_file),
+        "audit": (["audit", "--params", str(path), "--adversary", "2"],
+                  micro_param_file),
+        "reconstruct-public": (["reconstruct", "--public", str(path),
+                                "--shares", str(out_dir / "share_001.json")],
+                               bundle),
+        "reconstruct-share": (["reconstruct", "--public", str(bundle),
+                               "--shares", str(share_2), str(path)],
+                              out_dir / "share_001.json"),
+    }[command]
+    return argv, good.read_text()
+
+
+@pytest.mark.parametrize("command", READERS)
 def test_deeply_nested_json_exit_2(tmp_path, micro_param_file, capsys, command):
     # json.load recurses once per level: past the recursion limit it used to
     # end every command in a RecursionError traceback
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200000 + "]" * 200000)
-    out_dir = tmp_path / "deal"
-    assert main(["deal", "--params", str(micro_param_file), "--secret", "4",
-                 "--seed", "1", "--out-dir", str(out_dir)]) == 0
+    argv, _ = reader_argv(command, deep, tmp_path, micro_param_file)
     capsys.readouterr()
-    argv = {
-        "inspect": ["inspect", str(deep)],
-        "deal": ["deal", "--params", str(deep), "--secret", "1",
-                 "--out-dir", str(tmp_path / "again")],
-        "audit": ["audit", "--params", str(deep), "--adversary", "2"],
-        "reconstruct-public": ["reconstruct", "--public", str(deep),
-                               "--shares", str(out_dir / "share_001.json")],
-        "reconstruct-share": ["reconstruct", "--public",
-                              str(out_dir / "public_bundle.json"),
-                              "--shares", str(out_dir / "share_002.json"), str(deep)],
-    }[command]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: cannot read ")
     assert err.endswith("the file nests too deeply\n")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["utf-16", "utf-8-bom", "invalid-utf-8", "directory"])
+@pytest.mark.parametrize("command", READERS)
+def test_undecodable_file_exit_2(tmp_path, micro_param_file, capsys, command, kind):
+    # a file the command would accept, but not in strict UTF-8 without a BOM
+    # (json.loads would sniff bytes for UTF-16), or a path that is no file
+    bad = tmp_path / "bad.json"
+    argv, good = reader_argv(command, bad, tmp_path, micro_param_file)
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        data = {"utf-16": good.encode("utf-16"),
+                "utf-8-bom": good.encode("utf-8-sig"),
+                "invalid-utf-8": good.encode()[:20] + b"\xff" + good.encode()[20:],
+                }[kind]
+        bad.write_bytes(data)
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot read ")
+    assert "Traceback" not in err
+
+
+def test_inspect_writes_back_the_deepest_file_it_reads(tmp_path, capsys):
+    # the canonical writer keeps its own stack, so any nesting the reader
+    # accepts is written back, whatever the interpreter's recursion limits
+    path = tmp_path / "nested.json"
+
+    def inspect(depth):
+        path.write_text("[" * depth + "]" * depth)
+        code = main(["inspect", str(path)])
+        return (code, *capsys.readouterr())
+
+    read, refused = 1, 200000
+    assert inspect(refused)[0] == 2
+    while refused - read > 1:
+        depth = (read + refused) // 2
+        code, _, err = inspect(depth)
+        if code == 0:
+            read = depth
+        else:
+            assert (code, err[-26:]) == (2, "the file nests too deeply\n")
+            refused = depth
+    code, out, err = inspect(read)
+    assert (code, err) == (0, "")
+    lines = [f"# {path}: unknown"]
+    lines += ["  " * i + "[" for i in range(read - 1)] + ["  " * (read - 1) + "[]"]
+    lines += ["  " * i + "]" for i in reversed(range(read - 1))]
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_unwritable_output_paths_exit_2(tmp_path, micro_param_file, capsys):
@@ -367,11 +431,38 @@ def test_unwritable_output_paths_exit_2(tmp_path, micro_param_file, capsys):
 
 
 def test_write_text_overwrites_in_place(tmp_path):
-    # the file ends up holding exactly the new bytes, whatever it held before
-    path = tmp_path / "out.json"
-    for text in ("a longer first text\n", "short\n", "", "é, then longer again\n"):
-        _write_text(path, text)
+    # the file ends up holding exactly the new bytes, whatever it held before;
+    # a private file ends up 0o600 though it started 0o644
+    for private in (False, True):
+        path = tmp_path / f"out-{private}.json"
+        if private:
+            path.write_text("an earlier public text\n")
+            path.chmod(0o644)
+        for text in ("a longer first text\n", "short\n", "", "é, then longer again\n"):
+            _write_text(path, text, private=private)
+            assert path.read_bytes() == text.encode("utf-8")
+            if private:
+                assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_rewrite_of_a_private_file_skips_chmod_and_truncate(tmp_path, monkeypatch):
+    # the fstat after opening shows the mode is right and nothing is left
+    # over past the new bytes, so neither call is made
+    path = tmp_path / "share.json"
+    _write_text(path, "x" * 10, private=True)
+    calls = []
+    for name in ("fchmod", "ftruncate"):
+        def spy(*args, _name=name, _real=getattr(os, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(os, name, spy)
+    for text in ("y" * 10, "z" * 12, "é" * 8):
+        _write_text(path, text, private=True)
         assert path.read_bytes() == text.encode("utf-8")
+    assert calls == []
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    _write_text(path, "short", private=True)
+    assert (calls, path.read_bytes()) == (["ftruncate"], b"short")
 
 
 def test_audit_out_may_be_a_device(micro_param_file, capsys):

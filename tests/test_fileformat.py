@@ -1,10 +1,12 @@
 """Canonical serialization: byte-identical round trips and digest binding."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import DHSS_SEED
 from crthss import OwfFamily, dhss_deal, generate_compact_sequence
@@ -128,3 +130,56 @@ def test_parse_rejects_malformed(micro_params):
     doubled["w"].append(doubled["w"][0])
     with pytest.raises(ValueError):
         parse_bundle_file(doubled)
+
+
+# every code point, lone surrogates and control characters included, with
+# the ASCII, control and surrogate ranges drawn more often than by chance
+_TEXT = st.text(st.one_of(
+    st.characters(codec=None, exclude_categories=()),
+    st.characters(min_codepoint=0, max_codepoint=0x7F),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-2**200, max_value=2**200),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 1e300, -1e300, 5e-324, math.nan, math.inf,
+                     -math.inf]),
+    _TEXT,
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(value=_JSON_VALUES)
+def test_canonical_dumps_matches_json_dumps(value):
+    # the stdlib encoder is the oracle for the hand-written one
+    expected = json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert canonical_dumps(value) == expected
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, b"bytes", {1: "int key"}, {None: 1}, {"a": [{(1, 2): 3}]},
+    [frozenset()], {"deep": [1, 2, {"x": bytearray(2)}]}, {"a": 1, 2: "b"},
+], ids=["set", "bytes", "int-key", "none-key", "tuple-key", "frozenset",
+        "nested-bytearray", "mixed-keys"])
+def test_canonical_dumps_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        canonical_dumps(value)
+
+
+def test_canonical_dumps_refuses_a_cycle():
+    loop: list = [1]
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular reference"):
+        canonical_dumps({"a": loop})
