@@ -11,8 +11,9 @@ usable knowledge is, per level l:
   (iv)  z_m = raw share (mod m_i) for adversary members at the top level
 
 Hash-preimage consistency of the published offsets for non-members is
-deliberately not modeled; its effect vanishes for large share spaces and is
-out of computational reach, so the posterior here conditions on (i)-(iv).
+deliberately not modeled; for a one-way h its effect vanishes for large
+share spaces and is out of computational reach, so the posterior here
+conditions on (i)-(iv) and the loss is exact only for a one-way h.
 
 Every per-level fact comes from one level profile per level, built in one
 pass over the view: the range bound, the adversary modulus S, the members
@@ -36,8 +37,8 @@ the histogram follows from how many secrets lie on the minority side of each
 subset of levels. For one or two levels those numbers come from the set
 sizes and one overlap, a difference of two floor sums, in O(log m0) at any
 size. With more levels the smallest minority set, about m0^theta secrets in
-the compact regime, is walked against the other levels, which recurse down
-to two. The conjunctive histogram tallies the one folded table.
+the compact regime, is walked lazily against the other levels, which recurse
+down to two. The conjunctive histogram tallies the one folded table.
 
 The posterior places equal weight on every consistent tuple, matching the
 counting argument the entropy-loss bound is built on (for an empty adversary
@@ -138,11 +139,6 @@ class LevelProfile:
         """How many secrets lie on the minority side; ``len(minority)``
         overflows past 2^63."""
         return min(self.rho, self.m0 - self.rho)
-
-    def residues(self, us: range) -> list[int]:
-        """The secrets base + S*u (mod m0) for u in ``us``."""
-        m0, base, step = self.m0, self.base, self.step
-        return [(base + step * u) % m0 for u in us]
 
 
 @dataclass(frozen=True)
@@ -277,12 +273,14 @@ def _minority_patterns(
         })
     walked = min(levels, key=sizes.__getitem__)
     rest = tuple(l for l in levels if l != walked)
-    tests = [(1 << l, profiles[l].base, profiles[l].inv, profiles[l].minority)
-             for l in rest]
     p = profiles[walked]
+    # the secret base + S*u has index c + d*u (mod m0) at level l, as in
+    # _minority_overlap; u runs over a range, so memory stays O(levels)
+    tests = [(1 << l, (p.base - q.base) * q.inv % m0, p.step * q.inv % m0,
+              q.minority) for l in rest for q in (profiles[l],)]
     inside = Counter(
-        sum(bit for bit, base, inv, side in tests if (r - base) * inv % m0 in side)
-        for r in p.residues(p.minority)
+        sum(bit for bit, c, d, side in tests if (c + d * u) % m0 in side)
+        for u in p.minority
     )
     patterns = _minority_patterns(profiles, rest)
     patterns.subtract(inside)
@@ -385,7 +383,7 @@ def enumerate_posterior(
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> PosteriorReport:
     """The exact histogram of the per-secret candidate counts for an
-    unauthorized view.
+    unauthorized view under the model (i)-(iv), exact only for a one-way h.
 
     Disjunctive: the count for secret s is the product over levels of the
     number of in-range solutions of the level's congruence system with
@@ -395,7 +393,7 @@ def enumerate_posterior(
     profile, and the report keeps those profiles as ``levels``; no
     per-secret table is returned. The disjunctive histogram costs
     O(log m0) for one or two levels and, for more, a walk of the smallest
-    minority set; the conjunctive fold costs O(m0) per level.
+    minority set in O(levels) memory; the conjunctive fold, O(m0) per level.
 
     Raises IntractableInstance when the estimated work exceeds
     ``work_budget``: m * m0 table entries for chss, and for dhss the sum over

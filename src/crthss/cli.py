@@ -55,7 +55,7 @@ from .fileformat import (
     parse_share_file,
     share_file_obj,
 )
-from .oneway import KINDS, OwfFamily
+from .oneway import OwfFamily
 from .params import (
     Hierarchy,
     SchemeParams,
@@ -227,9 +227,7 @@ def cmd_gen_params(args) -> int:
             m0, hierarchy.n, args.k, args.theta, rng.randrange(2 ** 63)
         )
         owf = OwfFamily(
-            kind=args.owf,
-            family_tag=bytes.fromhex(args.family_tag),
-            digest_name=args.digest,
+            family_tag=bytes.fromhex(args.family_tag), digest_name=args.digest
         )
         # not validated again: the hierarchy was checked above, and
         # generate_compact_sequence returns only a prime m0 and sorted,
@@ -264,7 +262,7 @@ def cmd_deal(args) -> int:
     scheme, params = loaded
     deal = chss_deal if scheme == "chss" else dhss_deal
     try:
-        result = deal(args.secret, params, args.seed, keep_dealer_secrets=True)
+        result = deal(args.secret, params, args.seed, args.emit_dealer_secrets)
     except SecretOutOfRange as exc:
         return _fail(EXIT_VALIDATION, str(exc))
     except InvalidParams as exc:
@@ -506,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--theta", type=_theta_arg, default="1/2",
                    help="compactness exponent p/q")
-    p.add_argument("--owf", choices=KINDS, default="hash_based")
     p.add_argument("--family-tag", default="", help="hex domain-separation tag")
     p.add_argument("--digest", default="sha256")
     p.add_argument("--seed", type=int)

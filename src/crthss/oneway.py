@@ -6,10 +6,12 @@ share can be lifted to a different residue at every level. Two kinds exist:
 * ``hash_based`` — digest-expand a length-prefixed encoding of (tag, level, x)
   and reduce; producing at least twice the modulus bit length before reduction
   keeps the modular bias below 2^-bitlen(modulus).
-* ``test_affine`` — (3*x + level) mod modulus, for hand-checkable vectors.
+* ``test_affine`` — (3*x + level) mod modulus, for in-memory, hand-checked
+  vectors. Not one-way: its offsets link the level lifts, which the audit
+  does not model, so no parameter file or bundle carries it.
 
-Only determinism and public computability matter to the reconstruction and
-audit machinery; nothing here is keyed.
+Reconstruction needs only determinism and public computability; the audit is
+exact only for a one-way family. Nothing here is keyed.
 """
 
 import hashlib

@@ -9,8 +9,12 @@ value checkable by hand or exhaustive scan.
 The seeds below make the dealer draw the exact worked-vector randomness:
 AB_SEED gives alpha=5 for secret 3 (t=2); DHSS_SEED gives alpha=(0, 10) and
 c_1=9 for secret 4; CHSS_SEED gives delta=(2, 2), alpha=(0, 9), c_1=5.
+
+A parameter file carries only the hash_based OWF, so the *_file_params
+fixtures are the same instances with it, for tests that write files.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -57,3 +61,13 @@ def flat_params(micro_seq):
         hierarchy=Hierarchy(level_sizes=(3,), thresholds=(2,)),
         owf=OwfFamily(kind="test_affine"),
     )
+
+
+@pytest.fixture
+def micro_file_params(micro_params):
+    return dataclasses.replace(micro_params, owf=OwfFamily())
+
+
+@pytest.fixture
+def flat_file_params(flat_params):
+    return dataclasses.replace(flat_params, owf=OwfFamily())

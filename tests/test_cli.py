@@ -23,6 +23,7 @@ from crthss import (
     CompactSequence,
     Hierarchy,
     SchemeParams,
+    dhss_deal,
     generate_compact_sequence,
 )
 from crthss.cli import MAX_M0_BITS, _write_text, main
@@ -36,16 +37,16 @@ from crthss.fileformat import (
 
 
 @pytest.fixture
-def micro_param_file(tmp_path, micro_params):
+def micro_param_file(tmp_path, micro_file_params):
     path = tmp_path / "micro.json"
-    path.write_text(canonical_dumps(param_file_obj("dhss", micro_params)))
+    path.write_text(canonical_dumps(param_file_obj("dhss", micro_file_params)))
     return path
 
 
 @pytest.fixture
-def micro_chss_param_file(tmp_path, micro_params):
+def micro_chss_param_file(tmp_path, micro_file_params):
     path = tmp_path / "micro_chss.json"
-    path.write_text(canonical_dumps(param_file_obj("chss", micro_params)))
+    path.write_text(canonical_dumps(param_file_obj("chss", micro_file_params)))
     return path
 
 
@@ -57,7 +58,7 @@ def test_gen_params_ok(tmp_path, capsys):
     out = tmp_path / "params.json"
     code = main([
         "gen-params", "--m0", "97", "--levels", "1,2", "--thresholds", "1,2",
-        "--k", "1", "--theta", "1/2", "--owf", "test_affine",
+        "--k", "1", "--theta", "1/2",
         "--seed", "7", "--out", str(out),
     ])
     assert code == 0
@@ -71,7 +72,7 @@ def test_gen_params_ok(tmp_path, capsys):
     out2 = tmp_path / "params2.json"
     main([
         "gen-params", "--m0", "97", "--levels", "1,2", "--thresholds", "1,2",
-        "--k", "1", "--theta", "1/2", "--owf", "test_affine",
+        "--k", "1", "--theta", "1/2",
         "--seed", "7", "--out", str(out2),
     ])
     assert out.read_text() == out2.read_text()
@@ -80,21 +81,21 @@ def test_gen_params_ok(tmp_path, capsys):
 def test_gen_params_validation_failures(tmp_path, capsys):
     code = main([
         "gen-params", "--m0", "97", "--levels", "1,2", "--thresholds", "2,2",
-        "--owf", "test_affine", "--seed", "1", "--out", str(tmp_path / "x.json"),
+        "--seed", "1", "--out", str(tmp_path / "x.json"),
     ])
     assert code == 2
     assert "increasing" in capsys.readouterr().err
 
     code = main([
         "gen-params", "--m0", "11", "--levels", "3,3", "--thresholds", "1,2",
-        "--owf", "test_affine", "--seed", "1", "--out", str(tmp_path / "x.json"),
+        "--seed", "1", "--out", str(tmp_path / "x.json"),
     ])
     assert code == 2
     assert "interval" in capsys.readouterr().err.lower()
 
     code = main([
         "gen-params", "--m0", "10", "--levels", "1", "--thresholds", "1",
-        "--owf", "test_affine", "--seed", "1", "--out", str(tmp_path / "x.json"),
+        "--seed", "1", "--out", str(tmp_path / "x.json"),
     ])
     assert code == 2
 
@@ -121,7 +122,7 @@ def test_gen_params_validation_failures(tmp_path, capsys):
 def test_gen_params_composite_m0(tmp_path, capsys):
     code = main([
         "gen-params", "--m0", "15", "--levels", "1,2", "--thresholds", "1,2",
-        "--owf", "test_affine", "--seed", "1", "--out", str(tmp_path / "x.json"),
+        "--seed", "1", "--out", str(tmp_path / "x.json"),
     ])
     assert code == 2
     assert capsys.readouterr().err == "error: m0 = 15 is not prime\n"
@@ -190,6 +191,73 @@ def test_param_file_theta_or_k_out_of_range_exit_2(tmp_path, capsys, field, valu
         assert out == ""
         assert err.startswith("error: cannot read ")
         assert err.endswith(f"sequence: {message}\n")
+
+
+@pytest.mark.parametrize("kind", ["test_affine", "hash_based"])
+def test_gen_params_has_no_owf_option(tmp_path, capsys, kind):
+    out = tmp_path / "x.json"
+    assert main(["gen-params", "--m0", "997", "--levels", "1,2", "--thresholds",
+                 "1,2", "--owf", kind, "--seed", "1", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "unrecognized arguments: --owf" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("owf", [
+    {"kind": "test_affine", "family_tag": ""},
+    {"kind": "test_affine", "family_tag": "", "digest_name": "sha256"},
+], ids=["affine", "affine-with-digest"])
+def test_affine_parameter_file_or_bundle_exit_2(tmp_path, capsys, owf):
+    """deal, audit and reconstruct refuse a parameter file or a bundle whose
+    OWF is test_affine: its masks link the levels, which the audit does not
+    model (see test_oneway)."""
+    params_path = tmp_path / "params.json"
+    assert main(["gen-params", "--m0", "997", "--levels", "1,2", "--thresholds",
+                 "1,2", "--seed", "1", "--out", str(params_path)]) == 0
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(params_path), "--secret", "5",
+                 "--seed", "2", "--out-dir", str(out_dir)]) == 0
+    bundle_path = out_dir / "public_bundle.json"
+    params, bundle = read(params_path), read(bundle_path)
+    params["owf"] = bundle["params"]["owf"] = owf
+    params_path.write_text(canonical_dumps(params))
+    bundle_path.write_text(canonical_dumps(bundle))
+    capsys.readouterr()
+    for argv, what in (
+        (["deal", "--params", str(params_path), "--secret", "5", "--seed", "2",
+          "--out-dir", str(tmp_path / "again")], "parameters"),
+        (["audit", "--params", str(params_path), "--adversary", "2", "--seed", "3"],
+         "parameters"),
+        (["reconstruct", "--public", str(bundle_path),
+          "--shares", str(out_dir / "share_001.json")], "bundle"),
+    ):
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr() == (
+            "", f"error: cannot read {what}: owf: kind is not hash_based\n")
+    assert not (tmp_path / "again").exists()
+
+
+def test_deal_keeps_dealer_secrets_only_when_asked(tmp_path, micro_param_file,
+                                                   monkeypatch, capsys):
+    from crthss import cli
+    kept = []
+
+    def spy(*args, **kwargs):
+        result = dhss_deal(*args, **kwargs)
+        kept.append(result.dealer_secrets is not None)
+        return result
+
+    monkeypatch.setattr(cli, "dhss_deal", spy)
+    for name, flags in (("plain", []), ("emit", ["--emit-dealer-secrets"])):
+        assert main(["deal", "--params", str(micro_param_file), "--secret", "4",
+                     "--seed", "1", "--out-dir", str(tmp_path / name), *flags]) == 0
+    assert kept == [False, True]
+    plain = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert sorted(p.name for p in (tmp_path / "emit").iterdir()) == sorted(
+        [*plain, "dealer_secrets.json"])
+    for name in plain:
+        assert ((tmp_path / "plain" / name).read_bytes()
+                == (tmp_path / "emit" / name).read_bytes())
 
 
 def _run_cli(*argv, timeout=60):
@@ -570,6 +638,8 @@ def test_share_files_and_dealer_secrets_are_private(tmp_path, micro_param_file,
 
 
 def test_deal_and_reconstruct_dhss(tmp_path, micro_param_file, capsys):
+    # the hand-checked affine vector is pinned by test_dhss.test_worked_deal;
+    # the file form carries the hash_based OWF, which changes only the masks w
     out_dir = tmp_path / "deal"
     code = main([
         "deal", "--params", str(micro_param_file), "--secret", "4",
@@ -581,7 +651,7 @@ def test_deal_and_reconstruct_dhss(tmp_path, micro_param_file, capsys):
     assert [shares[i]["value"] for i in (1, 2, 3)] == ["9", "9", "6"]
     bundle = read(out_dir / "public_bundle.json")
     w = {(e["participant"], e["level"]): e["value"] for e in bundle["w"]}
-    assert w == {(1, 1): "9", (1, 2): "1"}
+    assert w == {(1, 1): "3", (1, 2): "7"}
     secrets = read(out_dir / "dealer_secrets.json")
     assert secrets["values"]["y"] == ["4", "74"]
     capsys.readouterr()
@@ -665,8 +735,8 @@ def test_out_of_range_secret_is_not_printed(tmp_path, micro_param_file, capsys):
         assert secret not in err
 
 
-def test_deal_invalid_params(tmp_path, micro_params, capsys):
-    obj = param_file_obj("dhss", micro_params)
+def test_deal_invalid_params(tmp_path, micro_file_params, capsys):
+    obj = param_file_obj("dhss", micro_file_params)
     obj["hierarchy"]["thresholds"] = [2, 2]
     bad = tmp_path / "bad.json"
     bad.write_text(canonical_dumps(obj))
@@ -705,8 +775,8 @@ def test_missing_public_value(tmp_path, micro_param_file, capsys):
     assert code == 6
 
 
-def test_flat_scheme_via_cli(tmp_path, micro_params, capsys):
-    obj = param_file_obj("ab", SchemeParamsFlat(micro_params))
+def test_flat_scheme_via_cli(tmp_path, micro_file_params, capsys):
+    obj = param_file_obj("ab", SchemeParamsFlat(micro_file_params))
     path = tmp_path / "flat.json"
     path.write_text(canonical_dumps(obj))
     out_dir = tmp_path / "deal"
@@ -724,12 +794,12 @@ def test_flat_scheme_via_cli(tmp_path, micro_params, capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
-def test_multi_level_flat_file_exit_3_in_deal_and_audit(tmp_path, micro_params,
+def test_multi_level_flat_file_exit_3_in_deal_and_audit(tmp_path, micro_file_params,
                                                         capsys):
     # a two-level parameter file labelled ab: no flat deal can serve it, so
     # audit refuses it as deal does instead of auditing it as dhss
     path = tmp_path / "flat2.json"
-    path.write_text(canonical_dumps(param_file_obj("ab", micro_params)))
+    path.write_text(canonical_dumps(param_file_obj("ab", micro_file_params)))
     refusal = "error: flat dealing needs a single-level parameter set\n"
     assert main(["deal", "--params", str(path), "--secret", "3", "--seed", "5",
                  "--out-dir", str(tmp_path / "d")]) == 3
@@ -796,12 +866,12 @@ def test_audit_digest_is_the_param_file_hash(tmp_path, capsys, scheme, levels,
     assert [r["scheme"] for r in rungs] == [scheme, scheme]
 
 
-def SchemeParamsFlat(micro_params):
+def SchemeParamsFlat(params):
     from crthss.params import Hierarchy, SchemeParams
     return SchemeParams(
-        sequence=micro_params.sequence,
+        sequence=params.sequence,
         hierarchy=Hierarchy((3,), (2,)),
-        owf=micro_params.owf,
+        owf=params.owf,
     )
 
 
@@ -816,9 +886,10 @@ def SchemeParamsFlat(micro_params):
      lambda share: str(int(share["value"]) + int(share["modulus"])), "share_003.json"),
 ], ids=["dhss-participant-99", "dhss-conflicting-values",
         "ab-value-at-modulus", "ab-participant-99", "dhss-top-level-value-plus-modulus"])
-def test_reconstruct_malformed_shares_exit_2(tmp_path, micro_params, flat_params,
-                                             scheme, victim, field, corrupt, partner):
-    params = flat_params if scheme == "ab" else micro_params
+def test_reconstruct_malformed_shares_exit_2(tmp_path, micro_file_params,
+                                             flat_file_params, scheme, victim, field,
+                                             corrupt, partner):
+    params = flat_file_params if scheme == "ab" else micro_file_params
     param_path = tmp_path / "params.json"
     param_path.write_text(canonical_dumps(param_file_obj(scheme, params)))
     out_dir = tmp_path / "deal"
@@ -1195,11 +1266,11 @@ def _audit_output(capsys, param_file, adversary):
     return code, out, err
 
 
-def test_audit_duplicate_adversary_indices(tmp_path, micro_params, capsys):
+def test_audit_duplicate_adversary_indices(tmp_path, micro_file_params, capsys):
     # a repeated index is one member: the report and every table describe
     # the set {1, 2}, not the raw list
-    flat = SchemeParams(sequence=micro_params.sequence,
-                        hierarchy=Hierarchy((3,), (3,)), owf=micro_params.owf)
+    flat = SchemeParams(sequence=micro_file_params.sequence,
+                        hierarchy=Hierarchy((3,), (3,)), owf=micro_file_params.owf)
     path = tmp_path / "flat.json"
     path.write_text(canonical_dumps(param_file_obj("dhss", flat)))
     pair = _audit_output(capsys, path, "1,2")
@@ -1280,7 +1351,7 @@ def test_audit_ladder(tmp_path, capsys):
     params_path = tmp_path / "shape.json"
     main([
         "gen-params", "--m0", "97", "--levels", "1,2", "--thresholds", "1,2",
-        "--owf", "hash_based", "--seed", "1", "--out", str(params_path),
+        "--seed", "1", "--out", str(params_path),
     ])
     capsys.readouterr()
     out = tmp_path / "ladder.json"
@@ -1345,7 +1416,7 @@ def test_gen_params_m0_bits(tmp_path, capsys):
     out = tmp_path / "params.json"
     code = main([
         "gen-params", "--m0-bits", "24", "--levels", "2,2", "--thresholds", "2,3",
-        "--theta", "2/3", "--owf", "hash_based", "--seed", "3", "--out", str(out),
+        "--theta", "2/3", "--seed", "3", "--out", str(out),
     ])
     assert code == 0
     obj = read(out)

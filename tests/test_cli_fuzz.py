@@ -7,7 +7,8 @@ the bundle: a node deleted, replaced by a value of another JSON type, or a
 decimal string shifted by a small amount or a multiple of a modulus. Every
 run must end in one of reconstruct's documented exit codes with no
 traceback, and stderr must never contain a share value or a ``w`` value,
-dealt or mutated.
+dealt or mutated. The OWF of the embedded parameters is mutated by hand:
+only hash_based is read.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ import tempfile
 from math import gcd, prod
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from crthss import CompactSequence, Hierarchy, SchemeParams, chss_deal, dhss_deal
@@ -147,3 +149,25 @@ def test_reconstruct_survives_mutated_files(data):
     assert "Traceback" not in err.getvalue()
     forbidden = {v for v in SECRET_VALUES | written if len(v.lstrip("-")) >= 10}
     assert not [v for v in forbidden if v in err.getvalue()]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda owf: owf.update(kind="test_affine"),
+    lambda owf: owf.pop("digest_name"),
+    lambda owf: owf.pop("kind"),
+], ids=["kind-test_affine", "digest_name-removed", "kind-missing"])
+@pytest.mark.parametrize("scheme", sorted(DEALT))
+def test_reconstruct_refuses_a_mutated_owf(tmp_path, capsys, scheme, mutate):
+    files = json.loads(json.dumps(DEALT[scheme]))
+    mutate(files["bundle"]["params"]["owf"])
+    bundle = tmp_path / "public_bundle.json"
+    bundle.write_text(canonical_dumps(files["bundle"]))
+    paths = []
+    for i, share in enumerate(files["shares"]):
+        paths.append(str(tmp_path / f"share_{i}.json"))
+        Path(paths[-1]).write_text(canonical_dumps(share))
+    assert main(["reconstruct", "--public", str(bundle), "--shares", *paths]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot read bundle: owf: ")
+    assert not [v for v in SECRET_VALUES if v in err]

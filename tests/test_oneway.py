@@ -1,10 +1,11 @@
 """One-way function family: affine vectors, frozen digest vectors, ranges."""
 
 import random
+from math import log2
 
 import pytest
 
-from crthss import OwfFamily, eval_owf
+from crthss import OwfFamily, adversary_view, dhss_deal, enumerate_posterior, eval_owf
 from crthss.errors import LevelOutOfRange
 
 AFFINE = OwfFamily(kind="test_affine")
@@ -28,6 +29,32 @@ def test_affine_vectors():
     assert eval_owf(AFFINE, 2, 5, 11) == 6  # 17 mod 11
     for level in (1, 2, 5):
         assert eval_owf(AFFINE, level, 0, 100) == level
+
+
+def test_affine_masks_link_levels_the_audit_does_not_model(micro_params):
+    """Why no parameter file carries test_affine. With h(x, l) = 3x + l the
+    offsets of participant 1 give w_{1,1} - w_{1,2} = y_1 - y_2 + 1 (mod 11),
+    a public link between the lifts that the audit's model (i)-(iv) leaves
+    out. On the micro instance, adversary {2}, a literal scan that adds the
+    link pins the secret in 120 of 700 deals (log2 7 = 2.81 bits), while
+    the audit reports 0.057 to 0.244 bits on the same deals."""
+    pinned, losses = 0, []
+    for seed in range(100):
+        for secret in range(7):
+            deal = dhss_deal(secret, micro_params, seed)
+            view = adversary_view(deal, {2})
+            losses.append(enumerate_posterior(view, "dhss").loss)
+            (share,) = view.shares
+            link = (deal.public.w[1, 1] - deal.public.w[1, 2] - 1) % 11
+            # y_1 < 11 and y_2 < 11 * 13, y_2 = share (mod 13), y_1 = y_2
+            # (mod 7), and the link
+            left = {y1 % 7 for y1 in range(11)
+                    for y2 in range(share.value, 143, 13)
+                    if (y1 - y2) % 7 == 0 and (y1 - y2) % 11 == link}
+            assert secret in left
+            pinned += left == {secret}
+    assert pinned == 120
+    assert 0.057 < min(losses) < max(losses) < 0.244 < log2(7)
 
 
 def test_hash_frozen_vectors():

@@ -18,6 +18,7 @@ rebuilds the per-secret counts from the report's level profiles, so the
 naive convolution there checks the conjunctive fold at m0 in the thousands.
 """
 
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -197,7 +198,7 @@ def sparse_disjunctive_counts(profiles, m0):
     exceptions = set()
     for p in profiles:
         majority *= p.q + (2 * p.rho > m0)
-        exceptions.update(p.residues(p.minority))
+        exceptions.update((p.base + p.step * u) % m0 for u in p.minority)
     histogram = Counter(
         prod(level_count(p, r) for p in profiles) for r in exceptions
     )
@@ -321,6 +322,30 @@ def test_sparse_dhss_audit_memory_at_24_bits():
     assert sum(report.histogram.values()) == m0
     # the true secret keeps a candidate at every level
     assert prod(level_count(p, m0 // 3) for p in report.levels) >= 1
+
+
+def test_three_level_dhss_walk_memory_at_22_bits():
+    # three levels walk the smallest minority set, here 101497 secrets; as
+    # one list it peaked at 3.96 MiB, and at 40 bits (about 4e10 secrets)
+    # the process was killed. The walk is lazy, so memory is O(levels).
+    m0 = 2895943
+    hier = Hierarchy((10, 40, 150), (5, 20, 60))
+    seq = generate_compact_sequence(m0, hier.n, 1, Fraction(1, 2), 7)
+    params = SchemeParams(sequence=seq, hierarchy=hier)
+    view = adversary_view(dhss_deal(m0 // 3, params, 3), {2})
+    tracemalloc.start()
+    try:
+        report = enumerate_posterior(view, "dhss")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
+    assert [p.minority_size for p in report.levels] == [485760, 101497, 222837]
+    # the histogram the list-based walk gave, pinned by its SHA-256
+    assert sorted(report.histogram.values()) == [101497, 222837, 485760, 2085849]
+    text = repr(sorted(report.histogram.items())).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "6cec1cc034133d1cbe01f7daa8ab4a63d555c53f04bd2f6d87b7cdc93aa1cdaa")
 
 
 def test_chss_audit_memory_at_m0_100003():
