@@ -12,11 +12,20 @@ modulus already folded in, so the fold checks pairwise coprimality as it
 solves; only a failing system is scanned for the offending pair. x is
 reduced mod m before the product, so each step multiplies numbers of m's
 size rather than x's, which grows to the size of M.
+
+The product tree of a list of values (Bernstein, "Fast multiplication and
+its applications", 2008) serves the many-moduli work around the solve: its
+rows multiply neighbouring pairs, so n values of b bits cost products of
+balanced sizes instead of a running product that grows to n*b bits at every
+step. ``remainders`` walks it down to reduce one value by every modulus, and
+parameter validation checks pairwise coprimality with one gcd per internal
+node: the values are pairwise coprime exactly when, at every node, the
+products below its two children are coprime.
 """
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import EmptySystem, ModuliNotPairwiseCoprime, NotCoprime
 
@@ -90,3 +99,34 @@ def crt_solve(system: Sequence[Congruence]) -> CrtSolution:
         value += combined * ((c.residue - value % c.modulus) * step % c.modulus)
         combined *= c.modulus
     return CrtSolution(value=value, combined_modulus=combined)
+
+
+def product_tree(values: Sequence[int], cap: Optional[int] = None) -> list[list[int]]:
+    """Rows of the product tree of ``values``, leaves first: each row holds
+    the products of neighbouring pairs of the row below, an odd last value
+    carried up unchanged, so value k of row r is the product of the leaves
+    from k*2^r below (k+1)*2^r that exist. The rows stop below the root, at
+    the first row of at most two values or, when ``cap`` is given, of a
+    first value above it: no caller needs a product that large. An empty
+    input gives [[]]."""
+    rows = [list(values)]
+    while len(rows[-1]) > 2 and (cap is None or rows[-1][0] <= cap):
+        row = rows[-1]
+        up = [a * b for a, b in zip(row[::2], row[1::2])]
+        if len(row) % 2:
+            up.append(row[-1])
+        rows.append(up)
+    return rows
+
+
+def remainders(x: int, moduli: Sequence[int]) -> list[int]:
+    """[x % m for m in moduli], walking down their product tree:
+    x is reduced by the nodes of the top row, then every node's remainder by
+    its children, so each step divides a number of about twice a node's
+    size instead of x itself. The tree stops at nodes above x, which would
+    leave it unchanged."""
+    rows = product_tree(moduli, x)
+    rems = [x % m for m in rows[-1]]
+    for row in reversed(rows[:-1]):
+        rems = [rems[k // 2] % m for k, m in enumerate(row)]
+    return rems

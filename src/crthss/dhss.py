@@ -29,7 +29,7 @@ import secrets
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .crt import Congruence, crt_solve
+from .crt import Congruence, crt_solve, remainders
 from .errors import (
     InconsistentShares,
     InvalidParams,
@@ -92,24 +92,29 @@ def _deal(
 ) -> tuple[tuple[Share, ...], PublicBundle, dict]:
     """Lift residues[l-1] to y_l below prod(m_1..m_{t_l}) and share every
     level. Draws alpha_1..alpha_m by level, then c_1..c_{N_{m-1}} by
-    participant index. Returns the shares, the public bundle and the
-    dealer-side lifts {"alpha", "y"}."""
+    participant index. y_l mod m_i for every participant of the first N_l,
+    which the top-level shares and the published offsets w[i, l] take, comes
+    from one remainder-tree walk per level. Returns the shares, the public
+    bundle and the dealer-side lifts {"alpha", "y"}."""
     seq, hier = params.sequence, params.hierarchy
     alphas, ys = [], []
     for residue, t in zip(residues, hier.thresholds):
         bound = seq.prefix_product(t)
         alphas.append(rng.randrange((bound - 1 - residue) // seq.m0 + 1))
         ys.append(residue + alphas[-1] * seq.m0)
+    lifted = [
+        remainders(y, seq.moduli[:upper]) for y, upper in zip(ys, hier.cumulative)
+    ]
     n_masked = hier.n_masked
     shares, w = [], {}
     for i in range(1, hier.n + 1):
         m_i, level = seq.modulus_of(i), hier.level_of(i)
-        value = rng.randrange(m_i) if i <= n_masked else ys[-1] % m_i
+        value = rng.randrange(m_i) if i <= n_masked else lifted[-1][i - 1]
         shares.append(Share(participant=i, level=level, modulus=m_i, value=value))
         if i <= n_masked:
             for lvl in range(level, hier.m + 1):
                 mask = eval_owf(params.owf, lvl, value, m_i)
-                w[(i, lvl)] = (ys[lvl - 1] - mask) % m_i
+                w[(i, lvl)] = (lifted[lvl - 1][i - 1] - mask) % m_i
     lifts = {"alpha": tuple(alphas), "y": tuple(ys)}
     return tuple(shares), PublicBundle(params=params, w=w), lifts
 
@@ -203,7 +208,8 @@ def _recover(shares: Sequence[Share], public: PublicBundle, conjunctive: bool) -
     B_l = prod(m_1..m_{t_l}): at most its first t_l when the moduli increase,
     as ``deal`` requires, since the j-th of them is then at least m_j. Only
     that prefix is solved, to y; every later share is checked by its residue,
-    y mod m_i. The full system's solution x is y plus a multiple of the
+    y mod m_i, all of them from one remainder-tree walk over their moduli.
+    The full system's solution x is y plus a multiple of the
     prefix product M >= B_l, so x is below B_l exactly when y is and every
     later residue matches: the full solve's verdict, from at most t_l fold
     steps. Shares with no lift below B_l cannot come from one deal and raise
@@ -229,7 +235,9 @@ def _recover(shares: Sequence[Share], public: PublicBundle, conjunctive: bool) -
             combined *= system[solved].modulus
             solved += 1
         y = crt_solve(system[:solved]).value
-        if y >= bound or any(y % c.modulus != c.residue for c in system[solved:]):
+        surplus = system[solved:]
+        residues = remainders(y, [c.modulus for c in surplus])
+        if y >= bound or residues != [c.residue for c in surplus]:
             raise InconsistentShares(
                 f"level {level} shares disagree: no value below the dealer "
                 f"bound fits them all"

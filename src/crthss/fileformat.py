@@ -225,7 +225,9 @@ def param_file_obj(scheme: str, params: SchemeParams) -> dict:
 def parse_param_file(obj: Mapping) -> tuple[str, SchemeParams]:
     """Read a parameter file, or a bundle's parameters. The owf is exactly
     {kind, family_tag, digest_name}, kind hash_based: the audit assumes h is
-    one-way, which test_affine is not."""
+    one-way, which test_affine is not. family_tag is lowercase hex of whole
+    bytes, the one spelling the writer gives, so the digest of a canonical
+    file is the SHA-256 of its bytes."""
     _exact_keys(obj, {"version", "scheme", "sequence", "hierarchy", "owf"},
                 "parameter file")
     scheme = _check_version_scheme(obj, "parameter file")
@@ -251,8 +253,16 @@ def parse_param_file(obj: Mapping) -> tuple[str, SchemeParams]:
     _require(isinstance(owf_obj, dict) and owf_obj.get("kind") == "hash_based",
              "owf: kind is not hash_based")
     _exact_keys(owf_obj, {"kind", "family_tag", "digest_name"}, "owf")
+    tag = owf_obj["family_tag"]
+    try:
+        family_tag = bytes.fromhex(tag)
+    except (TypeError, ValueError):
+        family_tag = None
+    # fromhex also takes upper case and spaces; .hex() is the writer's form
+    _require(family_tag is not None and family_tag.hex() == tag,
+             "owf: family_tag is not lowercase hex")
     owf = OwfFamily(
-        family_tag=bytes.fromhex(owf_obj["family_tag"]),
+        family_tag=family_tag,
         digest_name=owf_obj["digest_name"],
     )
     return scheme, SchemeParams(sequence=sequence, hierarchy=hierarchy, owf=owf)

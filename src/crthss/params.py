@@ -18,6 +18,7 @@ from itertools import accumulate
 from math import gcd, isqrt, log2, prod
 from typing import Iterable
 
+from .crt import product_tree
 from .errors import IntervalExhausted, ThresholdOutOfRange
 from .oneway import OwfFamily
 
@@ -281,9 +282,11 @@ def validate_compact(seq: CompactSequence) -> ValidationReport:
 
 def _structure_violations(seq: CompactSequence) -> tuple[str, ...]:
     """Primality of m0, strict ordering, pairwise coprimality: the properties
-    dealing and reconstruction rely on. Coprimality is one fold: a value
-    coprime to the product of those before it is coprime to each, so only a
-    failing value is scanned to name its pairs. gcd, unlike a remainder,
+    dealing and reconstruction rely on. Coprimality is one gcd per internal
+    node of the product tree of (m0, m_1..m_n): every pair meets at exactly
+    one node, as a leaf below its left child and one below its right, and a
+    product is coprime to a value exactly when each factor is. Only a
+    failing node is descended to name its pairs. gcd, unlike a remainder,
     gives 0 and negative entries of a malformed file the pairwise verdict."""
     bad: list[str] = []
     if not is_prime(seq.m0):
@@ -295,17 +298,36 @@ def _structure_violations(seq: CompactSequence) -> tuple[str, ...]:
                 f"not strictly increasing at position {idx}: "
                 f"{full[idx - 1]} >= {full[idx]}"
             )
-    pairs: list[tuple[int, int]] = []
-    product = 1
-    for j, value in enumerate(full):
-        if gcd(value, product) != 1:
-            pairs += [(i, j) for i in range(j) if gcd(full[i], value) != 1]
-        product *= value
+    rows = product_tree(full)
+    pairs = [
+        pair
+        for r, row in enumerate(rows)
+        for k in range(1, len(row), 2)
+        if gcd(row[k - 1], row[k]) != 1
+        for pair in _shared_pairs(rows, (r, k - 1), (r, k))
+    ]
     bad += [
         f"gcd(m_{i}, m_{j}) = gcd({full[i]}, {full[j]}) = {gcd(full[i], full[j])}"
         for i, j in sorted(pairs)
     ]
     return tuple(bad)
+
+
+def _shared_pairs(rows, left, right) -> list[tuple[int, int]]:
+    """Leaf pairs (i, j) with a common factor, i below the tree node
+    left = (row, index) and j below right, which lies after it: a coprime
+    pair of nodes holds none, otherwise the higher node is split into its
+    children until both are leaves."""
+    (rl, kl), (rr, kr) = left, right
+    if gcd(rows[rl][kl], rows[rr][kr]) == 1:
+        return []
+    if rl == rr == 0:
+        return [(kl, kr)]
+    if rl >= rr:
+        halves = range(2 * kl, min(2 * kl + 2, len(rows[rl - 1])))
+        return [p for c in halves for p in _shared_pairs(rows, (rl - 1, c), right)]
+    halves = range(2 * kr, min(2 * kr + 2, len(rows[rr - 1])))
+    return [p for c in halves for p in _shared_pairs(rows, left, (rr - 1, c))]
 
 
 def _interval_violations(seq: CompactSequence) -> tuple[str, ...]:

@@ -237,6 +237,40 @@ def test_affine_parameter_file_or_bundle_exit_2(tmp_path, capsys, owf):
     assert not (tmp_path / "again").exists()
 
 
+@pytest.mark.parametrize("tag", [7, "zz", "abc", "AB", "ab cd"])
+def test_family_tag_not_lowercase_hex_exit_2(tmp_path, capsys, tag):
+    """A family_tag other than lowercase hex of whole bytes is refused with
+    a message naming the field, in a parameter file and in a bundle: an
+    upper-case or spaced tag would hash in a spelling the file does not
+    have."""
+    params_path = tmp_path / "params.json"
+    assert main(["gen-params", "--m0", "997", "--levels", "1,2", "--thresholds",
+                 "1,2", "--family-tag", "abcd", "--seed", "1",
+                 "--out", str(params_path)]) == 0
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(params_path), "--secret", "5",
+                 "--seed", "2", "--out-dir", str(out_dir)]) == 0
+    digest = hashlib.sha256(params_path.read_bytes()).hexdigest()
+    assert f"params digest: {digest}\n" in capsys.readouterr().out
+    bundle_path = out_dir / "public_bundle.json"
+    params, bundle = read(params_path), read(bundle_path)
+    params["owf"]["family_tag"] = bundle["params"]["owf"]["family_tag"] = tag
+    params_path.write_text(canonical_dumps(params))
+    bundle_path.write_text(canonical_dumps(bundle))
+    for argv, what in (
+        (["deal", "--params", str(params_path), "--secret", "5", "--seed", "2",
+          "--out-dir", str(tmp_path / "again")], "parameters"),
+        (["audit", "--params", str(params_path), "--adversary", "2", "--seed", "3"],
+         "parameters"),
+        (["reconstruct", "--public", str(bundle_path),
+          "--shares", str(out_dir / "share_001.json")], "bundle"),
+    ):
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr() == (
+            "", f"error: cannot read {what}: owf: family_tag is not lowercase hex\n")
+    assert not (tmp_path / "again").exists()
+
+
 def test_deal_keeps_dealer_secrets_only_when_asked(tmp_path, micro_param_file,
                                                    monkeypatch, capsys):
     from crthss import cli

@@ -155,7 +155,9 @@ def test_reconstruct_survives_mutated_files(data):
     lambda owf: owf.update(kind="test_affine"),
     lambda owf: owf.pop("digest_name"),
     lambda owf: owf.pop("kind"),
-], ids=["kind-test_affine", "digest_name-removed", "kind-missing"])
+    lambda owf: owf.update(family_tag="AB"),
+], ids=["kind-test_affine", "digest_name-removed", "kind-missing",
+        "family_tag-upper-case"])
 @pytest.mark.parametrize("scheme", sorted(DEALT))
 def test_reconstruct_refuses_a_mutated_owf(tmp_path, capsys, scheme, mutate):
     files = json.loads(json.dumps(DEALT[scheme]))

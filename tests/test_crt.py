@@ -5,8 +5,10 @@ import re
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crthss import Congruence, crt_solve, mod_inverse
+from crthss.crt import product_tree, remainders
 from crthss.errors import EmptySystem, ModuliNotPairwiseCoprime, NotCoprime
 
 
@@ -164,3 +166,53 @@ def test_crt_fold_names_a_shared_factor(first, second, scale):
     a, b, factor = map(int, re.findall(r"\d+", str(excinfo.value)))
     assert a in moduli and b in moduli
     assert gcd(a, b) == factor > 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 9, 200, 201])
+def test_product_tree_rows(n):
+    """Rows pair neighbours and carry an odd last value up unchanged, so
+    value k of row r is the product of leaves k*2^r .. (k+1)*2^r - 1. They
+    stop below the root, at two values, or at a first value above the cap."""
+    values = [1000 + 7 * i for i in range(n)]
+    rows = product_tree(values)
+    assert rows[0] == values
+    assert len(rows[-1]) <= 2 and prod(rows[-1]) == prod(values)
+    assert all(len(row) > 2 for row in rows[:-1])
+    for r, row in enumerate(rows):
+        assert row == [prod(values[k << r:(k + 1) << r]) for k in range(len(row))]
+        if r:
+            assert len(row) == (len(rows[r - 1]) + 1) // 2
+    for cap in (-1, 0, 999, 1000, 10**6, 10**12, 10**100):
+        capped = product_tree(values, cap)
+        assert capped == rows[:len(capped)]
+        stop = capped[-1]
+        assert len(stop) <= 2 or stop[0] > cap
+        assert all(row[0] <= cap for row in capped[:-1])
+
+
+def test_remainders_edge_cases():
+    assert remainders(12345, []) == []
+    assert remainders(0, []) == []
+    assert remainders(12345, [97]) == [12345 % 97]
+    moduli = [11, 13, 17, 19, 23]
+    total = prod(moduli)
+    for x in (0, 1, total - 1, total, total + 1, 7 * total + 5, total**3):
+        assert remainders(x, moduli) == [x % m for m in moduli]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    moduli=st.lists(st.integers(2, 2**300), max_size=40),
+    data=st.data(),
+)
+def test_remainders_match_direct_reduction(moduli, data):
+    """Any moduli, coprime or not, and x from below zero past their product."""
+    total = prod(moduli)
+    x = data.draw(st.one_of(
+        st.just(0),
+        st.integers(0, total - 1),
+        st.sampled_from([total - 1, total, total + 1]),
+        st.integers(total, total * 2**70),
+        st.integers(-total * 2**70, -1),
+    ))
+    assert remainders(x, moduli) == [x % m for m in moduli]

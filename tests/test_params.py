@@ -627,3 +627,51 @@ def test_structure_fold_at_real_size(first, second, scale):
         full[second] = full[first] * scale
     expected = _assert_matches_oracle(full)
     assert bool(expected) == (scale is not None)
+
+
+def _consecutive_primes(start, count):
+    primes, c = [], start
+    while len(primes) < count:
+        c += 1
+        if is_prime(c):
+            primes.append(c)
+    return primes
+
+
+def _tree_placements(n):
+    """Pairs (i, j) of leaves of the product tree of n values, named by where
+    they meet: across the root split (whose right child starts at the
+    highest power of two below n, which is n/2 when n is a power of two),
+    inside either child, or with the odd last leaf that each row carries
+    up."""
+    split = n // 2 if n & (n - 1) == 0 else 1 << (n.bit_length() - 1)
+    places = {"across-root": [(split - 1, split)], "ends": [(0, n - 1)]}
+    if split >= 2:
+        places["left"] = [(0, split - 1)]
+    if n - split >= 2:
+        places["right"] = [(split, n - 1)]
+    if n % 2:
+        places["carried"] = [(n - 2, n - 1)]
+    places["all"] = [pair for pairs in list(places.values()) for pair in pairs]
+    return places
+
+
+_TREE_PRIMES = _consecutive_primes(1009, 257)
+
+
+@pytest.mark.parametrize("n", [v for k in range(1, 9) for v in (2**k, 2**k + 1)])
+def test_structure_tree_matches_pairwise_oracle(n):
+    """At n = 2^k and 2^k + 1 values, a shared factor placed across the root
+    split, inside either child of the root, or on the carried odd leaf gives
+    the pairwise oracle's verdict and messages, in the same order."""
+    clean = [1009] + _TREE_PRIMES[:n - 1]
+    assert _assert_matches_oracle(clean) == ()
+    for place, pairs in _tree_placements(n).items():
+        full = list(clean)
+        for (i, j), p in zip(pairs, (3, 5, 7, 11, 13, 17)):
+            full[i] *= p
+            full[j] *= p
+        expected = _assert_matches_oracle(full)
+        named = {v for v in expected if v.startswith("gcd(")}
+        assert {f"gcd(m_{i}, m_{j})" for i, j in pairs} == {
+            v.split(" =")[0] for v in named}, (n, place)
