@@ -23,11 +23,11 @@ is the one that runs.
 
 import argparse
 import json
-import math
 import os
 import random
 import stat
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +48,7 @@ from .errors import (
 from .fileformat import (
     bundle_file_obj,
     canonical_dumps,
+    lowercase_hex,
     param_file_obj,
     params_digest,
     parse_bundle_file,
@@ -73,8 +74,7 @@ EXIT_MISSING_PUBLIC = 6
 EXIT_AUTHORIZED_ADVERSARY = 7
 EXIT_BUDGET = 8
 
-# the acceptance threshold an audit report carries for its reader to compare
-# loss_bits against; the audit itself does not read it
+# the tolerance every audit report carries for loss_bits; the audit never reads it
 DEFAULT_EPSILON = 0.05
 
 # what a malformed or mistyped file raises while it is read and parsed
@@ -104,18 +104,19 @@ def _theta_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction p/q: {text!r}") from None
 
 
-def _epsilon_arg(text: str) -> float:
-    """--epsilon as a finite, non-negative float; NaN and infinities would
-    end up in the report, which must stay valid JSON."""
+def _family_tag_arg(text: str) -> bytes:
+    """--family-tag in the one spelling a parameter file accepts."""
+    if (tag := lowercase_hex(text)) is None:
+        raise argparse.ArgumentTypeError(f"not lowercase hex of whole bytes: {text!r}")
+    return tag
+
+
+def _digest_arg(text: str) -> str:
+    """--digest as a name the one-way function family accepts."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 <= value < math.inf:  # NaN fails every comparison
-        raise argparse.ArgumentTypeError(
-            f"not a finite non-negative number: {text!r}"
-        )
-    return value
+        return OwfFamily(digest_name=text).digest_name
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_json(path: str):
@@ -226,9 +227,7 @@ def cmd_gen_params(args) -> int:
         sequence = generate_compact_sequence(
             m0, hierarchy.n, args.k, args.theta, rng.randrange(2 ** 63)
         )
-        owf = OwfFamily(
-            family_tag=bytes.fromhex(args.family_tag), digest_name=args.digest
-        )
+        owf = OwfFamily(family_tag=args.family_tag, digest_name=args.digest)
         # not validated again: the hierarchy was checked above, and
         # generate_compact_sequence returns only a prime m0 and sorted,
         # pairwise-coprime moduli inside the interval
@@ -280,8 +279,9 @@ def cmd_deal(args) -> int:
             "scheme": scheme,
             "params_digest": digest,
             "seed": None if args.seed is None else str(args.seed),
+            # str(int) refuses past 4300 digits; Decimal spells the same digits
             "values": {
-                key: [str(v) for v in vals]
+                key: [str(Decimal(v)) for v in vals]
                 for key, vals in (result.dealer_secrets or {}).items()
             },
         }
@@ -342,15 +342,8 @@ def cmd_reconstruct(args) -> int:
 
 # -- audit -----------------------------------------------------------------------
 
-def _audit_one(
-    label: str,
-    params: SchemeParams,
-    adversary: tuple[int, ...],
-    secret: int,
-    deal_seed: int,
-    budget: int,
-    epsilon: float,
-) -> dict:
+def _audit_one(label: str, params: SchemeParams, adversary: tuple[int, ...],
+               secret: int, deal_seed: int, budget: int) -> dict:
     """Deal, build the adversary view, and measure the posterior; the eta and
     ratio tables render the report's level profiles. A flat ("ab") file is
     counted as the single-level disjunctive scheme, but reported under its
@@ -391,7 +384,7 @@ def _audit_one(
         "secret_entropy_bits": report.secret_entropy,
         "conditional_entropy_bits": report.conditional_entropy,
         "loss_bits": report.loss,
-        "epsilon_tolerance": epsilon,
+        "epsilon_tolerance": DEFAULT_EPSILON,
         "eta_table": eta_table,
         "ratio_table": ratio_table,
         "rho": rate.rho,
@@ -419,7 +412,7 @@ def cmd_audit(args) -> int:
                 secret = args.secret if args.secret is not None else rng.randrange(m0)
                 entry = _audit_one(
                     label, rung_params, args.adversary, secret,
-                    rng.randrange(2 ** 63), args.budget, args.epsilon,
+                    rng.randrange(2 ** 63), args.budget,
                 )
                 entry["m0"] = str(m0)
                 rungs.append(entry)
@@ -437,7 +430,7 @@ def cmd_audit(args) -> int:
                 secret = rng.randrange(params.sequence.m0)
             out_obj = _audit_one(
                 label, params, args.adversary, secret,
-                rng.randrange(2 ** 63), args.budget, args.epsilon,
+                rng.randrange(2 ** 63), args.budget,
             )
     except NotUnauthorized as exc:
         return _fail(EXIT_AUTHORIZED_ADVERSARY, str(exc))
@@ -504,8 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--theta", type=_theta_arg, default="1/2",
                    help="compactness exponent p/q")
-    p.add_argument("--family-tag", default="", help="hex domain-separation tag")
-    p.add_argument("--digest", default="sha256")
+    p.add_argument("--family-tag", type=_family_tag_arg, default="",
+                   help="hex domain-separation tag")
+    p.add_argument("--digest", type=_digest_arg, default="sha256")
     p.add_argument("--seed", type=int)
     p.add_argument("--scheme", choices=("dhss", "chss", "ab"), default="dhss")
     p.add_argument("--out", required=True)
@@ -531,7 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ladder", type=_ints_arg,
                    help="regenerate the same shape at these m0 rungs")
     p.add_argument("--budget", type=int, default=analysis.DEFAULT_WORK_BUDGET)
-    p.add_argument("--epsilon", type=_epsilon_arg, default=DEFAULT_EPSILON)
     p.add_argument("--secret", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")

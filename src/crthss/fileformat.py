@@ -200,10 +200,19 @@ def _check_version_scheme(obj: Mapping, what: str) -> str:
 
 # -- parameter files ---------------------------------------------------------
 
+def lowercase_hex(text) -> bytes | None:
+    """The bytes text spells in the one hex form ``bytes.hex`` writes, else
+    None: fromhex alone also takes upper case and spaces."""
+    try:
+        value = bytes.fromhex(text)
+    except (TypeError, ValueError):
+        return None
+    return value if value.hex() == text else None
+
+
 def param_file_obj(scheme: str, params: SchemeParams) -> dict:
     _require(scheme in SCHEMES, f"unknown scheme {scheme!r}")
     seq, hier, owf = params.sequence, params.hierarchy, params.owf
-    _require(owf.kind == "hash_based", f"owf kind {owf.kind!r} has no file form")
     return {
         "version": FORMAT_VERSION,
         "scheme": scheme,
@@ -217,17 +226,17 @@ def param_file_obj(scheme: str, params: SchemeParams) -> dict:
             "level_sizes": list(hier.level_sizes),
             "thresholds": list(hier.thresholds),
         },
-        "owf": {"kind": owf.kind, "family_tag": owf.family_tag.hex(),
+        "owf": {"kind": "hash_based", "family_tag": owf.family_tag.hex(),
                 "digest_name": owf.digest_name},
     }
 
 
 def parse_param_file(obj: Mapping) -> tuple[str, SchemeParams]:
     """Read a parameter file, or a bundle's parameters. The owf is exactly
-    {kind, family_tag, digest_name}, kind hash_based: the audit assumes h is
-    one-way, which test_affine is not. family_tag is lowercase hex of whole
-    bytes, the one spelling the writer gives, so the digest of a canonical
-    file is the SHA-256 of its bytes."""
+    {kind, family_tag, digest_name}, kind hash_based, the one family there
+    is: the audit is exact only for a one-way h. family_tag is read by
+    ``lowercase_hex``, so the digest of a canonical file is the SHA-256 of
+    its bytes."""
     _exact_keys(obj, {"version", "scheme", "sequence", "hierarchy", "owf"},
                 "parameter file")
     scheme = _check_version_scheme(obj, "parameter file")
@@ -253,18 +262,9 @@ def parse_param_file(obj: Mapping) -> tuple[str, SchemeParams]:
     _require(isinstance(owf_obj, dict) and owf_obj.get("kind") == "hash_based",
              "owf: kind is not hash_based")
     _exact_keys(owf_obj, {"kind", "family_tag", "digest_name"}, "owf")
-    tag = owf_obj["family_tag"]
-    try:
-        family_tag = bytes.fromhex(tag)
-    except (TypeError, ValueError):
-        family_tag = None
-    # fromhex also takes upper case and spaces; .hex() is the writer's form
-    _require(family_tag is not None and family_tag.hex() == tag,
-             "owf: family_tag is not lowercase hex")
-    owf = OwfFamily(
-        family_tag=family_tag,
-        digest_name=owf_obj["digest_name"],
-    )
+    family_tag = lowercase_hex(owf_obj["family_tag"])
+    _require(family_tag is not None, "owf: family_tag is not lowercase hex")
+    owf = OwfFamily(family_tag=family_tag, digest_name=owf_obj["digest_name"])
     return scheme, SchemeParams(sequence=sequence, hierarchy=hierarchy, owf=owf)
 
 

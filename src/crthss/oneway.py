@@ -1,17 +1,11 @@
-"""Public one-way functions used to mask per-level reconstruction values.
+"""Public one-way function family used to mask per-level reconstruction values.
 
-A family maps (level, x) to a value modulo the caller's share modulus, so one
-share can be lifted to a different residue at every level. Two kinds exist:
-
-* ``hash_based`` — digest-expand a length-prefixed encoding of (tag, level, x)
-  and reduce; producing at least twice the modulus bit length before reduction
-  keeps the modular bias below 2^-bitlen(modulus).
-* ``test_affine`` — (3*x + level) mod modulus, for in-memory, hand-checked
-  vectors. Not one-way: its offsets link the level lifts, which the audit
-  does not model, so no parameter file or bundle carries it.
-
+h maps (level, x) to a value modulo the caller's share modulus, so one share
+can be lifted to a different residue at every level. It digest-expands a
+length-prefixed encoding of (tag, level, x) to at least twice the modulus bit
+length and reduces, which keeps the modular bias below 2^-bitlen(modulus).
 Reconstruction needs only determinism and public computability; the audit is
-exact only for a one-way family. Nothing here is keyed.
+exact only because h is one-way. Nothing here is keyed.
 """
 
 import hashlib
@@ -19,37 +13,25 @@ from dataclasses import dataclass
 
 from .errors import LevelOutOfRange
 
-KINDS = ("hash_based", "test_affine")
-
 
 @dataclass(frozen=True)
 class OwfFamily:
-    """Identifier of a one-way-function family.
+    """The hash family: family_tag is a domain-separation label mixed into
+    every digest, and digest_name the fixed-size hashlib digest expanding it."""
 
-    family_tag is a domain-separation label mixed into every digest;
-    digest_name picks the hash algorithm and only matters for hash_based.
-    """
-
-    kind: str = "hash_based"
     family_tag: bytes = b""
     digest_name: str = "sha256"
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown OWF kind {self.kind!r}, expected one of {KINDS}")
-        if self.kind == "hash_based" and _digest_size(self.digest_name) < 1:
+        # hashlib cannot build every name, and shake_* has digest_size 0
+        try:
+            size = hashlib.new(self.digest_name).digest_size
+        except (TypeError, ValueError):
+            size = 0
+        if size < 1:
             raise ValueError(
                 f"digest {self.digest_name!r} is not a fixed-size hashlib digest"
             )
-
-
-def _digest_size(name) -> int:
-    """Output size of the hashlib digest called name; 0 when hashlib cannot
-    build it, and for the variable-length shake_* digests."""
-    try:
-        return hashlib.new(name).digest_size
-    except (TypeError, ValueError):
-        return 0
 
 
 def _uint_bytes(n: int) -> bytes:
@@ -75,8 +57,6 @@ def eval_owf(family: OwfFamily, level: int, x: int, modulus: int) -> int:
     if x < 0:
         # x is a share's private value, so only the range is named
         raise ValueError("x must be >= 0")
-    if family.kind == "test_affine":
-        return (3 * x + level) % modulus
     message = _encode(family.family_tag, level, x)
     need = (2 * modulus.bit_length() + 7) // 8
     out = b""

@@ -143,8 +143,8 @@ def random_instance(rng):
             )
         except IntervalExhausted:
             continue
-        owf = OwfFamily(kind=rng.choice(["test_affine", "hash_based"]))
-        return SchemeParams(sequence=seq, hierarchy=hier, owf=owf)
+        rng.choice((0, 1))  # once the OWF kind; kept so later draws match
+        return SchemeParams(sequence=seq, hierarchy=hier)
 
 
 def sample_disjunctive_set(rng, hier):
@@ -237,7 +237,7 @@ def test_c3_chss_completeness(micro_params):
 
 # -- criterion 4 -------------------------------------------------------------
 
-def test_c4_worked_vectors(micro_params):
+def test_c4_worked_vectors(micro_params, affine_owf):
     disj = dhss_deal(4, micro_params, DHSS_SEED, keep_dealer_secrets=True)
     assert [s.value for s in disj.shares] == [9, 9, 6]
     assert dict(disj.public.w) == {(1, 1): 9, (1, 2): 1}
@@ -272,8 +272,7 @@ def test_c5_cardinality_grouping():
             continue
         if prod(seq.prefix_product(t) for t in hier.thresholds) > 300_000:
             continue
-        params = SchemeParams(sequence=seq, hierarchy=hier,
-                              owf=OwfFamily(kind="test_affine"))
+        params = SchemeParams(sequence=seq, hierarchy=hier)
         result = dhss_deal(rng.randrange(m0), params, rng.randrange(2**32))
         unauthorized = [
             set(c)
@@ -302,11 +301,7 @@ def test_c6_eta_dichotomy_and_ladder():
         minority = []
         for m0 in (97, 997, 9973):
             seq = generate_compact_sequence(m0, 3, k, Fraction(1, 2), 1)
-            params = SchemeParams(
-                sequence=seq,
-                hierarchy=Hierarchy((3,), (2,)),
-                owf=OwfFamily(kind="test_affine"),
-            )
+            params = SchemeParams(sequence=seq, hierarchy=Hierarchy((3,), (2,)))
             deal = dhss_deal(m0 // 2, params, 2)
             view = adversary_view(deal, {1})
             posterior = enumerate_posterior(view, "dhss")
@@ -350,7 +345,7 @@ def test_c7_loss_entropy_ladder():
             params = SchemeParams(
                 sequence=seq,
                 hierarchy=hier,
-                owf=OwfFamily(kind="hash_based", family_tag=b"ladder"),
+                owf=OwfFamily(family_tag=b"ladder"),
             )
             if members == {2}:
                 assert worst_case_unauthorized(params) == members

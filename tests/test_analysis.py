@@ -23,7 +23,6 @@ from scan_oracle import profile_counts, scan_posterior_counts
 from crthss import (
     CompactSequence,
     Hierarchy,
-    OwfFamily,
     SchemeParams,
     adversary_view,
     chss_deal,
@@ -217,9 +216,7 @@ def test_eta_zero_on_non_compact():
     # adversary modulus above the dealer bound forces eta = 0: counts drop
     # to {0, 1} and only part of the secret space stays consistent
     seq = CompactSequence(m0=7, moduli=(11, 13, 401), k=1, theta=Fraction(1, 2))
-    params = SchemeParams(
-        sequence=seq, hierarchy=Hierarchy((3,), (2,)), owf=OwfFamily(kind="test_affine")
-    )
+    params = SchemeParams(sequence=seq, hierarchy=Hierarchy((3,), (2,)))
     deal = dhss_deal(5, params, 3)
     view = adversary_view(deal, {3})
     report = enumerate_posterior(view, "dhss")
@@ -259,11 +256,7 @@ def test_eta_dichotomy_random_flat():
             )
         except IntervalExhausted:
             continue
-        params = SchemeParams(
-            sequence=seq,
-            hierarchy=Hierarchy((n,), (t,)),
-            owf=OwfFamily(kind="test_affine"),
-        )
+        params = SchemeParams(sequence=seq, hierarchy=Hierarchy((n,), (t,)))
         deal = dhss_deal(rng.randrange(m0), params, rng.randrange(2**32))
         members = set(rng.sample(range(1, n + 1), t - 1))
         view = adversary_view(deal, members)
@@ -282,11 +275,7 @@ def test_minority_fraction_shrinks_along_ladder():
     fractions = []
     for m0 in (97, 997, 9973):
         seq = generate_compact_sequence(m0, 3, 1, Fraction(1, 2), 1)
-        params = SchemeParams(
-            sequence=seq,
-            hierarchy=Hierarchy((3,), (2,)),
-            owf=OwfFamily(kind="test_affine"),
-        )
+        params = SchemeParams(sequence=seq, hierarchy=Hierarchy((3,), (2,)))
         deal = dhss_deal(m0 // 2, params, 2)
         _, d1, d2 = eta_split(enumerate_posterior(adversary_view(deal, {1}), "dhss"))
         fractions.append(min(d1, d2) / m0)
@@ -313,11 +302,7 @@ def test_limit_ratio_micro(micro_params):
 def test_limit_ratio_compact_instance():
     # on a genuinely 1-compact ladder the worst-case ratio hugs k
     seq = generate_compact_sequence(997, 3, 1, Fraction(1, 2), 5)
-    params = SchemeParams(
-        sequence=seq,
-        hierarchy=Hierarchy((1, 2), (1, 2)),
-        owf=OwfFamily(kind="test_affine"),
-    )
+    params = SchemeParams(sequence=seq, hierarchy=Hierarchy((1, 2), (1, 2)))
     result = dhss_deal(123, params, 6)
     view = adversary_view(result, worst_case_unauthorized(params))
     envelope = Fraction(compact_width := 31, 997)  # floor(sqrt 997) = 31
@@ -387,8 +372,8 @@ def test_randomized_oracle_equivalence():
             bound = seq.prefix_product(t)
         if bound > 40_000:
             continue
-        params = SchemeParams(sequence=seq, hierarchy=hier,
-                              owf=OwfFamily(kind=rng.choice(["test_affine", "hash_based"])))
+        rng.choice((0, 1))  # once the OWF kind; kept so later draws match
+        params = SchemeParams(sequence=seq, hierarchy=hier)
         secret = rng.randrange(m0)
         if scheme == "dhss":
             result = dhss_deal(secret, params, rng.randrange(2**32))

@@ -15,7 +15,6 @@ from scan_oracle import profile_counts
 from crthss import (
     CompactSequence,
     Hierarchy,
-    OwfFamily,
     PublicBundle,
     SchemeParams,
     Share,
@@ -34,11 +33,7 @@ from crthss.errors import (
 
 
 def flat(seq, t):
-    return SchemeParams(
-        sequence=seq,
-        hierarchy=Hierarchy((seq.n,), (t,)),
-        owf=OwfFamily(kind="test_affine"),
-    )
+    return SchemeParams(sequence=seq, hierarchy=Hierarchy((seq.n,), (t,)))
 
 
 def pairs(deal):

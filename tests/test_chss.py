@@ -11,7 +11,6 @@ import pytest
 from conftest import CHSS_SEED, SEQ_61
 from crthss import (
     Hierarchy,
-    OwfFamily,
     SchemeParams,
     ab_reconstruct,
     chss_deal,
@@ -41,7 +40,7 @@ def test_authorization(micro_params):
     assert chss_is_authorized({1, 2, 3}, micro_params)
 
 
-def test_worked_deal(micro_params):
+def test_worked_deal(micro_params, affine_owf):
     result = chss_deal(4, micro_params, CHSS_SEED, keep_dealer_secrets=True)
     ds = result.dealer_secrets
     assert ds["delta"] == (2, 2)
@@ -52,7 +51,7 @@ def test_worked_deal(micro_params):
     assert dict(result.public.w) == {(1, 1): 8, (1, 2): 4}
 
 
-def test_reconstruct_worked_vectors(micro_params):
+def test_reconstruct_worked_vectors(micro_params, affine_owf):
     result = chss_deal(4, micro_params, CHSS_SEED)
     by_id = {s.participant: s for s in result.shares}
     # level 1: (5+8) mod 11 = 2; level 2: solve (10 mod 11, 0 mod 13) = 65
@@ -94,8 +93,8 @@ def test_completeness_random_instances():
             continue
         hier = Hierarchy(sizes, tuple(thresholds))
         seq = generate_compact_sequence(m0, hier.n, 1, Fraction(2, 3), rng.randrange(2**32))
-        kind = rng.choice(["test_affine", "hash_based"])
-        params = SchemeParams(sequence=seq, hierarchy=hier, owf=OwfFamily(kind=kind))
+        rng.choice((0, 1))  # once the OWF kind; kept so later draws match
+        params = SchemeParams(sequence=seq, hierarchy=hier)
         secret = rng.randrange(m0)
         result = chss_deal(secret, params, rng.randrange(2**32))
         by_id = {s.participant: s for s in result.shares}

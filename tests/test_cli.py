@@ -11,6 +11,7 @@ import secrets
 import stat
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,21 +33,22 @@ from crthss.fileformat import (
     canonical_dumps,
     param_file_obj,
     params_digest,
+    parse_param_file,
     share_file_obj,
 )
 
 
 @pytest.fixture
-def micro_param_file(tmp_path, micro_file_params):
+def micro_param_file(tmp_path, micro_params):
     path = tmp_path / "micro.json"
-    path.write_text(canonical_dumps(param_file_obj("dhss", micro_file_params)))
+    path.write_text(canonical_dumps(param_file_obj("dhss", micro_params)))
     return path
 
 
 @pytest.fixture
-def micro_chss_param_file(tmp_path, micro_file_params):
+def micro_chss_param_file(tmp_path, micro_params):
     path = tmp_path / "micro_chss.json"
-    path.write_text(canonical_dumps(param_file_obj("chss", micro_file_params)))
+    path.write_text(canonical_dumps(param_file_obj("chss", micro_params)))
     return path
 
 
@@ -294,6 +296,26 @@ def test_deal_keeps_dealer_secrets_only_when_asked(tmp_path, micro_param_file,
                 == (tmp_path / "emit" / name).read_bytes())
 
 
+def test_dealer_secrets_past_the_integer_digit_limit(tmp_path, capsys):
+    """At 256 bits and t_3 = 60, y_3 has more than the 4300 digits str(int)
+    spells; the file still holds every dealer value, in decimal."""
+    params_path = tmp_path / "params.json"
+    assert main(["gen-params", "--m0-bits", "256", "--levels", "10,40,150",
+                 "--thresholds", "5,20,60", "--seed", "4",
+                 "--out", str(params_path)]) == 0
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(params_path), "--secret", "5",
+                 "--seed", "1", "--out-dir", str(out_dir),
+                 "--emit-dealer-secrets"]) == 0
+    _, params = parse_param_file(read(params_path))
+    expected = dhss_deal(5, params, 1, keep_dealer_secrets=True).dealer_secrets
+    values = read(out_dir / "dealer_secrets.json")["values"]
+    assert values.keys() == expected.keys()
+    for key, vals in expected.items():
+        assert [Decimal(v) for v in values[key]] == [Decimal(v) for v in vals]
+    assert len(values["y"][-1]) > 4300
+
+
 def _run_cli(*argv, timeout=60):
     env = {**os.environ, "PYTHONPATH": str(Path(crthss.__file__).parents[1])}
     return subprocess.run([sys.executable, "-m", "crthss.cli", *argv],
@@ -351,7 +373,11 @@ def test_m0_bits_above_the_cap_is_refused_before_the_prime_search(
     ("1,2", "3,2", "hierarchy: thresholds not strictly increasing: t_1 = 3 >= "
                    "t_2 = 2; hierarchy: t_1 = 3 > N_1 = 1"),
     ("0", "1", "hierarchy: level 1 size 0 < 1; hierarchy: t_1 = 1 > N_1 = 0"),
-], ids=["decreasing", "empty-level"])
+    ("", "", "hierarchy: no levels"),
+    ("1,2", "1", "hierarchy: 2 level sizes but 1 thresholds"),
+    ("1,2", "0,2", "hierarchy: t_1 = 0 < 1"),
+], ids=["decreasing", "empty-level", "no-levels", "count-mismatch",
+        "zero-threshold"])
 def test_bad_hierarchy_is_refused_before_the_prime_search(
         tmp_path, monkeypatch, capsys, m0_flag, levels, thresholds, message):
     # a 2048-bit search used to run for seconds before the hierarchy was
@@ -365,6 +391,50 @@ def test_bad_hierarchy_is_refused_before_the_prime_search(
     assert main(["gen-params", *m0_flag, "--levels", levels, "--thresholds",
                  thresholds, "--seed", "1", "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--family-tag", "abc"), ("--family-tag", "AB"), ("--family-tag", "ab cd"),
+    ("--family-tag", "zz"), ("--digest", "nope"), ("--digest", "shake_128"),
+])
+def test_bad_owf_flag_is_refused_before_the_prime_search(
+        tmp_path, monkeypatch, capsys, flag, value):
+    """--family-tag takes only the spelling a parameter file accepts and
+    --digest only a name OwfFamily accepts: fromhex alone would write "AB"
+    as "ab", a tag other than the one given."""
+    def no_primes(n):
+        raise AssertionError("is_prime called")
+
+    monkeypatch.setattr("crthss.cli.is_prime", no_primes)
+    monkeypatch.setattr("crthss.params.is_prime", no_primes)
+    out = tmp_path / "x.json"
+    assert main(["gen-params", "--m0-bits", "2048", "--levels", "1,2",
+                 "--thresholds", "1,2", flag, value, "--seed", "1",
+                 "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "usage: crthss gen-params" in err
+    assert f"error: argument {flag}: " in err and repr(value) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, tag", [
+    ([], ""), (["--family-tag", ""], ""), (["--family-tag", "ab"], "ab"),
+], ids=["default", "empty", "ab"])
+def test_gen_params_writes_the_family_tag_given(tmp_path, capsys, flags, tag):
+    out = tmp_path / "x.json"
+    assert main(["gen-params", "--m0", "997", "--levels", "1,2", "--thresholds",
+                 "1,2", *flags, "--seed", "1", "--out", str(out)]) == 0
+    assert read(out)["owf"] == {
+        "kind": "hash_based", "family_tag": tag, "digest_name": "sha256"}
+
+
+@pytest.mark.parametrize("bits", ["1", "0"])
+def test_m0_bits_below_two_exit_2(tmp_path, capsys, bits):
+    out = tmp_path / "x.json"
+    assert main(["gen-params", "--m0-bits", bits, "--levels", "1,2",
+                 "--thresholds", "1,2", "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: need at least 2 bits\n")
     assert not out.exists()
 
 
@@ -769,8 +839,8 @@ def test_out_of_range_secret_is_not_printed(tmp_path, micro_param_file, capsys):
         assert secret not in err
 
 
-def test_deal_invalid_params(tmp_path, micro_file_params, capsys):
-    obj = param_file_obj("dhss", micro_file_params)
+def test_deal_invalid_params(tmp_path, micro_params, capsys):
+    obj = param_file_obj("dhss", micro_params)
     obj["hierarchy"]["thresholds"] = [2, 2]
     bad = tmp_path / "bad.json"
     bad.write_text(canonical_dumps(obj))
@@ -809,8 +879,8 @@ def test_missing_public_value(tmp_path, micro_param_file, capsys):
     assert code == 6
 
 
-def test_flat_scheme_via_cli(tmp_path, micro_file_params, capsys):
-    obj = param_file_obj("ab", SchemeParamsFlat(micro_file_params))
+def test_flat_scheme_via_cli(tmp_path, micro_params, capsys):
+    obj = param_file_obj("ab", SchemeParamsFlat(micro_params))
     path = tmp_path / "flat.json"
     path.write_text(canonical_dumps(obj))
     out_dir = tmp_path / "deal"
@@ -828,12 +898,12 @@ def test_flat_scheme_via_cli(tmp_path, micro_file_params, capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
-def test_multi_level_flat_file_exit_3_in_deal_and_audit(tmp_path, micro_file_params,
+def test_multi_level_flat_file_exit_3_in_deal_and_audit(tmp_path, micro_params,
                                                         capsys):
     # a two-level parameter file labelled ab: no flat deal can serve it, so
     # audit refuses it as deal does instead of auditing it as dhss
     path = tmp_path / "flat2.json"
-    path.write_text(canonical_dumps(param_file_obj("ab", micro_file_params)))
+    path.write_text(canonical_dumps(param_file_obj("ab", micro_params)))
     refusal = "error: flat dealing needs a single-level parameter set\n"
     assert main(["deal", "--params", str(path), "--secret", "3", "--seed", "5",
                  "--out-dir", str(tmp_path / "d")]) == 3
@@ -920,10 +990,10 @@ def SchemeParamsFlat(params):
      lambda share: str(int(share["value"]) + int(share["modulus"])), "share_003.json"),
 ], ids=["dhss-participant-99", "dhss-conflicting-values",
         "ab-value-at-modulus", "ab-participant-99", "dhss-top-level-value-plus-modulus"])
-def test_reconstruct_malformed_shares_exit_2(tmp_path, micro_file_params,
-                                             flat_file_params, scheme, victim, field,
+def test_reconstruct_malformed_shares_exit_2(tmp_path, micro_params,
+                                             flat_params, scheme, victim, field,
                                              corrupt, partner):
-    params = flat_file_params if scheme == "ab" else micro_file_params
+    params = flat_params if scheme == "ab" else micro_params
     param_path = tmp_path / "params.json"
     param_path.write_text(canonical_dumps(param_file_obj(scheme, params)))
     out_dir = tmp_path / "deal"
@@ -1300,11 +1370,11 @@ def _audit_output(capsys, param_file, adversary):
     return code, out, err
 
 
-def test_audit_duplicate_adversary_indices(tmp_path, micro_file_params, capsys):
+def test_audit_duplicate_adversary_indices(tmp_path, micro_params, capsys):
     # a repeated index is one member: the report and every table describe
     # the set {1, 2}, not the raw list
-    flat = SchemeParams(sequence=micro_file_params.sequence,
-                        hierarchy=Hierarchy((3,), (3,)), owf=micro_file_params.owf)
+    flat = SchemeParams(sequence=micro_params.sequence,
+                        hierarchy=Hierarchy((3,), (3,)), owf=micro_params.owf)
     path = tmp_path / "flat.json"
     path.write_text(canonical_dumps(param_file_obj("dhss", flat)))
     pair = _audit_output(capsys, path, "1,2")
@@ -1618,6 +1688,21 @@ def test_inspect(tmp_path, micro_param_file, capsys):
     out = capsys.readouterr().out
     assert "parameter file" in out
 
+    deal_dir = tmp_path / "deal"
+    report, ladder = tmp_path / "report.json", tmp_path / "ladder.json"
+    assert main(["deal", "--params", str(micro_param_file), "--secret", "4",
+                 "--seed", "1", "--out-dir", str(deal_dir)]) == 0
+    audit = ["audit", "--params", str(micro_param_file), "--adversary", "2",
+             "--seed", "3", "--out"]
+    assert main([*audit, str(report)]) == 0
+    assert main([*audit, str(ladder), "--ladder", "97"]) == 0
+    capsys.readouterr()
+    for path, kind in ((deal_dir / "share_002.json", "share file"),
+                       (deal_dir / "public_bundle.json", "public bundle"),
+                       (report, "audit report"), (ladder, "audit report")):
+        assert main(["inspect", str(path)]) == 0
+        assert capsys.readouterr().out == f"# {path}: {kind}\n" + path.read_text()
+
     code = main(["inspect", str(tmp_path / "missing.json")])
     assert code == 2
 
@@ -1641,8 +1726,10 @@ def test_audit_malformed_flag_is_a_usage_error(micro_param_file, capsys, flag, v
     code = main(["audit", "--params", str(micro_param_file), "--adversary", "2",
                  "--seed", "3", flag, value])
     out, err = capsys.readouterr()
+    # audit has no --epsilon: argparse refuses it under the top-level usage line
+    usage = "usage: crthss [-h]" if flag == "--epsilon" else "usage: crthss audit"
     assert code == 2
-    assert out == "" and "usage: crthss audit" in err and flag in err
+    assert out == "" and usage in err and flag in err
     assert "Traceback" not in err
 
 
@@ -1659,10 +1746,23 @@ def test_gen_params_malformed_list_is_a_usage_error(tmp_path, capsys, flag):
     assert not (tmp_path / "p.json").exists()
 
 
-def test_audit_epsilon_zero_is_accepted(micro_param_file, capsys):
+def test_audit_has_no_epsilon_option(tmp_path, micro_param_file, capsys):
+    # every report carries the one tolerance, 0.05; the audit never read it
+    out = tmp_path / "report.json"
     assert main(["audit", "--params", str(micro_param_file), "--adversary", "2",
-                 "--seed", "3", "--epsilon", "0"]) == 0
-    assert json.loads(capsys.readouterr().out)["epsilon_tolerance"] == 0.0
+                 "--seed", "3", "--epsilon", "0.125", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "unrecognized arguments: --epsilon" in err
+    assert not out.exists()
+    assert main(["audit", "--params", str(micro_param_file), "--adversary", "2",
+                 "--seed", "3", "--out", str(out)]) == 0
+    assert read(out)["epsilon_tolerance"] == 0.05
+
+
+def test_audit_adversary_outside_the_file_exit_2(micro_param_file, capsys):
+    assert main(["audit", "--params", str(micro_param_file), "--adversary", "9",
+                 "--seed", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: no shares for participants [9]\n")
 
 
 # -- one parser per process ------------------------------------------------------

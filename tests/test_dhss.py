@@ -10,7 +10,6 @@ import pytest
 from conftest import DHSS_SEED
 from crthss import (
     Hierarchy,
-    OwfFamily,
     SchemeParams,
     dhss_authorized_level,
     dhss_deal,
@@ -31,7 +30,7 @@ def all_authorized_sets(params):
     ]
 
 
-def test_worked_deal(micro_params):
+def test_worked_deal(micro_params, affine_owf):
     result = dhss_deal(4, micro_params, DHSS_SEED, keep_dealer_secrets=True)
     assert result.dealer_secrets["alpha"] == (0, 10)
     assert result.dealer_secrets["y"] == (4, 74)
@@ -74,7 +73,7 @@ def test_authorized_level(micro_params):
     assert dhss_authorized_level({1, 2, 3}, micro_params) == 1
 
 
-def test_reconstruct_worked_vectors(micro_params):
+def test_reconstruct_worked_vectors(micro_params, affine_owf):
     result = dhss_deal(4, micro_params, DHSS_SEED)
     by_id = {s.participant: s for s in result.shares}
     # participant 1 alone: lift (6 + 9) mod 11 = 4 = y_1
@@ -153,8 +152,8 @@ def test_completeness_random_instances():
             continue
         hier = Hierarchy(sizes, tuple(thresholds))
         seq = generate_compact_sequence(m0, hier.n, 1, Fraction(2, 3), rng.randrange(2**32))
-        kind = rng.choice(["test_affine", "hash_based"])
-        params = SchemeParams(sequence=seq, hierarchy=hier, owf=OwfFamily(kind=kind))
+        rng.choice((0, 1))  # once the OWF kind; kept so later draws match
+        params = SchemeParams(sequence=seq, hierarchy=hier)
         secret = rng.randrange(m0)
         result = dhss_deal(secret, params, rng.randrange(2**32))
         by_id = {s.participant: s for s in result.shares}

@@ -1,4 +1,5 @@
-"""One-way function family: affine vectors, frozen digest vectors, ranges."""
+"""One-way function family: frozen digest vectors, ranges, and why the
+library has no other kind of h."""
 
 import random
 from math import log2
@@ -7,8 +8,6 @@ import pytest
 
 from crthss import OwfFamily, adversary_view, dhss_deal, enumerate_posterior, eval_owf
 from crthss.errors import LevelOutOfRange
-
-AFFINE = OwfFamily(kind="test_affine")
 
 # Frozen outputs of the digest-expansion construction, generated once from an
 # independent implementation of the same encoding and checked against it.
@@ -24,14 +23,7 @@ HASH_VECTORS = [
 ]
 
 
-def test_affine_vectors():
-    assert eval_owf(AFFINE, 1, 9, 11) == 6  # 28 mod 11
-    assert eval_owf(AFFINE, 2, 5, 11) == 6  # 17 mod 11
-    for level in (1, 2, 5):
-        assert eval_owf(AFFINE, level, 0, 100) == level
-
-
-def test_affine_masks_link_levels_the_audit_does_not_model(micro_params):
+def test_affine_masks_link_levels_the_audit_does_not_model(micro_params, affine_owf):
     """Why no parameter file carries test_affine. With h(x, l) = 3x + l the
     offsets of participant 1 give w_{1,1} - w_{1,2} = y_1 - y_2 + 1 (mod 11),
     a public link between the lifts that the audit's model (i)-(iv) leaves
@@ -59,16 +51,16 @@ def test_affine_masks_link_levels_the_audit_does_not_model(micro_params):
 
 def test_hash_frozen_vectors():
     for tag, digest, level, x, modulus, expected in HASH_VECTORS:
-        family = OwfFamily(kind="hash_based", family_tag=tag, digest_name=digest)
+        family = OwfFamily(family_tag=tag, digest_name=digest)
         assert eval_owf(family, level, x, modulus) == expected
 
 
 def test_range_and_determinism():
     rng = random.Random(20)
     families = [
-        AFFINE,
-        OwfFamily(kind="hash_based"),
-        OwfFamily(kind="hash_based", family_tag=b"other"),
+        OwfFamily(),
+        OwfFamily(family_tag=b"other"),
+        OwfFamily(family_tag=b"z", digest_name="sha512"),
     ]
     for _ in range(10**4):
         family = rng.choice(families)
@@ -81,7 +73,7 @@ def test_range_and_determinism():
 
 
 def test_level_separation():
-    family = OwfFamily(kind="hash_based", family_tag=b"sep")
+    family = OwfFamily(family_tag=b"sep")
     modulus = 2**31 - 1
     for x in (0, 5, 123456):
         outs = {eval_owf(family, level, x, modulus) for level in range(1, 9)}
@@ -89,8 +81,8 @@ def test_level_separation():
 
 
 def test_tag_separation():
-    a = OwfFamily(kind="hash_based", family_tag=b"a")
-    b = OwfFamily(kind="hash_based", family_tag=b"b")
+    a = OwfFamily(family_tag=b"a")
+    b = OwfFamily(family_tag=b"b")
     modulus = 2**61 - 1
     diffs = sum(
         eval_owf(a, 1, x, modulus) != eval_owf(b, 1, x, modulus)
@@ -100,25 +92,22 @@ def test_tag_separation():
 
 
 def test_bad_inputs():
+    family = OwfFamily()
     with pytest.raises(LevelOutOfRange):
-        eval_owf(AFFINE, 0, 1, 11)
+        eval_owf(family, 0, 1, 11)
     with pytest.raises(ValueError):
-        eval_owf(AFFINE, 1, -1, 11)
+        eval_owf(family, 1, -1, 11)
     with pytest.raises(ValueError):
-        eval_owf(AFFINE, 1, 1, 1)
-    with pytest.raises(ValueError):
-        OwfFamily(kind="nonsense")
+        eval_owf(family, 1, 1, 1)
 
 
 @pytest.mark.parametrize("digest", ["nope", "shake_128", "", None])
 def test_hash_based_needs_fixed_size_digest(digest):
     # shake_* digests need a length, which eval_owf never passes
     with pytest.raises(ValueError, match="fixed-size hashlib digest"):
-        OwfFamily(kind="hash_based", digest_name=digest)
-    # test_affine never hashes, so its digest name is not looked up
-    OwfFamily(kind="test_affine", digest_name=digest)
+        OwfFamily(digest_name=digest)
 
 
 def test_oversized_x_accepted():
-    family = OwfFamily(kind="hash_based")
+    family = OwfFamily()
     assert 0 <= eval_owf(family, 1, 10**50, 11) < 11

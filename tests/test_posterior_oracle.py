@@ -29,7 +29,6 @@ from math import fsum, gcd, log2, prod
 from crthss import (
     CompactSequence,
     Hierarchy,
-    OwfFamily,
     SchemeParams,
     adversary_view,
     chss_deal,
@@ -136,8 +135,8 @@ def random_instance(rng, m0):
             moduli.append(m)
     seq = CompactSequence(m0=m0, moduli=tuple(sorted(moduli)), k=1,
                           theta=Fraction(1, 2))
-    owf = OwfFamily(kind=rng.choice(["test_affine", "hash_based"]))
-    return SchemeParams(sequence=seq, hierarchy=hier, owf=owf)
+    rng.choice((0, 1))  # once the OWF kind; kept so later draws match
+    return SchemeParams(sequence=seq, hierarchy=hier)
 
 
 def unauthorized_sets(params, scheme):
@@ -223,8 +222,7 @@ def test_pattern_histogram_matches_minority_walk():
         m0 = random_prime(rng, rng.randrange(10, 17))
         hier = Hierarchy(*shape)
         seq = generate_compact_sequence(m0, hier.n, 1, theta, rng.randrange(2**32))
-        params = SchemeParams(sequence=seq, hierarchy=hier,
-                              owf=OwfFamily(kind="test_affine"))
+        params = SchemeParams(sequence=seq, hierarchy=hier)
         result = dhss_deal(rng.randrange(m0), params, rng.randrange(2**32))
         partial = rng.choice([s for s in unauthorized_sets(params, "dhss") if s])
         adversaries = {
@@ -253,8 +251,7 @@ def test_sparse_disjunctive_counts_match_dense():
         theta = (Fraction(1, 2), Fraction(2, 3))[i % 2]
         hier = Hierarchy(*rng.choice(SHAPES))
         seq = generate_compact_sequence(m0, hier.n, 1, theta, rng.randrange(2**32))
-        params = SchemeParams(sequence=seq, hierarchy=hier,
-                              owf=OwfFamily(kind="test_affine"))
+        params = SchemeParams(sequence=seq, hierarchy=hier)
         result = dhss_deal(rng.randrange(m0), params, rng.randrange(2**32))
         members = rng.choice(list(unauthorized_sets(params, "dhss")))
         for adversary in (members, worst_case_unauthorized(params), set()):
@@ -285,8 +282,7 @@ def test_chss_histogram_matches_naive_convolution():
     for shape, m0 in cases:
         hier = Hierarchy(*shape)
         seq = generate_compact_sequence(m0, hier.n, 1, Fraction(1, 2), rng.randrange(2**32))
-        params = SchemeParams(sequence=seq, hierarchy=hier,
-                              owf=OwfFamily(kind="test_affine"))
+        params = SchemeParams(sequence=seq, hierarchy=hier)
         result = chss_deal(rng.randrange(m0), params, rng.randrange(2**32))
         worst = worst_case_unauthorized(params)
         partial = rng.choice([s for s in unauthorized_sets(params, "chss")
