@@ -25,8 +25,10 @@ def ab_reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
     further share is checked against it by residue and never changes a
     consistent answer. A y at or above prod(m_1..m_t), or a further share
     whose residue differs, cannot come from one deal and is rejected
-    (best-effort inconsistency detection). A bundle with more than one level
-    raises ValueError: its shares are not flat shares.
+    (best-effort inconsistency detection). Fewer than t distinct shares raise
+    TooFewShares, a NotAuthorized whose failing level is level 1. A bundle
+    with more than one level raises ValueError: its shares are not flat
+    shares.
     """
     hier = public.params.hierarchy
     if hier.m != 1:
@@ -35,4 +37,6 @@ def ab_reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
         return _recover(shares, public, conjunctive=False)
     except NotAuthorized:
         got, t = len({s.participant for s in shares}), hier.thresholds[0]
-        raise TooFewShares(f"got {got} distinct shares, need {t}") from None
+        raise TooFewShares(
+            f"got {got} distinct shares, need {t}", failing_levels=(1,)
+        ) from None

@@ -4,7 +4,8 @@ Exit codes are stable:
   0 success
   2 flag/validation failure (including a secret out of range, a
     malformed share, or shares that disagree with each other)
-  3 invalid parameter set at deal time, or a multi-level "ab" file in audit
+  3 invalid parameter set: a parameter file that fails validation, in deal
+    and in audit, or a flat ("ab") file with more than one level
   4 reconstruction refused: no qualifying level (failing levels are named)
   5 parameter digest mismatch between shares and bundle
   6 missing published value
@@ -18,7 +19,8 @@ it every draw comes from the operating system's CSPRNG and no seed is printed.
 The parser is built once, when this module is imported, and ``main(argv)``
 may be called any number of times in one process. It looks up the command's
 ``cmd_*`` function by name on every call, so a function replaced after import
-is the one that runs.
+is the one that runs. Library errors are not caught by the commands: ``main``
+maps each one to its exit code through one table, ``_EXIT_CODES``.
 """
 
 import argparse
@@ -37,13 +39,12 @@ from .chss import chss_deal, chss_reconstruct
 from .dhss import _dealer_rng, dhss_deal, dhss_reconstruct
 from .errors import (
     Error,
-    IntervalExhausted,
     IntractableInstance,
     InvalidParams,
     MissingPublicValue,
     NotAuthorized,
     NotUnauthorized,
-    SecretOutOfRange,
+    TooFewShares,
 )
 from .fileformat import (
     bundle_file_obj,
@@ -73,6 +74,18 @@ EXIT_DIGEST_MISMATCH = 5
 EXIT_MISSING_PUBLIC = 6
 EXIT_AUTHORIZED_ADVERSARY = 7
 EXIT_BUDGET = 8
+
+# the exit code of an error that leaves a command: the first class the error
+# is an instance of decides, so a subclass comes before its base
+_EXIT_CODES = (
+    (InvalidParams, EXIT_INVALID_PARAMS),
+    (TooFewShares, EXIT_VALIDATION),
+    (NotAuthorized, EXIT_NOT_AUTHORIZED),
+    (MissingPublicValue, EXIT_MISSING_PUBLIC),
+    (NotUnauthorized, EXIT_AUTHORIZED_ADVERSARY),
+    (IntractableInstance, EXIT_BUDGET),
+    ((Error, ValueError), EXIT_VALIDATION),
+)
 
 # the tolerance every audit report carries for loss_bits; the audit never reads it
 DEFAULT_EPSILON = 0.05
@@ -119,20 +132,27 @@ def _digest_arg(text: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _load_json(path: str):
-    """The parsed file. Its bytes are read unbuffered in one call and
-    decoded as strict UTF-8 before ``json.loads`` sees them: a text-mode
-    read costs more per small file, and bytes handed to ``json.loads`` would
-    be sniffed for UTF-16 and UTF-32, which are refused. Invalid UTF-8 raises
-    UnicodeDecodeError, a ValueError. The decoder recurses once per nesting
-    level, so a file nested past the interpreter's recursion limit is
-    refused as a ValueError like any other malformed file."""
-    with open(path, "rb", buffering=0) as fh:
-        text = fh.read().decode("utf-8")
+def _read(path, parse, what: str):
+    """``parse`` applied to the JSON file at ``path``; a file that cannot be
+    read or parsed raises ValueError("cannot read <what>: <reason>").
+
+    The bytes are read unbuffered in one call and decoded as strict UTF-8
+    before ``json.loads`` sees them: a text-mode read costs more per small
+    file, and bytes handed to ``json.loads`` would be sniffed for UTF-16 and
+    UTF-32, which are refused. Invalid UTF-8 raises UnicodeDecodeError, a
+    ValueError. The decoder recurses once per nesting level, so a file nested
+    past the interpreter's recursion limit is refused like any other
+    malformed file."""
     try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError("the file nests too deeply") from None
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("the file nests too deeply") from None
+        return parse(obj)
+    except _FILE_ERRORS as exc:
+        raise ValueError(f"cannot read {what}: {exc}") from None
 
 
 def _write_text(path, text: str, private: bool = False) -> None:
@@ -174,18 +194,13 @@ def _cannot_write(path, exc: OSError) -> int:
     return _fail(EXIT_VALIDATION, f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _load_params(path: str) -> tuple[str, SchemeParams] | int:
-    """The scheme and parameters a parameter file names, for deal and audit,
-    or the exit code after refusing it: 2 for an unreadable file, 3 for a flat
-    ("ab") file with more than one level, which no flat deal can serve."""
-    try:
-        scheme, params = parse_param_file(_load_json(path))
-    except _FILE_ERRORS as exc:
-        return _fail(EXIT_VALIDATION, f"cannot read parameters: {exc}")
+def _load_params(path: str) -> tuple[str, SchemeParams]:
+    """The scheme and parameters a parameter file names, for deal and audit.
+    A flat ("ab") file with more than one level, which no flat deal can
+    serve, raises InvalidParams."""
+    scheme, params = _read(path, parse_param_file, "parameters")
     if scheme == "ab" and params.hierarchy.m != 1:
-        return _fail(
-            EXIT_INVALID_PARAMS, "flat dealing needs a single-level parameter set"
-        )
+        raise InvalidParams("flat dealing needs a single-level parameter set")
     return scheme, params
 
 
@@ -209,31 +224,27 @@ def _random_prime(bits: int, rng: random.Random) -> int:
 # -- gen-params ---------------------------------------------------------------
 
 def cmd_gen_params(args) -> int:
-    try:
-        hierarchy = Hierarchy(level_sizes=args.levels, thresholds=args.thresholds)
-        if args.scheme == "ab" and hierarchy.m != 1:
-            return _fail(EXIT_VALIDATION, "flat parameters need a single level")
-        # refused before the prime search, which can take seconds
-        report = validate_hierarchy(hierarchy)
-        if not report.ok:
-            return _fail(EXIT_VALIDATION, "; ".join(
-                f"hierarchy: {v}" for v in report.violations))
-        rng = _dealer_rng(args.seed)
-        # generate_compact_sequence rejects a composite --m0
-        m0 = args.m0
-        if m0 is None:
-            check_power_limit(args.m0_bits, args.theta)
-            m0 = _random_prime(args.m0_bits, rng)
-        sequence = generate_compact_sequence(
-            m0, hierarchy.n, args.k, args.theta, rng.randrange(2 ** 63)
-        )
-        owf = OwfFamily(family_tag=args.family_tag, digest_name=args.digest)
-        # not validated again: the hierarchy was checked above, and
-        # generate_compact_sequence returns only a prime m0 and sorted,
-        # pairwise-coprime moduli inside the interval
-        params = SchemeParams(sequence=sequence, hierarchy=hierarchy, owf=owf)
-    except (IntervalExhausted, ValueError) as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
+    hierarchy = Hierarchy(level_sizes=args.levels, thresholds=args.thresholds)
+    if args.scheme == "ab" and hierarchy.m != 1:
+        raise ValueError("flat parameters need a single level")
+    # refused before the prime search, which can take seconds
+    report = validate_hierarchy(hierarchy)
+    if not report.ok:
+        raise ValueError("; ".join(f"hierarchy: {v}" for v in report.violations))
+    rng = _dealer_rng(args.seed)
+    # generate_compact_sequence rejects a composite --m0
+    m0 = args.m0
+    if m0 is None:
+        check_power_limit(args.m0_bits, args.theta)
+        m0 = _random_prime(args.m0_bits, rng)
+    sequence = generate_compact_sequence(
+        m0, hierarchy.n, args.k, args.theta, rng.randrange(2 ** 63)
+    )
+    owf = OwfFamily(family_tag=args.family_tag, digest_name=args.digest)
+    # not validated again: the hierarchy was checked above, and
+    # generate_compact_sequence returns only a prime m0 and sorted,
+    # pairwise-coprime moduli inside the interval
+    params = SchemeParams(sequence=sequence, hierarchy=hierarchy, owf=owf)
     out = Path(args.out)
     try:
         _write_text(out, canonical_dumps(param_file_obj(args.scheme, params)))
@@ -255,17 +266,9 @@ def cmd_gen_params(args) -> int:
 # -- deal ----------------------------------------------------------------------
 
 def cmd_deal(args) -> int:
-    loaded = _load_params(args.params)
-    if isinstance(loaded, int):
-        return loaded
-    scheme, params = loaded
+    scheme, params = _load_params(args.params)
     deal = chss_deal if scheme == "chss" else dhss_deal
-    try:
-        result = deal(args.secret, params, args.seed, args.emit_dealer_secrets)
-    except SecretOutOfRange as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
-    except InvalidParams as exc:
-        return _fail(EXIT_INVALID_PARAMS, str(exc))
+    result = deal(args.secret, params, args.seed, args.emit_dealer_secrets)
     out_dir = Path(args.out_dir)
     digest = params_digest(scheme, params)
     files = {
@@ -305,17 +308,13 @@ def cmd_deal(args) -> int:
 # -- reconstruct -----------------------------------------------------------------
 
 def cmd_reconstruct(args) -> int:
-    try:
-        scheme, public = parse_bundle_file(_load_json(args.public))
-    except _FILE_ERRORS as exc:
-        return _fail(EXIT_VALIDATION, f"cannot read bundle: {exc}")
+    scheme, public = _read(args.public, parse_bundle_file, "bundle")
     digest = params_digest(scheme, public.params)
     shares = []
     for path in args.shares:
-        try:
-            share_scheme, share, share_digest = parse_share_file(_load_json(path))
-        except _FILE_ERRORS as exc:
-            return _fail(EXIT_VALIDATION, f"cannot read share {path}: {exc}")
+        share_scheme, share, share_digest = _read(
+            path, parse_share_file, f"share {path}"
+        )
         if share_digest != digest or share_scheme != scheme:
             return _fail(
                 EXIT_DIGEST_MISMATCH,
@@ -326,18 +325,8 @@ def cmd_reconstruct(args) -> int:
     reconstruct = {
         "dhss": dhss_reconstruct, "chss": chss_reconstruct, "ab": ab_reconstruct,
     }[scheme]
-    try:
-        print(reconstruct(shares, public))
-        return 0
-    except NotAuthorized as exc:
-        return _fail(
-            EXIT_NOT_AUTHORIZED,
-            f"not authorized; failing level(s): {list(exc.failing_levels)}",
-        )
-    except MissingPublicValue as exc:
-        return _fail(EXIT_MISSING_PUBLIC, str(exc))
-    except (Error, ValueError) as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
+    print(reconstruct(shares, public))
+    return 0
 
 
 # -- audit -----------------------------------------------------------------------
@@ -392,52 +381,38 @@ def _audit_one(label: str, params: SchemeParams, adversary: tuple[int, ...],
 
 
 def cmd_audit(args) -> int:
-    loaded = _load_params(args.params)
-    if isinstance(loaded, int):
-        return loaded
-    label, params = loaded
+    label, params = _load_params(args.params)
     rng = _dealer_rng(args.seed)
-    try:
-        if args.ladder:
-            rungs = []
-            shape = params.hierarchy
-            for m0 in args.ladder:
-                sequence = generate_compact_sequence(
-                    m0, shape.n, params.sequence.k, params.sequence.theta,
-                    rng.randrange(2 ** 63),
-                )
-                rung_params = SchemeParams(
-                    sequence=sequence, hierarchy=shape, owf=params.owf
-                )
-                secret = args.secret if args.secret is not None else rng.randrange(m0)
-                entry = _audit_one(
-                    label, rung_params, args.adversary, secret,
-                    rng.randrange(2 ** 63), args.budget,
-                )
-                entry["m0"] = str(m0)
-                rungs.append(entry)
-            deltas = [r["loss_bits"] for r in rungs]
-            out_obj = {
-                "ladder": rungs,
-                "delta_trend": deltas,
-                "strictly_decreasing": all(
-                    a > b for a, b in zip(deltas, deltas[1:])
-                ),
-            }
-        else:
-            secret = args.secret
-            if secret is None:
-                secret = rng.randrange(params.sequence.m0)
-            out_obj = _audit_one(
-                label, params, args.adversary, secret,
+    if args.ladder:
+        rungs = []
+        shape = params.hierarchy
+        for m0 in args.ladder:
+            sequence = generate_compact_sequence(
+                m0, shape.n, params.sequence.k, params.sequence.theta,
+                rng.randrange(2 ** 63),
+            )
+            rung_params = SchemeParams(sequence=sequence, hierarchy=shape, owf=params.owf)
+            secret = args.secret if args.secret is not None else rng.randrange(m0)
+            entry = _audit_one(
+                label, rung_params, args.adversary, secret,
                 rng.randrange(2 ** 63), args.budget,
             )
-    except NotUnauthorized as exc:
-        return _fail(EXIT_AUTHORIZED_ADVERSARY, str(exc))
-    except IntractableInstance as exc:
-        return _fail(EXIT_BUDGET, str(exc))
-    except (Error, ValueError) as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
+            entry["m0"] = str(m0)
+            rungs.append(entry)
+        deltas = [r["loss_bits"] for r in rungs]
+        out_obj = {
+            "ladder": rungs,
+            "delta_trend": deltas,
+            "strictly_decreasing": all(a > b for a, b in zip(deltas, deltas[1:])),
+        }
+    else:
+        secret = args.secret
+        if secret is None:
+            secret = rng.randrange(params.sequence.m0)
+        out_obj = _audit_one(
+            label, params, args.adversary, secret,
+            rng.randrange(2 ** 63), args.budget,
+        )
     text = canonical_dumps(out_obj)
     if args.out:
         try:
@@ -455,16 +430,15 @@ def cmd_audit(args) -> int:
 # -- inspect ---------------------------------------------------------------------
 
 def cmd_inspect(args) -> int:
-    try:
-        obj = _load_json(args.file)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_VALIDATION, f"cannot read {args.file}: {exc}")
+    obj = _read(args.file, lambda obj: obj, args.file)
     kind = "unknown"
     if isinstance(obj, dict):
         if {"sequence", "hierarchy"} <= obj.keys():
             kind = "parameter file"
         elif "params_digest" in obj and "value" in obj:
             kind = "share file"
+        elif "WARNING" in obj and "values" in obj:
+            kind = "dealer secrets"
         elif "w" in obj:
             kind = "public bundle"
         elif "loss_bits" in obj or "ladder" in obj:
@@ -544,7 +518,11 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
-    return globals()["cmd_" + args.command.replace("-", "_")](args)
+    try:
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except (Error, ValueError) as exc:
+        code = next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+        return _fail(code, str(exc))
 
 
 def entry() -> None:

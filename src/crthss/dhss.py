@@ -222,8 +222,7 @@ def _recover(shares: Sequence[Share], public: PublicBundle, conjunctive: bool) -
     levels = [lvl for lvl in range(1, hier.m + 1) if lvl not in failing]
     if not levels or (conjunctive and failing):
         raise NotAuthorized(
-            f"level(s) {list(failing)} below threshold for participants "
-            f"{sorted(members)}",
+            f"not authorized; failing level(s): {list(failing)}",
             failing_levels=failing,
         )
     total = 0

@@ -45,10 +45,6 @@ class SecretOutOfRange(Error):
     """Secret not in [0, m0)."""
 
 
-class TooFewShares(Error):
-    """Fewer distinct shares supplied than the threshold requires."""
-
-
 class InconsistentShares(Error):
     """Supplied shares cannot all come from one deal (best-effort detection)."""
 
@@ -66,6 +62,11 @@ class NotAuthorized(Error):
     def __init__(self, message: str, failing_levels: tuple = ()):
         super().__init__(message)
         self.failing_levels = tuple(failing_levels)
+
+
+class TooFewShares(NotAuthorized):
+    """Fewer distinct shares supplied than a flat threshold requires; the
+    single level, level 1, is the failing one."""
 
 
 class MissingPublicValue(Error):

@@ -27,6 +27,7 @@ from crthss import (
 from crthss.errors import (
     InconsistentShares,
     InvalidParams,
+    NotAuthorized,
     SecretOutOfRange,
     TooFewShares,
 )
@@ -84,6 +85,15 @@ def test_reconstruct_worked_vector(micro_seq):
     assert ab_reconstruct(*flat_shares(micro_seq, 2, (1, 5), (2, 12), (3, 4))) == 3
     with pytest.raises(TooFewShares, match="^got 1 distinct shares, need 2$"):
         ab_reconstruct(*flat_shares(micro_seq, 2, (1, 5)))
+
+
+def test_too_few_shares_is_not_authorized_at_level_1(micro_seq):
+    # one class for "too few shares": the flat refusal is a NotAuthorized
+    # whose single level is the failing one, with its own message
+    with pytest.raises(NotAuthorized, match="^got 1 distinct shares, need 2$") as excinfo:
+        ab_reconstruct(*flat_shares(micro_seq, 2, (1, 5)))
+    assert isinstance(excinfo.value, TooFewShares)
+    assert excinfo.value.failing_levels == (1,)
 
 
 def test_reconstruct_rejects_conflicts(micro_seq):

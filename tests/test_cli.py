@@ -914,6 +914,25 @@ def test_multi_level_flat_file_exit_3_in_deal_and_audit(tmp_path, micro_params,
     assert capsys.readouterr() == ("", refusal)
 
 
+def test_invalid_param_file_exit_3_in_deal_and_audit(tmp_path, micro_params, capsys):
+    # two equal moduli fail validation: deal and audit both refuse the file
+    # with exit 3 and the same message, and nothing is written
+    obj = param_file_obj("dhss", micro_params)
+    obj["sequence"]["m0"] = "997"
+    obj["sequence"]["moduli"] = ["1007", "1007", "1021"]
+    path = tmp_path / "dup.json"
+    path.write_text(canonical_dumps(obj))
+    assert main(["deal", "--params", str(path), "--secret", "3", "--seed", "5",
+                 "--out-dir", str(tmp_path / "d")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: sequence: ")
+    assert "gcd(m_1, m_2) = gcd(1007, 1007) = 1007" in err
+    assert not (tmp_path / "d").exists()
+    assert main(["audit", "--params", str(path), "--adversary", "2",
+                 "--seed", "3"]) == 3
+    assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize("argv", [
     ["deal", "--secret", "4", "--seed", "1", "--scheme", "chss", "--out-dir"],
     ["audit", "--adversary", "2", "--seed", "3", "--scheme", "dhss", "--out"],
@@ -1691,7 +1710,8 @@ def test_inspect(tmp_path, micro_param_file, capsys):
     deal_dir = tmp_path / "deal"
     report, ladder = tmp_path / "report.json", tmp_path / "ladder.json"
     assert main(["deal", "--params", str(micro_param_file), "--secret", "4",
-                 "--seed", "1", "--out-dir", str(deal_dir)]) == 0
+                 "--seed", "1", "--out-dir", str(deal_dir),
+                 "--emit-dealer-secrets"]) == 0
     audit = ["audit", "--params", str(micro_param_file), "--adversary", "2",
              "--seed", "3", "--out"]
     assert main([*audit, str(report)]) == 0
@@ -1699,6 +1719,7 @@ def test_inspect(tmp_path, micro_param_file, capsys):
     capsys.readouterr()
     for path, kind in ((deal_dir / "share_002.json", "share file"),
                        (deal_dir / "public_bundle.json", "public bundle"),
+                       (deal_dir / "dealer_secrets.json", "dealer secrets"),
                        (report, "audit report"), (ladder, "audit report")):
         assert main(["inspect", str(path)]) == 0
         assert capsys.readouterr().out == f"# {path}: {kind}\n" + path.read_text()
