@@ -3,15 +3,19 @@
 Big integers (m0, moduli, share and w values) travel as decimal strings and
 small counts (participant, level, k, level sizes, thresholds) as JSON
 integers; theta as "p/q", byte tags as lowercase hex; no floats anywhere.
-Parsing is as strict as writing: any other JSON type is refused.
-Serialization is canonical (sorted keys, two-space indent, trailing newline)
-so files round-trip byte-identically and the parameter digest is well
-defined: shares and bundles are bound together by the SHA-256 of the
-canonical parameter document. ``canonical_dumps`` writes those bytes itself,
-the bytes ``json.dumps(obj, sort_keys=True, indent=2)`` gives plus a newline:
-with an indent set the stdlib leaves its C encoder for a generator-based
-pure-Python one that costs about twice as much per file. The CLI reads
-files back with ``json.loads``.
+Parsing is as strict as writing: any other JSON type is refused, a version
+of true or 1.0 included. An object with the right fields passes their check
+with one key-set comparison. Serialization is canonical (sorted keys,
+two-space indent, trailing newline) so files round-trip byte-identically
+and the parameter digest is well defined: shares and bundles are bound
+together by the SHA-256 of the canonical parameter document.
+``canonical_dumps`` writes those bytes itself, the bytes
+``json.dumps(obj, sort_keys=True, indent=2)`` gives plus a newline: with an
+indent set the stdlib leaves its C encoder for a generator-based
+pure-Python one that costs about twice as much per file. It takes one stack
+step per container, not per item, so a share file, a w entry or the moduli
+cost one step each. The CLI reads files with ``os.read`` and parses them
+with ``json.loads``.
 """
 
 import hashlib
@@ -39,14 +43,34 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-# marks an exhausted iterator in canonical_dumps
-_DONE = object()
-
-
 def _key_text(key) -> str:
     if not isinstance(key, str):
         raise TypeError(f"keys must be str, not {type(key).__name__}")
     return _quote(key) + ": "
+
+
+def _leaf_text(value) -> str | None:
+    """json's text for any value but a non-empty container, which gives
+    None; a type json cannot write raises TypeError."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, (dict, list, tuple)):
+        if value:
+            return None
+        return "{}" if isinstance(value, dict) else "[]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
 
 
 def canonical_dumps(obj) -> str:
@@ -56,71 +80,70 @@ def canonical_dumps(obj) -> str:
 
     Containers are walked with an explicit stack, not by recursion, so any
     nesting ``json.loads`` accepts can be written back, and a container that
-    holds itself raises ValueError as in json. Each stack frame is (the
-    container, an iterator over its items or sorted keys, whether it is a
-    dict, the indent outside it, the separator between items, the closing
-    bracket).
+    holds itself raises ValueError as in json. A stack frame is one open
+    container: (the container, an iterator over its items or sorted keys,
+    whether it is a dict, its closing text, the separator between its
+    items). One loop writes a frame's items until it meets a non-empty
+    container, which becomes the next frame; the rest of the frame waits
+    on the stack. So a container of scalars, such as a share file, a w
+    entry or the moduli, costs one frame, not one stack step per item, and
+    an item that is exactly str or int, as nearly every item of these
+    files is, is written without a call.
     """
+    text = _leaf_text(obj)
+    if text is not None:
+        return text + "\n"
     parts: list[str] = []
     append = parts.append
     stack: list[tuple] = []
     open_ids: set[int] = set()
-    indent = "\n"
+    container, before, outer = obj, "", "\n"
     while True:
-        if isinstance(obj, str):
-            append(_quote(obj))
-        elif isinstance(obj, (dict, list, tuple)):
-            if not obj:
-                append("{}" if isinstance(obj, dict) else "[]")
-            else:
-                if id(obj) in open_ids:
-                    raise ValueError("Circular reference detected")
-                open_ids.add(id(obj))
-                inner = indent + "  "
-                if isinstance(obj, dict):
-                    items = iter(sorted(obj))
-                    key = next(items)
-                    append("{" + inner + _key_text(key))
-                    stack.append((obj, items, True, indent, "," + inner, "}"))
-                    obj = obj[key]
-                else:
-                    items = iter(obj)
-                    append("[" + inner)
-                    stack.append((obj, items, False, indent, "," + inner, "]"))
-                    obj = next(items)
-                indent = inner
-                continue
-        elif obj is None:
-            append("null")
-        elif obj is True:
-            append("true")
-        elif obj is False:
-            append("false")
-        elif isinstance(obj, int):
-            append(int.__repr__(obj))
-        elif isinstance(obj, float):
-            append(_float_text(obj))
+        # open a non-empty container, written after the text `before`
+        if id(container) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(container))
+        inner = outer + "  "
+        if isinstance(container, dict):
+            stack.append((container, iter(sorted(container)), True,
+                          outer + "}", "," + inner))
+            sep = before + "{" + inner
         else:
-            raise TypeError(
-                f"Object of type {type(obj).__name__} is not JSON serializable"
-            )
-        # the value is written: move to the next item of the innermost
-        # container that has one, closing every container that has none
+            stack.append((container, iter(container), False,
+                          outer + "]", "," + inner))
+            sep = before + "[" + inner
+        # write the innermost frame's items up to the next non-empty
+        # container, closing every frame that runs out of items on the way;
+        # sep is None when a frame resumes after a container it held
         while stack:
-            container, items, keyed, outer, separator, close = stack[-1]
-            item = next(items, _DONE)
-            if item is not _DONE:
+            frame, items, keyed, close, comma = stack[-1]
+            if sep is None:
+                sep = comma
+            for item in items:
                 if keyed:
-                    append(separator + _key_text(item))
-                    obj = container[item]
+                    before = (sep + _quote(item) + ": " if type(item) is str
+                              else sep + _key_text(item))
+                    value = frame[item]
                 else:
-                    append(separator)
-                    obj = item
-                break
-            stack.pop()
-            open_ids.remove(id(container))
-            append(outer + close)
-            indent = outer
+                    before, value = sep, item
+                sep = comma
+                kind = type(value)
+                if kind is str:
+                    append(before + _quote(value))
+                elif kind is int:
+                    append(before + int.__repr__(value))
+                elif (text := _leaf_text(value)) is not None:
+                    append(before + text)
+                else:
+                    break
+            else:
+                stack.pop()
+                open_ids.remove(id(frame))
+                append(close)
+                sep = None
+                continue
+            container, outer = value, comma[1:]
+            break
         else:
             append("\n")
             return "".join(parts)
@@ -183,6 +206,12 @@ def _json_ints(values, name: str) -> tuple[int, ...]:
 
 
 def _exact_keys(obj: Mapping, keys: set, what: str) -> None:
+    """Refuse anything but a dict with exactly ``keys``. A dict that has
+    them, as every file this tool writes does, costs one set comparison;
+    only a mismatch works out the extra and the missing fields, and names
+    the extra ones first."""
+    if type(obj) is dict and obj.keys() == keys:
+        return
     _require(isinstance(obj, dict), f"{what} must be an object")
     extra = obj.keys() - keys
     missing = keys - obj.keys()
@@ -191,8 +220,10 @@ def _exact_keys(obj: Mapping, keys: set, what: str) -> None:
 
 
 def _check_version_scheme(obj: Mapping, what: str) -> str:
-    _require(obj["version"] == FORMAT_VERSION,
-             f"{what}: unsupported version {obj['version']!r}")
+    # a JSON integer: true and 1.0 are equal to 1 but are not the format's 1
+    version = obj["version"]
+    _require(type(version) is int and version == FORMAT_VERSION,
+             f"{what}: unsupported version {version!r}")
     _require(obj["scheme"] in SCHEMES,
              f"{what}: unknown scheme {obj['scheme']!r}")
     return obj["scheme"]

@@ -556,6 +556,128 @@ def test_undecodable_file_exit_2(tmp_path, micro_param_file, capsys, command, ki
     assert "Traceback" not in err
 
 
+# how each reader names the file it reads in "cannot read <what>: <reason>"
+READ_WHAT = {"inspect": "{path}", "deal": "parameters", "audit": "parameters",
+             "reconstruct-public": "bundle", "reconstruct-share": "share {path}"}
+
+# a path that cannot be read, made by a function of the path, and the reason
+# given for it: the whole of stderr is pinned, the file name included
+READ_FAILURES = {
+    "missing": (None, "[Errno 2] No such file or directory: '{path}'"),
+    "directory": (Path.mkdir, "[Errno 21] Is a directory: '{path}'"),
+    "invalid-utf-8": (lambda p: p.write_bytes(b'{"version": "\xff"}'),
+                      "'utf-8' codec can't decode byte 0xff in position 13: "
+                      "invalid start byte"),
+    "syntax-error": (lambda p: p.write_text('{"version": 1,}'),
+                     "Expecting property name enclosed in double quotes: "
+                     "line 1 column 15 (char 14)"),
+    "too-deep": (lambda p: p.write_text("[" * 200000 + "]" * 200000),
+                 "the file nests too deeply"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READ_FAILURES))
+@pytest.mark.parametrize("command", READERS)
+def test_unreadable_file_message_is_pinned(tmp_path, micro_param_file, capsys,
+                                           monkeypatch, command, kind):
+    make, reason = READ_FAILURES[kind]
+    monkeypatch.chdir(tmp_path)
+    bad = Path("bad.json")
+    argv, _ = reader_argv(command, bad, tmp_path, micro_param_file)
+    if make is not None:
+        make(bad)
+    capsys.readouterr()
+    assert main(argv) == 2
+    what = READ_WHAT[command].format(path=bad)
+    assert capsys.readouterr() == (
+        "", f"error: cannot read {what}: {reason.format(path=bad)}\n")
+
+
+# a field each file kind can lose, and how the reader names the object
+FIELD_CASES = {"share": ("params_digest", "share {path}: share file"),
+               "w-entry": ("level", "bundle: w entry"),
+               "params": ("owf", "parameters: parameter file")}
+
+
+@pytest.mark.parametrize("shape", ["non-object", "extra", "missing", "both"])
+@pytest.mark.parametrize("which", sorted(FIELD_CASES))
+def test_wrong_fields_message_is_pinned(tmp_path, micro_param_file, capsys,
+                                        monkeypatch, which, shape):
+    """A share file, a bundle's w entry or a parameter file that is not an
+    object, or has an extra field, or lacks one, or both: stderr is the
+    whole message, and an extra field is named before a missing one."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["deal", "--params", str(micro_param_file), "--secret", "4",
+                 "--seed", "1", "--out-dir", "d"]) == 0
+    bundle = read(Path("d/public_bundle.json"))
+    obj = {"share": read(Path("d/share_001.json")), "w-entry": bundle["w"][0],
+           "params": read(micro_param_file)}[which]
+    dropped, what = FIELD_CASES[which]
+    if shape in ("missing", "both"):
+        del obj[dropped]
+    if shape in ("extra", "both"):
+        obj["extra"] = 1
+    if shape == "non-object":
+        obj = [obj]
+    if which == "share":
+        Path("s.json").write_text(json.dumps(obj))
+        argv = ["reconstruct", "--public", "d/public_bundle.json",
+                "--shares", "s.json"]
+    elif which == "w-entry":
+        bundle["w"][0] = obj
+        Path("b.json").write_text(json.dumps(bundle))
+        argv = ["reconstruct", "--public", "b.json", "--shares", "d/share_001.json"]
+    else:
+        Path("p.json").write_text(json.dumps(obj))
+        argv = ["deal", "--params", "p.json", "--secret", "1", "--out-dir", "e"]
+    reason = {"non-object": " must be an object",
+              "extra": ": unexpected fields ['extra']",
+              "missing": f": missing fields ['{dropped}']",
+              "both": ": unexpected fields ['extra']"}[shape]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot read {what.format(path='s.json')}{reason}\n")
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "float", "string"])
+@pytest.mark.parametrize("which", ["params", "share", "bundle", "bundle-params"])
+def test_version_must_be_the_json_integer_1(tmp_path, micro_param_file, capsys,
+                                            monkeypatch, which, version):
+    """true and 1.0 equal 1 in Python, but the format's counts are JSON
+    integers: each is refused like "1", and nothing reaches stdout."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["deal", "--params", str(micro_param_file), "--secret", "4",
+                 "--seed", "1", "--out-dir", "d"]) == 0
+    reconstruct = ["reconstruct", "--public", "d/public_bundle.json",
+                   "--shares", "d/share_001.json"]
+    if which == "params":
+        Path("p.json").write_text(json.dumps({**read(micro_param_file),
+                                              "version": version}))
+        argv = ["deal", "--params", "p.json", "--secret", "1", "--out-dir", "e"]
+        what = "parameters: parameter file"
+    elif which == "share":
+        path = Path("d/share_001.json")
+        path.write_text(json.dumps({**read(path), "version": version}))
+        argv, what = reconstruct, "share d/share_001.json: share file"
+    else:
+        path = Path("d/public_bundle.json")
+        bundle = read(path)
+        if which == "bundle":
+            bundle["version"] = version
+            what = "bundle: bundle file"
+        else:
+            bundle["params"]["version"] = version
+            what = "bundle: parameter file"
+        path.write_text(json.dumps(bundle))
+        argv = reconstruct
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot read {what}: unsupported version {version!r}\n")
+    assert not Path("e").exists()
+
+
 def test_inspect_writes_back_the_deepest_file_it_reads(tmp_path, capsys):
     # the canonical writer keeps its own stack, so any nesting the reader
     # accepts is written back, whatever the interpreter's recursion limits

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -179,12 +180,65 @@ _JSON_VALUES = st.recursive(
 )
 
 
-@settings(derandomize=True, deadline=None, max_examples=400)
-@given(value=_JSON_VALUES)
+class _Count(IntEnum):
+    ONE = 1
+    BIG = 2**100
+
+
+class _Name(str):
+    pass
+
+
+# flat containers, up to the 200 items of an n = 200 file: the items
+# canonical_dumps writes inline, exactly str or int, mixed with ones that
+# look like them but take its general path, bool, an IntEnum, a str subclass
+_FLAT_ITEMS = st.one_of(_TEXT, st.integers(), st.integers(min_value=-2**300,
+                                                           max_value=2**300))
+_MIXED_ITEMS = st.one_of(_FLAT_ITEMS, st.booleans(), st.sampled_from(list(_Count)),
+                         _TEXT.map(_Name))
+_KEYS = st.one_of(_TEXT, _TEXT.map(_Name))
+_FLAT_CONTAINERS = st.one_of(
+    st.lists(_FLAT_ITEMS, max_size=200),
+    st.lists(_MIXED_ITEMS, max_size=200),
+    st.dictionaries(_KEYS, _FLAT_ITEMS, max_size=200),
+    st.dictionaries(_KEYS, _MIXED_ITEMS, max_size=200),
+)
+_FLAT_VALUES = st.one_of(
+    _FLAT_CONTAINERS,
+    # nested, so the inline items sit at a deeper indent
+    st.lists(_FLAT_CONTAINERS, max_size=3),
+    st.dictionaries(_TEXT, _FLAT_CONTAINERS, max_size=3),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(value=st.one_of(_JSON_VALUES, _FLAT_VALUES))
 def test_canonical_dumps_matches_json_dumps(value):
     # the stdlib encoder is the oracle for the hand-written one
     expected = json.dumps(value, sort_keys=True, indent=2) + "\n"
     assert canonical_dumps(value) == expected
+
+
+@pytest.fixture(scope="module")
+def real_size_deal():
+    """A 256-bit dhss deal at n = 200, the size the share path is tuned for."""
+    m0 = 2**256 - 189
+    sequence = generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 4)
+    params = SchemeParams(sequence=sequence,
+                          hierarchy=Hierarchy((10, 40, 150), (5, 20, 60)))
+    return params, dhss_deal(3**161 % m0, params, 21)
+
+
+@pytest.mark.parametrize("which", ["params", "bundle", "share"])
+def test_canonical_dumps_of_real_size_files_matches_json_dumps(real_size_deal, which):
+    params, result = real_size_deal
+    obj = {
+        "params": lambda: param_file_obj("dhss", params),
+        "bundle": lambda: bundle_file_obj("dhss", result.public),
+        "share": lambda: share_file_obj("dhss", result.shares[-1],
+                                        params_digest("dhss", params)),
+    }[which]()
+    assert canonical_dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("value", [
