@@ -55,7 +55,7 @@ from .fileformat import (
     parse_bundle_file,
     parse_param_file,
     parse_share_file,
-    share_file_obj,
+    share_file_text,
 )
 from .oneway import OwfFamily
 from .params import (
@@ -288,12 +288,13 @@ def cmd_deal(args) -> int:
     out_dir = Path(args.out_dir)
     digest = params_digest(scheme, params)
     files = {
-        f"share_{share.participant:03d}.json": share_file_obj(scheme, share, digest)
+        f"share_{share.participant:03d}.json": share_file_text(scheme, share, digest)
         for share in result.shares
     }
-    files["public_bundle.json"] = bundle_file_obj(scheme, result.public)
+    files["public_bundle.json"] = canonical_dumps(
+        bundle_file_obj(scheme, result.public))
     if args.emit_dealer_secrets:
-        files["dealer_secrets.json"] = {
+        files["dealer_secrets.json"] = canonical_dumps({
             "WARNING": "dealer secrets; test use only, never publish",
             "scheme": scheme,
             "params_digest": digest,
@@ -303,19 +304,20 @@ def cmd_deal(args) -> int:
                 key: [str(Decimal(v)) for v in vals]
                 for key, vals in (result.dealer_secrets or {}).items()
             },
-        }
-    # joined as strings: Path / name costs about 20 times as much per file
-    prefix = os.path.join(out_dir, "")
+        })
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, obj in files.items():
-            # share files and dealer secrets are private; the bundle is public
-            _write_text(
-                prefix + name, canonical_dumps(obj),
-                private=name != "public_bundle.json",
-            )
     except OSError as exc:
         return _cannot_write(out_dir, exc)
+    # joined as strings: Path / name costs about 20 times as much per file
+    prefix = os.path.join(out_dir, "")
+    for name, text in files.items():
+        path = prefix + name
+        try:
+            # share files and dealer secrets are private; the bundle is public
+            _write_text(path, text, private=name != "public_bundle.json")
+        except OSError as exc:
+            return _cannot_write(path, exc)
     print(f"wrote {len(result.shares)} share files and public_bundle.json to {out_dir}")
     if args.seed is not None:
         print(f"seed: {args.seed} (explicit)")

@@ -30,6 +30,12 @@ from typing import Optional, Sequence
 from .errors import EmptySystem, ModuliNotPairwiseCoprime, NotCoprime
 
 
+def _check_modulus(m: int) -> None:
+    """Every modulus here is at least 2."""
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
+
+
 @dataclass(frozen=True)
 class Congruence:
     """One constraint ``x = residue (mod modulus)``.
@@ -42,8 +48,7 @@ class Congruence:
     modulus: int
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
+        _check_modulus(self.modulus)
         if not 0 <= self.residue < self.modulus:
             # the residue may be a share value, so only the range is named
             raise ValueError(f"residue not in [0, {self.modulus})")
@@ -63,8 +68,7 @@ def mod_inverse(a: int, m: int) -> int:
     Raises NotCoprime when gcd(a, m) != 1; the message names a mod m, since
     ``a`` may be a product too large to print.
     """
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
+    _check_modulus(m)
     try:
         return pow(a, -1, m)
     except ValueError:
@@ -124,7 +128,10 @@ def remainders(x: int, moduli: Sequence[int]) -> list[int]:
     x is reduced by the nodes of the top row, then every node's remainder by
     its children, so each step divides a number of about twice a node's
     size instead of x itself. The tree stops at nodes above x, which would
-    leave it unchanged."""
+    leave it unchanged. Moduli below 2 are refused, as a Congruence refuses
+    them."""
+    if moduli:
+        _check_modulus(min(moduli))
     rows = product_tree(moduli, x)
     rems = [x % m for m in rows[-1]]
     for row in reversed(rows[:-1]):

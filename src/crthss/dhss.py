@@ -165,16 +165,22 @@ def lift_share(
     return (mask + public.w[key]) % share.modulus
 
 
+def _level_lifts(
+    shares: Sequence[Share], level: int, public: PublicBundle
+) -> tuple[list[Share], list[int]]:
+    """The shares inside the first N_l, in their order, and their level-l
+    lifts z_l."""
+    upper = public.params.hierarchy.cumulative[level - 1]
+    inside = [s for s in shares if s.participant <= upper]
+    return inside, [lift_share(s, level, public) for s in inside]
+
+
 def _level_congruences(
     shares: Sequence[Share], level: int, public: PublicBundle
 ) -> list[Congruence]:
     """z_l = lifted share (mod m_i) for every share inside the first N_l."""
-    upper = public.params.hierarchy.cumulative[level - 1]
-    return [
-        Congruence(residue=lift_share(s, level, public), modulus=s.modulus)
-        for s in shares
-        if s.participant <= upper
-    ]
+    inside, lifts = _level_lifts(shares, level, public)
+    return [Congruence(residue=z, modulus=s.modulus) for s, z in zip(inside, lifts)]
 
 
 def dedupe_shares(shares: Sequence[Share], params: SchemeParams) -> list[Share]:
@@ -228,15 +234,17 @@ def _recover(shares: Sequence[Share], public: PublicBundle, conjunctive: bool) -
     total = 0
     for level in levels if conjunctive else levels[:1]:
         bound = seq.prefix_product(hier.thresholds[level - 1])
-        system = _level_congruences(unique, level, public)
+        inside, lifts = _level_lifts(unique, level, public)
         solved, combined = 0, 1
-        while combined < bound and solved < len(system):
-            combined *= system[solved].modulus
+        while combined < bound and solved < len(inside):
+            combined *= inside[solved].modulus
             solved += 1
-        y = crt_solve(system[:solved]).value
-        surplus = system[solved:]
-        residues = remainders(y, [c.modulus for c in surplus])
-        if y >= bound or residues != [c.residue for c in surplus]:
+        y = crt_solve([
+            Congruence(residue=r, modulus=s.modulus)
+            for r, s in zip(lifts[:solved], inside)
+        ]).value
+        residues = remainders(y, [s.modulus for s in inside[solved:]])
+        if y >= bound or residues != lifts[solved:]:
             raise InconsistentShares(
                 f"level {level} shares disagree: no value below the dealer "
                 f"bound fits them all"

@@ -9,20 +9,29 @@ with one key-set comparison. Serialization is canonical (sorted keys,
 two-space indent, trailing newline) so files round-trip byte-identically
 and the parameter digest is well defined: shares and bundles are bound
 together by the SHA-256 of the canonical parameter document.
-``canonical_dumps`` writes those bytes itself, the bytes
+
+A deal writes n share files, so a share file is one ``%`` format of its
+seven fields, ``share_file_text``: none needs escaping. Every other
+document (parameter files, bundles, dealer secrets, audit reports) goes
+through ``canonical_dumps``, which writes the bytes
 ``json.dumps(obj, sort_keys=True, indent=2)`` gives plus a newline: with an
 indent set the stdlib leaves its C encoder for a generator-based
 pure-Python one that costs about twice as much per file. It takes one stack
-step per container, not per item, so a share file, a w entry or the moduli
-cost one step each. The CLI reads files with ``os.read`` and parses them
-with ``json.loads``.
+step per container, not per item, so a w entry or the moduli cost one step
+each. The CLI reads files with ``os.read`` and parses them with
+``json.loads``.
+
+A bundle's parameters are read here but not validated again by
+``reconstruct``: the checks that refuse shares no deal could give are the
+share gate (``dhss.dedupe_shares``), the CRT solve's coprimality check, the
+dealer bound and the residues of the surplus shares.
 """
 
 import hashlib
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import inf
-from typing import Mapping
+from typing import AbstractSet, Mapping
 
 from .dhss import PublicBundle, Share
 from .oneway import OwfFamily
@@ -85,10 +94,10 @@ def canonical_dumps(obj) -> str:
     whether it is a dict, its closing text, the separator between its
     items). One loop writes a frame's items until it meets a non-empty
     container, which becomes the next frame; the rest of the frame waits
-    on the stack. So a container of scalars, such as a share file, a w
-    entry or the moduli, costs one frame, not one stack step per item, and
-    an item that is exactly str or int, as nearly every item of these
-    files is, is written without a call.
+    on the stack. So a container of scalars, such as a w entry or the
+    moduli, costs one frame, not one stack step per item, and an item that
+    is exactly str or int, as nearly every item of these files is, is
+    written without a call.
     """
     text = _leaf_text(obj)
     if text is not None:
@@ -205,7 +214,7 @@ def _json_ints(values, name: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _exact_keys(obj: Mapping, keys: set, what: str) -> None:
+def _exact_keys(obj: Mapping, keys: AbstractSet[str], what: str) -> None:
     """Refuse anything but a dict with exactly ``keys``. A dict that has
     them, as every file this tool writes does, costs one set comparison;
     only a mismatch works out the extra and the missing fields, and names
@@ -221,12 +230,12 @@ def _exact_keys(obj: Mapping, keys: set, what: str) -> None:
 
 def _check_version_scheme(obj: Mapping, what: str) -> str:
     # a JSON integer: true and 1.0 are equal to 1 but are not the format's 1
-    version = obj["version"]
-    _require(type(version) is int and version == FORMAT_VERSION,
-             f"{what}: unsupported version {version!r}")
-    _require(obj["scheme"] in SCHEMES,
-             f"{what}: unknown scheme {obj['scheme']!r}")
-    return obj["scheme"]
+    version, scheme = obj["version"], obj["scheme"]
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(f"{what}: unsupported version {version!r}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"{what}: unknown scheme {scheme!r}")
+    return scheme
 
 
 # -- parameter files ---------------------------------------------------------
@@ -306,34 +315,43 @@ def params_digest(scheme: str, params: SchemeParams) -> str:
 
 # -- share files -------------------------------------------------------------
 
-def share_file_obj(scheme: str, share: Share, digest: str) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "scheme": scheme,
-        "participant": share.participant,
-        "level": share.level,
-        "modulus": str(share.modulus),
-        "value": str(share.value),
-        "params_digest": digest,
-    }
+# a share file's canonical bytes, its keys in sorted order; no field needs
+# escaping: the scheme is one of SCHEMES, the digest hex, the rest integers
+_SHARE_FILE = (
+    '{\n  "level": %d,\n  "modulus": "%d",\n  "params_digest": "%s",\n'
+    '  "participant": %d,\n  "scheme": "%s",\n  "value": "%d",\n'
+    '  "version": %d\n}\n'
+)
+_SHARE_KEYS = frozenset({"version", "scheme", "participant", "level",
+                         "modulus", "value", "params_digest"})
+
+
+def share_file_text(scheme: str, share: Share, digest: str) -> str:
+    """The share file of ``share``: the bytes ``canonical_dumps`` gives for
+    its object, from one format string. ``digest`` is hex, as
+    ``params_digest`` gives it."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return _SHARE_FILE % (share.level, share.modulus, digest, share.participant,
+                          scheme, share.value, FORMAT_VERSION)
 
 
 def parse_share_file(obj: Mapping) -> tuple[str, Share, str]:
-    _exact_keys(
-        obj,
-        {"version", "scheme", "participant", "level", "modulus", "value",
-         "params_digest"},
-        "share file",
-    )
+    _exact_keys(obj, _SHARE_KEYS, "share file")
     scheme = _check_version_scheme(obj, "share file")
-    participant = _json_int(obj["participant"], "share file: participant")
-    level = _json_int(obj["level"], "share file: level")
-    modulus = _decimal(obj["modulus"], "share file: modulus")
+    participant, level = obj["participant"], obj["level"]
+    if type(participant) is not int:
+        raise ValueError("share file: participant is not a JSON integer")
+    if type(level) is not int:
+        raise ValueError("share file: level is not a JSON integer")
+    modulus = _digits(obj["modulus"])
+    if modulus is None:
+        raise ValueError("share file: modulus is not a decimal string")
     # errors name the participant, never the value
     value = _residue(obj["value"], modulus)
-    _require(value is not None,
-             f"share file: value of participant {participant} is not an "
-             f"integer in [0, modulus)")
+    if value is None:
+        raise ValueError(f"share file: value of participant {participant} is "
+                         f"not an integer in [0, modulus)")
     share = Share(participant=participant, level=level, modulus=modulus, value=value)
     return scheme, share, obj["params_digest"]
 
@@ -353,8 +371,12 @@ def bundle_file_obj(scheme: str, public: PublicBundle) -> dict:
     }
 
 
+_BUNDLE_KEYS = frozenset({"version", "scheme", "params", "w"})
+_W_ENTRY_KEYS = frozenset({"participant", "level", "value"})
+
+
 def parse_bundle_file(obj: Mapping) -> tuple[str, PublicBundle]:
-    _exact_keys(obj, {"version", "scheme", "params", "w"}, "bundle file")
+    _exact_keys(obj, _BUNDLE_KEYS, "bundle file")
     scheme = _check_version_scheme(obj, "bundle file")
     params_scheme, params = parse_param_file(obj["params"])
     _require(params_scheme == scheme,
@@ -365,17 +387,18 @@ def parse_bundle_file(obj: Mapping) -> tuple[str, PublicBundle]:
     n_masked, m = hier.n_masked, hier.m
     w: dict[tuple[int, int], int] = {}
     for entry in obj["w"]:
-        _exact_keys(entry, {"participant", "level", "value"}, "w entry")
+        _exact_keys(entry, _W_ENTRY_KEYS, "w entry")
         key = i, level = entry["participant"], entry["level"]
-        _require(type(i) is int and type(level) is int,
-                 "bundle file: a w entry's participant or level is not a JSON "
-                 "integer")
+        if type(i) is not int or type(level) is not int:
+            raise ValueError("bundle file: a w entry's participant or level "
+                             "is not a JSON integer")
         if not (1 <= i <= n_masked and hier.level_of(i) <= level <= m):
             raise ValueError(f"bundle file: unexpected w entry {key}")
         if key in w:
             raise ValueError(f"bundle file: duplicate w entry {key}")
-        w[key] = _residue(entry["value"], moduli[i - 1])
-        if w[key] is None:
+        value = _residue(entry["value"], moduli[i - 1])
+        if value is None:
             raise ValueError(f"bundle file: w entry {key} is not an integer "
                              f"in [0, m_{i})")
+        w[key] = value
     return scheme, PublicBundle(params=params, w=w)

@@ -349,21 +349,19 @@ class Hierarchy:
     thresholds: tuple[int, ...]
     # N_l = n_1 + ... + n_l for l = 1..m, derived once from level_sizes
     cumulative: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # total number of participants, N_m, derived once from level_sizes
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "level_sizes", tuple(int(v) for v in self.level_sizes))
         object.__setattr__(self, "thresholds", tuple(int(v) for v in self.thresholds))
         object.__setattr__(self, "cumulative", tuple(accumulate(self.level_sizes)))
+        object.__setattr__(self, "n", sum(self.level_sizes))
 
     @property
     def m(self) -> int:
         """Number of levels."""
         return len(self.level_sizes)
-
-    @property
-    def n(self) -> int:
-        """Total number of participants."""
-        return sum(self.level_sizes)
 
     @property
     def n_masked(self) -> int:

@@ -34,7 +34,7 @@ from crthss.fileformat import (
     param_file_obj,
     params_digest,
     parse_param_file,
-    share_file_obj,
+    share_file_text,
 )
 
 
@@ -808,7 +808,8 @@ def test_failed_write_leaves_an_empty_file(tmp_path, micro_param_file, monkeypat
 
     for argv, path, named in (
         (["deal", "--params", str(micro_param_file), "--secret", "5", "--seed", "2",
-          "--out-dir", str(out_dir)], out_dir / "share_001.json", out_dir),
+          "--out-dir", str(out_dir)], out_dir / "share_001.json",
+         out_dir / "share_001.json"),
         (["audit", "--params", str(micro_param_file), "--adversary", "2",
           "--seed", "1", "--out", str(report)], report, report),
     ):
@@ -820,6 +821,27 @@ def test_failed_write_leaves_an_empty_file(tmp_path, micro_param_file, monkeypat
         assert out == ""
         assert err == f"error: cannot write {named}: {os.strerror(errno.ENOSPC)}\n"
         assert path.read_bytes() == b""
+
+
+def test_write_error_names_the_file_it_could_not_write(tmp_path, capsys):
+    """A directory where a share file goes is named, not the output
+    directory; a failed mkdir still names the directory."""
+    params = tmp_path / "params.json"
+    assert main(["gen-params", "--m0", "1000003", "--levels", "2,3",
+                 "--thresholds", "2,3", "--seed", "1", "--out", str(params)]) == 0
+    out_dir = tmp_path / "out"
+    (out_dir / "share_002.json").mkdir(parents=True)
+    deal = ["deal", "--params", str(params), "--secret", "5", "--seed", "2",
+            "--out-dir"]
+    capsys.readouterr()
+    assert main(deal + [str(out_dir)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {out_dir / 'share_002.json'}: Is a directory\n")
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    assert main(deal + [str(blocked / "out")]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {blocked / 'out'}: Not a directory\n")
 
 
 @pytest.mark.parametrize("scheme, levels, thresholds", [
@@ -1305,7 +1327,7 @@ def _write_deal(out_dir, scheme, result):
     digest = params_digest(scheme, result.public.params)
     for share in result.shares:
         (out_dir / f"share_{share.participant:03d}.json").write_text(
-            canonical_dumps(share_file_obj(scheme, share, digest)))
+            share_file_text(scheme, share, digest))
     (out_dir / "public_bundle.json").write_text(
         canonical_dumps(bundle_file_obj(scheme, result.public)))
 

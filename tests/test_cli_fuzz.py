@@ -27,7 +27,7 @@ from crthss.fileformat import (
     bundle_file_obj,
     canonical_dumps,
     params_digest,
-    share_file_obj,
+    share_file_text,
 )
 
 M0 = 2**64 - 59  # the largest 64-bit prime
@@ -57,7 +57,8 @@ def _files(scheme, params, deal):
     result = deal(SECRET, params, 5)
     return {
         "bundle": bundle_file_obj(scheme, result.public),
-        "shares": [share_file_obj(scheme, s, digest) for s in result.shares],
+        "shares": [json.loads(share_file_text(scheme, s, digest))
+                   for s in result.shares],
     }
 
 

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DHSS_SEED
-from crthss import OwfFamily, dhss_deal, generate_compact_sequence
+from crthss import OwfFamily, Share, dhss_deal, generate_compact_sequence
 from crthss.fileformat import (
+    SCHEMES,
     bundle_file_obj,
     canonical_dumps,
     param_file_obj,
@@ -20,7 +21,7 @@ from crthss.fileformat import (
     parse_bundle_file,
     parse_param_file,
     parse_share_file,
-    share_file_obj,
+    share_file_text,
 )
 from crthss.params import Hierarchy, SchemeParams
 
@@ -74,11 +75,10 @@ def test_share_and_bundle_round_trip(micro_params):
     result = dhss_deal(4, micro_params, DHSS_SEED)
     digest = params_digest("dhss", micro_params)
     for share in result.shares:
-        obj = share_file_obj("dhss", share, digest)
-        text = canonical_dumps(obj)
+        text = share_file_text("dhss", share, digest)
         scheme, back, back_digest = parse_share_file(json.loads(text))
         assert (scheme, back, back_digest) == ("dhss", share, digest)
-        assert canonical_dumps(share_file_obj(scheme, back, back_digest)) == text
+        assert share_file_text(scheme, back, back_digest) == text
 
     bundle_text = canonical_dumps(bundle_file_obj("dhss", result.public))
     scheme, bundle = parse_bundle_file(json.loads(bundle_text))
@@ -106,7 +106,7 @@ def test_integers_travel_as_strings(micro_params):
     assert obj["sequence"]["moduli"] == ["11", "13", "17"]
     assert obj["sequence"]["theta"] == "1/2"
     result = dhss_deal(4, micro_params, DHSS_SEED)
-    share_obj = share_file_obj("dhss", result.shares[0], "x")
+    share_obj = json.loads(share_file_text("dhss", result.shares[0], "x"))
     assert isinstance(share_obj["value"], str)
     assert isinstance(share_obj["modulus"], str)
     bundle_obj = bundle_file_obj("dhss", result.public)
@@ -229,16 +229,62 @@ def real_size_deal():
     return params, dhss_deal(3**161 % m0, params, 21)
 
 
+def _share_obj(scheme, share, digest):
+    """A share file's object, field by field, for the stdlib to dump."""
+    return {
+        "version": 1,
+        "scheme": scheme,
+        "participant": share.participant,
+        "level": share.level,
+        "modulus": str(share.modulus),
+        "value": str(share.value),
+        "params_digest": digest,
+    }
+
+
 @pytest.mark.parametrize("which", ["params", "bundle", "share"])
 def test_canonical_dumps_of_real_size_files_matches_json_dumps(real_size_deal, which):
+    # a share file comes from share_file_text, every other from canonical_dumps
     params, result = real_size_deal
-    obj = {
-        "params": lambda: param_file_obj("dhss", params),
-        "bundle": lambda: bundle_file_obj("dhss", result.public),
-        "share": lambda: share_file_obj("dhss", result.shares[-1],
-                                        params_digest("dhss", params)),
-    }[which]()
-    assert canonical_dumps(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    if which == "share":
+        share, digest = result.shares[-1], params_digest("dhss", params)
+        obj = _share_obj("dhss", share, digest)
+        text = share_file_text("dhss", share, digest)
+    else:
+        obj = {
+            "params": lambda: param_file_obj("dhss", params),
+            "bundle": lambda: bundle_file_obj("dhss", result.public),
+        }[which]()
+        text = canonical_dumps(obj)
+    assert text == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def _shares(draw):
+    """A share of any size the format holds: a 2- to 2048-bit modulus, a
+    participant up to 10^4 and a level from 1 to 9."""
+    bits = draw(st.integers(2, 2048))
+    modulus = draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))
+    return Share(participant=draw(st.integers(1, 10**4)),
+                 level=draw(st.integers(1, 9)), modulus=modulus,
+                 value=draw(st.integers(0, modulus - 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(scheme=st.sampled_from(SCHEMES), share=_shares(),
+       digest=st.binary(max_size=64).map(bytes.hex))
+def test_share_file_text_matches_json_dumps(scheme, share, digest):
+    # the stdlib, on the object built field by field, is the oracle
+    text = share_file_text(scheme, share, digest)
+    obj = _share_obj(scheme, share, digest)
+    assert text == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert parse_share_file(json.loads(text)) == (scheme, share, digest)
+
+
+def test_share_file_text_refuses_an_unknown_scheme():
+    share = Share(participant=1, level=1, modulus=11, value=3)
+    with pytest.raises(ValueError, match="^unknown scheme 'x\"'$"):
+        share_file_text('x"', share, "00")
 
 
 @pytest.mark.parametrize("value", [

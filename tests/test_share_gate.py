@@ -7,8 +7,13 @@ conflicting duplicate. A corrupted set is refused with ValueError or
 InconsistentShares whether or not it is authorized, so the gate runs before
 authorization is checked; an intact set returns the secret exactly when it is
 authorized.
+
+Each refusal's message is pinned too, for every scheme: as the library
+raises it, and as the whole stderr of ``crthss reconstruct`` for the
+refusals a share file can carry.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -26,7 +31,9 @@ from crthss import (
     dhss_deal,
     dhss_reconstruct,
 )
+from crthss.cli import main
 from crthss.errors import InconsistentShares, NotAuthorized
+from crthss.fileformat import canonical_dumps, param_file_obj
 
 SECRET = 1234567890123456789
 TIERED = SchemeParams(SEQ_61, Hierarchy((2, 3), (2, 3)))
@@ -90,3 +97,109 @@ def test_gate_runs_before_authorization(data):
     else:
         with pytest.raises(NotAuthorized):
             reconstruct(subset, deal.public)
+
+
+# participant 2's share, changed by each function, and what the gate says;
+# the messages were recorded before the gate indexed the moduli directly
+GATE_REFUSALS = [
+    pytest.param(lambda s: [replace(s, participant=N + 1)], ValueError,
+                 f"participant {N + 1} not in [1, {N}]", id="participant above n"),
+    pytest.param(lambda s: [replace(s, participant=0)], ValueError,
+                 f"participant 0 not in [1, {N}]", id="participant 0"),
+    pytest.param(lambda s: [replace(s, modulus=s.modulus + 1)], ValueError,
+                 "share for participant 2 carries the wrong modulus",
+                 id="wrong modulus"),
+    pytest.param(lambda s: [replace(s, level=s.level + 1)], ValueError,
+                 "share for participant 2 carries the wrong level", id="wrong level"),
+    pytest.param(lambda s: [replace(s, value=s.modulus)], ValueError,
+                 "share value of participant 2 is not in [0, m_2)", id="value at m_i"),
+    pytest.param(lambda s: [replace(s, value=-1)], ValueError,
+                 "share value of participant 2 is not in [0, m_2)",
+                 id="negative value"),
+    pytest.param(lambda s: [s, replace(s, value=(s.value + 1) % s.modulus)],
+                 InconsistentShares, "conflicting shares for participant 2",
+                 id="conflicting duplicate"),
+    # two faults in one share: the modulus is checked first, then the level
+    pytest.param(lambda s: [replace(s, modulus=s.modulus + 1, level=s.level + 1)],
+                 ValueError, "share for participant 2 carries the wrong modulus",
+                 id="wrong modulus and level"),
+    pytest.param(lambda s: [replace(s, level=s.level + 1, value=s.modulus)],
+                 ValueError, "share for participant 2 carries the wrong level",
+                 id="wrong level and value"),
+]
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("corrupt, error, message", GATE_REFUSALS)
+def test_gate_refusal_message_is_pinned(scheme, corrupt, error, message):
+    deal, reconstruct, _ = SCHEMES[scheme]
+    shares = list(deal.shares)
+    supplied = shares[:1] + corrupt(shares[1]) + shares[2:]
+    with pytest.raises(error) as exc:
+        reconstruct(supplied, deal.public)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_gate_range_messages_of_unvalidated_parameters():
+    # a bundle's parameters are not validated again: with more moduli than
+    # participants, or fewer, the shorter of the two sets the range named
+    deal = SCHEMES["ab"][0]
+    for moduli, sizes in ((SEQ_61.moduli, (4,)), (SEQ_61.moduli[:4], (5,))):
+        params = SchemeParams(replace(SEQ_61, moduli=moduli), Hierarchy(sizes, (3,)))
+        public = replace(deal.public, params=params)
+        with pytest.raises(ValueError) as exc:
+            ab_reconstruct(list(deal.shares), public)
+        assert str(exc.value) == "participant 5 not in [1, 4]"
+
+
+# the refusals a share file can carry to the gate: field -> the new value of
+# participant 2's field, from its file object, and the whole stderr
+FILE_REFUSALS = [
+    ("participant", lambda o: N + 1, f"error: participant {N + 1} not in [1, {N}]\n"),
+    ("participant", lambda o: 0, f"error: participant 0 not in [1, {N}]\n"),
+    ("modulus", lambda o: str(int(o["modulus"]) + 1),
+     "error: share for participant 2 carries the wrong modulus\n"),
+    ("level", lambda o: o["level"] + 1,
+     "error: share for participant 2 carries the wrong level\n"),
+]
+
+
+def _reconstruct(out_dir, shares, capsys):
+    capsys.readouterr()
+    code = main(["reconstruct", "--public", str(out_dir / "public_bundle.json"),
+                 "--shares", *map(str, shares)])
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_reconstruct_gate_refusal_stderr_is_pinned(tmp_path, capsys, scheme):
+    # the seeded deal of SCHEMES[scheme], written by crthss deal
+    param_path, out_dir = tmp_path / "params.json", tmp_path / "deal"
+    param_path.write_text(canonical_dumps(
+        param_file_obj(scheme, FLAT if scheme == "ab" else TIERED)))
+    assert main(["deal", "--params", str(param_path), "--secret", str(SECRET),
+                 "--seed", "5", "--out-dir", str(out_dir)]) == 0
+    paths = [out_dir / f"share_{i:03d}.json" for i in range(1, N + 1)]
+    original = paths[1].read_text()
+    assert _reconstruct(out_dir, paths, capsys) == (0, f"{SECRET}\n", "")
+    for field, value, stderr in FILE_REFUSALS:
+        obj = json.loads(original)
+        obj[field] = value(obj)
+        paths[1].write_text(json.dumps(obj))
+        assert _reconstruct(out_dir, paths, capsys) == (2, "", stderr), field
+    # a value outside [0, m_i) is refused by the reader, before the gate
+    obj = json.loads(original)
+    obj["value"] = obj["modulus"]
+    paths[1].write_text(json.dumps(obj))
+    assert _reconstruct(out_dir, paths, capsys) == (
+        2, "", f"error: cannot read share {paths[1]}: share file: value of "
+        "participant 2 is not an integer in [0, modulus)\n")
+    # a second file for participant 2 with another value
+    paths[1].write_text(original)
+    obj = json.loads(original)
+    obj["value"] = str((int(obj["value"]) + 1) % int(obj["modulus"]))
+    twin = tmp_path / "twin.json"
+    twin.write_text(json.dumps(obj))
+    assert _reconstruct(out_dir, paths + [twin], capsys) == (
+        2, "", "error: conflicting shares for participant 2\n")

@@ -18,8 +18,10 @@ from fractions import Fraction
 import pytest
 
 from crthss import (
+    CompactSequence,
     Congruence,
     Hierarchy,
+    PublicBundle,
     SchemeParams,
     Share,
     ab_reconstruct,
@@ -157,3 +159,16 @@ def test_a_lift_at_the_bound_is_refused_without_surplus():
         expected = None if y >= bound else y % seq.m0
         assert oracle(shares, public, False) == expected
         assert outcome(ab_reconstruct, shares, public) == expected
+
+
+@pytest.mark.parametrize("moduli", [(1, 11, 13), (11, 13, 1)],
+                         ids=["solved", "surplus"])
+def test_a_bundle_modulus_of_1_is_refused(moduli):
+    # a bundle's parameters are not validated again, so a modulus of 1 can
+    # reach recovery; its share is refused whether solved or checked by residue
+    params = SchemeParams(CompactSequence(m0=7, moduli=moduli),
+                          Hierarchy((3,), (2,)))
+    public = PublicBundle(params=params, w={})
+    shares = [Share(i, 1, m, 38 % m) for i, m in enumerate(moduli, start=1)]
+    with pytest.raises(ValueError, match=r"^modulus must be >= 2, got 1$"):
+        ab_reconstruct(shares, public)
