@@ -39,8 +39,6 @@ from .params import (
     generate_compact_sequence,
     integer_root,
     is_prime,
-    validate_compact,
-    validate_dealable,
     validate_hierarchy,
     validate_params,
 )

@@ -2,8 +2,8 @@
 
 Exit codes are stable:
   0 success
-  2 flag/validation failure (including a secret out of range, a
-    malformed share, or shares that disagree with each other)
+  2 flag/validation failure (including a secret out of range, an empty
+    --ladder, a malformed share, or shares that disagree with each other)
   3 invalid parameter set: a parameter file that fails validation, in deal
     and in audit, or a flat ("ab") file with more than one level
   4 reconstruction refused: no qualifying level (failing levels are named)
@@ -61,6 +61,7 @@ from .oneway import OwfFamily
 from .params import (
     Hierarchy,
     SchemeParams,
+    check_compactness,
     check_power_limit,
     generate_compact_sequence,
     is_prime,
@@ -107,6 +108,13 @@ def _ints_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"not a comma-separated list of integers: {text!r}"
         ) from None
+
+
+def _ladder_arg(text: str) -> tuple[int, ...]:
+    """--ladder as a non-empty integer list: an empty one would run no rung."""
+    if not (rungs := _ints_arg(text)):
+        raise argparse.ArgumentTypeError(f"no m0 rung in {text!r}")
+    return rungs
 
 
 def _theta_arg(text: str) -> Fraction:
@@ -247,12 +255,12 @@ def cmd_gen_params(args) -> int:
     report = validate_hierarchy(hierarchy)
     if not report.ok:
         raise ValueError("; ".join(f"hierarchy: {v}" for v in report.violations))
+    if args.m0 is None:
+        check_power_limit(args.m0_bits, args.theta)
+    check_compactness(args.k, args.theta)
     rng = _dealer_rng(args.seed)
     # generate_compact_sequence rejects a composite --m0
-    m0 = args.m0
-    if m0 is None:
-        check_power_limit(args.m0_bits, args.theta)
-        m0 = _random_prime(args.m0_bits, rng)
+    m0 = args.m0 if args.m0 is not None else _random_prime(args.m0_bits, rng)
     sequence = generate_compact_sequence(
         m0, hierarchy.n, args.k, args.theta, rng.randrange(2 ** 63)
     )
@@ -516,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--adversary", type=_ints_arg, required=True,
                    help="participant indices, e.g. 2,3")
-    p.add_argument("--ladder", type=_ints_arg,
+    p.add_argument("--ladder", type=_ladder_arg,
                    help="regenerate the same shape at these m0 rungs")
     p.add_argument("--budget", type=int, default=analysis.DEFAULT_WORK_BUDGET)
     p.add_argument("--secret", type=int)

@@ -38,7 +38,7 @@ from .errors import (
     SecretOutOfRange,
 )
 from .oneway import eval_owf
-from .params import SchemeParams, validate_dealable
+from .params import SchemeParams
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,8 @@ class DealResult:
 
 
 def _check_dealable(secret: int, params: SchemeParams) -> None:
-    report = validate_dealable(params)
-    if not report.ok:
-        raise InvalidParams(str(report))
+    if params.violations:
+        raise InvalidParams("; ".join(params.violations))
     if not 0 <= secret < params.sequence.m0:
         # the secret itself is never named: only the public range is
         raise SecretOutOfRange(f"secret not in [0, {params.sequence.m0})")

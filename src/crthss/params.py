@@ -13,6 +13,7 @@ t_1 < ... < t_m with t_l <= N_l (cumulative size).
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, isqrt, log2, prod
@@ -145,6 +146,14 @@ def check_power_limit(m0_bits: int, theta: Fraction) -> None:
         )
 
 
+def check_compactness(k: int, theta: Fraction) -> None:
+    """ValueError unless 0 < theta < 1 and k >= 1; run before any m0 search."""
+    if not 0 < theta < 1:
+        raise ValueError(f"theta must be in (0, 1), got {theta}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 def compact_width(m0: int, theta: Fraction) -> int:
     """floor(m0^theta) for rational theta = p/q, via an exact integer q-th root
     of m0**p; ValueError when p * bits(m0) exceeds _MAX_POWER_BITS."""
@@ -173,7 +182,7 @@ class CompactSequence:
     compactness parameters they are supposed to satisfy.
 
     Construction does not validate the number-theoretic invariants; run
-    :func:`validate_compact` to get a violation report.
+    :func:`validate_params` to get a violation report.
     """
 
     m0: int
@@ -247,10 +256,7 @@ def generate_compact_sequence(
     if not is_prime(m0):
         raise ValueError(f"m0 = {m0} is not prime")
     theta = Fraction(theta)
-    if not 0 < theta < 1:
-        raise ValueError(f"theta must be in (0, 1), got {theta}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_compactness(k, theta)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     lo = k * m0
@@ -272,12 +278,6 @@ def generate_compact_sequence(
             f"{n} pairwise-coprime values"
         )
     return CompactSequence(m0=m0, moduli=tuple(sorted(accepted)), k=k, theta=theta)
-
-
-def validate_compact(seq: CompactSequence) -> ValidationReport:
-    """Structural checks plus the open compactness interval bounds.
-    Every violation is reported with its indices."""
-    return ValidationReport(_structure_violations(seq) + _interval_violations(seq))
 
 
 def _structure_violations(seq: CompactSequence) -> tuple[str, ...]:
@@ -328,17 +328,6 @@ def _shared_pairs(rows, left, right) -> list[tuple[int, int]]:
         return [p for c in halves for p in _shared_pairs(rows, (rl - 1, c), right)]
     halves = range(2 * kr, min(2 * kr + 2, len(rows[rr - 1])))
     return [p for c in halves for p in _shared_pairs(rows, left, (rr - 1, c))]
-
-
-def _interval_violations(seq: CompactSequence) -> tuple[str, ...]:
-    """Moduli outside the open interval (k*m0, k*m0 + floor(m0^theta))."""
-    lo = seq.k * seq.m0
-    hi = lo + compact_width(seq.m0, seq.theta)
-    return tuple(
-        f"m_{idx} = {m} outside open interval ({lo}, {hi})"
-        for idx, m in enumerate(seq.moduli, start=1)
-        if not lo < m < hi
-    )
 
 
 @dataclass(frozen=True)
@@ -429,25 +418,30 @@ class SchemeParams:
     hierarchy: Hierarchy
     owf: OwfFamily = field(default_factory=OwfFamily)
 
-
-def validate_dealable(params: SchemeParams) -> ValidationReport:
-    """What a deal needs: structural sequence validity, hierarchy validity and
-    size agreement. The Asmuth-Bloom product inequality at a threshold t,
-    m0 * prod(m_1..m_{t-1}) < prod(m_1..m_t), reduces to m0 < m_t, so the
-    ordering check already implies it at every level. The compactness
-    interval is deliberately not required here; it governs the asymptotic
-    quality of the scheme, not its correctness."""
-    bad = [f"sequence: {v}" for v in _structure_violations(params.sequence)]
-    bad += [f"hierarchy: {v}" for v in validate_hierarchy(params.hierarchy).violations]
-    if params.sequence.n != params.hierarchy.n:
-        bad.append(
-            f"{params.sequence.n} moduli for {params.hierarchy.n} participants"
-        )
-    return ValidationReport(tuple(bad))
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """What stops a deal, worked out on its first use and kept: sequence
+        structure, then hierarchy violations, each prefixed with its part,
+        then a size mismatch. Not the compactness interval, which governs the
+        scheme's asymptotic quality, not its correctness; nor the Asmuth-Bloom
+        inequality m0 * prod(m_1..m_{t-1}) < prod(m_1..m_t), which reduces to
+        m0 < m_t and so holds at every level the ordering check passes."""
+        bad = [f"sequence: {v}" for v in _structure_violations(self.sequence)]
+        bad += [f"hierarchy: {v}" for v in validate_hierarchy(self.hierarchy).violations]
+        if self.sequence.n != self.hierarchy.n:
+            bad.append(f"{self.sequence.n} moduli for {self.hierarchy.n} participants")
+        return tuple(bad)
 
 
 def validate_params(params: SchemeParams) -> ValidationReport:
-    """Full validation: everything a deal needs plus the compactness bounds."""
-    bad = validate_dealable(params).violations
-    interval = tuple(f"sequence: {v}" for v in _interval_violations(params.sequence))
-    return ValidationReport(bad + interval)
+    """Full validation: everything a deal needs, then every modulus outside
+    the open compactness interval (k*m0, k*m0 + floor(m0^theta))."""
+    seq = params.sequence
+    lo = seq.k * seq.m0
+    hi = lo + compact_width(seq.m0, seq.theta)
+    interval = tuple(
+        f"sequence: m_{idx} = {m} outside open interval ({lo}, {hi})"
+        for idx, m in enumerate(seq.moduli, start=1)
+        if not lo < m < hi
+    )
+    return ValidationReport(params.violations + interval)

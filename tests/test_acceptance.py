@@ -36,7 +36,7 @@ from crthss import (
     enumerate_posterior,
     generate_compact_sequence,
     count_grouping,
-    validate_compact,
+    validate_params,
     worst_case_unauthorized,
 )
 from crthss.cli import main
@@ -341,12 +341,12 @@ def test_c7_loss_entropy_ladder():
         losses, minority = [], []
         for seq in C7_LADDER:
             m0 = seq.m0
-            assert validate_compact(seq).ok
             params = SchemeParams(
                 sequence=seq,
                 hierarchy=hier,
                 owf=OwfFamily(family_tag=b"ladder"),
             )
+            assert validate_params(params).ok
             if members == {2}:
                 assert worst_case_unauthorized(params) == members
                 assert all(

@@ -394,6 +394,29 @@ def test_bad_hierarchy_is_refused_before_the_prime_search(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("m0_flag", [("--m0-bits", "2048"), ("--m0", "997")],
+                         ids=["m0-bits", "m0"])
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "0"], "k must be >= 1, got 0"),
+    (["--theta", "3/2"], "theta must be in (0, 1), got 3/2"),
+    (["--theta", "1"], "theta must be in (0, 1), got 1"),
+    (["--theta=-1/2"], "theta must be in (0, 1), got -1/2"),
+], ids=["k0", "theta-3/2", "theta-1", "theta-neg"])
+def test_bad_k_or_theta_is_refused_before_the_prime_search(
+        tmp_path, monkeypatch, capsys, m0_flag, flags, message):
+    # at --m0-bits 2048 these ran the search for seconds before exit 2
+    def no_primes(n):
+        raise AssertionError("is_prime called")
+
+    monkeypatch.setattr("crthss.cli.is_prime", no_primes)
+    monkeypatch.setattr("crthss.params.is_prime", no_primes)
+    out = tmp_path / "x.json"
+    assert main(["gen-params", *m0_flag, "--levels", "1,2", "--thresholds", "1,2",
+                 *flags, "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--family-tag", "abc"), ("--family-tag", "AB"), ("--family-tag", "ab cd"),
     ("--family-tag", "zz"), ("--digest", "nope"), ("--digest", "shake_128"),
@@ -1882,6 +1905,8 @@ def test_unknown_command_exits_2(capsys):
     ("--adversary", "x"),
     ("--adversary", "2,x"),
     ("--ladder", "97,x"),
+    ("--ladder", ""),
+    ("--ladder", ","),
     ("--epsilon", "nan"),
     ("--epsilon", "inf"),
     ("--epsilon", "-0.5"),
@@ -1896,6 +1921,14 @@ def test_audit_malformed_flag_is_a_usage_error(micro_param_file, capsys, flag, v
     assert code == 2
     assert out == "" and usage in err and flag in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["", ","])
+def test_audit_empty_adversary_is_accepted(micro_param_file, capsys, value):
+    # --ladder refuses an empty list; --adversary keeps the empty set
+    assert main(["audit", "--params", str(micro_param_file), "--adversary", value,
+                 "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["adversary"] == []
 
 
 @pytest.mark.parametrize("flag", ["--levels", "--thresholds"])

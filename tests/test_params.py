@@ -17,13 +17,17 @@ from crthss import (
     generate_compact_sequence,
     integer_root,
     is_prime,
-    validate_compact,
-    validate_dealable,
     validate_hierarchy,
     validate_params,
 )
 from crthss.errors import IntervalExhausted
 from crthss.params import SMALL_PRODUCT, _candidate_order, _strong_lucas
+
+
+def _sequence_report(seq):
+    """validate_params of seq under a one-level hierarchy of its size, which
+    adds no violation of its own: what is wrong with the sequence alone."""
+    return validate_params(SchemeParams(seq, Hierarchy((seq.n,), (1,))))
 
 
 def test_integer_root_matches_scan():
@@ -169,7 +173,7 @@ def test_generate_compact_97():
     ]
     assert triples
     seq = generate_compact_sequence(97, 3, 1, Fraction(1, 2), rng_seed=7)
-    assert validate_compact(seq).ok
+    assert _sequence_report(seq).ok
     assert all(97 < m < 106 for m in seq.moduli)
 
 
@@ -190,7 +194,7 @@ def test_generate_deterministic_and_valid():
         seq = generate_compact_sequence(m0, n, k, theta, seed)
         again = generate_compact_sequence(m0, n, k, theta, seed)
         assert seq == again
-        assert validate_compact(seq).ok
+        assert _sequence_report(seq).ok
         # every generated sequence satisfies the product inequality at
         # every threshold (the compact form of the classical guarantee)
         for t in range(1, n + 1):
@@ -312,7 +316,7 @@ def test_generate_shuffle_memory_is_an_offset_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert validate_compact(seq).ok
+    assert _sequence_report(seq).ok
     assert peak < 4 * 2**20
 
 
@@ -356,7 +360,7 @@ def test_generate_draws_and_memory_at_real_sizes(monkeypatch, bits):
     assert accepted == len(read) >= 200
     assert calls[-1][1] <= bound  # the last call was an accepted draw
     assert peak < 512 * 2**10
-    assert validate_compact(seq).ok
+    assert _sequence_report(seq).ok
 
 
 @pytest.mark.parametrize("bits", [40, 256])
@@ -381,7 +385,7 @@ def test_generate_screens_small_primes_before_the_product_gcd(monkeypatch, bits)
     seq = generate_compact_sequence(m0, n, 1, theta, 8)
     assert len(read) >= 5 * n
     assert full <= 2 * n
-    assert validate_compact(seq).ok
+    assert _sequence_report(seq).ok
 
 
 @pytest.mark.parametrize("bits", [128, 256])
@@ -390,7 +394,7 @@ def test_generate_wide_interval_by_rejection(bits):
     # and the draws stay seeded
     m0 = _real_size_prime(bits)
     seq = generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 5)
-    assert validate_compact(seq).ok
+    assert _sequence_report(seq).ok
     assert seq == generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 5)
     assert seq != generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 6)
 
@@ -404,37 +408,37 @@ def test_generate_rejects_bad_inputs():
         generate_compact_sequence(97, 2, 1, Fraction(3, 2), 0)
 
 
-def test_validate_compact_examples():
+def test_validate_params_sequence_examples():
     good = CompactSequence(m0=97, moduli=(99, 101, 103), k=1, theta=Fraction(1, 2))
-    assert validate_compact(good).ok
+    assert _sequence_report(good).ok
 
     shared_factor = CompactSequence(m0=7, moduli=(9, 12), k=1, theta=Fraction(1, 2))
-    report = validate_compact(shared_factor)
+    report = _sequence_report(shared_factor)
     assert any("gcd" in v and "3" in v for v in report.violations)
 
     out_of_interval = CompactSequence(m0=7, moduli=(15,), k=1, theta=Fraction(1, 2))
-    report = validate_compact(out_of_interval)
+    report = _sequence_report(out_of_interval)
     assert any("(7, 9)" in v for v in report.violations)
 
     not_prime = CompactSequence(m0=10, moduli=(11, 13), k=1, theta=Fraction(1, 2))
-    assert any("not prime" in v for v in validate_compact(not_prime).violations)
+    assert any("not prime" in v for v in _sequence_report(not_prime).violations)
 
 
-def test_validate_compact_ordering():
+def test_validate_params_ordering():
     seq = CompactSequence(m0=97, moduli=(103, 101), k=1, theta=Fraction(1, 2))
-    assert any("increasing" in v for v in validate_compact(seq).violations)
+    assert any("increasing" in v for v in _sequence_report(seq).violations)
 
 
 def test_ab_constraint_examples():
     # m0 * prod(m_1..m_{t-1}) < prod(m_1..m_t) reduces to m0 < m_t, so the
-    # ordering check of validate_dealable refuses every sequence breaking it
+    # ordering check of the deal verdict refuses every sequence breaking it
     seq = CompactSequence(m0=7, moduli=(11, 13, 17), k=1, theta=Fraction(1, 2))
-    assert validate_dealable(SchemeParams(seq, Hierarchy((3,), (2,)))).ok
+    assert SchemeParams(seq, Hierarchy((3,), (2,))).violations == ()
     # a failing case needs a later modulus at or below m0:
     # 12 * 13 = 156 >= 13 * 11 = 143 at t = 2
     broken = CompactSequence(m0=12, moduli=(13, 11), k=1, theta=Fraction(1, 2))
-    report = validate_dealable(SchemeParams(broken, Hierarchy((2,), (2,))))
-    assert any("not strictly increasing" in v for v in report.violations)
+    violations = SchemeParams(broken, Hierarchy((2,), (2,))).violations
+    assert any("not strictly increasing" in v for v in violations)
 
 
 def test_hierarchy_examples():
@@ -495,26 +499,26 @@ def test_prefix_validity_agreement():
     rng = random.Random(11)
     for _ in range(10):
         seq = generate_compact_sequence(997, 6, 1, Fraction(2, 3), rng.randrange(2**32))
-        assert validate_compact(seq).ok
+        assert _sequence_report(seq).ok
         for cut in range(1, 7):
             prefix = CompactSequence(
                 m0=seq.m0, moduli=seq.moduli[:cut], k=seq.k, theta=seq.theta
             )
-            assert validate_compact(prefix).ok
+            assert _sequence_report(prefix).ok
 
 
 def test_validate_params_levels():
     seq = generate_compact_sequence(97, 3, 1, Fraction(1, 2), 7)
     params = SchemeParams(sequence=seq, hierarchy=Hierarchy((1, 2), (1, 2)))
     assert validate_params(params).ok
-    assert validate_dealable(params).ok
+    assert params.violations == ()
 
     short = SchemeParams(sequence=seq, hierarchy=Hierarchy((1, 3), (1, 2)))
     assert not validate_params(short).ok  # 3 moduli for 4 participants
 
 
-def test_validate_dealable_ignores_interval(micro_params):
-    assert validate_dealable(micro_params).ok
+def test_deal_verdict_ignores_interval(micro_params):
+    assert micro_params.violations == ()
     assert not validate_params(micro_params).ok
 
 
@@ -551,11 +555,11 @@ def _interval_reference(seq):
 def _assert_matches_oracle(full):
     seq = CompactSequence(m0=full[0], moduli=tuple(full[1:]), k=1, theta=Fraction(1, 2))
     expected = _pairwise_structure(seq)
-    assert validate_compact(seq).violations == expected + _interval_reference(seq)
     params = SchemeParams(sequence=seq, hierarchy=Hierarchy((seq.n,), (1,)))
-    assert validate_dealable(params).violations == tuple(
-        f"sequence: {v}" for v in expected
+    assert validate_params(params).violations == tuple(
+        f"sequence: {v}" for v in expected + _interval_reference(seq)
     )
+    assert params.violations == tuple(f"sequence: {v}" for v in expected)
     return expected
 
 

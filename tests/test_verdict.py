@@ -1,0 +1,118 @@
+"""A SchemeParams is checked on its first deal and keeps its verdict.
+
+The deal check (BPSW of m0 and one gcd per product-tree node) is the
+``violations`` property, worked out once per object: a CLI deal or audit
+loads a fresh object and pays it once, each ladder rung once, a reconstruct
+never, and a library caller dealing many secrets from one object once.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from crthss import (
+    CompactSequence,
+    Hierarchy,
+    SchemeParams,
+    chss_deal,
+    dhss_deal,
+    generate_compact_sequence,
+)
+from crthss import params as params_module
+from crthss.cli import main
+from crthss.errors import InvalidParams
+from crthss.fileformat import canonical_dumps, param_file_obj
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Calls of the structural check, counted: one per verdict worked out."""
+    calls = []
+    real = params_module._structure_violations
+
+    def counting(seq):
+        calls.append(seq.m0)
+        return real(seq)
+
+    monkeypatch.setattr(params_module, "_structure_violations", counting)
+    return calls
+
+
+def _write(tmp_path, scheme, params):
+    path = tmp_path / f"{scheme}.json"
+    path.write_text(canonical_dumps(param_file_obj(scheme, params)))
+    return path
+
+
+def test_invalid_params_keep_their_message_on_every_deal(checks):
+    # composite m0 and three moduli for four participants: both deal entry
+    # points refuse the one object with the same message, from one check
+    bad = SchemeParams(CompactSequence(m0=10, moduli=(11, 13, 17)),
+                       Hierarchy((1, 3), (1, 2)))
+    message = "sequence: m0 = 10 is not prime; 3 moduli for 4 participants"
+    for deal in (dhss_deal, chss_deal, dhss_deal):
+        with pytest.raises(InvalidParams) as info:
+            deal(3, bad, 1)
+        assert str(info.value) == message
+    assert checks == [10]
+
+
+def test_replaced_params_get_their_own_verdict(micro_params, checks):
+    dhss_deal(3, micro_params, 1)
+    broken = replace(micro_params, sequence=CompactSequence(m0=7, moduli=(11, 11, 17)))
+    with pytest.raises(InvalidParams) as info:
+        dhss_deal(3, broken, 1)
+    assert str(info.value) == "sequence: not strictly increasing at position 2: " \
+        "11 >= 11; sequence: gcd(m_1, m_2) = gcd(11, 11) = 11"
+    assert checks == [7, 7]
+    dhss_deal(3, micro_params, 2)  # the first object keeps its pass
+    assert len(checks) == 2
+
+
+@pytest.mark.parametrize("second", [dhss_deal, chss_deal], ids=["dhss", "chss"])
+def test_second_library_deal_runs_no_check(micro_params, checks, second):
+    dhss_deal(3, micro_params, 1)
+    assert len(checks) == 1
+    second(4, micro_params, 2)
+    assert len(checks) == 1
+
+
+def test_cli_deal_and_audit_check_once_each(tmp_path, micro_params, checks, capsys):
+    for scheme in ("dhss", "chss"):
+        path = _write(tmp_path, scheme, micro_params)
+        assert main(["deal", "--params", str(path), "--secret", "4", "--seed", "1",
+                     "--out-dir", str(tmp_path / scheme)]) == 0
+        assert len(checks) == 1
+        assert main(["audit", "--params", str(path), "--adversary", "2",
+                     "--seed", "3"]) == 0
+        assert len(checks) == 2
+        checks.clear()
+
+
+def test_cli_audit_ladder_checks_each_rung_once(tmp_path, micro_params, checks,
+                                                capsys):
+    path = _write(tmp_path, "dhss", micro_params)
+    assert main(["audit", "--params", str(path), "--adversary", "2",
+                 "--ladder", "97,997,9973", "--seed", "1"]) == 0
+    assert checks == [97, 997, 9973]
+
+
+def test_cli_reconstruct_runs_no_check(tmp_path, checks, capsys):
+    # 256-bit m0 and n = 200: the bundle's parameters are read, never checked
+    m0 = 2**256 - 189
+    sequence = generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 4)
+    params = SchemeParams(sequence, Hierarchy((10, 40, 150), (5, 20, 60)))
+    path = _write(tmp_path, "dhss", params)
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(path), "--secret", "123", "--seed", "5",
+                 "--out-dir", str(out_dir)]) == 0
+    assert checks == [m0]
+    capsys.readouterr()
+    shares = sorted(str(p) for p in out_dir.glob("share_*.json"))
+    assert len(shares) == 200
+    for chosen in (shares, shares[:5]):
+        assert main(["reconstruct", "--public", str(out_dir / "public_bundle.json"),
+                     "--shares", *chosen]) == 0
+        assert capsys.readouterr().out == "123\n"
+    assert checks == [m0]
