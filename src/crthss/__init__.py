@@ -20,7 +20,7 @@ from .analysis import (
 )
 from .asmuth_bloom import ab_reconstruct
 from .chss import chss_deal, chss_is_authorized, chss_reconstruct
-from .crt import Congruence, CrtSolution, crt_solve, mod_inverse
+from .crt import crt_solve, mod_inverse
 from .dhss import (
     DealResult,
     PublicBundle,

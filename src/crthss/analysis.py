@@ -61,7 +61,7 @@ from .dhss import (
     DealResult,
     PublicBundle,
     Share,
-    _level_congruences,
+    _level_lifts,
     dhss_authorized_level,
 )
 from .errors import DecompositionMismatch, IntractableInstance, NotUnauthorized
@@ -197,17 +197,14 @@ def _level_profiles(view: AdversaryView) -> tuple[LevelProfile, ...]:
     m0 = seq.m0
     profiles = []
     for level, t in enumerate(hier.thresholds, start=1):
-        congruences = _level_congruences(view.shares, level, public)
-        base, modulus = 0, 1
-        if congruences:
-            sol = crt_solve(congruences)
-            base, modulus = sol.value, sol.combined_modulus
+        lifts, moduli = _level_lifts(view.shares, level, public)
+        base, modulus = crt_solve(lifts, moduli), prod(moduli)
         bound = seq.prefix_product(t)
         reach = -((base - bound) // modulus) if bound > base else 0
         q, rho = divmod(reach, m0)
         step = modulus % m0
         profiles.append(LevelProfile(
-            threshold=t, bound=bound, modulus=modulus, members=len(congruences),
+            threshold=t, bound=bound, modulus=modulus, members=len(moduli),
             m0=m0, base=base % m0, step=step, inv=mod_inverse(step, m0),
             q=q, rho=rho,
         ))

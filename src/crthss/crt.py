@@ -1,9 +1,13 @@
 """Exact integer congruence solving.
 
 All arithmetic is arbitrary precision; nothing here ever touches floats or
-fixed-width types. The solver folds the congruences in one at a time
-(Garner's incremental form): with x the solution modulo M, the product of
-the moduli folded so far, the next congruence x' = r (mod m) gives
+fixed-width types. ``crt_solve(residues, moduli)`` takes a system as two
+lists of plain integers and returns its solution as one: the x in
+[0, prod(moduli)), the product being the caller's to take when it needs it.
+The empty system gives 0, its answer mod 1. The solver folds the
+congruences in one at a time (Garner's incremental form): with x the
+solution modulo M, the product of the moduli folded so far, the next
+congruence x' = r (mod m) gives
 
     x' = x + M * ((r - x) * M^-1 mod m),    M' = M * m.
 
@@ -23,43 +27,16 @@ node: the values are pairwise coprime exactly when, at every node, the
 products below its two children are coprime.
 """
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
-from .errors import EmptySystem, ModuliNotPairwiseCoprime, NotCoprime
+from .errors import ModuliNotPairwiseCoprime, NotCoprime
 
 
 def _check_modulus(m: int) -> None:
     """Every modulus here is at least 2."""
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-
-
-@dataclass(frozen=True)
-class Congruence:
-    """One constraint ``x = residue (mod modulus)``.
-
-    Residues must already be normalized into [0, modulus); negative residues
-    are rejected so that callers keep normalization explicit.
-    """
-
-    residue: int
-    modulus: int
-
-    def __post_init__(self):
-        _check_modulus(self.modulus)
-        if not 0 <= self.residue < self.modulus:
-            # the residue may be a share value, so only the range is named
-            raise ValueError(f"residue not in [0, {self.modulus})")
-
-
-@dataclass(frozen=True)
-class CrtSolution:
-    """The unique solution in [0, combined_modulus) of a congruence system."""
-
-    value: int
-    combined_modulus: int
 
 
 def mod_inverse(a: int, m: int) -> int:
@@ -77,32 +54,27 @@ def mod_inverse(a: int, m: int) -> int:
         ) from None
 
 
-def crt_solve(system: Sequence[Congruence]) -> CrtSolution:
-    """Solve a system of congruences with pairwise-coprime moduli.
+def crt_solve(residues: Sequence[int], moduli: Sequence[int]) -> int:
+    """The unique x in [0, prod(moduli)) with x = residues[i] (mod moduli[i])
+    for every i, the moduli pairwise coprime. Residues are any integers; the
+    fold reduces them. The empty system's answer is 0, its solution mod 1.
 
-    Returns the unique x in [0, M) with x = residue_i (mod modulus_i) for
-    every congruence, where M is the product of the moduli.
-
-    Raises EmptySystem for an empty input and ModuliNotPairwiseCoprime when
-    two moduli share a factor (the offending pair is named).
+    Raises ValueError when the two lists differ in length or a modulus is
+    below 2, and ModuliNotPairwiseCoprime when two moduli share a factor
+    (the offending pair is named).
     """
-    if not system:
-        raise EmptySystem("need at least one congruence")
     value, combined = 0, 1
-    for i, c in enumerate(system):
+    for i, (r, m) in enumerate(zip(residues, moduli, strict=True)):
         try:
-            step = mod_inverse(combined, c.modulus)
+            step = mod_inverse(combined, m)
         except NotCoprime:
-            earlier = next(
-                e.modulus for e in system[:i] if gcd(e.modulus, c.modulus) != 1
-            )
+            earlier = next(e for e in moduli[:i] if gcd(e, m) != 1)
             raise ModuliNotPairwiseCoprime(
-                f"moduli {earlier} and {c.modulus} share factor "
-                f"{gcd(earlier, c.modulus)}"
+                f"moduli {earlier} and {m} share factor {gcd(earlier, m)}"
             ) from None
-        value += combined * ((c.residue - value % c.modulus) * step % c.modulus)
-        combined *= c.modulus
-    return CrtSolution(value=value, combined_modulus=combined)
+        value += combined * ((r - value % m) * step % m)
+        combined *= m
+    return value
 
 
 def product_tree(values: Sequence[int], cap: Optional[int] = None) -> list[list[int]]:
@@ -128,8 +100,8 @@ def remainders(x: int, moduli: Sequence[int]) -> list[int]:
     x is reduced by the nodes of the top row, then every node's remainder by
     its children, so each step divides a number of about twice a node's
     size instead of x itself. The tree stops at nodes above x, which would
-    leave it unchanged. Moduli below 2 are refused, as a Congruence refuses
-    them."""
+    leave it unchanged. Moduli below 2 are refused, as ``mod_inverse``
+    refuses them."""
     if moduli:
         _check_modulus(min(moduli))
     rows = product_tree(moduli, x)

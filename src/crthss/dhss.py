@@ -29,7 +29,7 @@ import secrets
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .crt import Congruence, crt_solve, remainders
+from .crt import crt_solve, remainders
 from .errors import (
     InconsistentShares,
     InvalidParams,
@@ -166,20 +166,12 @@ def lift_share(
 
 def _level_lifts(
     shares: Sequence[Share], level: int, public: PublicBundle
-) -> tuple[list[Share], list[int]]:
-    """The shares inside the first N_l, in their order, and their level-l
-    lifts z_l."""
+) -> tuple[list[int], list[int]]:
+    """The level-l system z_l = lift (mod m_i) of the shares inside the
+    first N_l, in their order: their lifts and their moduli."""
     upper = public.params.hierarchy.cumulative[level - 1]
     inside = [s for s in shares if s.participant <= upper]
-    return inside, [lift_share(s, level, public) for s in inside]
-
-
-def _level_congruences(
-    shares: Sequence[Share], level: int, public: PublicBundle
-) -> list[Congruence]:
-    """z_l = lifted share (mod m_i) for every share inside the first N_l."""
-    inside, lifts = _level_lifts(shares, level, public)
-    return [Congruence(residue=z, modulus=s.modulus) for s, z in zip(inside, lifts)]
+    return [lift_share(s, level, public) for s in inside], [s.modulus for s in inside]
 
 
 def dedupe_shares(shares: Sequence[Share], params: SchemeParams) -> list[Share]:
@@ -233,16 +225,13 @@ def _recover(shares: Sequence[Share], public: PublicBundle, conjunctive: bool) -
     total = 0
     for level in levels if conjunctive else levels[:1]:
         bound = seq.prefix_product(hier.thresholds[level - 1])
-        inside, lifts = _level_lifts(unique, level, public)
+        lifts, moduli = _level_lifts(unique, level, public)
         solved, combined = 0, 1
-        while combined < bound and solved < len(inside):
-            combined *= inside[solved].modulus
+        while combined < bound and solved < len(moduli):
+            combined *= moduli[solved]
             solved += 1
-        y = crt_solve([
-            Congruence(residue=r, modulus=s.modulus)
-            for r, s in zip(lifts[:solved], inside)
-        ]).value
-        residues = remainders(y, [s.modulus for s in inside[solved:]])
+        y = crt_solve(lifts[:solved], moduli[:solved])
+        residues = remainders(y, moduli[solved:])
         if y >= bound or residues != lifts[solved:]:
             raise InconsistentShares(
                 f"level {level} shares disagree: no value below the dealer "

@@ -16,11 +16,8 @@ class NotCoprime(Error):
 
 
 class ModuliNotPairwiseCoprime(Error):
-    """A congruence system contains two moduli with a common factor."""
-
-
-class EmptySystem(Error):
-    """crt_solve called with no congruences."""
+    """Two moduli of a congruence system share a factor. The empty system is
+    no error: crt_solve gives 0, and a modulus below 2 is a ValueError."""
 
 
 # -- parameter generation --------------------------------------------------

@@ -35,7 +35,7 @@ from typing import AbstractSet, Mapping
 
 from .dhss import PublicBundle, Share
 from .oneway import OwfFamily
-from .params import CompactSequence, Hierarchy, SchemeParams
+from .params import CompactSequence, Hierarchy, SchemeParams, check_compactness
 
 FORMAT_VERSION = 1
 SCHEMES = ("dhss", "chss", "ab")
@@ -288,9 +288,8 @@ def parse_param_file(obj: Mapping) -> tuple[str, SchemeParams]:
     moduli = _decimals(seq_obj["moduli"], "sequence: moduli")
     # the ranges gen-params draws from, which the interval width needs
     k = _json_int(seq_obj["k"], "sequence: k")
-    _require(k >= 1, "sequence: k is below 1")
     theta = Fraction(seq_obj["theta"])
-    _require(0 < theta < 1, "sequence: theta is not in (0, 1)")
+    check_compactness(k, theta)
     sequence = CompactSequence(m0=m0, moduli=moduli, k=k, theta=theta)
     hier_obj = obj["hierarchy"]
     _exact_keys(hier_obj, {"level_sizes", "thresholds"}, "hierarchy")

@@ -21,17 +21,17 @@ from crthss.analysis import (
     PosteriorReport,
     _check_unauthorized,
 )
-from crthss.dhss import _level_congruences
+from crthss.dhss import _level_lifts
 from crthss.errors import IntractableInstance
 
 DEFAULT_SCAN_BUDGET = 2_000_000
 
 
 def view_congruences(view: AdversaryView) -> list:
-    """Per level l, z_l = lifted share (mod m_i) for every adversary member
-    inside the first N_l."""
+    """Per level l, the system z_l = lifted share (mod m_i) over the
+    adversary members inside the first N_l, as (lifts, moduli)."""
     return [
-        _level_congruences(view.shares, level, view.public)
+        _level_lifts(view.shares, level, view.public)
         for level in range(1, view.public.params.hierarchy.m + 1)
     ]
 
@@ -88,9 +88,9 @@ def scan_posterior_counts(
     counts = {s: 0 for s in range(m0)}
     for zs in itertools.product(*(range(b) for b in bounds)):
         ok = all(
-            z % c.modulus == c.residue
-            for z, level_constraints in zip(zs, constraints)
-            for c in level_constraints
+            z % m == r
+            for z, (lifts, moduli) in zip(zs, constraints)
+            for r, m in zip(lifts, moduli)
         )
         if not ok:
             continue

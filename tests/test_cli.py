@@ -156,7 +156,7 @@ def test_gen_params_refuses_a_strong_pseudoprime_m0(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field, value, message", [
+@pytest.mark.parametrize("field, value, case", [
     ("theta", "-1/2", "theta is not in (0, 1)"),
     ("theta", "0", "theta is not in (0, 1)"),
     ("theta", "1", "theta is not in (0, 1)"),
@@ -165,10 +165,11 @@ def test_gen_params_refuses_a_strong_pseudoprime_m0(tmp_path, capsys):
     ("k", -1, "k is below 1"),
 ])
 def test_param_file_theta_or_k_out_of_range_exit_2(tmp_path, capsys, field, value,
-                                                   message):
+                                                   case):
     """deal, audit and reconstruct refuse a theta outside (0, 1) or a k below
-    1, the ranges gen-params draws from; a negative theta used to end audit
-    in an AttributeError traceback, and the others were accepted silently."""
+    1, the ranges gen-params draws from, with gen-params' own message; a
+    negative theta used to end audit in an AttributeError traceback, and the
+    others were accepted silently."""
     params_path = tmp_path / "params.json"
     assert main(["gen-params", "--m0", "997", "--levels", "1,2", "--thresholds",
                  "1,2", "--seed", "1", "--out", str(params_path)]) == 0
@@ -176,23 +177,23 @@ def test_param_file_theta_or_k_out_of_range_exit_2(tmp_path, capsys, field, valu
     assert main(["deal", "--params", str(params_path), "--secret", "5",
                  "--seed", "2", "--out-dir", str(out_dir)]) == 0
     bundle_path = out_dir / "public_bundle.json"
+    message = {"theta": f"theta must be in (0, 1), got {value}",
+               "k": f"k must be >= 1, got {value}"}[field]
     params, bundle = read(params_path), read(bundle_path)
     params["sequence"][field] = bundle["params"]["sequence"][field] = value
     params_path.write_text(canonical_dumps(params))
     bundle_path.write_text(canonical_dumps(bundle))
     capsys.readouterr()
-    for argv in (
-        ["deal", "--params", str(params_path), "--secret", "5", "--seed", "2",
-         "--out-dir", str(tmp_path / "again")],
-        ["audit", "--params", str(params_path), "--adversary", "2", "--seed", "3"],
-        ["reconstruct", "--public", str(bundle_path),
-         "--shares", str(out_dir / "share_001.json")],
+    for what, argv in (
+        ("parameters", ["deal", "--params", str(params_path), "--secret", "5",
+                        "--seed", "2", "--out-dir", str(tmp_path / "again")]),
+        ("parameters", ["audit", "--params", str(params_path), "--adversary", "2",
+                        "--seed", "3"]),
+        ("bundle", ["reconstruct", "--public", str(bundle_path),
+                    "--shares", str(out_dir / "share_001.json")]),
     ):
-        assert main(argv) == 2, argv[0]
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: cannot read ")
-        assert err.endswith(f"sequence: {message}\n")
+        assert main(argv) == 2, (argv[0], case)
+        assert capsys.readouterr() == ("", f"error: cannot read {what}: {message}\n")
 
 
 @pytest.mark.parametrize("kind", ["test_affine", "hash_based"])

@@ -1,4 +1,4 @@
-"""Congruence-solver tests, cross-checked against exhaustive scans."""
+"""CRT solver tests, cross-checked against exhaustive scans."""
 
 import random
 import re
@@ -7,17 +7,16 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crthss import Congruence, crt_solve, mod_inverse
+from crthss import crt_solve, mod_inverse
 from crthss.crt import product_tree, remainders
-from crthss.errors import EmptySystem, ModuliNotPairwiseCoprime, NotCoprime
+from crthss.errors import ModuliNotPairwiseCoprime, NotCoprime
 
 
-def scan_solutions(system):
+def scan_solutions(residues, moduli):
     """Oracle: every x in [0, prod moduli) satisfying all congruences."""
-    combined = prod(c.modulus for c in system)
     return [
-        x for x in range(combined)
-        if all(x % c.modulus == c.residue for c in system)
+        x for x in range(prod(moduli))
+        if all(x % m == r for r, m in zip(residues, moduli))
     ]
 
 
@@ -47,37 +46,30 @@ def test_mod_inverse_random():
 
 
 def test_crt_solve_worked_examples():
-    sol = crt_solve([Congruence(2, 3), Congruence(3, 5)])
-    assert scan_solutions([Congruence(2, 3), Congruence(3, 5)]) == [8]
-    assert (sol.value, sol.combined_modulus) == (8, 15)
-
-    sol = crt_solve([Congruence(0, 3), Congruence(0, 5), Congruence(0, 7)])
-    assert (sol.value, sol.combined_modulus) == (0, 105)
-
-    system = [Congruence(5, 11), Congruence(12, 13)]
-    assert scan_solutions(system) == [38]
-    sol = crt_solve(system)
-    assert (sol.value, sol.combined_modulus) == (38, 143)
+    assert scan_solutions([2, 3], [3, 5]) == [8]
+    assert crt_solve([2, 3], [3, 5]) == 8
+    assert crt_solve([0, 0, 0], [3, 5, 7]) == 0
+    assert scan_solutions([5, 12], [11, 13]) == [38]
+    assert crt_solve([5, 12], [11, 13]) == 38
+    # residues outside [0, m) are reduced by the fold
+    assert crt_solve([-1, 3 + 5 * 7], [3, 5]) == 8
 
 
 def test_crt_solve_errors():
     with pytest.raises(ModuliNotPairwiseCoprime) as excinfo:
-        crt_solve([Congruence(1, 4), Congruence(3, 6)])
-    assert "4" in str(excinfo.value) and "6" in str(excinfo.value)
-    with pytest.raises(EmptySystem):
-        crt_solve([])
-
-
-def test_congruence_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        Congruence(-1, 5)
-    with pytest.raises(ValueError):
-        Congruence(5, 5)
-    with pytest.raises(ValueError):
-        Congruence(0, 1)
+        crt_solve([1, 3], [4, 6])
+    assert str(excinfo.value) == "moduli 4 and 6 share factor 2"
+    # the empty system's answer, mod 1
+    assert crt_solve([], []) == 0
+    for residues, moduli in (([1], []), ([], [3]), ([1, 2], [3]), ([1], [3, 5])):
+        with pytest.raises(ValueError):
+            crt_solve(residues, moduli)
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        crt_solve([0, 0], [3, 1])
 
 
 def _random_coprime_system(rng, max_product=10**6, max_count=5):
+    """(residues, moduli) of a random system with pairwise-coprime moduli."""
     moduli = []
     product = 1
     for _ in range(rng.randrange(2, max_count + 1)):
@@ -89,47 +81,43 @@ def _random_coprime_system(rng, max_product=10**6, max_count=5):
                 break
     if len(moduli) < 2:
         moduli = [3, 5]
-    return [Congruence(rng.randrange(m), m) for m in moduli]
+    return [rng.randrange(m) for m in moduli], moduli
 
 
 def test_crt_random_systems_match_scan():
     rng = random.Random(3)
     for _ in range(200):
-        system = _random_coprime_system(rng, max_product=10**4)
-        sol = crt_solve(system)
-        assert scan_solutions(system) == [sol.value]
-        for c in system:
-            assert sol.value % c.modulus == c.residue
+        residues, moduli = _random_coprime_system(rng, max_product=10**4)
+        x = crt_solve(residues, moduli)
+        assert scan_solutions(residues, moduli) == [x]
+        assert [x % m for m in moduli] == residues
 
 
 def test_crt_permutation_invariant():
     rng = random.Random(4)
     for _ in range(100):
-        system = _random_coprime_system(rng, max_product=10**5)
-        sol = crt_solve(system)
-        shuffled = system[:]
-        rng.shuffle(shuffled)
-        assert crt_solve(shuffled) == sol
+        residues, moduli = _random_coprime_system(rng, max_product=10**5)
+        x = crt_solve(residues, moduli)
+        order = list(range(len(moduli)))
+        rng.shuffle(order)
+        assert crt_solve([residues[i] for i in order], [moduli[i] for i in order]) == x
 
 
 def test_crt_redundant_congruence():
     rng = random.Random(5)
     for _ in range(100):
-        system = _random_coprime_system(rng, max_product=10**4)
-        sol = crt_solve(system)
+        residues, moduli = _random_coprime_system(rng, max_product=10**4)
+        x = crt_solve(residues, moduli)
         for extra in range(2, 200):
-            if all(gcd(extra, c.modulus) == 1 for c in system):
+            if all(gcd(extra, m) == 1 for m in moduli):
                 break
-        augmented = system + [Congruence(sol.value % extra, extra)]
-        sol2 = crt_solve(augmented)
-        assert sol2.value == sol.value
-        assert sol2.combined_modulus == sol.combined_modulus * extra
+        assert crt_solve(residues + [x % extra], moduli + [extra]) == x
 
 
-def _summation_oracle(system):
+def _summation_oracle(residues, moduli):
     """x = sum(r_i * M_i * (M_i^-1 mod m_i)) mod M, M_i = M / m_i."""
-    combined = prod(c.modulus for c in system)
-    partials = [(c.residue, combined // c.modulus, c.modulus) for c in system]
+    combined = prod(moduli)
+    partials = [(r, combined // m, m) for r, m in zip(residues, moduli)]
     return sum(r * p * pow(p, -1, m) for r, p, m in partials) % combined
 
 
@@ -145,12 +133,11 @@ def _coprime_moduli(rng, count, bits):
 def test_crt_fold_at_real_size():
     rng = random.Random(6)
     moduli = _coprime_moduli(rng, 200, 256)
-    system = [Congruence(rng.randrange(m), m) for m in moduli]
-    sol = crt_solve(system)
-    assert sol.combined_modulus == prod(moduli)
-    assert 0 <= sol.value < sol.combined_modulus
-    assert all(sol.value % c.modulus == c.residue for c in system)
-    assert sol.value == _summation_oracle(system)
+    residues = [rng.randrange(m) for m in moduli]
+    x = crt_solve(residues, moduli)
+    assert 0 <= x < prod(moduli)
+    assert [x % m for m in moduli] == residues
+    assert x == _summation_oracle(residues, moduli)
 
 
 @pytest.mark.parametrize("first, second, scale", [
@@ -160,9 +147,9 @@ def test_crt_fold_names_a_shared_factor(first, second, scale):
     rng = random.Random(7)
     moduli = _coprime_moduli(rng, 200, 256)
     moduli[second] = moduli[first] * scale
-    system = [Congruence(rng.randrange(m), m) for m in moduli]
+    residues = [rng.randrange(m) for m in moduli]
     with pytest.raises(ModuliNotPairwiseCoprime) as excinfo:
-        crt_solve(system)
+        crt_solve(residues, moduli)
     a, b, factor = map(int, re.findall(r"\d+", str(excinfo.value)))
     assert a in moduli and b in moduli
     assert gcd(a, b) == factor > 1

@@ -20,7 +20,7 @@ from crthss import (
     validate_hierarchy,
     validate_params,
 )
-from crthss.errors import IntervalExhausted
+from crthss.errors import IntervalExhausted, ThresholdOutOfRange
 from crthss.params import SMALL_PRODUCT, _candidate_order, _strong_lucas
 
 
@@ -199,6 +199,11 @@ def test_generate_deterministic_and_valid():
         # every threshold (the compact form of the classical guarantee)
         for t in range(1, n + 1):
             assert seq.m0 * seq.prefix_product(t - 1) < seq.prefix_product(t)
+        # a threshold outside [0, n] has no prefix to multiply
+        for t in (-1, n + 1):
+            with pytest.raises(ThresholdOutOfRange) as excinfo:
+                seq.prefix_product(t)
+            assert str(excinfo.value) == f"t={t} with only {n} moduli"
 
 
 # SHA-256 of "m0|k|theta|m_1,...,m_n" for seeded draws. Pinning them means a

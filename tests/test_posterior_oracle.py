@@ -53,15 +53,10 @@ def level_systems(view):
     """Per level: (base, share modulus, range bound) of the adversary's
     combined constraint z = base (mod share modulus), 0 <= z < bound."""
     seq, hier = view.public.params.sequence, view.public.params.hierarchy
-    out = []
-    for t, congruences in zip(hier.thresholds, view_congruences(view)):
-        if congruences:
-            sol = crt_solve(congruences)
-            base, share_mod = sol.value, sol.combined_modulus
-        else:
-            base, share_mod = 0, 1
-        out.append((base, share_mod, seq.prefix_product(t)))
-    return out
+    return [
+        (crt_solve(lifts, moduli), prod(moduli), seq.prefix_product(t))
+        for t, (lifts, moduli) in zip(hier.thresholds, view_congruences(view))
+    ]
 
 
 def count_with_residue(system, r, m0):

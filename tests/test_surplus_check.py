@@ -19,7 +19,6 @@ import pytest
 
 from crthss import (
     CompactSequence,
-    Congruence,
     Hierarchy,
     PublicBundle,
     SchemeParams,
@@ -69,10 +68,9 @@ def oracle(shares, public, conjunctive):
     total = 0
     for level in levels if conjunctive else levels[:1]:
         upper = hier.cumulative[level - 1]
-        x = crt_solve([
-            Congruence(lift_share(s, level, public), s.modulus)
-            for s in shares if s.participant <= upper
-        ]).value
+        inside = [s for s in shares if s.participant <= upper]
+        x = crt_solve([lift_share(s, level, public) for s in inside],
+                      [s.modulus for s in inside])
         if x >= seq.prefix_product(hier.thresholds[level - 1]):
             return None
         total += x
