@@ -38,7 +38,9 @@ subset of levels. For one or two levels those numbers come from the set
 sizes and one overlap, a difference of two floor sums, in O(log m0) at any
 size. With more levels the smallest minority set, about m0^theta secrets in
 the compact regime, is walked lazily against the other levels, which recurse
-down to two. The conjunctive histogram tallies the one folded table.
+down to two. The conjunctive histogram of two levels is read off a sweep of
+the windows the smaller minority set opens on the other level; with one
+level or more than two it tallies the one folded table.
 
 The posterior places equal weight on every consistent tuple, matching the
 counting argument the entropy-loss bound is built on (for an empty adversary
@@ -310,14 +312,45 @@ def _disjunctive_histogram(
     return histogram
 
 
-def _conjunctive_histogram(
-    profiles: tuple[LevelProfile, ...], m0: int
-) -> Counter:
-    """The histogram of the cyclic convolution of the level tables. The table is
-    kept over the u of the level folded last (secret base + S*u); folding in
-    base' + S'*v gives q' * sum + sum_{w < rho'} g(v - w), g(v) the table at
-    the secret S'*v, so each level reindexes once and its cyclic windows
-    accumulate g minus g lagged by rho'."""
+def _two_level_sweep(a: LevelProfile, b: LevelProfile, m0: int) -> Counter:
+    """The histogram of a 2-level convolution, in O(s log s) time and O(s)
+    memory for s the smaller minority size, by sweeping windows over the
+    circle Z_m0.
+
+    Write count_a = Q + sigma*[u in side] for side = a.minority: sigma = +1
+    and Q = q_a on the u < rho_a side, sigma = -1 and Q = q_a + 1 on the
+    other. At b-index c the convolution is
+    m0*Q*q_b + Q*rho_b + sigma*q_b*|side| + sigma*N(c), where N(c) counts
+    the u in side with (c - d*u) mod m0 < rho_b, d = S_a * S_b^-1: the
+    windows [p, p + rho_b) from the points p = d*u mod m0 that cover c. N is
+    constant between the 2*|side| window ends, so the sweep sorts them and
+    adds up the lengths of the runs between them."""
+    if a.minority_size > b.minority_size:
+        a, b = b, a
+    side = a.minority
+    sign, q = (-1, a.q + 1) if side.start else (1, a.q)
+    d, length = a.step * b.inv % m0, b.rho
+    points = [d * u % m0 for u in side]
+    ends = Counter(points)
+    ends.subtract((p + length) % m0 for p in points)
+    ends[0] += 0  # the sweep runs from 0, with the windows covering m0 - 1
+    covered = sum(p + length >= m0 for p in points)
+    runs = Counter()
+    positions = sorted(ends)
+    for here, there in zip(positions, positions[1:] + [m0]):
+        covered += ends[here]
+        runs[covered] += there - here
+    constant = m0 * q * b.q + q * b.rho + sign * b.q * a.minority_size
+    return Counter({constant + sign * n: secrets for n, secrets in runs.items()})
+
+
+def _table_fold(profiles: tuple[LevelProfile, ...], m0: int) -> Counter:
+    """The histogram of the cyclic convolution of the level tables, folded
+    one table of m0 entries at a time. The table is kept over the u of the
+    level folded last (secret base + S*u); folding in base' + S'*v gives
+    q' * sum + sum_{w < rho'} g(v - w), g(v) the table at the secret S'*v,
+    so each level reindexes once and its cyclic windows accumulate g minus
+    g lagged by rho'."""
     last, *rest = profiles
     table = [last.q + 1] * last.rho + [last.q] * (m0 - last.rho)
     for p in rest:
@@ -329,6 +362,17 @@ def _conjunctive_histogram(
         next(sums)  # the window ending at v = -1
         table, last = list(sums), p
     return Counter(table)
+
+
+def _conjunctive_histogram(
+    profiles: tuple[LevelProfile, ...], m0: int
+) -> Counter:
+    """The histogram of the cyclic convolution of the level tables. Two
+    levels take the window sweep; one level, and three or more, take the
+    table fold, the one exact method here past two levels."""
+    if len(profiles) == 2:
+        return _two_level_sweep(*profiles, m0)
+    return _table_fold(profiles, m0)
 
 
 def _xlog2x(c: int) -> Fraction:
@@ -390,7 +434,9 @@ def enumerate_posterior(
     profile, and the report keeps those profiles as ``levels``; no
     per-secret table is returned. The disjunctive histogram costs
     O(log m0) for one or two levels and, for more, a walk of the smallest
-    minority set in O(levels) memory; the conjunctive fold, O(m0) per level.
+    minority set in O(levels) memory. The conjunctive one costs, for two
+    levels, a sweep of O(s log s) time and O(s) memory, s the smaller
+    min(rho, m0 - rho); otherwise a table fold of O(m0) per level.
 
     Raises IntractableInstance when the estimated work exceeds
     ``work_budget``: m * m0 table entries for chss, and for dhss the sum over
@@ -398,7 +444,8 @@ def enumerate_posterior(
     walk over every level's minority secrets, above the histogram's real
     cost; it is kept so that the same audits pass or are refused, because at
     128 bits and above the float loss reads 0.0, and lifting the gate waits
-    for a loss computed directly.
+    for a loss computed directly. The chss estimate is the fold's cost, above
+    the 2-level sweep's, and is kept for two levels on the same grounds.
     """
     _check_unauthorized(view, scheme)
     m0 = view.public.params.sequence.m0

@@ -28,6 +28,7 @@ dealer bound and the residues of the surplus shares.
 """
 
 import hashlib
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import inf
@@ -203,6 +204,21 @@ def _decimals(texts, name: str) -> tuple[int, ...]:
     return tuple(map(int, texts))
 
 
+# "p/q" or "p" in ASCII digits; Fraction(str) would also read "0.5", " 1/2",
+# "1_0/20" and non-ASCII digits
+_THETA = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_THETA_ERROR = 'sequence: theta is not a "p/q" string'
+
+
+def _theta(text) -> Fraction:
+    match = _THETA.fullmatch(text) if isinstance(text, str) else None
+    _require(match is not None, _THETA_ERROR)
+    try:
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except (ValueError, ZeroDivisionError):  # q = 0, or past the digit limit
+        raise ValueError(_THETA_ERROR) from None
+
+
 def _json_int(value, name: str) -> int:
     _require(type(value) is int, f"{name} is not a JSON integer")
     return value
@@ -282,13 +298,11 @@ def parse_param_file(obj: Mapping) -> tuple[str, SchemeParams]:
     scheme = _check_version_scheme(obj, "parameter file")
     seq_obj = obj["sequence"]
     _exact_keys(seq_obj, {"m0", "moduli", "k", "theta"}, "sequence")
-    _require(isinstance(seq_obj["theta"], str),
-             'sequence: theta is not a "p/q" string')
+    theta = _theta(seq_obj["theta"])
     m0 = _decimal(seq_obj["m0"], "sequence: m0")
     moduli = _decimals(seq_obj["moduli"], "sequence: moduli")
     # the ranges gen-params draws from, which the interval width needs
     k = _json_int(seq_obj["k"], "sequence: k")
-    theta = Fraction(seq_obj["theta"])
     check_compactness(k, theta)
     sequence = CompactSequence(m0=m0, moduli=moduli, k=k, theta=theta)
     hier_obj = obj["hierarchy"]

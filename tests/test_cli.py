@@ -196,6 +196,39 @@ def test_param_file_theta_or_k_out_of_range_exit_2(tmp_path, capsys, field, valu
         assert capsys.readouterr() == ("", f"error: cannot read {what}: {message}\n")
 
 
+@pytest.mark.parametrize("theta", ["0.5", " 1/2", "1_0/20", "\uff12/4", "1/0"],
+                         ids=["decimal", "space", "underscore", "fullwidth",
+                              "zero-denominator"])
+def test_param_file_theta_not_p_over_q_exit_2(tmp_path, capsys, theta):
+    """deal, audit and reconstruct read theta as ASCII "p/q" with a nonzero
+    q; Fraction(str) took the first four and raised on "1/0" with a message
+    naming no field."""
+    params_path = tmp_path / "params.json"
+    assert main(["gen-params", "--m0", "997", "--levels", "1,2", "--thresholds",
+                 "1,2", "--seed", "1", "--out", str(params_path)]) == 0
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(params_path), "--secret", "5",
+                 "--seed", "2", "--out-dir", str(out_dir)]) == 0
+    bundle_path = out_dir / "public_bundle.json"
+    params, bundle = read(params_path), read(bundle_path)
+    params["sequence"]["theta"] = bundle["params"]["sequence"]["theta"] = theta
+    params_path.write_text(canonical_dumps(params))
+    bundle_path.write_text(canonical_dumps(bundle))
+    capsys.readouterr()
+    for what, argv in (
+        ("parameters", ["deal", "--params", str(params_path), "--secret", "5",
+                        "--seed", "2", "--out-dir", str(tmp_path / "again")]),
+        ("parameters", ["audit", "--params", str(params_path), "--adversary", "2",
+                        "--seed", "3"]),
+        ("bundle", ["reconstruct", "--public", str(bundle_path),
+                    "--shares", str(out_dir / "share_001.json")]),
+    ):
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr() == (
+            "", f'error: cannot read {what}: sequence: theta is not a "p/q" string\n')
+    assert not (tmp_path / "again").exists()
+
+
 @pytest.mark.parametrize("kind", ["test_affine", "hash_based"])
 def test_gen_params_has_no_owf_option(tmp_path, capsys, kind):
     out = tmp_path / "x.json"

@@ -1,10 +1,11 @@
 """Golden audit outputs: `crthss audit` prints byte-identical JSON per seed.
 
 Pins the SHA-256 of the audit report for a disjunctive 2-level audit, the
-near-uniform conjunctive 3-level instance at m0 = 2153 (whose entropy sum
-once rounded to a negative loss), and a disjunctive ladder. Any change to the
-counting, the grouping, or the float value of a ``loss_bits`` or
-``conditional_entropy_bits`` shows up here. The ladder regenerates its rungs
+same sequence and hierarchy audited as conjunctive (two levels, the window
+sweep), the near-uniform conjunctive 3-level instance at m0 = 2153 (whose
+entropy sum once rounded to a negative loss, and which folds tables), and a
+disjunctive ladder. Any change to the counting, the grouping, or the float
+value of a ``loss_bits`` or ``conditional_entropy_bits`` shows up here. The ladder regenerates its rungs
 with ``generate_compact_sequence``, so a change to that generator's draws
 changes the ladder digest too.
 """
@@ -20,6 +21,12 @@ from crthss.fileformat import canonical_dumps, param_file_obj
 CASES = {
     "dhss-L2": (
         "dhss",
+        CompactSequence(m0=99991, moduli=(100057, 100075, 100189)),
+        Hierarchy((1, 2), (1, 2)),
+        ["--adversary", "2", "--secret", "4242", "--seed", "21"],
+    ),
+    "chss-L2": (
+        "chss",
         CompactSequence(m0=99991, moduli=(100057, 100075, 100189)),
         Hierarchy((1, 2), (1, 2)),
         ["--adversary", "2", "--secret", "4242", "--seed", "21"],
@@ -44,10 +51,13 @@ CASES = {
 # dhss-L2 and chss-L3 recorded at the commit before the counting was
 # restructured; the ladder re-recorded when the generator's candidate order
 # became a lazy forward Fisher-Yates, after checking each rung's histogram
-# against scan_oracle, gamma_total == m0 and loss_bits >= 0
+# against scan_oracle, gamma_total == m0 and loss_bits >= 0; chss-L2
+# recorded from the table fold, before two levels took the window sweep
 GOLDEN = {
     "dhss-L2":
         "7c96d55a6ce042fee747f8d451492344357b015763cbccc45a06bf88d436821a",
+    "chss-L2":
+        "62acac3d10adee90ce1ff8ad9ceebdc4c64d5d8d5f8be17275d1a14d5c854909",
     "chss-L3":
         "557233e3b16bea733d9bf72bfaac23deef7a89c78b83d42f2501302ce9437fd2",
     "ladder":

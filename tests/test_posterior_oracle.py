@@ -15,7 +15,8 @@ where a dict over every secret is too large.
 
 The audit reports only the histogram of the counts; ``profile_counts``
 rebuilds the per-secret counts from the report's level profiles, so the
-naive convolution there checks the conjunctive fold at m0 in the thousands.
+naive convolution there checks the conjunctive fold and the 2-level window
+sweep at m0 in the thousands.
 """
 
 import hashlib
@@ -42,7 +43,8 @@ from crthss import (
     is_prime,
     worst_case_unauthorized,
 )
-from crthss.analysis import _entropy_report
+from crthss.analysis import LevelProfile, _entropy_report, _table_fold, _two_level_sweep
+from crthss.crt import mod_inverse
 from conftest import random_prime
 from scan_oracle import level_count, profile_counts, view_congruences
 
@@ -118,10 +120,10 @@ def level_cases(view):
     return cases
 
 
-def random_instance(rng, m0):
+def random_instance(rng, m0, shapes=SHAPES):
     """Coprime moduli from a wide window above m0, so some adversary
     moduli outgrow the dealer's range (q = 0) and some do not."""
-    shape = rng.choice(SHAPES)
+    shape = rng.choice(shapes)
     hier = Hierarchy(*shape)
     moduli = []
     while len(moduli) < hier.n:
@@ -292,6 +294,55 @@ def test_chss_histogram_matches_naive_convolution():
             assert report.conditional_entropy == reference_conditional_entropy(counts, m0)
             seen.add((hier.m, kind))
     assert seen == {(m, kind) for m in (2, 3) for kind in ("empty", "partial", "worst")}
+    # two levels take the window sweep; wide moduli windows at small m0 make
+    # it meet q = 0, rho = 0 and 2 * rho > m0
+    two_level = tuple(shape for shape in SHAPES if len(shape[0]) == 2)
+    primes = [p for p in range(5, 700) if is_prime(p)]
+    cases = set()
+    for i in range(24):
+        m0 = rng.choice(primes[:4] if i % 2 else primes[-40:])
+        params = random_instance(rng, m0, two_level)
+        result = chss_deal(rng.randrange(m0), params, rng.randrange(2**32))
+        members = rng.choice(list(unauthorized_sets(params, "chss")))
+        for adversary in (members, set()):
+            view = adversary_view(result, adversary)
+            report = enumerate_posterior(view, "chss")
+            counts = profile_counts(report, "chss")
+            # equal as dicts: no value is kept with zero secrets
+            assert dict(report.histogram) == dict(Counter(counts.values()))
+            assert report.total == sum(counts.values())
+            assert report.conditional_entropy == reference_conditional_entropy(counts, m0)
+            cases |= level_cases(view)
+    assert cases >= {"q=0", "q>0", "rho=0", "rho>m0/2", "empty"}
+
+
+def test_two_level_sweep_matches_table_fold():
+    # level profiles drawn directly, so that either level takes q = 0 or
+    # q > 0 with rho = 0, just below or above m0 / 2, or m0 - 1; the table
+    # fold is the reference, and the histograms must be equal as dicts, so
+    # no value is kept with zero secrets
+    rng = random.Random(29)
+    primes = [p for p in range(2, 600) if is_prime(p)]
+    seen = set()
+    for i in range(1500):
+        m0 = rng.choice(primes[:5] if i % 3 == 0 else primes)
+        profiles = []
+        for _ in range(2):
+            step = rng.randrange(1, m0)
+            rho = rng.choice((0, m0 // 2, m0 // 2 + 1, m0 - 1, rng.randrange(m0)))
+            q = rng.choice((0, 1, 2, 7))
+            profiles.append(LevelProfile(
+                threshold=1, bound=0, modulus=1, members=0, m0=m0,
+                base=rng.randrange(m0), step=step, inv=mod_inverse(step, m0),
+                q=q, rho=rho))
+            seen.add(("q=0" if q == 0 else "q>0",
+                      "rho=0" if rho == 0 else "rho>m0/2" if 2 * rho > m0 else "rho<m0/2"))
+        a, b = profiles
+        expected = dict(_table_fold((a, b), m0))
+        assert dict(_two_level_sweep(a, b, m0)) == expected
+        assert dict(_two_level_sweep(b, a, m0)) == expected
+    assert seen == set(itertools.product(("q=0", "q>0"),
+                                         ("rho=0", "rho<m0/2", "rho>m0/2")))
 
 
 def test_sparse_dhss_audit_memory_at_24_bits():
@@ -340,9 +391,9 @@ def test_three_level_dhss_walk_memory_at_22_bits():
 
 
 def test_chss_audit_memory_at_m0_100003():
-    # the conjunctive fold holds a few lists of m0 entries, reindexed once per
-    # level; a prefix list of 2 * m0 + 1 sums and a table per reindex took
-    # 14.5 MiB here
+    # two levels take the window sweep, over the smaller minority set; the
+    # table fold it replaced held a few lists of m0 entries, and a prefix
+    # list of 2 * m0 + 1 sums with a table per reindex took 14.5 MiB here
     m0 = 100_003
     hier = Hierarchy((1, 2), (1, 2))
     seq = generate_compact_sequence(m0, hier.n, 1, Fraction(1, 2), 7)
@@ -357,4 +408,24 @@ def test_chss_audit_memory_at_m0_100003():
     assert peak < 10 * 2**20
     assert sum(report.histogram.values()) == m0
     # the convolution's total is the product of the level totals q * m0 + rho
+    assert report.total == prod(p.q * m0 + p.rho for p in report.levels)
+
+
+def test_two_level_chss_audit_memory_at_m0_4999999():
+    # the default budget admits these m * m0 = 9999998 table entries; a whole
+    # audit that folded them peaked at 288 MiB RSS, while the sweep holds the
+    # 2 * 122 window ends of the smaller minority side
+    m0 = 4_999_999
+    hier = Hierarchy((1, 2), (1, 2))
+    seq = generate_compact_sequence(m0, hier.n, 1, Fraction(1, 2), 5)
+    params = SchemeParams(sequence=seq, hierarchy=hier)
+    view = adversary_view(chss_deal(m0 // 3, params, 6), {2})
+    tracemalloc.start()
+    try:
+        report = enumerate_posterior(view, "chss")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert sum(report.histogram.values()) == m0
     assert report.total == prod(p.q * m0 + p.rho for p in report.levels)
