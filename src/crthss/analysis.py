@@ -38,9 +38,11 @@ subset of levels. For one or two levels those numbers come from the set
 sizes and one overlap, a difference of two floor sums, in O(log m0) at any
 size. With more levels the smallest minority set, about m0^theta secrets in
 the compact regime, is walked lazily against the other levels, which recurse
-down to two. The conjunctive histogram of two levels is read off a sweep of
-the windows the smaller minority set opens on the other level; with one
-level or more than two it tallies the one folded table.
+down to two. A one-level conjunctive count is the level's own count, so its
+histogram is the level's split, read as for the disjunctive one. The
+conjunctive histogram of two levels is read off a sweep of the windows the
+smaller minority set opens on the other level; with more than two it tallies
+the one folded table.
 
 The posterior places equal weight on every consistent tuple, matching the
 counting argument the entropy-loss bound is built on (for an empty adversary
@@ -367,9 +369,13 @@ def _table_fold(profiles: tuple[LevelProfile, ...], m0: int) -> Counter:
 def _conjunctive_histogram(
     profiles: tuple[LevelProfile, ...], m0: int
 ) -> Counter:
-    """The histogram of the cyclic convolution of the level tables. Two
-    levels take the window sweep; one level, and three or more, take the
-    table fold, the one exact method here past two levels."""
+    """The histogram of the cyclic convolution of the level tables. One
+    level's table is its own convolution, whose histogram is the level's
+    q / q + 1 split: no table is built. Two levels take the window sweep;
+    three or more take the table fold, the one exact method here past two
+    levels."""
+    if len(profiles) == 1:
+        return _disjunctive_histogram(profiles, m0)
     if len(profiles) == 2:
         return _two_level_sweep(*profiles, m0)
     return _table_fold(profiles, m0)
@@ -434,9 +440,10 @@ def enumerate_posterior(
     profile, and the report keeps those profiles as ``levels``; no
     per-secret table is returned. The disjunctive histogram costs
     O(log m0) for one or two levels and, for more, a walk of the smallest
-    minority set in O(levels) memory. The conjunctive one costs, for two
-    levels, a sweep of O(s log s) time and O(s) memory, s the smaller
-    min(rho, m0 - rho); otherwise a table fold of O(m0) per level.
+    minority set in O(levels) memory. The conjunctive one is, for one level,
+    the level's split, as for dhss; for two levels, a sweep of O(s log s)
+    time and O(s) memory, s the smaller min(rho, m0 - rho); otherwise a
+    table fold of O(m0) per level.
 
     Raises IntractableInstance when the estimated work exceeds
     ``work_budget``: m * m0 table entries for chss, and for dhss the sum over
@@ -445,7 +452,8 @@ def enumerate_posterior(
     cost; it is kept so that the same audits pass or are refused, because at
     128 bits and above the float loss reads 0.0, and lifting the gate waits
     for a loss computed directly. The chss estimate is the fold's cost, above
-    the 2-level sweep's, and is kept for two levels on the same grounds.
+    the cost of the one-level split and the 2-level sweep, and is kept for
+    one and two levels on the same grounds.
     """
     _check_unauthorized(view, scheme)
     m0 = view.public.params.sequence.m0

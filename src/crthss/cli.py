@@ -132,14 +132,6 @@ def _family_tag_arg(text: str) -> bytes:
     return tag
 
 
-def _digest_arg(text: str) -> str:
-    """--digest as a name the one-way function family accepts."""
-    try:
-        return OwfFamily(digest_name=text).digest_name
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 # the most one os.read asks for: a share file or an n = 200 bundle is read
 # in one call, and no fstat is needed to size it
 _READ_CHUNK = 1 << 16
@@ -264,7 +256,7 @@ def cmd_gen_params(args) -> int:
     sequence = generate_compact_sequence(
         m0, hierarchy.n, args.k, args.theta, rng.randrange(2 ** 63)
     )
-    owf = OwfFamily(family_tag=args.family_tag, digest_name=args.digest)
+    owf = OwfFamily(family_tag=args.family_tag)
     # not validated again: the hierarchy was checked above, and
     # generate_compact_sequence returns only a prime m0 and sorted,
     # pairwise-coprime moduli inside the interval
@@ -501,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compactness exponent p/q")
     p.add_argument("--family-tag", type=_family_tag_arg, default="",
                    help="hex domain-separation tag")
-    p.add_argument("--digest", type=_digest_arg, default="sha256")
     p.add_argument("--seed", type=int)
     p.add_argument("--scheme", choices=("dhss", "chss", "ab"), default="dhss")
     p.add_argument("--out", required=True)

@@ -198,10 +198,13 @@ def _decimals(texts, name: str) -> tuple[int, ...]:
     _require(isinstance(texts, list) and all(type(t) is str for t in texts),
              f"{name} is not a list of strings")
     joined = "".join(texts)
+    message = f"{name} holds a string that is not a decimal"
     _require(not texts or (all(texts) and joined.isascii()
-                           and joined.encode().isdigit()),
-             f"{name} holds a string that is not a decimal")
-    return tuple(map(int, texts))
+                           and joined.encode().isdigit()), message)
+    try:
+        return tuple(map(int, texts))
+    except ValueError:  # beyond the interpreter's integer-string digit limit
+        raise ValueError(message) from None
 
 
 # "p/q" or "p" in ASCII digits; Fraction(str) would also read "0.5", " 1/2",
@@ -283,16 +286,16 @@ def param_file_obj(scheme: str, params: SchemeParams) -> dict:
             "thresholds": list(hier.thresholds),
         },
         "owf": {"kind": "hash_based", "family_tag": owf.family_tag.hex(),
-                "digest_name": owf.digest_name},
+                "digest_name": "sha256"},
     }
 
 
 def parse_param_file(obj: Mapping) -> tuple[str, SchemeParams]:
     """Read a parameter file, or a bundle's parameters. The owf is exactly
-    {kind, family_tag, digest_name}, kind hash_based, the one family there
-    is: the audit is exact only for a one-way h. family_tag is read by
-    ``lowercase_hex``, so the digest of a canonical file is the SHA-256 of
-    its bytes."""
+    {kind, family_tag, digest_name}, kind hash_based and digest_name sha256,
+    the one family there is: the audit is exact only for a one-way h.
+    family_tag is read by ``lowercase_hex``, so the digest of a canonical
+    file is the SHA-256 of its bytes."""
     _exact_keys(obj, {"version", "scheme", "sequence", "hierarchy", "owf"},
                 "parameter file")
     scheme = _check_version_scheme(obj, "parameter file")
@@ -317,7 +320,8 @@ def parse_param_file(obj: Mapping) -> tuple[str, SchemeParams]:
     _exact_keys(owf_obj, {"kind", "family_tag", "digest_name"}, "owf")
     family_tag = lowercase_hex(owf_obj["family_tag"])
     _require(family_tag is not None, "owf: family_tag is not lowercase hex")
-    owf = OwfFamily(family_tag=family_tag, digest_name=owf_obj["digest_name"])
+    _require(owf_obj["digest_name"] == "sha256", "owf: digest_name is not sha256")
+    owf = OwfFamily(family_tag=family_tag)
     return scheme, SchemeParams(sequence=sequence, hierarchy=hierarchy, owf=owf)
 
 

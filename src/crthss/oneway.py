@@ -1,7 +1,7 @@
 """Public one-way function family used to mask per-level reconstruction values.
 
 h maps (level, x) to a value modulo the caller's share modulus, so one share
-can be lifted to a different residue at every level. It digest-expands a
+can be lifted to a different residue at every level. It SHA-256-expands a
 length-prefixed encoding of (tag, level, x) to at least twice the modulus bit
 length and reduces, which keeps the modular bias below 2^-bitlen(modulus).
 Reconstruction needs only determinism and public computability; the audit is
@@ -17,21 +17,9 @@ from .errors import LevelOutOfRange
 @dataclass(frozen=True)
 class OwfFamily:
     """The hash family: family_tag is a domain-separation label mixed into
-    every digest, and digest_name the fixed-size hashlib digest expanding it."""
+    every SHA-256 block."""
 
     family_tag: bytes = b""
-    digest_name: str = "sha256"
-
-    def __post_init__(self):
-        # hashlib cannot build every name, and shake_* has digest_size 0
-        try:
-            size = hashlib.new(self.digest_name).digest_size
-        except (TypeError, ValueError):
-            size = 0
-        if size < 1:
-            raise ValueError(
-                f"digest {self.digest_name!r} is not a fixed-size hashlib digest"
-            )
 
 
 def _uint_bytes(n: int) -> bytes:
@@ -62,8 +50,6 @@ def eval_owf(family: OwfFamily, level: int, x: int, modulus: int) -> int:
     out = b""
     counter = 0
     while len(out) < need:
-        h = hashlib.new(family.digest_name)
-        h.update(message + counter.to_bytes(4, "big"))
-        out += h.digest()
+        out += hashlib.sha256(message + counter.to_bytes(4, "big")).digest()
         counter += 1
     return int.from_bytes(out[:need], "big") % modulus

@@ -101,14 +101,16 @@ def test_gen_params_validation_failures(tmp_path, capsys):
     ])
     assert code == 2
 
-    # hashlib cannot build the first; shake_* has no fixed digest size
-    for digest in ("nope", "shake_128"):
+    # h is SHA-256 expansion, with no digest to choose, so --digest is unknown
+    for digest in ("sha256", "nope"):
         code = main([
             "gen-params", "--m0", "97", "--levels", "1,2", "--thresholds", "1,2",
             "--digest", digest, "--seed", "1", "--out", str(tmp_path / "x.json"),
         ])
         assert code == 2
-        assert f"digest {digest!r}" in capsys.readouterr().err
+        assert (f"error: unrecognized arguments: --digest {digest}\n"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.json").exists()
 
     # deal refuses a multi-level flat parameter set, so gen-params does not
     # write one
@@ -156,6 +158,38 @@ def test_gen_params_refuses_a_strong_pseudoprime_m0(tmp_path, capsys):
     assert not out.exists()
 
 
+def _assert_edited_params_exit_2(tmp_path, capsys, section, field, value, message):
+    """Deal a micro instance, set ``section.field`` to ``value`` in the
+    parameter file and in the bundle's ``params``, and check that deal,
+    audit and reconstruct each exit 2 with ``message`` on stderr, writing
+    nothing."""
+    tmp_path.mkdir(exist_ok=True)
+    params_path = tmp_path / "params.json"
+    assert main(["gen-params", "--m0", "997", "--levels", "1,2", "--thresholds",
+                 "1,2", "--seed", "1", "--out", str(params_path)]) == 0
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(params_path), "--secret", "5",
+                 "--seed", "2", "--out-dir", str(out_dir)]) == 0
+    bundle_path = out_dir / "public_bundle.json"
+    params, bundle = read(params_path), read(bundle_path)
+    params[section][field] = bundle["params"][section][field] = value
+    params_path.write_text(canonical_dumps(params))
+    bundle_path.write_text(canonical_dumps(bundle))
+    capsys.readouterr()
+    for what, argv in (
+        ("parameters", ["deal", "--params", str(params_path), "--secret", "5",
+                        "--seed", "2", "--out-dir", str(tmp_path / "again")]),
+        ("parameters", ["audit", "--params", str(params_path), "--adversary", "2",
+                        "--seed", "3"]),
+        ("bundle", ["reconstruct", "--public", str(bundle_path),
+                    "--shares", str(out_dir / "share_001.json")]),
+    ):
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr() == (
+            "", f"error: cannot read {what}: {message}\n"), argv[0]
+    assert not (tmp_path / "again").exists()
+
+
 @pytest.mark.parametrize("field, value, case", [
     ("theta", "-1/2", "theta is not in (0, 1)"),
     ("theta", "0", "theta is not in (0, 1)"),
@@ -170,30 +204,9 @@ def test_param_file_theta_or_k_out_of_range_exit_2(tmp_path, capsys, field, valu
     1, the ranges gen-params draws from, with gen-params' own message; a
     negative theta used to end audit in an AttributeError traceback, and the
     others were accepted silently."""
-    params_path = tmp_path / "params.json"
-    assert main(["gen-params", "--m0", "997", "--levels", "1,2", "--thresholds",
-                 "1,2", "--seed", "1", "--out", str(params_path)]) == 0
-    out_dir = tmp_path / "deal"
-    assert main(["deal", "--params", str(params_path), "--secret", "5",
-                 "--seed", "2", "--out-dir", str(out_dir)]) == 0
-    bundle_path = out_dir / "public_bundle.json"
     message = {"theta": f"theta must be in (0, 1), got {value}",
                "k": f"k must be >= 1, got {value}"}[field]
-    params, bundle = read(params_path), read(bundle_path)
-    params["sequence"][field] = bundle["params"]["sequence"][field] = value
-    params_path.write_text(canonical_dumps(params))
-    bundle_path.write_text(canonical_dumps(bundle))
-    capsys.readouterr()
-    for what, argv in (
-        ("parameters", ["deal", "--params", str(params_path), "--secret", "5",
-                        "--seed", "2", "--out-dir", str(tmp_path / "again")]),
-        ("parameters", ["audit", "--params", str(params_path), "--adversary", "2",
-                        "--seed", "3"]),
-        ("bundle", ["reconstruct", "--public", str(bundle_path),
-                    "--shares", str(out_dir / "share_001.json")]),
-    ):
-        assert main(argv) == 2, (argv[0], case)
-        assert capsys.readouterr() == ("", f"error: cannot read {what}: {message}\n")
+    _assert_edited_params_exit_2(tmp_path, capsys, "sequence", field, value, message)
 
 
 @pytest.mark.parametrize("theta", ["0.5", " 1/2", "1_0/20", "\uff12/4", "1/0"],
@@ -203,30 +216,20 @@ def test_param_file_theta_not_p_over_q_exit_2(tmp_path, capsys, theta):
     """deal, audit and reconstruct read theta as ASCII "p/q" with a nonzero
     q; Fraction(str) took the first four and raised on "1/0" with a message
     naming no field."""
-    params_path = tmp_path / "params.json"
-    assert main(["gen-params", "--m0", "997", "--levels", "1,2", "--thresholds",
-                 "1,2", "--seed", "1", "--out", str(params_path)]) == 0
-    out_dir = tmp_path / "deal"
-    assert main(["deal", "--params", str(params_path), "--secret", "5",
-                 "--seed", "2", "--out-dir", str(out_dir)]) == 0
-    bundle_path = out_dir / "public_bundle.json"
-    params, bundle = read(params_path), read(bundle_path)
-    params["sequence"]["theta"] = bundle["params"]["sequence"]["theta"] = theta
-    params_path.write_text(canonical_dumps(params))
-    bundle_path.write_text(canonical_dumps(bundle))
-    capsys.readouterr()
-    for what, argv in (
-        ("parameters", ["deal", "--params", str(params_path), "--secret", "5",
-                        "--seed", "2", "--out-dir", str(tmp_path / "again")]),
-        ("parameters", ["audit", "--params", str(params_path), "--adversary", "2",
-                        "--seed", "3"]),
-        ("bundle", ["reconstruct", "--public", str(bundle_path),
-                    "--shares", str(out_dir / "share_001.json")]),
-    ):
-        assert main(argv) == 2, argv[0]
-        assert capsys.readouterr() == (
-            "", f'error: cannot read {what}: sequence: theta is not a "p/q" string\n')
-    assert not (tmp_path / "again").exists()
+    _assert_edited_params_exit_2(tmp_path, capsys, "sequence", "theta", theta,
+                                 'sequence: theta is not a "p/q" string')
+
+
+def test_param_file_over_long_decimal_names_its_field(tmp_path, capsys):
+    """A modulus string past the interpreter's 4300-digit limit for int() is
+    refused as the moduli field, as an equally long m0 is as its own; int()
+    used to raise a message naming no field."""
+    long = "9" * 4301
+    _assert_edited_params_exit_2(
+        tmp_path / "moduli", capsys, "sequence", "moduli", [long] * 3,
+        "sequence: moduli holds a string that is not a decimal")
+    _assert_edited_params_exit_2(tmp_path / "m0", capsys, "sequence", "m0", long,
+                                 "sequence: m0 is not a decimal string")
 
 
 @pytest.mark.parametrize("kind", ["test_affine", "hash_based"])
@@ -451,15 +454,25 @@ def test_bad_k_or_theta_is_refused_before_the_prime_search(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--family-tag", "abc"), ("--family-tag", "AB"), ("--family-tag", "ab cd"),
-    ("--family-tag", "zz"), ("--digest", "nope"), ("--digest", "shake_128"),
-])
+# flag, value, and how the usage error begins and ends: the gen-params parser
+# refuses a bad --family-tag, the top-level parser an unknown argument
+_TAG_ERROR = "error: argument --family-tag: not lowercase hex of whole bytes: "
+BAD_OWF_FLAGS = [
+    *(("--family-tag", tag, "usage: crthss gen-params", f"{_TAG_ERROR}{tag!r}")
+      for tag in ("abc", "AB", "ab cd", "zz")),
+    *(("--digest", name, "usage: crthss [-h]",
+       f"error: unrecognized arguments: --digest {name}")
+      for name in ("nope", "shake_128")),
+]
+
+
+@pytest.mark.parametrize("flag, value, usage, error", BAD_OWF_FLAGS,
+                         ids=[f"{case[0]}-{case[1]}" for case in BAD_OWF_FLAGS])
 def test_bad_owf_flag_is_refused_before_the_prime_search(
-        tmp_path, monkeypatch, capsys, flag, value):
-    """--family-tag takes only the spelling a parameter file accepts and
-    --digest only a name OwfFamily accepts: fromhex alone would write "AB"
-    as "ab", a tag other than the one given."""
+        tmp_path, monkeypatch, capsys, flag, value, usage, error):
+    """--family-tag takes only the spelling a parameter file accepts:
+    fromhex alone would write "AB" as "ab", a tag other than the one given.
+    h has no digest to choose, so --digest is an unknown argument."""
     def no_primes(n):
         raise AssertionError("is_prime called")
 
@@ -470,8 +483,7 @@ def test_bad_owf_flag_is_refused_before_the_prime_search(
                  "--thresholds", "1,2", flag, value, "--seed", "1",
                  "--out", str(out)]) == 2
     stdout, err = capsys.readouterr()
-    assert stdout == "" and "usage: crthss gen-params" in err
-    assert f"error: argument {flag}: " in err and repr(value) in err
+    assert stdout == "" and err.startswith(usage) and err.endswith(f"{error}\n")
     assert not out.exists()
 
 
@@ -519,33 +531,14 @@ def test_theta_near_one_is_refused_quickly(tmp_path):
 
 
 def test_unusable_digest_in_files_exit_2(tmp_path, capsys):
-    """A parameter file or bundle naming a digest hashlib cannot build is
-    refused at parse time by deal, audit and reconstruct."""
-    params_path = tmp_path / "params.json"
-    assert main(["gen-params", "--m0", "97", "--levels", "1,2", "--thresholds",
-                 "1,2", "--seed", "1", "--out", str(params_path)]) == 0
-    out_dir = tmp_path / "deal"
-    assert main(["deal", "--params", str(params_path), "--secret", "5",
-                 "--seed", "1", "--out-dir", str(out_dir)]) == 0
-    obj = read(params_path)
-    obj["owf"]["digest_name"] = "nope"
-    params_path.write_text(canonical_dumps(obj))
-    bundle_path = out_dir / "public_bundle.json"
-    bundle = read(bundle_path)
-    bundle["params"]["owf"]["digest_name"] = "nope"
-    bundle_path.write_text(canonical_dumps(bundle))
-    capsys.readouterr()
-    for argv in (
-        ["deal", "--params", str(params_path), "--secret", "5", "--seed", "1",
-         "--out-dir", str(tmp_path / "again")],
-        ["audit", "--params", str(params_path), "--adversary", "2", "--seed", "1"],
-        ["reconstruct", "--public", str(bundle_path),
-         "--shares", str(out_dir / "share_001.json")],
-    ):
-        assert main(argv) == 2, argv[0]
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: cannot read ")
-        assert "digest 'nope'" in err
+    """A parameter file or bundle naming any digest but sha256 is refused at
+    parse time by deal, audit and reconstruct: h expands SHA-256 alone, so
+    a file naming md5, sha512 or SHA256 names a family the library does not
+    compute."""
+    for digest in ("nope", "sha512", "SHA256", "md5", ""):
+        _assert_edited_params_exit_2(tmp_path / (digest or "empty"), capsys, "owf",
+                                     "digest_name", digest,
+                                     "owf: digest_name is not sha256")
 
 
 # every command position that reads a JSON file

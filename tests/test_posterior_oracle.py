@@ -43,7 +43,13 @@ from crthss import (
     is_prime,
     worst_case_unauthorized,
 )
-from crthss.analysis import LevelProfile, _entropy_report, _table_fold, _two_level_sweep
+from crthss.analysis import (
+    LevelProfile,
+    _conjunctive_histogram,
+    _entropy_report,
+    _table_fold,
+    _two_level_sweep,
+)
 from crthss.crt import mod_inverse
 from conftest import random_prime
 from scan_oracle import level_count, profile_counts, view_congruences
@@ -429,3 +435,38 @@ def test_two_level_chss_audit_memory_at_m0_4999999():
     assert peak < 2**20
     assert sum(report.histogram.values()) == m0
     assert report.total == prod(p.q * m0 + p.rho for p in report.levels)
+
+
+def test_one_level_chss_audit_reads_the_split_at_m0_9999991():
+    # one level's convolution is its own table, so the histogram is the
+    # level's q / q + 1 split, as for dhss; the table fold held m0 entries
+    # and a whole audit peaked at 173 MiB RSS here
+    m0 = 9_999_991
+    hier = Hierarchy((3,), (2,))
+    seq = generate_compact_sequence(m0, hier.n, 1, Fraction(1, 2), 5)
+    params = SchemeParams(sequence=seq, hierarchy=hier)
+    view = adversary_view(chss_deal(m0 // 3, params, 6), {1})
+    tracemalloc.start()
+    try:
+        report = enumerate_posterior(view, "chss")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    dhss = enumerate_posterior(view, "dhss")
+    assert report.histogram == dhss.histogram
+    assert (report.total, report.loss) == (dhss.total, dhss.loss)
+    assert sum(report.histogram.values()) == m0
+    # the table fold is the reference, on profiles that meet q = 0, rho = 0
+    # and 2 * rho > m0; equal as dicts, so no value is kept with zero secrets
+    rng = random.Random(31)
+    for m0 in (3, 7, 101, 499):
+        for rho in (0, m0 // 2, m0 // 2 + 1, m0 - 1):
+            for q in (0, 1, 5):
+                step = rng.randrange(1, m0)
+                profile = LevelProfile(
+                    threshold=1, bound=0, modulus=1, members=0, m0=m0,
+                    base=rng.randrange(m0), step=step, inv=mod_inverse(step, m0),
+                    q=q, rho=rho)
+                assert (dict(_conjunctive_histogram((profile,), m0))
+                        == dict(_table_fold((profile,), m0)))
