@@ -381,18 +381,27 @@ def _conjunctive_histogram(
     return _table_fold(profiles, m0)
 
 
-def _xlog2x(c: int) -> Fraction:
+def _xlog2x(c: int) -> tuple[int, int]:
     """c*log2(c) as the float product, or, for a count so large that the
-    product is past the float range, c times the float log2(c), exactly."""
+    product is past the float range, c times the float log2(c), exactly: a
+    numerator and a power-of-two denominator."""
     try:
-        return Fraction(c * log2(c))
+        return (c * log2(c)).as_integer_ratio()
     except OverflowError:  # inf, or c itself too large for a float
-        return c * Fraction(log2(c))
+        numerator, denominator = log2(c).as_integer_ratio()
+        return c * numerator, denominator
 
 
 def _entropy_report(
     histogram: Counter, levels: tuple[LevelProfile, ...]
 ) -> PosteriorReport:
+    """The entropies of the histogram's posterior. The conditional entropy
+    is log2(total) minus the mean of c*log2(c) over the consistent tuples,
+    where each secret's term is the float c*log2(c) (``_xlog2x``). Those
+    terms are summed exactly and rounded once, so the mean is the correctly
+    rounded float of the exact sum over all secrets: every term is a float,
+    a numerator over a power of two, so the sum is one integer over the
+    largest such power, and int / int rounds correctly."""
     m0 = levels[0].m0
     total = sum(c * g for c, g in histogram.items())
     if total == 0:
@@ -401,13 +410,14 @@ def _entropy_report(
         conditional = log2(m0)
         loss = 0.0
     else:
-        # the exact sum of the per-secret float terms c*log2(c), rounded
-        # once: the correctly rounded float sum over all secrets
-        weighted = sum(g * _xlog2x(c) for c, g in histogram.items() if c)
+        terms = [(g, *_xlog2x(c)) for c, g in histogram.items() if c]
+        scale = max(denominator for _, _, denominator in terms)
+        weighted = sum(g * numerator * (scale // denominator)
+                       for g, numerator, denominator in terms)
         try:
-            mean = float(weighted) / total
+            mean = weighted / scale / total
         except OverflowError:  # weighted or total past the float range
-            mean = float(weighted / total)
+            mean = weighted / (scale * total)
         conditional = log2(total) - mean
         # No distribution over m0 secrets has more than log2(m0) bits of
         # entropy (Gibbs' inequality), so loss >= 0 exactly; near-uniform

@@ -17,10 +17,16 @@ gen-params takes --scheme), and --seed alone makes a run reproducible: without
 it every draw comes from the operating system's CSPRNG and no seed is printed.
 
 The parser is built once, when this module is imported, and ``main(argv)``
-may be called any number of times in one process. It looks up the command's
-``cmd_*`` function by name on every call, so a function replaced after import
-is the one that runs. Library errors are not caught by the commands: ``main``
-maps each one to its exit code through one table, ``_EXIT_CODES``.
+may be called any number of times in one process. ``main`` hands the
+arguments after a command's name to that command's own parser, which is what
+the whole tree would do, in one argparse pass instead of two. Whatever that
+parser cannot take alone (no command, an unknown one, an option before it,
+or arguments the command leaves over) goes to the whole tree, so every
+message and exit code is argparse's own. ``main`` looks up the
+command's ``cmd_*`` function by name on every call, so a function replaced
+after import is the one that runs. Library errors are not caught by the
+commands: ``main`` maps each one to its exit code through one table,
+``_EXIT_CODES``.
 """
 
 import argparse
@@ -47,10 +53,11 @@ from .errors import (
     TooFewShares,
 )
 from .fileformat import (
+    audit_report_text,
     bundle_file_obj,
     canonical_dumps,
     lowercase_hex,
-    param_file_obj,
+    param_file_text,
     params_digest,
     parse_bundle_file,
     parse_param_file,
@@ -263,7 +270,7 @@ def cmd_gen_params(args) -> int:
     params = SchemeParams(sequence=sequence, hierarchy=hierarchy, owf=owf)
     out = Path(args.out)
     try:
-        _write_text(out, canonical_dumps(param_file_obj(args.scheme, params)))
+        _write_text(out, param_file_text(args.scheme, params))
     except OSError as exc:
         return _cannot_write(out, exc)
     rate = analysis.information_rate(params)
@@ -375,8 +382,9 @@ def _audit_one(label: str, params: SchemeParams, adversary: tuple[int, ...],
         })
         ratio, value = None, None
         if p.worst_case:
-            ratio = f"{p.ratio.numerator}/{p.ratio.denominator}"
-            value = float(p.ratio)
+            exact = p.ratio
+            ratio = f"{exact.numerator}/{exact.denominator}"
+            value = float(exact)
         ratio_table.append({"level": level, "ratio": ratio, "value": value})
     rate = analysis.information_rate(params)
     return {
@@ -433,7 +441,7 @@ def cmd_audit(args) -> int:
             label, params, args.adversary, secret,
             rng.randrange(2 ** 63), args.budget,
         )
-    text = canonical_dumps(out_obj)
+    text = audit_report_text(out_obj)
     if args.out:
         try:
             _write_text(args.out, text)
@@ -470,9 +478,10 @@ def cmd_inspect(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    """The whole command tree. It holds no function objects, so it can be
-    built once and shared by every call of ``main``."""
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The whole command tree, and its command parsers by name. They hold no
+    function objects, so they can be built once and shared by every call of
+    ``main``."""
     parser = argparse.ArgumentParser(
         prog="crthss",
         description="CRT-based hierarchical secret sharing and audit tool",
@@ -525,16 +534,38 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inspect", help="pretty-print any file of this tool")
     p.add_argument("file")
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree."""
+    return _build_parsers()[0]
 
 
 # built at import: the one-time cost is paid there, not by every command
-_PARSER = build_parser()
+_PARSER, _COMMANDS = _build_parsers()
+
+
+def _parse_args(argv):
+    """``_PARSER.parse_args(argv)``, in one argparse pass for a well-formed
+    command. The tree hands every string after the command's name, a ``--``
+    included, to the command's parser, so that parser alone gives the same
+    namespace. The tree takes over when no known command comes first, and
+    when the command leaves arguments over, which the tree refuses in its
+    own words."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and (command := _COMMANDS.get(argv[0])) is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
     try:

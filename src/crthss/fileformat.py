@@ -10,16 +10,20 @@ two-space indent, trailing newline) so files round-trip byte-identically
 and the parameter digest is well defined: shares and bundles are bound
 together by the SHA-256 of the canonical parameter document.
 
-A deal writes n share files, so a share file is one ``%`` format of its
-seven fields, ``share_file_text``: none needs escaping. Every other
-document (parameter files, bundles, dealer secrets, audit reports) goes
-through ``canonical_dumps``, which writes the bytes
-``json.dumps(obj, sort_keys=True, indent=2)`` gives plus a newline: with an
-indent set the stdlib leaves its C encoder for a generator-based
-pure-Python one that costs about twice as much per file. It takes one stack
-step per container, not per item, so a w entry or the moduli cost one step
-each. The CLI reads files with ``os.read`` and parses them with
-``json.loads``.
+The documents of a fixed shape are written from ``%`` format strings: a
+share file (``share_file_text``, n of them per deal), the parameter file
+(``param_file_text``, also hashed by every ``params_digest``) and the audit
+report, single or ladder (``audit_report_text``). Their keys are spelled in
+sorted order in the format, and the strings that could need escaping go
+through json's own quoting. Bundles, dealer secrets and whatever
+``inspect`` echoes go through ``canonical_dumps``, which writes the bytes
+``json.dumps(obj, sort_keys=True, indent=2)`` gives plus a newline for any
+object: with an indent set the stdlib leaves its C encoder for a
+generator-based pure-Python one that costs about twice as much per file. It
+takes one stack step per container, not per item, so a w entry or the
+moduli cost one step each. ``canonical_dumps`` of the document's object is
+what each format string must equal. The CLI reads files with ``os.read``
+and parses them with ``json.loads``.
 
 A bundle's parameters are read here but not validated again by
 ``reconstruct``: the checks that refuse shares no deal could give are the
@@ -290,6 +294,40 @@ def param_file_obj(scheme: str, params: SchemeParams) -> dict:
     }
 
 
+def _list_text(items: list[str], indent: str) -> str:
+    """A JSON list of item texts whose opening bracket sits after a key at
+    ``indent``: one item per line, two spaces deeper."""
+    if not items:
+        return "[]"
+    inner = "\n  " + indent
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+# a parameter file's canonical bytes, its keys in sorted order; no string
+# needs escaping: the scheme is one of SCHEMES, the tag hex, the rest digits
+_PARAM_FILE = (
+    '{\n  "hierarchy": {\n    "level_sizes": %s,\n    "thresholds": %s\n  },\n'
+    '  "owf": {\n    "digest_name": "sha256",\n    "family_tag": "%s",\n'
+    '    "kind": "hash_based"\n  },\n  "scheme": "%s",\n  "sequence": {\n'
+    '    "k": %d,\n    "m0": "%d",\n    "moduli": %s,\n    "theta": "%d/%d"\n'
+    '  },\n  "version": %d\n}\n'
+)
+
+
+def param_file_text(scheme: str, params: SchemeParams) -> str:
+    """The parameter file of ``params``: the bytes ``canonical_dumps`` gives
+    for ``param_file_obj(scheme, params)``, from one format string."""
+    _require(scheme in SCHEMES, f"unknown scheme {scheme!r}")
+    seq, hier = params.sequence, params.hierarchy
+    return _PARAM_FILE % (
+        _list_text(list(map(int.__repr__, hier.level_sizes)), "    "),
+        _list_text(list(map(int.__repr__, hier.thresholds)), "    "),
+        params.owf.family_tag.hex(), scheme, seq.k, seq.m0,
+        _list_text(['"%d"' % m for m in seq.moduli], "    "),
+        seq.theta.numerator, seq.theta.denominator, FORMAT_VERSION,
+    )
+
+
 def parse_param_file(obj: Mapping) -> tuple[str, SchemeParams]:
     """Read a parameter file, or a bundle's parameters. The owf is exactly
     {kind, family_tag, digest_name}, kind hash_based and digest_name sha256,
@@ -326,8 +364,74 @@ def parse_param_file(obj: Mapping) -> tuple[str, SchemeParams]:
 
 
 def params_digest(scheme: str, params: SchemeParams) -> str:
-    data = canonical_dumps(param_file_obj(scheme, params)).encode()
-    return hashlib.sha256(data).hexdigest()
+    """The SHA-256 of the parameter file, in hex."""
+    return hashlib.sha256(param_file_text(scheme, params).encode()).hexdigest()
+
+
+# -- audit reports -----------------------------------------------------------
+
+# an audit report's canonical bytes, its keys in sorted order, with the m0
+# line a ladder rung adds; each row of a table is one format string too
+_AUDIT_REPORT = (
+    '{\n  "adversary": %s,\n  "conditional_entropy_bits": %s,\n'
+    '  "decomposition_ok": %s,\n  "epsilon_tolerance": %s,\n'
+    '  "eta_table": %s,\n  "gamma_total": %d,\n  "groups": %s,\n'
+    '  "loss_bits": %s,\n%s  "params_digest": %s,\n  "ratio_table": %s,\n'
+    '  "rho": %s,\n  "scheme": %s,\n  "secret_entropy_bits": %s,\n'
+    '  "total_candidates": %s\n}'
+)
+_ETA_ROW = ('{\n      "adversary_modulus": %s,\n      "floor": %s,\n'
+            '      "level": %d,\n      "range_bound": %s\n    }')
+_GROUP_ROW = '{\n      "candidates": %s,\n      "num_secrets": %d\n    }'
+_RATIO_ROW = '{\n      "level": %d,\n      "ratio": %s,\n      "value": %s\n    }'
+_LADDER = ('{\n  "delta_trend": %s,\n  "ladder": %s,\n'
+           '  "strictly_decreasing": %s\n}\n')
+
+
+def _audit_text(report: Mapping) -> str:
+    """One audit report, or one ladder rung, at the outermost indent and
+    without the final newline."""
+    m0 = report.get("m0")
+    return _AUDIT_REPORT % (
+        _list_text(list(map(int.__repr__, report["adversary"])), "  "),
+        _leaf_text(report["conditional_entropy_bits"]),
+        _leaf_text(report["decomposition_ok"]),
+        _leaf_text(report["epsilon_tolerance"]),
+        _list_text([_ETA_ROW % (_quote(row["adversary_modulus"]),
+                                _quote(row["floor"]), row["level"],
+                                _quote(row["range_bound"]))
+                    for row in report["eta_table"]], "  "),
+        report["gamma_total"],
+        _list_text([_GROUP_ROW % (_quote(group["candidates"]),
+                                  group["num_secrets"])
+                    for group in report["groups"]], "  "),
+        _leaf_text(report["loss_bits"]),
+        "" if m0 is None else '  "m0": %s,\n' % _quote(m0),
+        _quote(report["params_digest"]),
+        _list_text([_RATIO_ROW % (row["level"], _leaf_text(row["ratio"]),
+                                  _leaf_text(row["value"]))
+                    for row in report["ratio_table"]], "  "),
+        _leaf_text(report["rho"]),
+        _quote(report["scheme"]),
+        _leaf_text(report["secret_entropy_bits"]),
+        _quote(report["total_candidates"]),
+    )
+
+
+def audit_report_text(report: Mapping) -> str:
+    """The bytes ``canonical_dumps`` gives for an audit report the CLI
+    builds, from format strings: a single report, or a ladder of them, each
+    rung carrying its ``m0``. No string of a report holds a raw newline
+    (json escapes it), so a rung is indented into the ladder by one
+    replace."""
+    if "ladder" not in report:
+        return _audit_text(report) + "\n"
+    rungs = [_audit_text(rung).replace("\n", "\n    ") for rung in report["ladder"]]
+    return _LADDER % (
+        _list_text([_leaf_text(delta) for delta in report["delta_trend"]], "  "),
+        _list_text(rungs, "  "),
+        _leaf_text(report["strictly_decreasing"]),
+    )
 
 
 # -- share files -------------------------------------------------------------

@@ -189,6 +189,10 @@ class CompactSequence:
     moduli: tuple[int, ...]
     k: int = 1
     theta: Fraction = Fraction(1, 2)
+    # True only for a sequence generate_compact_sequence returned, which has
+    # the structure a deal needs by construction; a dataclasses.replace of
+    # one is False again
+    generated: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
@@ -248,10 +252,11 @@ def generate_compact_sequence(
     share a prime up to 37 with that product: a gcd with `shared`, the
     product of those small primes, refuses them without the gcd against the
     product itself, whose cost grows with everything accepted. The screen
-    only skips work; acceptance is exactly gcd(c, product) == 1.
-    Deterministic for a given seed. Raises IntervalExhausted when every
-    candidate of the interval has been read and fewer than n values were
-    placed (m0 too small for the requested n and theta).
+    only skips work; acceptance is exactly gcd(c, product) == 1. The
+    sequence is marked ``generated``, so a deal from it does not test m0 or
+    the moduli again. Deterministic for a given seed. Raises IntervalExhausted when
+    every candidate of the interval has been read and fewer than n values
+    were placed (m0 too small for the requested n and theta).
     """
     if not is_prime(m0):
         raise ValueError(f"m0 = {m0} is not prime")
@@ -277,7 +282,12 @@ def generate_compact_sequence(
             f"interval ({lo}, {lo + width}) yielded only {len(accepted)} of "
             f"{n} pairwise-coprime values"
         )
-    return CompactSequence(m0=m0, moduli=tuple(sorted(accepted)), k=k, theta=theta)
+    sequence = CompactSequence(m0=m0, moduli=tuple(sorted(accepted)), k=k, theta=theta)
+    # m0 passed BPSW above, and the moduli lie above k*m0 >= m0, each read
+    # once and coprime to m0 and to every one accepted before it: sorted,
+    # the sequence has the structure a deal needs
+    object.__setattr__(sequence, "generated", True)
+    return sequence
 
 
 def _structure_violations(seq: CompactSequence) -> tuple[str, ...]:
@@ -421,12 +431,14 @@ class SchemeParams:
     @cached_property
     def violations(self) -> tuple[str, ...]:
         """What stops a deal, worked out on its first use and kept: sequence
-        structure, then hierarchy violations, each prefixed with its part,
+        structure (not checked again for a ``generated`` sequence), then
+        hierarchy violations, each prefixed with its part,
         then a size mismatch. Not the compactness interval, which governs the
         scheme's asymptotic quality, not its correctness; nor the Asmuth-Bloom
         inequality m0 * prod(m_1..m_{t-1}) < prod(m_1..m_t), which reduces to
         m0 < m_t and so holds at every level the ordering check passes."""
-        bad = [f"sequence: {v}" for v in _structure_violations(self.sequence)]
+        bad = [] if self.sequence.generated else [
+            f"sequence: {v}" for v in _structure_violations(self.sequence)]
         bad += [f"hierarchy: {v}" for v in validate_hierarchy(self.hierarchy).violations]
         if self.sequence.n != self.hierarchy.n:
             bad.append(f"{self.sequence.n} moduli for {self.hierarchy.n} participants")

@@ -14,7 +14,8 @@ import time
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log2
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,7 +40,7 @@ from crthss.errors import (
     IntractableInstance,
     NotUnauthorized,
 )
-from crthss.analysis import _floor_sum, _level_profiles
+from crthss.analysis import _entropy_report, _floor_sum, _level_profiles
 
 
 def eta_split(report):
@@ -402,3 +403,71 @@ def test_randomized_oracle_equivalence():
             assert sum(y * g for y, g in report.histogram.items()) == report.total
             assert sum(report.histogram.values()) == m0
         instances += 1
+
+
+def fraction_entropies(histogram, m0):
+    """The conditional entropy and loss from the Fraction sum of the float
+    terms c*log2(c), rounded once: the oracle for the integer sum."""
+
+    def xlog2x(c):
+        try:
+            return Fraction(c * log2(c))
+        except OverflowError:  # inf, or c itself too large for a float
+            return c * Fraction(log2(c))
+
+    total = sum(c * g for c, g in histogram.items())
+    if len(histogram) == 1:
+        return log2(m0), 0.0
+    weighted = sum(g * xlog2x(c) for c, g in histogram.items() if c)
+    try:
+        mean = float(weighted) / total
+    except OverflowError:  # weighted or total past the float range
+        mean = float(weighted / total)
+    conditional = min(log2(total) - mean, log2(m0))
+    return conditional, log2(m0) - conditional
+
+
+def _overflows(function) -> bool:
+    try:
+        function()
+    except OverflowError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("kind", ["small", "wide", "term-past-float",
+                                  "count-past-2^1024", "sum-past-float"])
+def test_integer_entropy_sum_matches_the_fraction_sum(kind):
+    rng = random.Random(f"entropy-{kind}")
+    for _ in range(40):
+        m0 = rng.randrange(2, 2**64)
+        # count bits, and how many secrets take each count
+        bits, weight = {
+            "small": (rng.randrange(1, 12), 2**10),
+            "wide": (rng.randrange(1, 400), 2**40),
+            # c*log2(c) is inf while c itself is a float
+            "term-past-float": (rng.randrange(1015, 1024), 2**8),
+            # c itself is past the float range
+            "count-past-2^1024": (rng.randrange(1025, 1100), 2**8),
+            # every term is a float, but the weighted sum and total are not
+            "sum-past-float": (rng.randrange(990, 1010), 2**40),
+        }[kind]
+        histogram = Counter({
+            rng.randrange(1, 2**bits): rng.randrange(1, weight)
+            for _ in range(rng.randrange(1, 6))
+        })
+        top = max(histogram)
+        if kind == "sum-past-float":
+            histogram[top] = 2**40
+            assert not _overflows(lambda: Fraction(top * log2(top)))
+            total = sum(c * g for c, g in histogram.items())
+            assert _overflows(lambda: float(total))
+        elif kind != "small" and kind != "wide":
+            assert _overflows(lambda: Fraction(top * log2(top)))
+        if kind == "count-past-2^1024":
+            assert top > 2**1024
+        report = _entropy_report(histogram, (SimpleNamespace(m0=m0),))
+        conditional, loss = fraction_entropies(histogram, m0)
+        assert report.conditional_entropy == conditional
+        assert report.loss == loss
+        assert report.secret_entropy == log2(m0)

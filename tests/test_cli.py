@@ -2095,3 +2095,103 @@ def test_help_matches_a_freshly_built_parser(monkeypatch, capsys, command):
     for _ in range(2):
         assert main([*command, "--help"]) == 0
         assert capsys.readouterr().out == fresh
+
+
+# per command: a valid argv, an unknown option, a missing required option, a
+# bad type= value, an abbreviated option, a leftover argument and a "--"
+_COMMAND_ARGVS = {
+    "gen-params": (
+        ["--m0", "997", "--levels", "1,2", "--thresholds", "1,2", "--out", "p"],
+        ["--m0", "997", "--levels", "1,2", "--thresholds", "1,2", "--out", "p",
+         "--bogus"],
+        ["--m0", "997", "--levels", "1,2", "--thresholds", "1,2"],
+        ["--levels", "1,2", "--thresholds", "1,2", "--out", "p"],
+        ["--m0", "997", "--m0-bits", "8", "--levels", "1", "--thresholds", "1",
+         "--out", "p"],
+        ["--m0", "x", "--levels", "1,2", "--thresholds", "1,2", "--out", "p"],
+        ["--m0", "997", "--levels", "1,x", "--thresholds", "1,2", "--out", "p"],
+        ["--m0", "997", "--lev", "1,2", "--thres", "1,2", "--out", "p"],
+        ["--m0", "997", "--levels", "1,2", "--thresholds", "1,2", "--out", "p",
+         "--theta", "1/0", "--scheme", "x"],
+    ),
+    "deal": (
+        ["--params", "p", "--secret", "3", "--out-dir", "d", "--emit-dealer-secrets"],
+        ["--params", "p", "--secret", "3", "--out-dir", "d", "--scheme", "dhss"],
+        ["--params", "p", "--out-dir", "d"],
+        ["--params", "p", "--secret", "x", "--out-dir", "d"],
+        ["--params", "p", "--secret", "3", "--out-dir", "d", "extra"],
+        ["--params", "p", "--secret", "3", "--out-dir", "d", "--", "x"],
+        ["--params", "p", "--secret=-3", "--out-dir", "d"],
+    ),
+    "reconstruct": (
+        ["--public", "b", "--shares", "s1", "s2"],
+        ["--public", "b", "--shares"],
+        ["--shares", "s1"],
+        ["--public", "b", "--shares", "s1", "-x"],
+        ["--public", "b", "--pub", "c", "--shares", "s1"],
+        ["--", "--public", "b", "--shares", "s1"],
+        ["--public", "b", "--shares", "--", "-s1"],
+    ),
+    "audit": (
+        ["--params", "p", "--adversary", "2,3", "--ladder", "97,997", "--seed", "1"],
+        ["--params", "p", "--adversary", "2", "--epsilon", "0.1"],
+        ["--params", "p"],
+        ["--params", "p", "--adversary", "2", "--ladder", ""],
+        ["--params", "p", "--adversary", "2", "--budget", "1e6"],
+        ["--params", "p", "--adv", "2", "--bud", "5"],
+    ),
+    "inspect": (["f"], [], ["f", "g"], ["--bogus", "f"], ["--", "-f"]),
+}
+_TOP_ARGVS = ([], ["bogus"], ["-h"], ["--help"], ["--he"], ["--bogus"],
+              ["-h", "deal"], ["--version"], ["Deal"], ["dea"], ["--", "deal"])
+
+
+def _outcome(parse, argv, capsys):
+    """What parsing argv gives: the namespace or the exit code, and the
+    text written to stdout and stderr."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    *_TOP_ARGVS,
+    *([command, *args] for command, argvs in _COMMAND_ARGVS.items()
+      for args in (*argvs, ["-h"], ["--help"])),
+], ids=lambda argv: " ".join(argv) or "(none)")
+def test_dispatch_matches_the_full_parser(monkeypatch, capsys, argv):
+    # the command's own parser and the whole tree give the same namespace,
+    # or the same exit code, stdout and stderr, on the running Python
+    from crthss import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _outcome(cli._PARSER.parse_args, argv, capsys)
+    assert _outcome(cli._parse_args, argv, capsys) == full
+    if isinstance(full[0], tuple):
+        assert main(list(argv)) == full[0][1]
+        assert capsys.readouterr() == full[1:]
+
+
+def test_dispatch_reads_sys_argv(monkeypatch):
+    from crthss import cli
+
+    argv = ["inspect", "f"]
+    monkeypatch.setattr(sys, "argv", ["crthss", *argv])
+    assert vars(cli._parse_args(None)) == vars(cli._PARSER.parse_args(argv))
+
+
+def test_well_formed_command_takes_one_parser_pass(monkeypatch):
+    # the whole tree is not consulted when the command's parser takes all
+    from crthss import cli
+
+    class Refusing:
+        def parse_args(self, argv):
+            raise AssertionError(f"whole tree consulted for {argv}")
+
+    monkeypatch.setattr(cli, "_PARSER", Refusing())
+    for command, argvs in _COMMAND_ARGVS.items():
+        args = cli._parse_args([command, *argvs[0]])
+        assert args.command == command

@@ -1,5 +1,6 @@
 """Canonical serialization: byte-identical round trips and digest binding."""
 
+import hashlib
 import json
 import math
 import random
@@ -11,12 +12,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DHSS_SEED
-from crthss import OwfFamily, Share, dhss_deal, generate_compact_sequence
+from crthss import (
+    CompactSequence,
+    OwfFamily,
+    Share,
+    dhss_deal,
+    generate_compact_sequence,
+)
+from crthss.cli import _audit_one
 from crthss.fileformat import (
     SCHEMES,
+    audit_report_text,
     bundle_file_obj,
     canonical_dumps,
     param_file_obj,
+    param_file_text,
     params_digest,
     parse_bundle_file,
     parse_param_file,
@@ -302,3 +312,108 @@ def test_canonical_dumps_refuses_a_cycle():
     loop.append(loop)
     with pytest.raises(ValueError, match="Circular reference"):
         canonical_dumps({"a": loop})
+
+
+def _stdlib(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# a 2048-bit m0 and moduli above it; the writer does not validate them
+_M0_2048 = 2**2048 - 1557
+
+
+@pytest.mark.parametrize("n, tag, k, theta, m0", [
+    (1, b"", 1, Fraction(1, 2), 997),
+    (3, b"\x00\xab\xff", 2, Fraction(2, 3), 1009),
+    (200, b"", 1, Fraction(1, 2), 2**256 - 189),
+    (200, b"tag", 3, Fraction(2, 3), _M0_2048),
+    (3, b"", 1, Fraction(1, 2), _M0_2048),
+], ids=["n1", "n3-tag-k2-theta23", "n200-256bit", "n200-2048bit-k3", "n3-2048bit"])
+def test_param_file_text_matches_canonical_dumps(n, tag, k, theta, m0):
+    sizes = {1: (1,), 3: (1, 2), 200: (10, 40, 150)}[n]
+    thresholds = {1: (1,), 3: (1, 2), 200: (5, 20, 60)}[n]
+    sequence = CompactSequence(m0=m0, moduli=tuple(k * m0 + 1 + i for i in range(n)),
+                               k=k, theta=theta)
+    params = SchemeParams(sequence=sequence, hierarchy=Hierarchy(sizes, thresholds),
+                          owf=OwfFamily(family_tag=tag))
+    for scheme in SCHEMES:
+        obj = param_file_obj(scheme, params)
+        text = param_file_text(scheme, params)
+        assert text == canonical_dumps(obj) == _stdlib(obj)
+        assert params_digest(scheme, params) == hashlib.sha256(text.encode()).hexdigest()
+        assert parse_param_file(json.loads(text)) == (scheme, params)
+
+
+def test_param_file_text_of_empty_lists():
+    # a bundle's parameters are digested unvalidated, empty lists included
+    params = SchemeParams(sequence=CompactSequence(m0=7, moduli=()),
+                          hierarchy=Hierarchy((), ()))
+    obj = param_file_obj("dhss", params)
+    assert param_file_text("dhss", params) == canonical_dumps(obj) == _stdlib(obj)
+
+
+def test_param_file_text_refuses_an_unknown_scheme(micro_params):
+    with pytest.raises(ValueError, match="^unknown scheme 'x'$"):
+        param_file_text("x", micro_params)
+
+
+def _reports(micro_params, flat_params):
+    """Audit reports as the CLI builds them: dhss (every level worst case),
+    chss (level 1 not worst case: a null ratio and value, and a null
+    decomposition_ok) and ab."""
+    return {
+        "dhss": _audit_one("dhss", micro_params, (2,), 4, 1, 10**7),
+        "chss": _audit_one("chss", micro_params, (1,), 4, 1, 10**7),
+        "ab": _audit_one("ab", flat_params, (1,), 4, 1, 10**7),
+    }
+
+
+def test_audit_report_text_matches_canonical_dumps(micro_params, flat_params):
+    reports = _reports(micro_params, flat_params)
+    chss = reports["chss"]
+    assert chss["decomposition_ok"] is None
+    assert chss["ratio_table"][0] == {"level": 1, "ratio": None, "value": None}
+    assert reports["dhss"]["decomposition_ok"] is True
+    for report in reports.values():
+        assert audit_report_text(report) == canonical_dumps(report) == _stdlib(report)
+    # a loss of exactly 0.0, and of -0.0
+    for loss in (0.0, -0.0):
+        report = dict(reports["dhss"], loss_bits=loss)
+        assert audit_report_text(report) == canonical_dumps(report) == _stdlib(report)
+
+
+def test_ladder_report_text_matches_canonical_dumps(micro_params, flat_params):
+    # each rung carries its m0, which sorts between loss_bits and params_digest
+    rungs = [dict(report, m0=str(m0)) for report, m0 in
+             zip(_reports(micro_params, flat_params).values(), (7, 97, 997))]
+    rungs[1]["loss_bits"] = 0.0
+    deltas = [rung["loss_bits"] for rung in rungs]
+    for ladder in (rungs, rungs[:1]):
+        obj = {"ladder": ladder, "delta_trend": deltas[:len(ladder)],
+               "strictly_decreasing": False}
+        assert audit_report_text(obj) == canonical_dumps(obj) == _stdlib(obj)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(floats=st.lists(st.floats(), min_size=7, max_size=7),
+       text=st.text(), adversary=st.lists(st.integers(1, 10**4), max_size=3),
+       ratio=st.one_of(st.none(), st.floats()), ok=st.sampled_from([None, True, False]))
+def test_audit_report_text_matches_json_dumps_on_any_value(
+        floats, text, adversary, ratio, ok):
+    # every float json spells (NaN and the infinities too), any string and
+    # an empty adversary list: the stdlib is the oracle
+    micro = SchemeParams(CompactSequence(m0=7, moduli=(11, 13, 17)),
+                         Hierarchy((1, 2), (1, 2)))
+    report = _audit_one("dhss", micro, (2,), 4, 1, 10**7)
+    keys = ("conditional_entropy_bits", "epsilon_tolerance", "loss_bits", "rho",
+            "secret_entropy_bits")
+    report.update(zip(keys, floats), adversary=adversary, decomposition_ok=ok,
+                  scheme=text, params_digest=text, total_candidates=text)
+    report["ratio_table"][0].update(ratio=text, value=ratio)
+    report["eta_table"][0]["floor"] = text
+    report["groups"][0]["candidates"] = text
+    assert audit_report_text(report) == _stdlib(report)
+    rung = dict(report, m0=text)
+    ladder = {"ladder": [rung, rung], "delta_trend": floats[5:],
+              "strictly_decreasing": ok is True}
+    assert audit_report_text(ladder) == _stdlib(ladder)

@@ -2,8 +2,12 @@
 
 The deal check (BPSW of m0 and one gcd per product-tree node) is the
 ``violations`` property, worked out once per object: a CLI deal or audit
-loads a fresh object and pays it once, each ladder rung once, a reconstruct
-never, and a library caller dealing many secrets from one object once.
+loads a fresh object and pays it once, a reconstruct never, and a library
+caller dealing many secrets from one object once. A sequence
+``generate_compact_sequence`` returns is marked ``generated`` and skips the
+structure check, so a ladder rung tests its m0 once, when the sequence is
+generated; any other sequence, a ``dataclasses.replace`` of a generated one
+included, gets the full check.
 """
 
 from dataclasses import replace
@@ -90,12 +94,66 @@ def test_cli_deal_and_audit_check_once_each(tmp_path, micro_params, checks, caps
         checks.clear()
 
 
+@pytest.fixture
+def primality_tests(monkeypatch):
+    """Calls of params.is_prime, as (n, verdict) pairs."""
+    calls = []
+    real = params_module.is_prime
+
+    def counting(n):
+        verdict = real(n)
+        calls.append((n, verdict))
+        return verdict
+
+    monkeypatch.setattr(params_module, "is_prime", counting)
+    return calls
+
+
 def test_cli_audit_ladder_checks_each_rung_once(tmp_path, micro_params, checks,
-                                                capsys):
+                                                primality_tests, capsys):
+    # each rung's m0 passes BPSW once, in generate_compact_sequence; the
+    # rung's deal takes the generated sequence's verdict
     path = _write(tmp_path, "dhss", micro_params)
     assert main(["audit", "--params", str(path), "--adversary", "2",
                  "--ladder", "97,997,9973", "--seed", "1"]) == 0
-    assert checks == [97, 997, 9973]
+    assert primality_tests == [(97, True), (997, True), (9973, True)]
+    assert checks == []
+
+
+def test_generated_sequence_carries_its_verdict(micro_params, checks,
+                                                primality_tests):
+    sequence = generate_compact_sequence(997, 3, 1, Fraction(1, 2), 5)
+    params = replace(micro_params, sequence=sequence)
+    dhss_deal(3, params, 1)
+    assert primality_tests == [(997, True)]
+    assert checks == []
+    assert params.violations == ()
+
+
+def test_hand_built_sequence_gets_the_full_check(micro_params, checks,
+                                                 primality_tests):
+    # the same numbers as a generated sequence, built by hand
+    generated = generate_compact_sequence(997, 3, 1, Fraction(1, 2), 5)
+    primality_tests.clear()
+    sequence = CompactSequence(m0=997, moduli=generated.moduli)
+    assert sequence == generated
+    dhss_deal(3, replace(micro_params, sequence=sequence), 1)
+    assert primality_tests == [(997, True)]
+    assert checks == [997]
+
+
+def test_replaced_generated_sequence_gets_the_full_check(micro_params, checks,
+                                                         primality_tests):
+    generated = generate_compact_sequence(997, 3, 1, Fraction(1, 2), 5)
+    primality_tests.clear()
+    # a modulus shared with m_1: the replaced sequence keeps no verdict
+    moduli = (generated.moduli[0], generated.moduli[1], 5 * generated.moduli[0])
+    broken = replace(micro_params, sequence=replace(generated, moduli=moduli))
+    with pytest.raises(InvalidParams) as info:
+        dhss_deal(3, broken, 1)
+    assert "gcd(m_1, m_3)" in str(info.value)
+    assert primality_tests == [(997, True)]
+    assert checks == [997]
 
 
 def test_cli_reconstruct_runs_no_check(tmp_path, checks, capsys):
