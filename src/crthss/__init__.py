@@ -3,11 +3,13 @@
 Two schemes share one parameter machinery: disjunctive (some level's
 cumulative threshold suffices) and conjunctive (every level's threshold is
 required), both built from coprime modulus ladders, per-level lifts of the
-secret, and public one-way-function masks. The analysis module measures, by
+secret, and public one-way-function masks; the flat Asmuth-Bloom scheme is
+the one-level case. The parameters name their scheme, and one ``deal`` and
+one ``reconstruct`` serve all three. The analysis module measures, by
 exact counting, how much an unauthorized set learns.
 """
 
-from . import errors
+from . import asmuth_bloom, chss, errors
 from .analysis import (
     AdversaryView,
     PosteriorReport,
@@ -18,19 +20,11 @@ from .analysis import (
     count_grouping,
     worst_case_unauthorized,
 )
-from .asmuth_bloom import ab_reconstruct
-from .chss import chss_deal, chss_is_authorized, chss_reconstruct
 from .crt import crt_solve, mod_inverse
-from .dhss import (
-    DealResult,
-    PublicBundle,
-    Share,
-    dhss_authorized_level,
-    dhss_deal,
-    dhss_reconstruct,
-)
+from .dhss import DealResult, PublicBundle, Share, deal, reconstruct
 from .oneway import OwfFamily, eval_owf
 from .params import (
+    SCHEMES,
     CompactSequence,
     Hierarchy,
     SchemeParams,

@@ -10,10 +10,19 @@ usable knowledge is, per level l:
         published offset at level l
   (iv)  z_m = raw share (mod m_i) for adversary members at the top level
 
-Hash-preimage consistency of the published offsets for non-members is
-deliberately not modeled; for a one-way h its effect vanishes for large
-share spaces and is out of computational reach, so the posterior here
-conditions on (i)-(iv) and the loss is exact only for a one-way h.
+The posterior conditions on (i)-(iv) alone, for the scheme the view's
+parameters name (flat ab counts as the one-level disjunctive scheme), and
+the loss is exact only under that model and a one-way h. The model leaves
+out hash-preimage consistency of the published offsets for non-members,
+which is within reach: in dhss a masked non-member i uses one c_i at every
+level from its own up, so an adversary one share short at two levels that
+both hold i can guess c_i and keep the guesses whose two lifts agree mod m0,
+about m_i ~ m0 pairs of hash evaluations. For a worst-case dhss set that
+bounds the secrecy at about log2 m0 bits of work: with levels 2, 3,
+thresholds 2, 3, adversary {1, 3} and 10 seeded deals per m0, the search
+left 1 to 4 candidate secrets at m0 = 101, 1009 and 10007 while the loss
+read about 0.03, 0.0054 and 0.0020 bits. chss has no such link, its delta_l
+being independent, and ab no masked participant.
 
 Every per-level fact comes from one level profile per level, built in one
 pass over the view: the range bound, the adversary modulus S, the members
@@ -59,19 +68,11 @@ from math import log2, prod
 from operator import sub
 from typing import Iterable, Optional
 
-from .chss import chss_is_authorized
 from .crt import crt_solve, mod_inverse
-from .dhss import (
-    DealResult,
-    PublicBundle,
-    Share,
-    _level_lifts,
-    dhss_authorized_level,
-)
+from .dhss import DealResult, PublicBundle, Share, _level_lifts
 from .errors import DecompositionMismatch, IntractableInstance, NotUnauthorized
 from .params import SchemeParams, compact_width
 
-SCHEMES = ("dhss", "chss")
 DEFAULT_WORK_BUDGET = 10_000_000
 
 
@@ -156,6 +157,8 @@ class PosteriorReport:
 
     conditional_entropy is computed from the counts with equal weight per
     consistent tuple; loss = secret_entropy - conditional_entropy >= 0.
+    conjunctive is set for a chss view, whose counts are convolutions of the
+    level counts, not products.
     """
 
     histogram: Counter
@@ -164,6 +167,7 @@ class PosteriorReport:
     conditional_entropy: float
     loss: float
     levels: tuple[LevelProfile, ...]
+    conjunctive: bool = False
 
 
 def adversary_view(deal: DealResult, members: Iterable[int]) -> AdversaryView:
@@ -176,19 +180,18 @@ def adversary_view(deal: DealResult, members: Iterable[int]) -> AdversaryView:
     return view
 
 
-def _check_unauthorized(view: AdversaryView, scheme: str) -> None:
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    params = view.public.params
-    if scheme == "dhss":
-        level = dhss_authorized_level(view.members, params)
-        if level is not None:
-            raise NotUnauthorized(
-                f"set {sorted(view.members)} is authorized at level {level}"
-            )
-    else:
-        if chss_is_authorized(view.members, params):
-            raise NotUnauthorized(f"set {sorted(view.members)} is authorized")
+def _check_unauthorized(view: AdversaryView, conjunctive: bool) -> None:
+    """NotUnauthorized when the view's members meet every level's threshold
+    (conjunctive), or some level's, naming the smallest (disjunctive)."""
+    hier = view.public.params.hierarchy
+    failing = hier.failing_levels(view.members)
+    if conjunctive and not failing:
+        raise NotUnauthorized(f"set {sorted(view.members)} is authorized")
+    if not conjunctive and len(failing) < hier.m:
+        level = next(l for l in range(1, hier.m + 1) if l not in failing)
+        raise NotUnauthorized(
+            f"set {sorted(view.members)} is authorized at level {level}"
+        )
 
 
 def _level_profiles(view: AdversaryView) -> tuple[LevelProfile, ...]:
@@ -393,7 +396,7 @@ def _xlog2x(c: int) -> tuple[int, int]:
 
 
 def _entropy_report(
-    histogram: Counter, levels: tuple[LevelProfile, ...]
+    histogram: Counter, levels: tuple[LevelProfile, ...], conjunctive: bool = False
 ) -> PosteriorReport:
     """The entropies of the histogram's posterior. The conditional entropy
     is log2(total) minus the mean of c*log2(c) over the consistent tuples,
@@ -431,16 +434,17 @@ def _entropy_report(
         conditional_entropy=conditional,
         loss=loss,
         levels=levels,
+        conjunctive=conjunctive,
     )
 
 
 def enumerate_posterior(
-    view: AdversaryView,
-    scheme: str,
-    work_budget: int = DEFAULT_WORK_BUDGET,
+    view: AdversaryView, work_budget: int = DEFAULT_WORK_BUDGET
 ) -> PosteriorReport:
     """The exact histogram of the per-secret candidate counts for an
-    unauthorized view under the model (i)-(iv), exact only for a one-way h.
+    unauthorized view under the model (i)-(iv), for the scheme its
+    parameters name: conjunctive for chss, disjunctive for dhss and for flat
+    ab, the one-level case of both.
 
     Disjunctive: the count for secret s is the product over levels of the
     number of in-range solutions of the level's congruence system with
@@ -465,29 +469,35 @@ def enumerate_posterior(
     the cost of the one-level split and the 2-level sweep, and is kept for
     one and two levels on the same grounds.
     """
-    _check_unauthorized(view, scheme)
-    m0 = view.public.params.sequence.m0
+    params = view.public.params
+    conjunctive = params.scheme == "chss"
+    _check_unauthorized(view, conjunctive)
+    m0 = params.sequence.m0
     profiles = _level_profiles(view)
-    if scheme == "dhss":
+    if conjunctive:
+        work, tally = m0 * len(profiles), _conjunctive_histogram
+    else:
         work = sum(p.minority_size for p in profiles)
         tally = _disjunctive_histogram
-    else:
-        work, tally = m0 * len(profiles), _conjunctive_histogram
     if work > work_budget:
         raise IntractableInstance(
             f"estimated work {work} exceeds budget {work_budget}"
         )
-    return _entropy_report(tally(profiles, m0), profiles)
+    return _entropy_report(tally(profiles, m0), profiles, conjunctive)
 
 
-def count_grouping(report: PosteriorReport) -> None:
+def count_grouping(report: PosteriorReport) -> Optional[bool]:
     """Certify each count value in the report's histogram against the
     product form prod_l(floor_l + a_l), a_l in {0, 1}, over the report's
-    level floors; the groups themselves are the histogram.
+    level floors; the groups themselves are the histogram. Returns True, or
+    None for a conjunctive report, whose counts are convolutions and are not
+    checked.
 
     Raises DecompositionMismatch when some count fits no such product; that
     falsifies the grouping claim on this instance and is never swallowed.
     """
+    if report.conjunctive:
+        return None
     floors = [p.floor for p in report.levels]
     feasible = {
         prod(f + a for f, a in zip(floors, bits))
@@ -499,6 +509,7 @@ def count_grouping(report: PosteriorReport) -> None:
                 f"count {value} matches no floor/floor+1 product over levels "
                 f"(floors {floors})"
             )
+    return True
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ Exit codes are stable:
 No error path prints a secret. The parameter file names the scheme (only
 gen-params takes --scheme), and --seed alone makes a run reproducible: without
 it every draw comes from the operating system's CSPRNG and no seed is printed.
+The scheme travels inside the parameters (``SchemeParams.scheme``): every
+command deals with ``dhss.deal``, reconstructs with ``dhss.reconstruct`` and
+audits with ``analysis.enumerate_posterior``, and none of them branches on
+it. A flat file with more than one level is refused by the deal verdict.
 
 The parser is built once, when this module is imported, and ``main(argv)``
 may be called any number of times in one process. ``main`` hands the
@@ -23,13 +27,14 @@ the whole tree would do, in one argparse pass instead of two. Whatever that
 parser cannot take alone (no command, an unknown one, an option before it,
 or arguments the command leaves over) goes to the whole tree, so every
 message and exit code is argparse's own. ``main`` looks up the
-command's ``cmd_*`` function by name on every call, so a function replaced
+command's ``*_command`` function by name on every call, so a function replaced
 after import is the one that runs. Library errors are not caught by the
 commands: ``main`` maps each one to its exit code through one table,
 ``_EXIT_CODES``.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -40,9 +45,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis
-from .asmuth_bloom import ab_reconstruct
-from .chss import chss_deal, chss_reconstruct
-from .dhss import _dealer_rng, dhss_deal, dhss_reconstruct
+from .dhss import _dealer_rng, deal, reconstruct
 from .errors import (
     Error,
     IntractableInstance,
@@ -72,6 +75,7 @@ from .params import (
     check_power_limit,
     generate_compact_sequence,
     is_prime,
+    scheme_violations,
     validate_hierarchy,
 )
 
@@ -217,16 +221,6 @@ def _cannot_write(path, exc: OSError) -> int:
     return _fail(EXIT_VALIDATION, f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _load_params(path: str) -> tuple[str, SchemeParams]:
-    """The scheme and parameters a parameter file names, for deal and audit.
-    A flat ("ab") file with more than one level, which no flat deal can
-    serve, raises InvalidParams."""
-    scheme, params = _read(path, parse_param_file, "parameters")
-    if scheme == "ab" and params.hierarchy.m != 1:
-        raise InvalidParams("flat dealing needs a single-level parameter set")
-    return scheme, params
-
-
 # the largest --m0-bits: the prime search runs a pure-Python BPSW test on
 # each candidate, which takes seconds at 2048 bits and grows with about the
 # cube of the size
@@ -246,14 +240,13 @@ def _random_prime(bits: int, rng: random.Random) -> int:
 
 # -- gen-params ---------------------------------------------------------------
 
-def cmd_gen_params(args) -> int:
+def gen_params_command(args) -> int:
     hierarchy = Hierarchy(level_sizes=args.levels, thresholds=args.thresholds)
-    if args.scheme == "ab" and hierarchy.m != 1:
-        raise ValueError("flat parameters need a single level")
     # refused before the prime search, which can take seconds
-    report = validate_hierarchy(hierarchy)
-    if not report.ok:
-        raise ValueError("; ".join(f"hierarchy: {v}" for v in report.violations))
+    refused = scheme_violations(args.scheme, hierarchy) or tuple(
+        f"hierarchy: {v}" for v in validate_hierarchy(hierarchy).violations)
+    if refused:
+        raise ValueError("; ".join(refused))
     if args.m0 is None:
         check_power_limit(args.m0_bits, args.theta)
     check_compactness(args.k, args.theta)
@@ -267,10 +260,10 @@ def cmd_gen_params(args) -> int:
     # not validated again: the hierarchy was checked above, and
     # generate_compact_sequence returns only a prime m0 and sorted,
     # pairwise-coprime moduli inside the interval
-    params = SchemeParams(sequence=sequence, hierarchy=hierarchy, owf=owf)
+    params = SchemeParams(sequence, hierarchy, owf, scheme=args.scheme)
     out = Path(args.out)
     try:
-        _write_text(out, param_file_text(args.scheme, params))
+        _write_text(out, param_file_text(params))
     except OSError as exc:
         return _cannot_write(out, exc)
     rate = analysis.information_rate(params)
@@ -288,22 +281,21 @@ def cmd_gen_params(args) -> int:
 
 # -- deal ----------------------------------------------------------------------
 
-def cmd_deal(args) -> int:
-    scheme, params = _load_params(args.params)
-    deal = chss_deal if scheme == "chss" else dhss_deal
+def deal_command(args) -> int:
+    params = _read(args.params, parse_param_file, "parameters")
     result = deal(args.secret, params, args.seed, args.emit_dealer_secrets)
     out_dir = Path(args.out_dir)
-    digest = params_digest(scheme, params)
+    digest = params_digest(params)
     files = {
-        f"share_{share.participant:03d}.json": share_file_text(scheme, share, digest)
+        f"share_{share.participant:03d}.json":
+            share_file_text(params.scheme, share, digest)
         for share in result.shares
     }
-    files["public_bundle.json"] = canonical_dumps(
-        bundle_file_obj(scheme, result.public))
+    files["public_bundle.json"] = canonical_dumps(bundle_file_obj(result.public))
     if args.emit_dealer_secrets:
         files["dealer_secrets.json"] = canonical_dumps({
             "WARNING": "dealer secrets; test use only, never publish",
-            "scheme": scheme,
+            "scheme": params.scheme,
             "params_digest": digest,
             "seed": None if args.seed is None else str(args.seed),
             # str(int) refuses past 4300 digits; Decimal spells the same digits
@@ -334,44 +326,36 @@ def cmd_deal(args) -> int:
 
 # -- reconstruct -----------------------------------------------------------------
 
-def cmd_reconstruct(args) -> int:
-    scheme, public = _read(args.public, parse_bundle_file, "bundle")
-    digest = params_digest(scheme, public.params)
+def reconstruct_command(args) -> int:
+    public = _read(args.public, parse_bundle_file, "bundle")
+    label = public.params.scheme, params_digest(public.params)
     shares = []
     for path in args.shares:
         share_scheme, share, share_digest = _read(
             path, parse_share_file, f"share {path}"
         )
-        if share_digest != digest or share_scheme != scheme:
+        # the scheme is part of the digested document, but a share file
+        # carries both: an edited label alone is caught here
+        if (share_scheme, share_digest) != label:
             return _fail(
                 EXIT_DIGEST_MISMATCH,
                 f"share {path} does not belong to this bundle's parameters",
             )
         shares.append(share)
-    # looked up per call, not at import, so a patched entry point is the one run
-    reconstruct = {
-        "dhss": dhss_reconstruct, "chss": chss_reconstruct, "ab": ab_reconstruct,
-    }[scheme]
     print(reconstruct(shares, public))
     return 0
 
 
 # -- audit -----------------------------------------------------------------------
 
-def _audit_one(label: str, params: SchemeParams, adversary: tuple[int, ...],
+def _audit_one(params: SchemeParams, adversary: tuple[int, ...],
                secret: int, deal_seed: int, budget: int) -> dict:
     """Deal, build the adversary view, and measure the posterior; the eta and
-    ratio tables render the report's level profiles. A flat ("ab") file is
-    counted as the single-level disjunctive scheme, but reported under its
-    own label and digest."""
-    scheme = "chss" if label == "chss" else "dhss"
-    deal = chss_deal if scheme == "chss" else dhss_deal
+    ratio tables render the report's level profiles. ``decomposition_ok`` is
+    the grouping certificate, null for a conjunctive report."""
     view = analysis.adversary_view(deal(secret, params, deal_seed), adversary)
-    report = analysis.enumerate_posterior(view, scheme, work_budget=budget)
-    decomposition_ok = None
-    if scheme == "dhss":
-        analysis.count_grouping(report)
-        decomposition_ok = True
+    report = analysis.enumerate_posterior(view, work_budget=budget)
+    decomposition_ok = analysis.count_grouping(report)
     eta_table, ratio_table = [], []
     for level, p in enumerate(report.levels, start=1):
         eta_table.append({
@@ -388,8 +372,8 @@ def _audit_one(label: str, params: SchemeParams, adversary: tuple[int, ...],
         ratio_table.append({"level": level, "ratio": ratio, "value": value})
     rate = analysis.information_rate(params)
     return {
-        "scheme": label,
-        "params_digest": params_digest(label, params),
+        "scheme": params.scheme,
+        "params_digest": params_digest(params),
         "adversary": sorted(view.members),
         "total_candidates": str(report.total),
         "groups": [
@@ -408,21 +392,24 @@ def _audit_one(label: str, params: SchemeParams, adversary: tuple[int, ...],
     }
 
 
-def cmd_audit(args) -> int:
-    label, params = _load_params(args.params)
+def audit_command(args) -> int:
+    params = _read(args.params, parse_param_file, "parameters")
+    # a ladder rung is generated before its deal checks the parameters:
+    # the scheme's refusal comes first
+    if refused := scheme_violations(params.scheme, params.hierarchy):
+        raise InvalidParams("; ".join(refused))
     rng = _dealer_rng(args.seed)
     if args.ladder:
         rungs = []
-        shape = params.hierarchy
         for m0 in args.ladder:
             sequence = generate_compact_sequence(
-                m0, shape.n, params.sequence.k, params.sequence.theta,
+                m0, params.hierarchy.n, params.sequence.k, params.sequence.theta,
                 rng.randrange(2 ** 63),
             )
-            rung_params = SchemeParams(sequence=sequence, hierarchy=shape, owf=params.owf)
+            rung_params = dataclasses.replace(params, sequence=sequence)
             secret = args.secret if args.secret is not None else rng.randrange(m0)
             entry = _audit_one(
-                label, rung_params, args.adversary, secret,
+                rung_params, args.adversary, secret,
                 rng.randrange(2 ** 63), args.budget,
             )
             entry["m0"] = str(m0)
@@ -438,8 +425,7 @@ def cmd_audit(args) -> int:
         if secret is None:
             secret = rng.randrange(params.sequence.m0)
         out_obj = _audit_one(
-            label, params, args.adversary, secret,
-            rng.randrange(2 ** 63), args.budget,
+            params, args.adversary, secret, rng.randrange(2 ** 63), args.budget,
         )
     text = audit_report_text(out_obj)
     if args.out:
@@ -457,7 +443,7 @@ def cmd_audit(args) -> int:
 
 # -- inspect ---------------------------------------------------------------------
 
-def cmd_inspect(args) -> int:
+def inspect_command(args) -> int:
     obj = _read(args.file, lambda obj: obj, args.file)
     kind = "unknown"
     if isinstance(obj, dict):
@@ -569,7 +555,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
     try:
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        return globals()[args.command.replace("-", "_") + "_command"](args)
     except (Error, ValueError) as exc:
         code = next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
         return _fail(code, str(exc))

@@ -1,27 +1,31 @@
-"""Disjunctive hierarchical dealing and reconstruction.
+"""Hierarchical dealing and reconstruction for every scheme.
 
-A set is authorized when SOME level l has at least t_l of its members inside
-the first N_l participants. Every level gets its own lift y_l = s + alpha_l*m0
-below prod(m_1..m_{t_l}); participants outside the top level hold a random
-value c_i and the published offset w[i, l] = (y_l - h_l(c_i)) mod m_i converts
-it into a level-l residue. Top-level participants hold y_m mod m_i directly
-and have no published offsets.
+One ``deal`` and one ``reconstruct`` serve the three schemes the parameters
+name (``SchemeParams.scheme``). Disjunctive ``dhss``: a set is authorized
+when SOME level l has at least t_l of its members inside the first N_l
+participants. Conjunctive ``chss``: EVERY level's threshold must be met.
+Flat ``ab`` (Asmuth-Bloom): one level of n participants and threshold t.
+
+Every level gets its own lift y_l = r_l + alpha_l*m0 below prod(m_1..m_{t_l}),
+where r_l is the secret itself (dhss, ab) or its l-th additive part (chss);
+participants outside the top level hold a random value c_i and the published
+offset w[i, l] = (y_l - h_l(c_i)) mod m_i converts it into a level-l residue.
+Top-level participants hold y_m mod m_i directly and have no published
+offsets. With one level every participant is a top-level one, and the deal
+of each scheme is the flat deal.
 
 Without a seed every dealer draw comes from the operating system's CSPRNG.
-An explicit seed makes a deal reproducible: the dealer draws alpha_1..alpha_m
-(by level), then c_1..c_{N_{m-1}} (by participant index), from a Mersenne
-Twister seeded with it.
+An explicit seed makes a deal reproducible: the dealer draws
+delta_1..delta_{m-1} (chss only), then alpha_1..alpha_m (by level), then
+c_1..c_{N_{m-1}} (by participant index), from a Mersenne Twister seeded
+with it.
 
-The dealing core lifts and shares any per-level residues: the disjunctive
-scheme passes the secret at every level, the conjunctive scheme passes the
-additive parts of it, and a single-level hierarchy is the flat Asmuth-Bloom
-scheme. Recovery mirrors it: every reconstruct entry point (``dhss``, ``chss``
-and flat ``ab``) takes (shares, public), passes ``dedupe_shares``, the one
-share gate, once, and recovers its levels below their dealer bounds in one
-core. A level is solved by congruence from its first t_l shares alone (or
-fewer, where their moduli already reach the bound), which fix the lift below
-the bound (Asmuth-Bloom); each share beyond those is checked by its residue
-instead of entering the solve.
+``reconstruct`` takes (shares, public), passes ``dedupe_shares``, the one
+share gate, once, and recovers its levels below their dealer bounds. A level
+is solved by congruence from its first t_l shares alone (or fewer, where
+their moduli already reach the bound), which fix the lift below the bound
+(Asmuth-Bloom); each share beyond those is checked by its residue instead of
+entering the solve.
 """
 
 import random
@@ -36,6 +40,7 @@ from .errors import (
     MissingPublicValue,
     NotAuthorized,
     SecretOutOfRange,
+    TooFewShares,
 )
 from .oneway import eval_owf
 from .params import SchemeParams
@@ -70,14 +75,6 @@ class DealResult:
     dealer_secrets: Optional[dict] = None
 
 
-def _check_dealable(secret: int, params: SchemeParams) -> None:
-    if params.violations:
-        raise InvalidParams("; ".join(params.violations))
-    if not 0 <= secret < params.sequence.m0:
-        # the secret itself is never named: only the public range is
-        raise SecretOutOfRange(f"secret not in [0, {params.sequence.m0})")
-
-
 def _dealer_rng(rng_seed: Optional[int]) -> random.Random:
     """The seeded Mersenne Twister for an explicit seed (reproducible deals);
     otherwise the system CSPRNG, so no seed exists that decides the deal."""
@@ -86,16 +83,42 @@ def _dealer_rng(rng_seed: Optional[int]) -> random.Random:
     return random.Random(rng_seed)
 
 
-def _deal(
-    residues: Sequence[int], params: SchemeParams, rng: random.Random
-) -> tuple[tuple[Share, ...], PublicBundle, dict]:
-    """Lift residues[l-1] to y_l below prod(m_1..m_{t_l}) and share every
-    level. Draws alpha_1..alpha_m by level, then c_1..c_{N_{m-1}} by
+def deal(
+    secret: int,
+    params: SchemeParams,
+    rng_seed: Optional[int] = None,
+    keep_dealer_secrets: bool = False,
+) -> DealResult:
+    """Deal ``secret`` under ``params.scheme``. Draws from the system CSPRNG
+    when ``rng_seed`` is None; deterministic for a given seed.
+
+    Every level l lifts a residue r_l to y_l = r_l + alpha_l*m0 below
+    prod(m_1..m_{t_l}): the secret itself for dhss and ab, and for chss the
+    additive parts delta_1..delta_m, the first m - 1 uniform in Z_m0 and
+    delta_m closing the sum to the secret mod m0. Draws delta_1..delta_{m-1}
+    (chss only), then alpha_1..alpha_m by level, then c_1..c_{N_{m-1}} by
     participant index. y_l mod m_i for every participant of the first N_l,
     which the top-level shares and the published offsets w[i, l] take, comes
-    from one remainder-tree walk per level. Returns the shares, the public
-    bundle and the dealer-side lifts {"alpha", "y"}."""
+    from one remainder-tree walk per level.
+
+    dealer_secrets (y_l and alpha_l per level, and chss's delta_l) is
+    populated only when keep_dealer_secrets is set; it must never leave a
+    test or audit context.
+    """
     seq, hier = params.sequence, params.hierarchy
+    if params.violations:
+        raise InvalidParams("; ".join(params.violations))
+    if not 0 <= secret < seq.m0:
+        # the secret itself is never named: only the public range is
+        raise SecretOutOfRange(f"secret not in [0, {seq.m0})")
+    rng = _dealer_rng(rng_seed)
+    kept = {}
+    if params.scheme == "chss":
+        deltas = [rng.randrange(seq.m0) for _ in range(hier.m - 1)]
+        deltas.append((secret - sum(deltas)) % seq.m0)
+        residues = kept["delta"] = tuple(deltas)
+    else:
+        residues = (secret,) * hier.m
     alphas, ys = [], []
     for residue, t in zip(residues, hier.thresholds):
         bound = seq.prefix_product(t)
@@ -114,37 +137,9 @@ def _deal(
             for lvl in range(level, hier.m + 1):
                 mask = eval_owf(params.owf, lvl, value, m_i)
                 w[(i, lvl)] = (lifted[lvl - 1][i - 1] - mask) % m_i
-    lifts = {"alpha": tuple(alphas), "y": tuple(ys)}
-    return tuple(shares), PublicBundle(params=params, w=w), lifts
-
-
-def dhss_deal(
-    secret: int,
-    params: SchemeParams,
-    rng_seed: Optional[int] = None,
-    keep_dealer_secrets: bool = False,
-) -> DealResult:
-    """Deal ``secret`` disjunctively: every level lifts the secret itself.
-    Draws from the system CSPRNG when ``rng_seed`` is None; deterministic for
-    a given seed. With a single level this is the flat Asmuth-Bloom deal.
-
-    dealer_secrets (y_l and alpha_l per level) is populated only when
-    keep_dealer_secrets is set; it must never leave a test or audit context.
-    """
-    _check_dealable(secret, params)
-    shares, public, lifts = _deal(
-        [secret] * params.hierarchy.m, params, _dealer_rng(rng_seed)
-    )
-    return DealResult(shares, public, lifts if keep_dealer_secrets else None)
-
-
-def dhss_authorized_level(
-    members: frozenset | set | Sequence[int], params: SchemeParams
-) -> Optional[int]:
-    """Smallest level whose cumulative threshold the set meets, else None."""
-    failing = params.hierarchy.failing_levels(members)
-    levels = range(1, params.hierarchy.m + 1)
-    return next((level for level in levels if level not in failing), None)
+    kept.update(alpha=tuple(alphas), y=tuple(ys))
+    return DealResult(tuple(shares), PublicBundle(params=params, w=w),
+                      kept if keep_dealer_secrets else None)
 
 
 def lift_share(
@@ -195,12 +190,12 @@ def dedupe_shares(shares: Sequence[Share], params: SchemeParams) -> list[Share]:
     return [seen[i] for i in sorted(seen)]
 
 
-def _recover(shares: Sequence[Share], public: PublicBundle, conjunctive: bool) -> int:
-    """The recovery core behind every reconstruct entry point.
+def reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
+    """Recover the secret under ``public.params.scheme``.
 
     Gates the shares, then recovers the lift y_l of the smallest qualifying
-    level (disjunctive) or of every level (conjunctive), and sums the lifts
-    mod m0. A level's congruences, in participant order, are split at the
+    level (dhss and ab) or of every level (chss), and sums the lifts mod m0.
+    A level's congruences, in participant order, are split at the
     shortest prefix whose moduli multiply to at least the dealer bound
     B_l = prod(m_1..m_{t_l}): at most its first t_l when the moduli increase,
     as ``deal`` requires, since the j-th of them is then at least m_j. Only
@@ -211,12 +206,26 @@ def _recover(shares: Sequence[Share], public: PublicBundle, conjunctive: bool) -
     later residue matches: the full solve's verdict, from at most t_l fold
     steps. Shares with no lift below B_l cannot come from one deal and raise
     InconsistentShares naming the level, never a value.
+
+    A set that fails raises NotAuthorized naming the failing levels; for a
+    flat bundle it is TooFewShares, naming how many distinct shares came and
+    how many are needed. A flat bundle with more than one level raises
+    ValueError: its shares are not flat shares.
     """
-    seq, hier = public.params.sequence, public.params.hierarchy
-    unique = dedupe_shares(shares, public.params)
+    params = public.params
+    seq, hier = params.sequence, params.hierarchy
+    flat, conjunctive = params.scheme == "ab", params.scheme == "chss"
+    if flat and hier.m != 1:
+        raise ValueError(f"flat reconstruction needs one level, got {hier.m}")
+    unique = dedupe_shares(shares, params)
     members = {s.participant for s in unique}
     failing = hier.failing_levels(members)
     levels = [lvl for lvl in range(1, hier.m + 1) if lvl not in failing]
+    if flat and failing:
+        raise TooFewShares(
+            f"got {len(members)} distinct shares, need {hier.thresholds[0]}",
+            failing_levels=(1,),
+        )
     if not levels or (conjunctive and failing):
         raise NotAuthorized(
             f"not authorized; failing level(s): {list(failing)}",
@@ -239,10 +248,3 @@ def _recover(shares: Sequence[Share], public: PublicBundle, conjunctive: bool) -
             )
         total += y
     return total % seq.m0
-
-
-def dhss_reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
-    """Recover the secret from the smallest qualifying level: its first t_l
-    shares fix the lift, and every further share inside the level is checked
-    against it by residue."""
-    return _recover(shares, public, conjunctive=False)

@@ -25,6 +25,12 @@ moduli cost one step each. ``canonical_dumps`` of the document's object is
 what each format string must equal. The CLI reads files with ``os.read``
 and parses them with ``json.loads``.
 
+Every file carries its scheme label. The parameters hold it
+(``SchemeParams.scheme``), so the parameter and bundle writers read it from
+them and their parsers return it inside them; a ``Share`` holds none, so the
+share file writer takes the label and its parser returns it beside the
+share.
+
 A bundle's parameters are read here but not validated again by
 ``reconstruct``: the checks that refuse shares no deal could give are the
 share gate (``dhss.dedupe_shares``), the CRT solve's coprimality check, the
@@ -40,10 +46,9 @@ from typing import AbstractSet, Mapping
 
 from .dhss import PublicBundle, Share
 from .oneway import OwfFamily
-from .params import CompactSequence, Hierarchy, SchemeParams, check_compactness
+from .params import SCHEMES, CompactSequence, Hierarchy, SchemeParams, check_compactness
 
 FORMAT_VERSION = 1
-SCHEMES = ("dhss", "chss", "ab")
 
 
 def _float_text(value: float) -> str:
@@ -274,6 +279,8 @@ def lowercase_hex(text) -> bytes | None:
 
 
 def param_file_obj(scheme: str, params: SchemeParams) -> dict:
+    """The parameter document of ``params`` labelled ``scheme``, which may
+    differ from ``params.scheme``: it is the label the file carries."""
     _require(scheme in SCHEMES, f"unknown scheme {scheme!r}")
     seq, hier, owf = params.sequence, params.hierarchy, params.owf
     return {
@@ -314,11 +321,11 @@ _PARAM_FILE = (
 )
 
 
-def param_file_text(scheme: str, params: SchemeParams) -> str:
+def param_file_text(params: SchemeParams) -> str:
     """The parameter file of ``params``: the bytes ``canonical_dumps`` gives
-    for ``param_file_obj(scheme, params)``, from one format string."""
+    for ``param_file_obj(params.scheme, params)``, from one format string."""
+    scheme, seq, hier = params.scheme, params.sequence, params.hierarchy
     _require(scheme in SCHEMES, f"unknown scheme {scheme!r}")
-    seq, hier = params.sequence, params.hierarchy
     return _PARAM_FILE % (
         _list_text(list(map(int.__repr__, hier.level_sizes)), "    "),
         _list_text(list(map(int.__repr__, hier.thresholds)), "    "),
@@ -328,12 +335,12 @@ def param_file_text(scheme: str, params: SchemeParams) -> str:
     )
 
 
-def parse_param_file(obj: Mapping) -> tuple[str, SchemeParams]:
-    """Read a parameter file, or a bundle's parameters. The owf is exactly
-    {kind, family_tag, digest_name}, kind hash_based and digest_name sha256,
-    the one family there is: the audit is exact only for a one-way h.
-    family_tag is read by ``lowercase_hex``, so the digest of a canonical
-    file is the SHA-256 of its bytes."""
+def parse_param_file(obj: Mapping) -> SchemeParams:
+    """Read a parameter file, or a bundle's parameters, with the scheme it
+    names. The owf is exactly {kind, family_tag, digest_name}, kind
+    hash_based and digest_name sha256, the one family there is: the audit is
+    exact only for a one-way h. family_tag is read by ``lowercase_hex``, so
+    the digest of a canonical file is the SHA-256 of its bytes."""
     _exact_keys(obj, {"version", "scheme", "sequence", "hierarchy", "owf"},
                 "parameter file")
     scheme = _check_version_scheme(obj, "parameter file")
@@ -360,12 +367,12 @@ def parse_param_file(obj: Mapping) -> tuple[str, SchemeParams]:
     _require(family_tag is not None, "owf: family_tag is not lowercase hex")
     _require(owf_obj["digest_name"] == "sha256", "owf: digest_name is not sha256")
     owf = OwfFamily(family_tag=family_tag)
-    return scheme, SchemeParams(sequence=sequence, hierarchy=hierarchy, owf=owf)
+    return SchemeParams(sequence=sequence, hierarchy=hierarchy, owf=owf, scheme=scheme)
 
 
-def params_digest(scheme: str, params: SchemeParams) -> str:
+def params_digest(params: SchemeParams) -> str:
     """The SHA-256 of the parameter file, in hex."""
-    return hashlib.sha256(param_file_text(scheme, params).encode()).hexdigest()
+    return hashlib.sha256(param_file_text(params).encode()).hexdigest()
 
 
 # -- audit reports -----------------------------------------------------------
@@ -479,7 +486,8 @@ def parse_share_file(obj: Mapping) -> tuple[str, Share, str]:
 
 # -- public bundle files -----------------------------------------------------
 
-def bundle_file_obj(scheme: str, public: PublicBundle) -> dict:
+def bundle_file_obj(public: PublicBundle) -> dict:
+    scheme = public.params.scheme
     entries = [
         {"participant": i, "level": level, "value": str(v)}
         for (i, level), v in sorted(public.w.items())
@@ -496,11 +504,11 @@ _BUNDLE_KEYS = frozenset({"version", "scheme", "params", "w"})
 _W_ENTRY_KEYS = frozenset({"participant", "level", "value"})
 
 
-def parse_bundle_file(obj: Mapping) -> tuple[str, PublicBundle]:
+def parse_bundle_file(obj: Mapping) -> PublicBundle:
     _exact_keys(obj, _BUNDLE_KEYS, "bundle file")
     scheme = _check_version_scheme(obj, "bundle file")
-    params_scheme, params = parse_param_file(obj["params"])
-    _require(params_scheme == scheme,
+    params = parse_param_file(obj["params"])
+    _require(params.scheme == scheme,
              "bundle file: scheme differs from embedded parameters")
     # each key (i, l) has i below the top level and l from i's own level up;
     # errors name the key, never the value
@@ -522,4 +530,4 @@ def parse_bundle_file(obj: Mapping) -> tuple[str, PublicBundle]:
             raise ValueError(f"bundle file: w entry {key} is not an integer "
                              f"in [0, m_{i})")
         w[key] = value
-    return scheme, PublicBundle(params=params, w=w)
+    return PublicBundle(params=params, w=w)

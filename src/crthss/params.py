@@ -8,6 +8,10 @@ floating point enters any validity decision.
 Participants are numbered 1..n across levels in order, and participant i owns
 modulus m_i. A hierarchy stores the per-level sizes n_1..n_m and thresholds
 t_1 < ... < t_m with t_l <= N_l (cumulative size).
+
+The parameters name their scheme, one of ``SCHEMES``: disjunctive ``dhss``
+(some level's threshold suffices), conjunctive ``chss`` (every level's
+threshold is required) and flat ``ab``, the one-level case of both.
 """
 
 import random
@@ -22,6 +26,8 @@ from typing import Iterable
 from .crt import product_tree
 from .errors import IntervalExhausted, ThresholdOutOfRange
 from .oneway import OwfFamily
+
+SCHEMES = ("dhss", "chss", "ab")
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # their product, 43 bits: one gcd with it finds every small prime factor
@@ -420,23 +426,38 @@ def validate_hierarchy(h: Hierarchy) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
+def scheme_violations(scheme: str, hierarchy: Hierarchy) -> tuple[str, ...]:
+    """An unknown scheme, or a flat ("ab") scheme with other than one level:
+    a refusal no other check of the parameters adds to."""
+    if scheme not in SCHEMES:
+        return (f"unknown scheme {scheme!r}",)
+    if scheme == "ab" and hierarchy.m != 1:
+        return ("flat dealing needs a single-level parameter set",)
+    return ()
+
+
 @dataclass(frozen=True)
 class SchemeParams:
-    """Everything public a deal needs: modulus ladder, hierarchy, OWF family."""
+    """Everything public a deal needs: modulus ladder, hierarchy, OWF family,
+    and the scheme that deals and reconstructs with them."""
 
     sequence: CompactSequence
     hierarchy: Hierarchy
     owf: OwfFamily = field(default_factory=OwfFamily)
+    scheme: str = "dhss"
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
-        """What stops a deal, worked out on its first use and kept: sequence
-        structure (not checked again for a ``generated`` sequence), then
-        hierarchy violations, each prefixed with its part,
+        """What stops a deal, worked out on its first use and kept: the
+        scheme's refusal (``scheme_violations``) alone when there is one;
+        otherwise sequence structure (not checked again for a ``generated``
+        sequence), then hierarchy violations, each prefixed with its part,
         then a size mismatch. Not the compactness interval, which governs the
         scheme's asymptotic quality, not its correctness; nor the Asmuth-Bloom
         inequality m0 * prod(m_1..m_{t-1}) < prod(m_1..m_t), which reduces to
         m0 < m_t and so holds at every level the ordering check passes."""
+        if refused := scheme_violations(self.scheme, self.hierarchy):
+            return refused
         bad = [] if self.sequence.generated else [
             f"sequence: {v}" for v in _structure_violations(self.sequence)]
         bad += [f"hierarchy: {v}" for v in validate_hierarchy(self.hierarchy).violations]

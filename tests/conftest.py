@@ -1,7 +1,8 @@
 """Shared fixtures: the hand-checkable micro instance and frozen deal seeds.
 
 micro instance: m0=7, moduli (11, 13, 17), two levels of sizes (1, 2) with
-thresholds (1, 2), and the library's one OWF family. The moduli sit far
+thresholds (1, 2), and the library's one OWF family, dhss; the flat
+instance is the same sequence as one (2, 3) level, ab. The moduli sit far
 outside the 1-compact interval for m0=7 on purpose; compactness governs the
 asymptotics, not correctness, and the small numbers keep every expected value
 checkable by hand or exhaustive scan.
@@ -60,6 +61,7 @@ def flat_params(micro_seq):
     return SchemeParams(
         sequence=micro_seq,
         hierarchy=Hierarchy(level_sizes=(3,), thresholds=(2,)),
+        scheme="ab",
     )
 
 

@@ -64,19 +64,20 @@ def profile_counts(report: PosteriorReport, scheme: str) -> dict[int, int]:
 
 
 def scan_posterior_counts(
-    view: AdversaryView,
-    scheme: str,
-    tuple_budget: int = DEFAULT_SCAN_BUDGET,
+    view: AdversaryView, tuple_budget: int = DEFAULT_SCAN_BUDGET
 ) -> dict[int, int]:
-    """Oracle: per-secret counts by scanning every value tuple.
+    """Oracle: per-secret counts by scanning every value tuple, for the
+    scheme the view's parameters name (chss conjunctive, dhss and ab
+    disjunctive).
 
     Walks the full cartesian product of [0, prod(m_1..m_{t_l})) per level and
     checks the conditions by direct modular arithmetic; no congruence solving
     is involved, so this is an independent check of the fast path. Use only
     on instances where the product of the ranges is small.
     """
-    _check_unauthorized(view, scheme)
     params = view.public.params
+    conjunctive = params.scheme == "chss"
+    _check_unauthorized(view, conjunctive)
     seq, hier = params.sequence, params.hierarchy
     m0 = seq.m0
     bounds = [seq.prefix_product(t) for t in hier.thresholds]
@@ -94,10 +95,8 @@ def scan_posterior_counts(
         )
         if not ok:
             continue
-        if scheme == "dhss":
-            residues = {z % m0 for z in zs}
-            if len(residues) == 1:
-                counts[zs[0] % m0] += 1
-        else:
+        if conjunctive:
             counts[sum(zs) % m0] += 1
+        elif len({z % m0 for z in zs}) == 1:
+            counts[zs[0] % m0] += 1
     return counts

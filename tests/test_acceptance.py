@@ -25,16 +25,12 @@ from crthss import (
     OwfFamily,
     SchemeParams,
     adversary_view,
-    chss_deal,
-    chss_is_authorized,
-    chss_reconstruct,
     crt_solve,
-    dhss_authorized_level,
-    dhss_deal,
-    dhss_reconstruct,
+    deal,
     enumerate_posterior,
     generate_compact_sequence,
     count_grouping,
+    reconstruct,
     validate_params,
     worst_case_unauthorized,
 )
@@ -173,14 +169,14 @@ def test_c2_dhss_completeness(micro_params):
         set(c)
         for r in range(1, 4)
         for c in itertools.combinations((1, 2, 3), r)
-        if dhss_authorized_level(set(c), micro_params) is not None
+        if len(micro_params.hierarchy.failing_levels(c)) < 2
     ]
     for secret in range(7):
         for seed in range(20):
-            result = dhss_deal(secret, micro_params, seed)
+            result = deal(secret, micro_params, seed)
             by_id = {s.participant: s for s in result.shares}
             for group in authorized:
-                got = dhss_reconstruct([by_id[i] for i in group], result.public)
+                got = reconstruct([by_id[i] for i in group], result.public)
                 failures += got != secret
     assert failures == 0
 
@@ -188,10 +184,10 @@ def test_c2_dhss_completeness(micro_params):
     for _ in range(1000):
         params = random_instance(rng)
         secret = rng.randrange(params.sequence.m0)
-        result = dhss_deal(secret, params, rng.randrange(2**32))
+        result = deal(secret, params, rng.randrange(2**32))
         by_id = {s.participant: s for s in result.shares}
         group = sample_disjunctive_set(rng, params.hierarchy)
-        assert dhss_reconstruct([by_id[i] for i in group], result.public) == secret
+        assert reconstruct([by_id[i] for i in group], result.public) == secret
     note("2: disjunctive completeness, 700 exhaustive micro cases + "
          "1000 randomized instances PASS")
 
@@ -199,34 +195,35 @@ def test_c2_dhss_completeness(micro_params):
 # -- criterion 3 -------------------------------------------------------------
 
 def test_c3_chss_completeness(micro_params):
+    micro_params = dataclasses.replace(micro_params, scheme="chss")
     authorized = [
         set(c)
         for r in range(1, 4)
         for c in itertools.combinations((1, 2, 3), r)
-        if chss_is_authorized(set(c), micro_params)
+        if not micro_params.hierarchy.failing_levels(c)
     ]
     for secret in range(7):
         for seed in range(20):
-            result = chss_deal(secret, micro_params, seed)
+            result = deal(secret, micro_params, seed)
             by_id = {s.participant: s for s in result.shares}
             for group in authorized:
-                assert chss_reconstruct([by_id[i] for i in group], result.public) == secret
+                assert reconstruct([by_id[i] for i in group], result.public) == secret
 
     rng = random.Random(1003)
     rejected = 0
     for _ in range(1000):
-        params = random_instance(rng)
+        params = dataclasses.replace(random_instance(rng), scheme="chss")
         hier = params.hierarchy
         secret = rng.randrange(params.sequence.m0)
-        result = chss_deal(secret, params, rng.randrange(2**32))
+        result = deal(secret, params, rng.randrange(2**32))
         by_id = {s.participant: s for s in result.shares}
         group = sample_conjunctive_set(rng, hier)
-        assert chss_reconstruct([by_id[i] for i in group], result.public) == secret
+        assert reconstruct([by_id[i] for i in group], result.public) == secret
         for _ in range(3):
             sub = set(rng.sample(range(1, hier.n + 1), rng.randrange(0, hier.n + 1)))
-            if not chss_is_authorized(sub, params):
+            if hier.failing_levels(sub):
                 with pytest.raises(NotAuthorized):
-                    chss_reconstruct([by_id[i] for i in sub], result.public)
+                    reconstruct([by_id[i] for i in sub], result.public)
                 rejected += 1
     assert rejected > 0
     note(f"3: conjunctive completeness, 1000 randomized instances, "
@@ -236,12 +233,13 @@ def test_c3_chss_completeness(micro_params):
 # -- criterion 4 -------------------------------------------------------------
 
 def test_c4_worked_vectors(micro_params, affine_owf):
-    disj = dhss_deal(4, micro_params, DHSS_SEED, keep_dealer_secrets=True)
+    disj = deal(4, micro_params, DHSS_SEED, keep_dealer_secrets=True)
     assert [s.value for s in disj.shares] == [9, 9, 6]
     assert dict(disj.public.w) == {(1, 1): 9, (1, 2): 1}
     assert disj.dealer_secrets["y"] == (4, 74)
 
-    conj = chss_deal(4, micro_params, CHSS_SEED, keep_dealer_secrets=True)
+    conj = deal(4, dataclasses.replace(micro_params, scheme="chss"), CHSS_SEED,
+                keep_dealer_secrets=True)
     assert [s.value for s in conj.shares] == [5, 0, 14]
     assert dict(conj.public.w) == {(1, 1): 8, (1, 2): 4}
     assert conj.dealer_secrets["y"] == (2, 65)
@@ -271,16 +269,16 @@ def test_c5_cardinality_grouping():
         if prod(seq.prefix_product(t) for t in hier.thresholds) > 300_000:
             continue
         params = SchemeParams(sequence=seq, hierarchy=hier)
-        result = dhss_deal(rng.randrange(m0), params, rng.randrange(2**32))
+        result = deal(rng.randrange(m0), params, rng.randrange(2**32))
         unauthorized = [
             set(c)
             for r in range(0, hier.n)
             for c in itertools.combinations(range(1, hier.n + 1), r)
-            if dhss_authorized_level(set(c), params) is None
+            if len(hier.failing_levels(c)) == hier.m
         ]
         view = adversary_view(result, rng.choice(unauthorized))
-        report = enumerate_posterior(view, "dhss")
-        scan = scan_posterior_counts(view, "dhss", tuple_budget=10**6)
+        report = enumerate_posterior(view)
+        scan = scan_posterior_counts(view, tuple_budget=10**6)
         assert scan == profile_counts(report, "dhss")
         assert report.histogram == Counter(scan.values())
         count_grouping(report)
@@ -300,9 +298,8 @@ def test_c6_eta_dichotomy_and_ladder():
         for m0 in (97, 997, 9973):
             seq = generate_compact_sequence(m0, 3, k, Fraction(1, 2), 1)
             params = SchemeParams(sequence=seq, hierarchy=Hierarchy((3,), (2,)))
-            deal = dhss_deal(m0 // 2, params, 2)
-            view = adversary_view(deal, {1})
-            posterior = enumerate_posterior(view, "dhss")
+            view = adversary_view(deal(m0 // 2, params, 2), {1})
+            posterior = enumerate_posterior(view)
             # at one level, count_grouping certifies every count as the
             # profile's floor eta or eta + 1
             count_grouping(posterior)
@@ -351,8 +348,8 @@ def test_c7_loss_entropy_ladder():
                     sum(1 for i in members if i <= upper) == t - 1
                     for upper, t in zip(hier.cumulative, hier.thresholds)
                 )
-            result = dhss_deal(m0 // 3, params, 5)
-            report = enumerate_posterior(adversary_view(result, members), "dhss")
+            result = deal(m0 // 3, params, 5)
+            report = enumerate_posterior(adversary_view(result, members))
             assert report.loss >= 0
             losses.append(report.loss)
             minority.append(min(report.histogram.values()) / m0)
@@ -398,9 +395,10 @@ def test_c9_format_stability_and_pipeline(tmp_path):
         scheme = rng.choice(["dhss", "chss", "ab"])
         text = canonical_dumps(param_file_obj(scheme, params))
         back = parse_param_file(json.loads(text))
-        assert canonical_dumps(param_file_obj(*back)) == text
+        assert back == dataclasses.replace(params, scheme=scheme)
+        assert canonical_dumps(param_file_obj(back.scheme, back)) == text
 
-        result = dhss_deal(
+        result = deal(
             rng.randrange(params.sequence.m0), params, rng.randrange(2**32)
         )
         share = rng.choice(result.shares)
@@ -408,9 +406,9 @@ def test_c9_format_stability_and_pipeline(tmp_path):
         s_scheme, s_share, s_digest = parse_share_file(json.loads(share_text))
         assert share_file_text(s_scheme, s_share, s_digest) == share_text
 
-        bundle_text = canonical_dumps(bundle_file_obj("dhss", result.public))
-        b_scheme, b_public = parse_bundle_file(json.loads(bundle_text))
-        assert canonical_dumps(bundle_file_obj(b_scheme, b_public)) == bundle_text
+        bundle_text = canonical_dumps(bundle_file_obj(result.public))
+        b_public = parse_bundle_file(json.loads(bundle_text))
+        assert canonical_dumps(bundle_file_obj(b_public)) == bundle_text
 
     # end-to-end through the CLI: generate, deal, reconstruct, refuse
     for scheme, shares_ok, shares_bad in (

@@ -26,8 +26,7 @@ from crthss import (
     Hierarchy,
     SchemeParams,
     adversary_view,
-    chss_deal,
-    dhss_deal,
+    deal,
     enumerate_posterior,
     generate_compact_sequence,
     information_rate,
@@ -54,14 +53,14 @@ def eta_split(report):
 
 
 def test_micro_dhss_posterior_matches_scan(micro_params):
-    result = dhss_deal(4, micro_params, DHSS_SEED)
+    result = deal(4, micro_params, DHSS_SEED)
     view = adversary_view(result, {2})
-    report = enumerate_posterior(view, "dhss")
+    report = enumerate_posterior(view)
     counts = profile_counts(report, "dhss")
     # frozen from the exhaustive scan over z_1 < 11, z_2 < 143
     assert counts == {0: 4, 1: 4, 2: 4, 3: 2, 4: 1, 5: 1, 6: 2}
     assert report.total == 18
-    scan = scan_posterior_counts(view, "dhss")
+    scan = scan_posterior_counts(view)
     assert scan == counts
     assert report.histogram == Counter(scan.values())
     assert counts[4] >= 1  # the true secret stays alive
@@ -71,25 +70,25 @@ def test_micro_dhss_posterior_matches_scan(micro_params):
 def test_micro_empty_adversary(micro_params):
     # no shares: every secret keeps floor(bound/m0) or floor+1 tuples; the
     # counting posterior is nearly but not exactly flat at this tiny size
-    result = dhss_deal(4, micro_params, DHSS_SEED)
+    result = deal(4, micro_params, DHSS_SEED)
     view = adversary_view(result, set())
-    report = enumerate_posterior(view, "dhss")
+    report = enumerate_posterior(view)
     counts = profile_counts(report, "dhss")
     assert counts == {0: 42, 1: 42, 2: 42, 3: 40, 4: 20, 5: 20, 6: 20}
-    scan = scan_posterior_counts(view, "dhss")
+    scan = scan_posterior_counts(view)
     assert scan == counts
     assert report.histogram == Counter(scan.values())
     assert 0 < report.loss < 0.1
 
 
 def test_flat_posterior_and_eta(flat_params):
-    deal = dhss_deal(3, flat_params, AB_SEED)
-    view = adversary_view(deal, {1})
-    report = enumerate_posterior(view, "dhss")
+    dealt = deal(3, flat_params, AB_SEED)
+    view = adversary_view(dealt, {1})
+    report = enumerate_posterior(view)
     # frozen from the scan of y in [0, 143) with y = 5 (mod 11)
     counts = profile_counts(report, "dhss")
     assert counts == {0: 2, 1: 1, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2}
-    scan = scan_posterior_counts(view, "dhss")
+    scan = scan_posterior_counts(view)
     assert scan == counts
     assert report.histogram == Counter(scan.values())
     eta, d1, d2 = eta_split(report)
@@ -101,12 +100,12 @@ def test_flat_posterior_and_eta(flat_params):
 
 
 def test_micro_chss_posterior_matches_scan(micro_params):
-    result = chss_deal(4, micro_params, CHSS_SEED)
+    result = deal(4, dataclasses.replace(micro_params, scheme="chss"), CHSS_SEED)
     for members in (set(), {1}, {2}, {3}, {2, 3}):
         view = adversary_view(result, members)
-        report = enumerate_posterior(view, "chss")
+        report = enumerate_posterior(view)
         counts = profile_counts(report, "chss")
-        scan = scan_posterior_counts(view, "chss")
+        scan = scan_posterior_counts(view)
         assert scan == counts
         assert report.histogram == Counter(scan.values())
         assert report.loss >= 0
@@ -117,30 +116,31 @@ def test_chss_loss_never_negative_near_uniform():
     # near-flat counts once rounded the float entropy sum to a loss of
     # -6.9e-13 bits on this instance; loss is a KL divergence, so >= 0
     seq = generate_compact_sequence(2153, 9, 1, Fraction(1, 2), 0)
-    params = SchemeParams(sequence=seq, hierarchy=Hierarchy((2, 3, 4), (2, 3, 5)))
-    view = adversary_view(chss_deal(717, params, 1), {1, 3, 6, 7})
-    report = enumerate_posterior(view, "chss")
+    params = SchemeParams(sequence=seq, hierarchy=Hierarchy((2, 3, 4), (2, 3, 5)),
+                          scheme="chss")
+    view = adversary_view(deal(717, params, 1), {1, 3, 6, 7})
+    report = enumerate_posterior(view)
     assert report.loss >= 0
     assert report.conditional_entropy <= report.secret_entropy
     assert report.loss < 1e-9
 
 
 def test_posterior_rejects_authorized_sets(micro_params):
-    result = dhss_deal(4, micro_params, DHSS_SEED)
+    result = deal(4, micro_params, DHSS_SEED)
     with pytest.raises(NotUnauthorized):
-        enumerate_posterior(adversary_view(result, {1}), "dhss")
-    conj = chss_deal(4, micro_params, CHSS_SEED)
+        enumerate_posterior(adversary_view(result, {1}))
+    conj = deal(4, dataclasses.replace(micro_params, scheme="chss"), CHSS_SEED)
     with pytest.raises(NotUnauthorized):
-        enumerate_posterior(adversary_view(conj, {1, 2}), "chss")
+        enumerate_posterior(adversary_view(conj, {1, 2}))
 
 
 def test_posterior_budget(micro_params):
-    result = dhss_deal(4, micro_params, DHSS_SEED)
+    result = deal(4, micro_params, DHSS_SEED)
     view = adversary_view(result, {2})
     with pytest.raises(IntractableInstance):
-        enumerate_posterior(view, "dhss", work_budget=3)
+        enumerate_posterior(view, work_budget=3)
     with pytest.raises(IntractableInstance):
-        scan_posterior_counts(view, "dhss", tuple_budget=10)
+        scan_posterior_counts(view, tuple_budget=10)
 
 
 def test_floor_sum_matches_brute_force():
@@ -165,9 +165,9 @@ def test_two_level_dhss_posterior_at_real_sizes(bits):
     hier = Hierarchy((1, 2), (1, 2))
     seq = generate_compact_sequence(m0, hier.n, 1, Fraction(1, 2), 7)
     params = SchemeParams(sequence=seq, hierarchy=hier)
-    view = adversary_view(dhss_deal(m0 // 3, params, 11), worst_case_unauthorized(params))
+    view = adversary_view(deal(m0 // 3, params, 11), worst_case_unauthorized(params))
     start = time.perf_counter()
-    report = enumerate_posterior(view, "dhss", work_budget=2**300)
+    report = enumerate_posterior(view, work_budget=2**300)
     elapsed = time.perf_counter() - start
     count_grouping(report)
     assert sum(report.histogram.values()) == m0
@@ -176,9 +176,9 @@ def test_two_level_dhss_posterior_at_real_sizes(bits):
 
 
 def test_count_grouping_micro(micro_params):
-    result = dhss_deal(4, micro_params, DHSS_SEED)
+    result = deal(4, micro_params, DHSS_SEED)
     view = adversary_view(result, {2})
-    report = enumerate_posterior(view, "dhss")
+    report = enumerate_posterior(view)
     count_grouping(report)
     assert report.histogram == {4: 3, 2: 2, 1: 2}
     assert sum(y * g for y, g in report.histogram.items()) == report.total == 18
@@ -187,23 +187,23 @@ def test_count_grouping_micro(micro_params):
 
 
 def test_count_grouping_flat(flat_params):
-    deal = dhss_deal(3, flat_params, AB_SEED)
-    view = adversary_view(deal, {1})
-    report = enumerate_posterior(view, "dhss")
+    dealt = deal(3, flat_params, AB_SEED)
+    view = adversary_view(dealt, {1})
+    report = enumerate_posterior(view)
     count_grouping(report)
     assert report.histogram == {1: 1, 2: 6}  # floor(143/77) = 1
     assert sum(report.histogram.values()) == 7
 
-    empty = adversary_view(deal, set())
-    report = enumerate_posterior(empty, "dhss")
+    empty = adversary_view(dealt, set())
+    report = enumerate_posterior(empty)
     count_grouping(report)
     assert set(report.histogram) <= {143 // 7, 143 // 7 + 1}
 
 
 def test_count_grouping_mismatch_is_loud(micro_params):
-    result = dhss_deal(4, micro_params, DHSS_SEED)
+    result = deal(4, micro_params, DHSS_SEED)
     view = adversary_view(result, {2})
-    report = enumerate_posterior(view, "dhss")
+    report = enumerate_posterior(view)
     # secret 0 doctored to 5 candidates, a count no level floors produce
     counts = {**profile_counts(report, "dhss"), 0: 5}
     doctored = dataclasses.replace(
@@ -218,27 +218,27 @@ def test_eta_zero_on_non_compact():
     # to {0, 1} and only part of the secret space stays consistent
     seq = CompactSequence(m0=7, moduli=(11, 13, 401), k=1, theta=Fraction(1, 2))
     params = SchemeParams(sequence=seq, hierarchy=Hierarchy((3,), (2,)))
-    deal = dhss_deal(5, params, 3)
-    view = adversary_view(deal, {3})
-    report = enumerate_posterior(view, "dhss")
+    dealt = deal(5, params, 3)
+    view = adversary_view(dealt, {3})
+    report = enumerate_posterior(view)
     eta, d1, d2 = eta_split(report)
     assert eta == 0
     assert d1 + d2 == 7
     assert d2 == eta * (d1 + d2) + d2 == report.total
-    scan = scan_posterior_counts(view, "dhss")
+    scan = scan_posterior_counts(view)
     assert scan == profile_counts(report, "dhss")
     assert report.histogram == Counter(scan.values())
     assert set(report.histogram) <= {0, 1}
 
 
 def test_eta_requires_undersized_flat_set(flat_params, micro_params):
-    deal = dhss_deal(3, flat_params, AB_SEED)
+    dealt = deal(3, flat_params, AB_SEED)
     with pytest.raises(NotUnauthorized):
-        enumerate_posterior(adversary_view(deal, {1, 2}), "dhss")
+        enumerate_posterior(adversary_view(dealt, {1, 2}))
     # with two levels the counts are products of two floor / floor + 1
     # factors: 1 * 1 and 2 * 2 here, so no single eta / eta + 1 split holds
-    two_level = dhss_deal(3, micro_params, 0)
-    report = enumerate_posterior(adversary_view(two_level, {2}), "dhss")
+    two_level = deal(3, micro_params, 0)
+    report = enumerate_posterior(adversary_view(two_level, {2}))
     assert [p.floor for p in report.levels] == [1, 1]
     count_grouping(report)
     assert sorted(report.histogram) == [1, 4]
@@ -258,10 +258,10 @@ def test_eta_dichotomy_random_flat():
         except IntervalExhausted:
             continue
         params = SchemeParams(sequence=seq, hierarchy=Hierarchy((n,), (t,)))
-        deal = dhss_deal(rng.randrange(m0), params, rng.randrange(2**32))
+        dealt = deal(rng.randrange(m0), params, rng.randrange(2**32))
         members = set(rng.sample(range(1, n + 1), t - 1))
-        view = adversary_view(deal, members)
-        report = enumerate_posterior(view, "dhss")
+        view = adversary_view(dealt, members)
+        report = enumerate_posterior(view)
         eta, d1, d2 = eta_split(report)
         assert d1 + d2 == m0
         assert set(report.histogram) <= {eta, eta + 1}
@@ -277,14 +277,14 @@ def test_minority_fraction_shrinks_along_ladder():
     for m0 in (97, 997, 9973):
         seq = generate_compact_sequence(m0, 3, 1, Fraction(1, 2), 1)
         params = SchemeParams(sequence=seq, hierarchy=Hierarchy((3,), (2,)))
-        deal = dhss_deal(m0 // 2, params, 2)
-        _, d1, d2 = eta_split(enumerate_posterior(adversary_view(deal, {1}), "dhss"))
+        dealt = deal(m0 // 2, params, 2)
+        _, d1, d2 = eta_split(enumerate_posterior(adversary_view(dealt, {1})))
         fractions.append(min(d1, d2) / m0)
     assert fractions[0] > fractions[1] > fractions[2]
 
 
 def test_limit_ratio_micro(micro_params):
-    result = dhss_deal(4, micro_params, DHSS_SEED)
+    result = deal(4, micro_params, DHSS_SEED)
     worst = worst_case_unauthorized(micro_params)
     assert worst == {2}
     view = adversary_view(result, worst)
@@ -304,7 +304,7 @@ def test_limit_ratio_compact_instance():
     # on a genuinely 1-compact ladder the worst-case ratio hugs k
     seq = generate_compact_sequence(997, 3, 1, Fraction(1, 2), 5)
     params = SchemeParams(sequence=seq, hierarchy=Hierarchy((1, 2), (1, 2)))
-    result = dhss_deal(123, params, 6)
+    result = deal(123, params, 6)
     view = adversary_view(result, worst_case_unauthorized(params))
     envelope = Fraction(compact_width := 31, 997)  # floor(sqrt 997) = 31
     profiles = _level_profiles(view)
@@ -374,26 +374,22 @@ def test_randomized_oracle_equivalence():
         if bound > 40_000:
             continue
         rng.choice((0, 1))  # once the OWF kind; kept so later draws match
-        params = SchemeParams(sequence=seq, hierarchy=hier)
+        params = SchemeParams(sequence=seq, hierarchy=hier, scheme=scheme)
         secret = rng.randrange(m0)
-        if scheme == "dhss":
-            result = dhss_deal(secret, params, rng.randrange(2**32))
-            unauthorized = lambda s: __import__("crthss").dhss_authorized_level(s, params) is None
-        else:
-            result = chss_deal(secret, params, rng.randrange(2**32))
-            from crthss import chss_is_authorized
-            unauthorized = lambda s: not chss_is_authorized(s, params)
+        result = deal(secret, params, rng.randrange(2**32))
+        # dhss: every level fails; chss: some level fails
+        unauthorized = (lambda failing: len(failing) == hier.m) if scheme == "dhss" else bool
         candidates = [
             set(c)
             for r in range(0, hier.n)
             for c in __import__("itertools").combinations(range(1, hier.n + 1), r)
-            if unauthorized(set(c))
+            if unauthorized(hier.failing_levels(c))
         ]
         members = rng.choice(candidates)
         view = adversary_view(result, members)
-        report = enumerate_posterior(view, scheme)
+        report = enumerate_posterior(view)
         counts = profile_counts(report, scheme)
-        scan = scan_posterior_counts(view, scheme, tuple_budget=10**6)
+        scan = scan_posterior_counts(view, tuple_budget=10**6)
         assert scan == counts
         assert report.histogram == Counter(scan.values())
         assert report.loss >= 0

@@ -11,6 +11,7 @@ import secrets
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +25,6 @@ from crthss import (
     CompactSequence,
     Hierarchy,
     SchemeParams,
-    dhss_deal,
     generate_compact_sequence,
 )
 from crthss.cli import MAX_M0_BITS, _write_text, main
@@ -119,7 +119,8 @@ def test_gen_params_validation_failures(tmp_path, capsys):
         "--scheme", "ab", "--seed", "1", "--out", str(tmp_path / "x.json"),
     ])
     assert code == 2
-    assert "flat parameters need a single level" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: flat dealing needs a single-level parameter set\n")
     assert not (tmp_path / "x.json").exists()
 
 
@@ -316,11 +317,11 @@ def test_deal_keeps_dealer_secrets_only_when_asked(tmp_path, micro_param_file,
     kept = []
 
     def spy(*args, **kwargs):
-        result = dhss_deal(*args, **kwargs)
+        result = crthss.deal(*args, **kwargs)
         kept.append(result.dealer_secrets is not None)
         return result
 
-    monkeypatch.setattr(cli, "dhss_deal", spy)
+    monkeypatch.setattr(cli, "deal", spy)
     for name, flags in (("plain", []), ("emit", ["--emit-dealer-secrets"])):
         assert main(["deal", "--params", str(micro_param_file), "--secret", "4",
                      "--seed", "1", "--out-dir", str(tmp_path / name), *flags]) == 0
@@ -344,8 +345,8 @@ def test_dealer_secrets_past_the_integer_digit_limit(tmp_path, capsys):
     assert main(["deal", "--params", str(params_path), "--secret", "5",
                  "--seed", "1", "--out-dir", str(out_dir),
                  "--emit-dealer-secrets"]) == 0
-    _, params = parse_param_file(read(params_path))
-    expected = dhss_deal(5, params, 1, keep_dealer_secrets=True).dealer_secrets
+    params = parse_param_file(read(params_path))
+    expected = crthss.deal(5, params, 1, keep_dealer_secrets=True).dealer_secrets
     values = read(out_dir / "dealer_secrets.json")["values"]
     assert values.keys() == expected.keys()
     for key, vals in expected.items():
@@ -1059,6 +1060,48 @@ def test_digest_mismatch(tmp_path, micro_param_file, micro_chss_param_file, caps
     assert code == 5
 
 
+@pytest.mark.parametrize("scheme, other", [("dhss", "chss"), ("chss", "ab"),
+                                           ("ab", "dhss")])
+def test_share_with_an_edited_scheme_label_exit_5(tmp_path, micro_params,
+                                                  flat_params, scheme, other, capsys):
+    # the digest still matches the bundle's; only the label says otherwise
+    params = flat_params if scheme == "ab" else micro_params
+    path = tmp_path / "params.json"
+    path.write_text(canonical_dumps(param_file_obj(scheme, params)))
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(path), "--secret", "4", "--seed", "1",
+                 "--out-dir", str(out_dir)]) == 0
+    shares = [out_dir / f"share_{i:03d}.json" for i in (1, 2, 3)]
+    argv = ["reconstruct", "--public", str(out_dir / "public_bundle.json"),
+            "--shares", *map(str, shares)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("4\n", "")
+    obj = read(shares[0])
+    obj["scheme"] = other
+    shares[0].write_text(canonical_dumps(obj))
+    assert main(argv) == 5
+    assert capsys.readouterr() == (
+        "", f"error: share {shares[0]} does not belong to this bundle's parameters\n")
+
+
+def test_bundle_scheme_differs_from_its_parameters_exit_2(tmp_path,
+                                                          micro_param_file, capsys):
+    out_dir = tmp_path / "deal"
+    assert main(["deal", "--params", str(micro_param_file), "--secret", "4",
+                 "--seed", "1", "--out-dir", str(out_dir)]) == 0
+    bundle = out_dir / "public_bundle.json"
+    obj = read(bundle)
+    obj["scheme"] = "chss"
+    bundle.write_text(canonical_dumps(obj))
+    capsys.readouterr()
+    assert main(["reconstruct", "--public", str(bundle), "--shares",
+                 *(str(out_dir / f"share_{i:03d}.json") for i in (1, 2, 3))]) == 2
+    assert capsys.readouterr() == (
+        "", "error: cannot read bundle: bundle file: scheme differs from "
+        "embedded parameters\n")
+
+
 def test_missing_public_value(tmp_path, micro_param_file, capsys):
     out_dir = tmp_path / "deal"
     main(["deal", "--params", str(micro_param_file), "--secret", "4",
@@ -1374,12 +1417,13 @@ def test_reconstruct_ab_worst_case_set_exit_2(tmp_path, capsys):
 def _write_deal(out_dir, scheme, result):
     """Share files and bundle of ``result`` under ``scheme``'s label and digest."""
     out_dir.mkdir()
-    digest = params_digest(scheme, result.public.params)
+    public = replace(result.public, params=replace(result.public.params, scheme=scheme))
+    digest = params_digest(public.params)
     for share in result.shares:
         (out_dir / f"share_{share.participant:03d}.json").write_text(
             share_file_text(scheme, share, digest))
     (out_dir / "public_bundle.json").write_text(
-        canonical_dumps(bundle_file_obj(scheme, result.public)))
+        canonical_dumps(bundle_file_obj(public)))
 
 
 def test_reconstruct_two_level_bundle_labelled_ab_exit_2(tmp_path, capsys):
@@ -1392,7 +1436,7 @@ def test_reconstruct_two_level_bundle_labelled_ab_exit_2(tmp_path, capsys):
     )
     for seed in range(20):
         out_dir = tmp_path / f"deal{seed}"
-        _write_deal(out_dir, "ab", crthss.dhss_deal(SECRET_61, params, seed))
+        _write_deal(out_dir, "ab", crthss.deal(SECRET_61, params, seed))
         code = main(["reconstruct", "--public", str(out_dir / "public_bundle.json"),
                      "--shares", str(out_dir / "share_001.json"),
                      str(out_dir / "share_002.json")])
@@ -1403,14 +1447,14 @@ def test_reconstruct_two_level_bundle_labelled_ab_exit_2(tmp_path, capsys):
 
 
 def test_reconstruct_ab_gates_shares_once(tmp_path, monkeypatch, capsys):
-    # the CLI hands the parsed shares to ab_reconstruct, whose recovery core
-    # runs the share gate; it used to gate them itself first
+    # the CLI hands the parsed shares to reconstruct, which runs the share
+    # gate; it used to gate them itself first
     params = SchemeParams(
         sequence=CompactSequence(m0=M0_61, moduli=MODULI_61[:5]),
         hierarchy=Hierarchy((5,), (3,)),
     )
     out_dir = tmp_path / "deal"
-    _write_deal(out_dir, "ab", crthss.dhss_deal(SECRET_61, params, 5))
+    _write_deal(out_dir, "ab", crthss.deal(SECRET_61, params, 5))
     calls = []
 
     def counted(shares, params):
@@ -2037,13 +2081,13 @@ def test_no_option_leaks_into_the_next_call(tmp_path, micro_param_file, monkeypa
     assert not (tmp_path / "b" / "dealer_secrets.json").exists()
 
     dealt = []
-    real_deal = cli.dhss_deal
+    real_deal = cli.deal
 
     def recording_deal(secret, *rest):
         dealt.append(secret)
         return real_deal(secret, *rest)
 
-    monkeypatch.setattr(cli, "dhss_deal", recording_deal)
+    monkeypatch.setattr(cli, "deal", recording_deal)
     audit = ["audit", "--params", str(micro_param_file), "--adversary", "2",
              "--seed", "3"]
     drawn = random.Random(3).randrange(7)
@@ -2077,7 +2121,7 @@ def test_command_patched_after_import_is_the_one_run(monkeypatch, capsys):
     from crthss import cli
 
     seen = []
-    monkeypatch.setattr(cli, "cmd_audit", lambda args: seen.append(args) or 42)
+    monkeypatch.setattr(cli, "audit_command", lambda args: seen.append(args) or 42)
     assert main(["audit", "--params", "p.json", "--adversary", "2,3"]) == 42
     assert seen[0].adversary == (2, 3)
 

@@ -15,13 +15,14 @@ import contextlib
 import io
 import json
 import tempfile
+from dataclasses import replace
 from math import gcd, prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crthss import CompactSequence, Hierarchy, SchemeParams, chss_deal, dhss_deal
+from crthss import CompactSequence, Hierarchy, SchemeParams, deal
 from crthss.cli import main
 from crthss.fileformat import (
     bundle_file_obj,
@@ -45,27 +46,27 @@ def _coprime_run(n):
 
 SEQUENCE = CompactSequence(m0=M0, moduli=_coprime_run(5))
 TIERED = SchemeParams(SEQUENCE, Hierarchy((2, 3), (2, 3)))
-FLAT = SchemeParams(SEQUENCE, Hierarchy((5,), (3,)))
+FLAT = SchemeParams(SEQUENCE, Hierarchy((5,), (3,)), scheme="ab")
 SECRET = 12345678901234567890
 # reconstruct's exit codes: ok, validation, not authorized, digest
 # mismatch, missing published value
 EXIT_CODES = {0, 2, 4, 5, 6}
 
 
-def _files(scheme, params, deal):
-    digest = params_digest(scheme, params)
+def _files(params):
+    digest = params_digest(params)
     result = deal(SECRET, params, 5)
     return {
-        "bundle": bundle_file_obj(scheme, result.public),
-        "shares": [json.loads(share_file_text(scheme, s, digest))
+        "bundle": bundle_file_obj(result.public),
+        "shares": [json.loads(share_file_text(params.scheme, s, digest))
                    for s in result.shares],
     }
 
 
 DEALT = {
-    "dhss": _files("dhss", TIERED, dhss_deal),
-    "chss": _files("chss", TIERED, chss_deal),
-    "ab": _files("ab", FLAT, dhss_deal),
+    "dhss": _files(TIERED),
+    "chss": _files(replace(TIERED, scheme="chss")),
+    "ab": _files(FLAT),
 }
 SECRET_VALUES = {
     e["value"]

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+from dataclasses import replace
 from enum import IntEnum
 from fractions import Fraction
 
@@ -16,12 +17,11 @@ from crthss import (
     CompactSequence,
     OwfFamily,
     Share,
-    dhss_deal,
+    deal,
     generate_compact_sequence,
 )
 from crthss.cli import _audit_one
 from crthss.fileformat import (
-    SCHEMES,
     audit_report_text,
     bundle_file_obj,
     canonical_dumps,
@@ -33,7 +33,7 @@ from crthss.fileformat import (
     parse_share_file,
     share_file_text,
 )
-from crthss.params import Hierarchy, SchemeParams
+from crthss.params import SCHEMES, Hierarchy, SchemeParams
 
 
 def random_params(rng):
@@ -60,10 +60,10 @@ def random_params(rng):
 def test_param_round_trip(micro_params):
     obj = param_file_obj("dhss", micro_params)
     text = canonical_dumps(obj)
-    scheme, parsed = parse_param_file(json.loads(text))
-    assert scheme == "dhss"
+    parsed = parse_param_file(json.loads(text))
+    assert parsed.scheme == "dhss"
     assert parsed == micro_params
-    assert canonical_dumps(param_file_obj(scheme, parsed)) == text
+    assert canonical_dumps(param_file_obj(parsed.scheme, parsed)) == text
 
 
 def test_param_round_trip_many():
@@ -75,39 +75,38 @@ def test_param_round_trip_many():
             continue
         scheme = rng.choice(["dhss", "chss", "ab"])
         text = canonical_dumps(param_file_obj(scheme, params))
-        back_scheme, back = parse_param_file(json.loads(text))
-        assert (back_scheme, back) == (scheme, params)
-        assert canonical_dumps(param_file_obj(back_scheme, back)) == text
+        back = parse_param_file(json.loads(text))
+        assert back == replace(params, scheme=scheme)
+        assert canonical_dumps(param_file_obj(back.scheme, back)) == text
         done += 1
 
 
 def test_share_and_bundle_round_trip(micro_params):
-    result = dhss_deal(4, micro_params, DHSS_SEED)
-    digest = params_digest("dhss", micro_params)
+    result = deal(4, micro_params, DHSS_SEED)
+    digest = params_digest(micro_params)
     for share in result.shares:
         text = share_file_text("dhss", share, digest)
         scheme, back, back_digest = parse_share_file(json.loads(text))
         assert (scheme, back, back_digest) == ("dhss", share, digest)
         assert share_file_text(scheme, back, back_digest) == text
 
-    bundle_text = canonical_dumps(bundle_file_obj("dhss", result.public))
-    scheme, bundle = parse_bundle_file(json.loads(bundle_text))
-    assert scheme == "dhss"
+    bundle_text = canonical_dumps(bundle_file_obj(result.public))
+    bundle = parse_bundle_file(json.loads(bundle_text))
     assert bundle.params == micro_params
     assert dict(bundle.w) == dict(result.public.w)
-    assert canonical_dumps(bundle_file_obj(scheme, bundle)) == bundle_text
+    assert canonical_dumps(bundle_file_obj(bundle)) == bundle_text
 
 
 def test_digest_binds_parameters(micro_params):
-    digest = params_digest("dhss", micro_params)
-    assert digest == params_digest("dhss", micro_params)
-    assert digest != params_digest("chss", micro_params)
+    digest = params_digest(micro_params)
+    assert digest == params_digest(micro_params)
+    assert digest != params_digest(replace(micro_params, scheme="chss"))
     other = SchemeParams(
         sequence=micro_params.sequence,
         hierarchy=Hierarchy((3,), (2,)),
         owf=micro_params.owf,
     )
-    assert digest != params_digest("dhss", other)
+    assert digest != params_digest(other)
 
 
 def test_integers_travel_as_strings(micro_params):
@@ -115,11 +114,11 @@ def test_integers_travel_as_strings(micro_params):
     assert obj["sequence"]["m0"] == "7"
     assert obj["sequence"]["moduli"] == ["11", "13", "17"]
     assert obj["sequence"]["theta"] == "1/2"
-    result = dhss_deal(4, micro_params, DHSS_SEED)
+    result = deal(4, micro_params, DHSS_SEED)
     share_obj = json.loads(share_file_text("dhss", result.shares[0], "x"))
     assert isinstance(share_obj["value"], str)
     assert isinstance(share_obj["modulus"], str)
-    bundle_obj = bundle_file_obj("dhss", result.public)
+    bundle_obj = bundle_file_obj(result.public)
     assert all(isinstance(e["value"], str) for e in bundle_obj["w"])
 
 
@@ -135,7 +134,7 @@ def test_parse_rejects_malformed(micro_params):
         parse_param_file({**good, "version": 99})
     with pytest.raises(ValueError):
         parse_param_file({**good, "scheme": "nope"})
-    bundle = bundle_file_obj("dhss", dhss_deal(4, micro_params, DHSS_SEED).public)
+    bundle = bundle_file_obj(deal(4, micro_params, DHSS_SEED).public)
     doubled = json.loads(canonical_dumps(bundle))
     doubled["w"].append(doubled["w"][0])
     with pytest.raises(ValueError):
@@ -147,7 +146,7 @@ def test_only_hash_based_has_a_file_form(micro_params):
     link a participant's levels, is not read back, neither as a parameter
     file nor inside a bundle: the audit is exact only for a one-way h."""
     good = param_file_obj("dhss", micro_params)
-    bundle = bundle_file_obj("dhss", dhss_deal(4, micro_params, DHSS_SEED).public)
+    bundle = bundle_file_obj(deal(4, micro_params, DHSS_SEED).public)
     affine = {"kind": "test_affine", "family_tag": ""}
     for owf, message in (
         (affine, "owf: kind is not hash_based"),
@@ -236,7 +235,7 @@ def real_size_deal():
     sequence = generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 4)
     params = SchemeParams(sequence=sequence,
                           hierarchy=Hierarchy((10, 40, 150), (5, 20, 60)))
-    return params, dhss_deal(3**161 % m0, params, 21)
+    return params, deal(3**161 % m0, params, 21)
 
 
 def _share_obj(scheme, share, digest):
@@ -257,13 +256,13 @@ def test_canonical_dumps_of_real_size_files_matches_json_dumps(real_size_deal, w
     # a share file comes from share_file_text, every other from canonical_dumps
     params, result = real_size_deal
     if which == "share":
-        share, digest = result.shares[-1], params_digest("dhss", params)
+        share, digest = result.shares[-1], params_digest(params)
         obj = _share_obj("dhss", share, digest)
         text = share_file_text("dhss", share, digest)
     else:
         obj = {
             "params": lambda: param_file_obj("dhss", params),
-            "bundle": lambda: bundle_file_obj("dhss", result.public),
+            "bundle": lambda: bundle_file_obj(result.public),
         }[which]()
         text = canonical_dumps(obj)
     assert text == json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -337,11 +336,12 @@ def test_param_file_text_matches_canonical_dumps(n, tag, k, theta, m0):
     params = SchemeParams(sequence=sequence, hierarchy=Hierarchy(sizes, thresholds),
                           owf=OwfFamily(family_tag=tag))
     for scheme in SCHEMES:
+        labelled = replace(params, scheme=scheme)
         obj = param_file_obj(scheme, params)
-        text = param_file_text(scheme, params)
+        text = param_file_text(labelled)
         assert text == canonical_dumps(obj) == _stdlib(obj)
-        assert params_digest(scheme, params) == hashlib.sha256(text.encode()).hexdigest()
-        assert parse_param_file(json.loads(text)) == (scheme, params)
+        assert params_digest(labelled) == hashlib.sha256(text.encode()).hexdigest()
+        assert parse_param_file(json.loads(text)) == labelled
 
 
 def test_param_file_text_of_empty_lists():
@@ -349,12 +349,12 @@ def test_param_file_text_of_empty_lists():
     params = SchemeParams(sequence=CompactSequence(m0=7, moduli=()),
                           hierarchy=Hierarchy((), ()))
     obj = param_file_obj("dhss", params)
-    assert param_file_text("dhss", params) == canonical_dumps(obj) == _stdlib(obj)
+    assert param_file_text(params) == canonical_dumps(obj) == _stdlib(obj)
 
 
 def test_param_file_text_refuses_an_unknown_scheme(micro_params):
     with pytest.raises(ValueError, match="^unknown scheme 'x'$"):
-        param_file_text("x", micro_params)
+        param_file_text(replace(micro_params, scheme="x"))
 
 
 def _reports(micro_params, flat_params):
@@ -362,9 +362,9 @@ def _reports(micro_params, flat_params):
     chss (level 1 not worst case: a null ratio and value, and a null
     decomposition_ok) and ab."""
     return {
-        "dhss": _audit_one("dhss", micro_params, (2,), 4, 1, 10**7),
-        "chss": _audit_one("chss", micro_params, (1,), 4, 1, 10**7),
-        "ab": _audit_one("ab", flat_params, (1,), 4, 1, 10**7),
+        "dhss": _audit_one(micro_params, (2,), 4, 1, 10**7),
+        "chss": _audit_one(replace(micro_params, scheme="chss"), (1,), 4, 1, 10**7),
+        "ab": _audit_one(flat_params, (1,), 4, 1, 10**7),
     }
 
 
@@ -404,7 +404,7 @@ def test_audit_report_text_matches_json_dumps_on_any_value(
     # an empty adversary list: the stdlib is the oracle
     micro = SchemeParams(CompactSequence(m0=7, moduli=(11, 13, 17)),
                          Hierarchy((1, 2), (1, 2)))
-    report = _audit_one("dhss", micro, (2,), 4, 1, 10**7)
+    report = _audit_one(micro, (2,), 4, 1, 10**7)
     keys = ("conditional_entropy_bits", "epsilon_tolerance", "loss_bits", "rho",
             "secret_entropy_bits")
     report.update(zip(keys, floats), adversary=adversary, decomposition_ok=ok,

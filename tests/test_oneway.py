@@ -6,7 +6,7 @@ from math import log2
 
 import pytest
 
-from crthss import OwfFamily, adversary_view, dhss_deal, enumerate_posterior, eval_owf
+from crthss import OwfFamily, adversary_view, deal, enumerate_posterior, eval_owf
 from crthss.errors import LevelOutOfRange
 
 # Frozen outputs of the SHA-256 expansion construction, generated once from an
@@ -32,11 +32,11 @@ def test_affine_masks_link_levels_the_audit_does_not_model(micro_params, affine_
     pinned, losses = 0, []
     for seed in range(100):
         for secret in range(7):
-            deal = dhss_deal(secret, micro_params, seed)
-            view = adversary_view(deal, {2})
-            losses.append(enumerate_posterior(view, "dhss").loss)
+            dealt = deal(secret, micro_params, seed)
+            view = adversary_view(dealt, {2})
+            losses.append(enumerate_posterior(view).loss)
             (share,) = view.shares
-            link = (deal.public.w[1, 1] - deal.public.w[1, 2] - 1) % 11
+            link = (dealt.public.w[1, 1] - dealt.public.w[1, 2] - 1) % 11
             # y_1 < 11 and y_2 < 11 * 13, y_2 = share (mod 13), y_1 = y_2
             # (mod 7), and the link
             left = {y1 % 7 for y1 in range(11)

@@ -19,6 +19,7 @@ naive convolution there checks the conjunctive fold and the 2-level window
 sweep at m0 in the thousands.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -32,12 +33,9 @@ from crthss import (
     Hierarchy,
     SchemeParams,
     adversary_view,
-    chss_deal,
-    chss_is_authorized,
     count_grouping,
     crt_solve,
-    dhss_authorized_level,
-    dhss_deal,
+    deal,
     enumerate_posterior,
     generate_compact_sequence,
     is_prime,
@@ -146,16 +144,16 @@ def unauthorized_sets(params, scheme):
     n = params.hierarchy.n
     for size in range(n):
         for members in itertools.combinations(range(1, n + 1), size):
-            if scheme == "dhss":
-                if dhss_authorized_level(set(members), params) is None:
-                    yield set(members)
-            elif not chss_is_authorized(set(members), params):
+            failing = params.hierarchy.failing_levels(members)
+            # chss: some level fails; dhss: every level fails
+            if (bool(failing) if scheme == "chss"
+                    else len(failing) == params.hierarchy.m):
                 yield set(members)
 
 
 def check_against_reference(view, scheme):
     m0 = view.public.params.sequence.m0
-    report = enumerate_posterior(view, scheme)
+    report = enumerate_posterior(view)
     expected = reference_counts(view, scheme)
     assert profile_counts(report, scheme) == expected
     assert report.histogram == Counter(expected.values())
@@ -179,8 +177,7 @@ def test_profile_counts_match_reference():
         scheme = ("dhss", "chss")[i % 2]
         # small m0 makes rho = 0 (m0 divides K) likely enough to be hit
         m0 = rng.choice(primes[scheme][:3] if i % 4 < 2 else primes[scheme][-40:])
-        params = random_instance(rng, m0)
-        deal = dhss_deal if scheme == "dhss" else chss_deal
+        params = dataclasses.replace(random_instance(rng, m0), scheme=scheme)
         result = deal(rng.randrange(m0), params, rng.randrange(2**32))
         members = rng.choice(list(unauthorized_sets(params, scheme)))
         for adversary in (members, set()):
@@ -226,7 +223,7 @@ def test_pattern_histogram_matches_minority_walk():
         hier = Hierarchy(*shape)
         seq = generate_compact_sequence(m0, hier.n, 1, theta, rng.randrange(2**32))
         params = SchemeParams(sequence=seq, hierarchy=hier)
-        result = dhss_deal(rng.randrange(m0), params, rng.randrange(2**32))
+        result = deal(rng.randrange(m0), params, rng.randrange(2**32))
         partial = rng.choice([s for s in unauthorized_sets(params, "dhss") if s])
         adversaries = {
             "empty": set(), "partial": partial,
@@ -234,7 +231,7 @@ def test_pattern_histogram_matches_minority_walk():
         }
         for kind, adversary in adversaries.items():
             view = adversary_view(result, adversary)
-            report = enumerate_posterior(view, "dhss", work_budget=2**64)
+            report = enumerate_posterior(view, work_budget=2**64)
             histogram = sparse_disjunctive_counts(report.levels, m0)
             expected = _entropy_report(histogram, report.levels)
             assert report.histogram == histogram
@@ -255,11 +252,11 @@ def test_sparse_disjunctive_counts_match_dense():
         hier = Hierarchy(*rng.choice(SHAPES))
         seq = generate_compact_sequence(m0, hier.n, 1, theta, rng.randrange(2**32))
         params = SchemeParams(sequence=seq, hierarchy=hier)
-        result = dhss_deal(rng.randrange(m0), params, rng.randrange(2**32))
+        result = deal(rng.randrange(m0), params, rng.randrange(2**32))
         members = rng.choice(list(unauthorized_sets(params, "dhss")))
         for adversary in (members, worst_case_unauthorized(params), set()):
             view = adversary_view(result, adversary)
-            report = enumerate_posterior(view, "dhss")
+            report = enumerate_posterior(view)
             dense = profile_counts(report, "dhss")
             histogram = Counter(dense.values())
             expected = _entropy_report(histogram, report.levels)
@@ -285,14 +282,14 @@ def test_chss_histogram_matches_naive_convolution():
     for shape, m0 in cases:
         hier = Hierarchy(*shape)
         seq = generate_compact_sequence(m0, hier.n, 1, Fraction(1, 2), rng.randrange(2**32))
-        params = SchemeParams(sequence=seq, hierarchy=hier)
-        result = chss_deal(rng.randrange(m0), params, rng.randrange(2**32))
+        params = SchemeParams(sequence=seq, hierarchy=hier, scheme="chss")
+        result = deal(rng.randrange(m0), params, rng.randrange(2**32))
         worst = worst_case_unauthorized(params)
         partial = rng.choice([s for s in unauthorized_sets(params, "chss")
                               if s and s != worst])
         for kind, adversary in (("empty", set()), ("partial", partial),
                                 ("worst", worst)):
-            report = enumerate_posterior(adversary_view(result, adversary), "chss")
+            report = enumerate_posterior(adversary_view(result, adversary))
             counts = profile_counts(report, "chss")
             assert report.histogram == Counter(counts.values())
             assert report.total == sum(counts.values())
@@ -307,12 +304,12 @@ def test_chss_histogram_matches_naive_convolution():
     cases = set()
     for i in range(24):
         m0 = rng.choice(primes[:4] if i % 2 else primes[-40:])
-        params = random_instance(rng, m0, two_level)
-        result = chss_deal(rng.randrange(m0), params, rng.randrange(2**32))
+        params = dataclasses.replace(random_instance(rng, m0, two_level), scheme="chss")
+        result = deal(rng.randrange(m0), params, rng.randrange(2**32))
         members = rng.choice(list(unauthorized_sets(params, "chss")))
         for adversary in (members, set()):
             view = adversary_view(result, adversary)
-            report = enumerate_posterior(view, "chss")
+            report = enumerate_posterior(view)
             counts = profile_counts(report, "chss")
             # equal as dicts: no value is kept with zero secrets
             assert dict(report.histogram) == dict(Counter(counts.values()))
@@ -358,10 +355,10 @@ def test_sparse_dhss_audit_memory_at_24_bits():
     hier = Hierarchy((1, 2), (1, 2))
     seq = generate_compact_sequence(m0, hier.n, 1, Fraction(1, 2), 7)
     params = SchemeParams(sequence=seq, hierarchy=hier)
-    view = adversary_view(dhss_deal(m0 // 3, params, 11), worst_case_unauthorized(params))
+    view = adversary_view(deal(m0 // 3, params, 11), worst_case_unauthorized(params))
     tracemalloc.start()
     try:
-        report = enumerate_posterior(view, "dhss", work_budget=10**8)
+        report = enumerate_posterior(view, work_budget=10**8)
         count_grouping(report)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -380,10 +377,10 @@ def test_three_level_dhss_walk_memory_at_22_bits():
     hier = Hierarchy((10, 40, 150), (5, 20, 60))
     seq = generate_compact_sequence(m0, hier.n, 1, Fraction(1, 2), 7)
     params = SchemeParams(sequence=seq, hierarchy=hier)
-    view = adversary_view(dhss_deal(m0 // 3, params, 3), {2})
+    view = adversary_view(deal(m0 // 3, params, 3), {2})
     tracemalloc.start()
     try:
-        report = enumerate_posterior(view, "dhss")
+        report = enumerate_posterior(view)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -403,11 +400,11 @@ def test_chss_audit_memory_at_m0_100003():
     m0 = 100_003
     hier = Hierarchy((1, 2), (1, 2))
     seq = generate_compact_sequence(m0, hier.n, 1, Fraction(1, 2), 7)
-    params = SchemeParams(sequence=seq, hierarchy=hier)
-    view = adversary_view(chss_deal(m0 // 3, params, 11), {2})
+    params = SchemeParams(sequence=seq, hierarchy=hier, scheme="chss")
+    view = adversary_view(deal(m0 // 3, params, 11), {2})
     tracemalloc.start()
     try:
-        report = enumerate_posterior(view, "chss")
+        report = enumerate_posterior(view)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -424,11 +421,11 @@ def test_two_level_chss_audit_memory_at_m0_4999999():
     m0 = 4_999_999
     hier = Hierarchy((1, 2), (1, 2))
     seq = generate_compact_sequence(m0, hier.n, 1, Fraction(1, 2), 5)
-    params = SchemeParams(sequence=seq, hierarchy=hier)
-    view = adversary_view(chss_deal(m0 // 3, params, 6), {2})
+    params = SchemeParams(sequence=seq, hierarchy=hier, scheme="chss")
+    view = adversary_view(deal(m0 // 3, params, 6), {2})
     tracemalloc.start()
     try:
-        report = enumerate_posterior(view, "chss")
+        report = enumerate_posterior(view)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -444,16 +441,18 @@ def test_one_level_chss_audit_reads_the_split_at_m0_9999991():
     m0 = 9_999_991
     hier = Hierarchy((3,), (2,))
     seq = generate_compact_sequence(m0, hier.n, 1, Fraction(1, 2), 5)
-    params = SchemeParams(sequence=seq, hierarchy=hier)
-    view = adversary_view(chss_deal(m0 // 3, params, 6), {1})
+    params = SchemeParams(sequence=seq, hierarchy=hier, scheme="chss")
+    view = adversary_view(deal(m0 // 3, params, 6), {1})
     tracemalloc.start()
     try:
-        report = enumerate_posterior(view, "chss")
+        report = enumerate_posterior(view)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    dhss = enumerate_posterior(view, "dhss")
+    disjunctive = dataclasses.replace(view, public=dataclasses.replace(
+        view.public, params=dataclasses.replace(params, scheme="dhss")))
+    dhss = enumerate_posterior(disjunctive)
     assert report.histogram == dhss.histogram
     assert (report.total, report.loss) == (dhss.total, dhss.loss)
     assert sum(report.histogram.values()) == m0

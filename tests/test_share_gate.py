@@ -20,33 +20,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SEQ_61
-from crthss import (
-    Hierarchy,
-    SchemeParams,
-    ab_reconstruct,
-    chss_deal,
-    chss_is_authorized,
-    chss_reconstruct,
-    dhss_authorized_level,
-    dhss_deal,
-    dhss_reconstruct,
-)
+from crthss import Hierarchy, SchemeParams, deal, reconstruct
 from crthss.cli import main
 from crthss.errors import InconsistentShares, NotAuthorized
 from crthss.fileformat import canonical_dumps, param_file_obj
 
 SECRET = 1234567890123456789
 TIERED = SchemeParams(SEQ_61, Hierarchy((2, 3), (2, 3)))
-FLAT = SchemeParams(SEQ_61, Hierarchy((5,), (3,)))
+FLAT = SchemeParams(SEQ_61, Hierarchy((5,), (3,)), scheme="ab")
 
-# scheme -> (deal, reconstruct entry point, authorization predicate)
+# scheme -> (deal, authorization predicate)
 SCHEMES = {
-    "dhss": (dhss_deal(SECRET, TIERED, 5), dhss_reconstruct,
-             lambda members: dhss_authorized_level(members, TIERED) is not None),
-    "chss": (chss_deal(SECRET, TIERED, 5), chss_reconstruct,
-             lambda members: chss_is_authorized(members, TIERED)),
-    "ab": (dhss_deal(SECRET, FLAT, 5), ab_reconstruct,
-           lambda members: len(members) >= 3),
+    "dhss": (deal(SECRET, TIERED, 5),
+             lambda members: len(TIERED.hierarchy.failing_levels(members)) < 2),
+    "chss": (deal(SECRET, replace(TIERED, scheme="chss"), 5),
+             lambda members: not TIERED.hierarchy.failing_levels(members)),
+    "ab": (deal(SECRET, FLAT, 5), lambda members: len(members) >= 3),
 }
 N = SEQ_61.n
 
@@ -80,9 +69,9 @@ def corruptions(draw, share):
 @given(data=st.data())
 def test_gate_runs_before_authorization(data):
     scheme = data.draw(st.sampled_from(sorted(SCHEMES)), label="scheme")
-    deal, reconstruct, authorized = SCHEMES[scheme]
+    dealt, authorized = SCHEMES[scheme]
     subset = data.draw(
-        st.lists(st.sampled_from(deal.shares), min_size=1, unique=True),
+        st.lists(st.sampled_from(dealt.shares), min_size=1, unique=True),
         label="subset",
     )
     members = {s.participant for s in subset}
@@ -91,12 +80,12 @@ def test_gate_runs_before_authorization(data):
         bad = data.draw(corruptions(subset[position]), label="corruption")
         supplied = subset[:position] + bad + subset[position + 1:]
         with pytest.raises((ValueError, InconsistentShares)):
-            reconstruct(supplied, deal.public)
+            reconstruct(supplied, dealt.public)
     elif authorized(members):
-        assert reconstruct(subset, deal.public) == SECRET
+        assert reconstruct(subset, dealt.public) == SECRET
     else:
         with pytest.raises(NotAuthorized):
-            reconstruct(subset, deal.public)
+            reconstruct(subset, dealt.public)
 
 
 # participant 2's share, changed by each function, and what the gate says;
@@ -132,11 +121,11 @@ GATE_REFUSALS = [
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 @pytest.mark.parametrize("corrupt, error, message", GATE_REFUSALS)
 def test_gate_refusal_message_is_pinned(scheme, corrupt, error, message):
-    deal, reconstruct, _ = SCHEMES[scheme]
-    shares = list(deal.shares)
+    dealt, _ = SCHEMES[scheme]
+    shares = list(dealt.shares)
     supplied = shares[:1] + corrupt(shares[1]) + shares[2:]
     with pytest.raises(error) as exc:
-        reconstruct(supplied, deal.public)
+        reconstruct(supplied, dealt.public)
     assert type(exc.value) is error
     assert str(exc.value) == message
 
@@ -144,12 +133,13 @@ def test_gate_refusal_message_is_pinned(scheme, corrupt, error, message):
 def test_gate_range_messages_of_unvalidated_parameters():
     # a bundle's parameters are not validated again: with more moduli than
     # participants, or fewer, the shorter of the two sets the range named
-    deal = SCHEMES["ab"][0]
+    dealt = SCHEMES["ab"][0]
     for moduli, sizes in ((SEQ_61.moduli, (4,)), (SEQ_61.moduli[:4], (5,))):
-        params = SchemeParams(replace(SEQ_61, moduli=moduli), Hierarchy(sizes, (3,)))
-        public = replace(deal.public, params=params)
+        params = SchemeParams(replace(SEQ_61, moduli=moduli), Hierarchy(sizes, (3,)),
+                              scheme="ab")
+        public = replace(dealt.public, params=params)
         with pytest.raises(ValueError) as exc:
-            ab_reconstruct(list(deal.shares), public)
+            reconstruct(list(dealt.shares), public)
         assert str(exc.value) == "participant 5 not in [1, 4]"
 
 

@@ -23,13 +23,10 @@ from crthss import (
     PublicBundle,
     SchemeParams,
     Share,
-    ab_reconstruct,
-    chss_deal,
-    chss_reconstruct,
     crt_solve,
-    dhss_deal,
-    dhss_reconstruct,
+    deal,
     generate_compact_sequence,
+    reconstruct,
 )
 from crthss.dhss import lift_share
 from crthss.errors import InconsistentShares
@@ -42,20 +39,15 @@ SHAPES = {
     "3-level": ((10, 40, 150), (5, 20, 60), ("dhss", "chss")),
     "flat": ((200,), (100,), ("ab",)),
 }
-SCHEMES = {  # scheme -> (deal, reconstruct, every level solved)
-    "dhss": (dhss_deal, dhss_reconstruct, False),
-    "chss": (chss_deal, chss_reconstruct, True),
-    "ab": (dhss_deal, ab_reconstruct, False),
-}
 CASES = [(shape, scheme) for shape, (_, _, schemes) in SHAPES.items()
          for scheme in schemes]
 
 
-def params_of(shape):
+def params_of(shape, scheme):
     sizes, thresholds, _ = SHAPES[shape]
     hierarchy = Hierarchy(sizes, thresholds)
     sequence = generate_compact_sequence(M0, hierarchy.n, 1, Fraction(1, 2), 3)
-    return SchemeParams(sequence=sequence, hierarchy=hierarchy)
+    return SchemeParams(sequence=sequence, hierarchy=hierarchy, scheme=scheme)
 
 
 def oracle(shares, public, conjunctive):
@@ -77,7 +69,7 @@ def oracle(shares, public, conjunctive):
     return total % seq.m0
 
 
-def outcome(reconstruct, shares, public):
+def outcome(shares, public):
     try:
         return reconstruct(shares, public)
     except InconsistentShares as exc:
@@ -101,17 +93,17 @@ def share_sets(shares, scheme, params):
 
 @pytest.mark.parametrize("shape, scheme", CASES)
 def test_single_share_corruptions_match_the_full_solve(shape, scheme):
-    params = params_of(shape)
-    deal, reconstruct, conjunctive = SCHEMES[scheme]
+    params = params_of(shape, scheme)
+    conjunctive = scheme == "chss"
     result = deal(123456789, params, 7)
     verdicts = []
     for shares in share_sets(result.shares, scheme, params):
-        assert outcome(reconstruct, shares, result.public) == 123456789
+        assert outcome(shares, result.public) == 123456789
         for position, share in enumerate(shares):
             bad = list(shares)
             bad[position] = replace(share, value=(share.value + 1) % share.modulus)
             expected = oracle(bad, result.public, conjunctive)
-            assert outcome(reconstruct, bad, result.public) == expected
+            assert outcome(bad, result.public) == expected
             verdicts.append(expected is None)
     # a dhss level that holds exactly t_l shares cannot see a corrupt one;
     # every other set here has a surplus share in each solved level
@@ -120,8 +112,8 @@ def test_single_share_corruptions_match_the_full_solve(shape, scheme):
 
 @pytest.mark.parametrize("shape, scheme", CASES)
 def test_shares_mixed_from_two_deals_match_the_full_solve(shape, scheme):
-    params = params_of(shape)
-    deal, reconstruct, conjunctive = SCHEMES[scheme]
+    params = params_of(shape, scheme)
+    conjunctive = scheme == "chss"
     first, second = deal(123456789, params, 1), deal(987654321, params, 2)
     hier = params.hierarchy
     # participants from the split point on hold the second deal's shares
@@ -138,7 +130,7 @@ def test_shares_mixed_from_two_deals_match_the_full_solve(shape, scheme):
             mixed = [y if mask[x.participant - 1] else x for x, y in zip(a, b)]
             for public in (first.public, second.public):
                 expected = oracle(mixed, public, conjunctive)
-                assert outcome(reconstruct, mixed, public) == expected
+                assert outcome(mixed, public) == expected
                 verdicts.append(expected is None)
     assert True in verdicts
 
@@ -147,8 +139,8 @@ def test_a_lift_at_the_bound_is_refused_without_surplus():
     # t flat shares, but not the first t: their moduli multiply past the
     # dealer bound, so a lift at or above the bound solves them consistently
     # and only the bound refuses it
-    params = params_of("flat")
-    public = dhss_deal(1, params, 7).public
+    params = params_of("flat", "ab")
+    public = deal(1, params, 7).public
     seq, t = params.sequence, params.hierarchy.thresholds[0]
     bound = seq.prefix_product(t)
     moduli = seq.moduli[1:t + 1]
@@ -156,7 +148,7 @@ def test_a_lift_at_the_bound_is_refused_without_surplus():
         shares = [Share(i, 1, m, y % m) for i, m in enumerate(moduli, start=2)]
         expected = None if y >= bound else y % seq.m0
         assert oracle(shares, public, False) == expected
-        assert outcome(ab_reconstruct, shares, public) == expected
+        assert outcome(shares, public) == expected
 
 
 @pytest.mark.parametrize("moduli", [(1, 11, 13), (11, 13, 1)],
@@ -165,8 +157,8 @@ def test_a_bundle_modulus_of_1_is_refused(moduli):
     # a bundle's parameters are not validated again, so a modulus of 1 can
     # reach recovery; its share is refused whether solved or checked by residue
     params = SchemeParams(CompactSequence(m0=7, moduli=moduli),
-                          Hierarchy((3,), (2,)))
+                          Hierarchy((3,), (2,)), scheme="ab")
     public = PublicBundle(params=params, w={})
     shares = [Share(i, 1, m, 38 % m) for i, m in enumerate(moduli, start=1)]
     with pytest.raises(ValueError, match=r"^modulus must be >= 2, got 1$"):
-        ab_reconstruct(shares, public)
+        reconstruct(shares, public)

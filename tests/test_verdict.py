@@ -3,7 +3,10 @@
 The deal check (BPSW of m0 and one gcd per product-tree node) is the
 ``violations`` property, worked out once per object: a CLI deal or audit
 loads a fresh object and pays it once, a reconstruct never, and a library
-caller dealing many secrets from one object once. A sequence
+caller dealing many secrets from one object once. The scheme is a field of
+the object, so dealing another scheme means another object, with its own
+verdict; a flat ("ab") object with more than one level gets the one
+refusal line and no other check. A sequence
 ``generate_compact_sequence`` returns is marked ``generated`` and skips the
 structure check, so a ladder rung tests its m0 once, when the sequence is
 generated; any other sequence, a ``dataclasses.replace`` of a generated one
@@ -19,8 +22,7 @@ from crthss import (
     CompactSequence,
     Hierarchy,
     SchemeParams,
-    chss_deal,
-    dhss_deal,
+    deal,
     generate_compact_sequence,
 )
 from crthss import params as params_module
@@ -50,36 +52,69 @@ def _write(tmp_path, scheme, params):
 
 
 def test_invalid_params_keep_their_message_on_every_deal(checks):
-    # composite m0 and three moduli for four participants: both deal entry
-    # points refuse the one object with the same message, from one check
+    # composite m0 and three moduli for four participants: one object per
+    # scheme refuses every deal with the same message, from one check each
     bad = SchemeParams(CompactSequence(m0=10, moduli=(11, 13, 17)),
                        Hierarchy((1, 3), (1, 2)))
     message = "sequence: m0 = 10 is not prime; 3 moduli for 4 participants"
-    for deal in (dhss_deal, chss_deal, dhss_deal):
-        with pytest.raises(InvalidParams) as info:
-            deal(3, bad, 1)
-        assert str(info.value) == message
-    assert checks == [10]
+    for params in (bad, replace(bad, scheme="chss")):
+        for seed in (1, 2):
+            with pytest.raises(InvalidParams) as info:
+                deal(3, params, seed)
+            assert str(info.value) == message
+    assert checks == [10, 10]
 
 
 def test_replaced_params_get_their_own_verdict(micro_params, checks):
-    dhss_deal(3, micro_params, 1)
+    deal(3, micro_params, 1)
     broken = replace(micro_params, sequence=CompactSequence(m0=7, moduli=(11, 11, 17)))
     with pytest.raises(InvalidParams) as info:
-        dhss_deal(3, broken, 1)
+        deal(3, broken, 1)
     assert str(info.value) == "sequence: not strictly increasing at position 2: " \
         "11 >= 11; sequence: gcd(m_1, m_2) = gcd(11, 11) = 11"
     assert checks == [7, 7]
-    dhss_deal(3, micro_params, 2)  # the first object keeps its pass
+    deal(3, micro_params, 2)  # the first object keeps its pass
     assert len(checks) == 2
 
 
-@pytest.mark.parametrize("second", [dhss_deal, chss_deal], ids=["dhss", "chss"])
-def test_second_library_deal_runs_no_check(micro_params, checks, second):
-    dhss_deal(3, micro_params, 1)
+@pytest.mark.parametrize("scheme", ["dhss", "chss"])
+def test_second_library_deal_runs_no_check(micro_params, checks, scheme):
+    params = replace(micro_params, scheme=scheme)
+    deal(3, params, 1)
     assert len(checks) == 1
-    second(4, micro_params, 2)
+    deal(4, params, 2)
     assert len(checks) == 1
+
+
+def test_replaced_scheme_gets_its_own_verdict(micro_params, checks):
+    deal(3, micro_params, 1)
+    conj = replace(micro_params, scheme="chss")
+    assert checks == [7]
+    for seed in (1, 2, 3):
+        deal(4, conj, seed)
+    assert checks == [7, 7]
+    assert conj.violations == micro_params.violations == ()
+
+
+FLAT_REFUSAL = "flat dealing needs a single-level parameter set"
+
+
+def test_two_level_flat_verdict_is_the_one_refusal(micro_params, checks):
+    flat = replace(micro_params, scheme="ab")
+    assert flat.violations == (FLAT_REFUSAL,)
+    with pytest.raises(InvalidParams) as info:
+        deal(3, flat, 1)
+    assert str(info.value) == FLAT_REFUSAL
+    # nothing else is checked or added, a broken sequence and hierarchy
+    # included
+    broken = replace(flat, sequence=CompactSequence(m0=10, moduli=(11, 11)),
+                     hierarchy=Hierarchy((1, 2), (2, 2)))
+    assert broken.violations == (FLAT_REFUSAL,)
+    assert checks == []
+    # one level passes the rule, and an unknown scheme is refused alone
+    assert replace(flat, hierarchy=Hierarchy((3,), (2,))).violations == ()
+    assert checks == [7]
+    assert replace(broken, scheme="nope").violations == ("unknown scheme 'nope'",)
 
 
 def test_cli_deal_and_audit_check_once_each(tmp_path, micro_params, checks, capsys):
@@ -124,7 +159,7 @@ def test_generated_sequence_carries_its_verdict(micro_params, checks,
                                                 primality_tests):
     sequence = generate_compact_sequence(997, 3, 1, Fraction(1, 2), 5)
     params = replace(micro_params, sequence=sequence)
-    dhss_deal(3, params, 1)
+    deal(3, params, 1)
     assert primality_tests == [(997, True)]
     assert checks == []
     assert params.violations == ()
@@ -137,7 +172,7 @@ def test_hand_built_sequence_gets_the_full_check(micro_params, checks,
     primality_tests.clear()
     sequence = CompactSequence(m0=997, moduli=generated.moduli)
     assert sequence == generated
-    dhss_deal(3, replace(micro_params, sequence=sequence), 1)
+    deal(3, replace(micro_params, sequence=sequence), 1)
     assert primality_tests == [(997, True)]
     assert checks == [997]
 
@@ -150,7 +185,7 @@ def test_replaced_generated_sequence_gets_the_full_check(micro_params, checks,
     moduli = (generated.moduli[0], generated.moduli[1], 5 * generated.moduli[0])
     broken = replace(micro_params, sequence=replace(generated, moduli=moduli))
     with pytest.raises(InvalidParams) as info:
-        dhss_deal(3, broken, 1)
+        deal(3, broken, 1)
     assert "gcd(m_1, m_3)" in str(info.value)
     assert primality_tests == [(997, True)]
     assert checks == [997]
