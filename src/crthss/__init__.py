@@ -22,7 +22,7 @@ from .analysis import (
 )
 from .crt import crt_solve, mod_inverse
 from .dhss import DealResult, PublicBundle, Share, deal, reconstruct
-from .oneway import OwfFamily, eval_owf
+from .oneway import eval_owf
 from .params import (
     SCHEMES,
     CompactSequence,

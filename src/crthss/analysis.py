@@ -70,8 +70,13 @@ from typing import Iterable, Optional
 
 from .crt import crt_solve, mod_inverse
 from .dhss import DealResult, PublicBundle, Share, _level_lifts
-from .errors import DecompositionMismatch, IntractableInstance, NotUnauthorized
-from .params import SchemeParams, compact_width
+from .errors import (
+    DecompositionMismatch,
+    IntractableInstance,
+    InvalidParams,
+    NotUnauthorized,
+)
+from .params import SchemeParams, compact_width, scheme_violations
 
 DEFAULT_WORK_BUDGET = 10_000_000
 
@@ -468,8 +473,13 @@ def enumerate_posterior(
     for a loss computed directly. The chss estimate is the fold's cost, above
     the cost of the one-level split and the 2-level sweep, and is kept for
     one and two levels on the same grounds.
+
+    Raises InvalidParams, as a deal would, for a scheme that
+    ``scheme_violations`` refuses.
     """
     params = view.public.params
+    if refused := scheme_violations(params.scheme, params.hierarchy):
+        raise InvalidParams("; ".join(refused))
     conjunctive = params.scheme == "chss"
     _check_unauthorized(view, conjunctive)
     m0 = params.sequence.m0

@@ -57,7 +57,7 @@ from .errors import (
 )
 from .fileformat import (
     audit_report_text,
-    bundle_file_obj,
+    bundle_file_text,
     canonical_dumps,
     lowercase_hex,
     param_file_text,
@@ -67,8 +67,8 @@ from .fileformat import (
     parse_share_file,
     share_file_text,
 )
-from .oneway import OwfFamily
 from .params import (
+    SCHEMES,
     Hierarchy,
     SchemeParams,
     check_compactness,
@@ -256,11 +256,10 @@ def gen_params_command(args) -> int:
     sequence = generate_compact_sequence(
         m0, hierarchy.n, args.k, args.theta, rng.randrange(2 ** 63)
     )
-    owf = OwfFamily(family_tag=args.family_tag)
     # not validated again: the hierarchy was checked above, and
     # generate_compact_sequence returns only a prime m0 and sorted,
     # pairwise-coprime moduli inside the interval
-    params = SchemeParams(sequence, hierarchy, owf, scheme=args.scheme)
+    params = SchemeParams(sequence, hierarchy, args.family_tag, scheme=args.scheme)
     out = Path(args.out)
     try:
         _write_text(out, param_file_text(params))
@@ -291,7 +290,7 @@ def deal_command(args) -> int:
             share_file_text(params.scheme, share, digest)
         for share in result.shares
     }
-    files["public_bundle.json"] = canonical_dumps(bundle_file_obj(result.public))
+    files["public_bundle.json"] = bundle_file_text(result.public)
     if args.emit_dealer_secrets:
         files["dealer_secrets.json"] = canonical_dumps({
             "WARNING": "dealer secrets; test use only, never publish",
@@ -489,7 +488,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--family-tag", type=_family_tag_arg, default="",
                    help="hex domain-separation tag")
     p.add_argument("--seed", type=int)
-    p.add_argument("--scheme", choices=("dhss", "chss", "ab"), default="dhss")
+    p.add_argument("--scheme", choices=SCHEMES, default="dhss")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("deal", help="split a secret into share files")

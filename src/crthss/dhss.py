@@ -43,7 +43,7 @@ from .errors import (
     TooFewShares,
 )
 from .oneway import eval_owf
-from .params import SchemeParams
+from .params import SchemeParams, scheme_violations
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def deal(
         shares.append(Share(participant=i, level=level, modulus=m_i, value=value))
         if i <= n_masked:
             for lvl in range(level, hier.m + 1):
-                mask = eval_owf(params.owf, lvl, value, m_i)
+                mask = eval_owf(params.family_tag, lvl, value, m_i)
                 w[(i, lvl)] = (lifted[lvl - 1][i - 1] - mask) % m_i
     kept.update(alpha=tuple(alphas), y=tuple(ys))
     return DealResult(tuple(shares), PublicBundle(params=params, w=w),
@@ -155,7 +155,7 @@ def lift_share(
             f"no published value for participant {share.participant} "
             f"at level {level}"
         )
-    mask = eval_owf(public.params.owf, level, share.value, share.modulus)
+    mask = eval_owf(public.params.family_tag, level, share.value, share.modulus)
     return (mask + public.w[key]) % share.modulus
 
 
@@ -209,14 +209,14 @@ def reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
 
     A set that fails raises NotAuthorized naming the failing levels; for a
     flat bundle it is TooFewShares, naming how many distinct shares came and
-    how many are needed. A flat bundle with more than one level raises
-    ValueError: its shares are not flat shares.
+    how many are needed. A bundle whose scheme ``scheme_violations``
+    refuses raises ValueError in the rule's words: no deal gives its shares.
     """
     params = public.params
     seq, hier = params.sequence, params.hierarchy
+    if refused := scheme_violations(params.scheme, hier):
+        raise ValueError("; ".join(refused))
     flat, conjunctive = params.scheme == "ab", params.scheme == "chss"
-    if flat and hier.m != 1:
-        raise ValueError(f"flat reconstruction needs one level, got {hier.m}")
     unique = dedupe_shares(shares, params)
     members = {s.participant for s in unique}
     failing = hier.failing_levels(members)

@@ -12,18 +12,18 @@ together by the SHA-256 of the canonical parameter document.
 
 The documents of a fixed shape are written from ``%`` format strings: a
 share file (``share_file_text``, n of them per deal), the parameter file
-(``param_file_text``, also hashed by every ``params_digest``) and the audit
-report, single or ladder (``audit_report_text``). Their keys are spelled in
-sorted order in the format, and the strings that could need escaping go
-through json's own quoting. Bundles, dealer secrets and whatever
+(``param_file_text``, also hashed by every ``params_digest``), the bundle
+(``bundle_file_text``: the parameter file's own text, indented by one
+replace, and one row per w entry) and the audit report, single or ladder
+(``audit_report_text``). Their keys are spelled in sorted order in
+the format, and the strings that could need escaping go through json's own
+quoting. Each document has that one spelling: ``param_file_obj`` is
+``json.loads`` of the parameter text. Dealer secrets and whatever
 ``inspect`` echoes go through ``canonical_dumps``, which writes the bytes
 ``json.dumps(obj, sort_keys=True, indent=2)`` gives plus a newline for any
 object: with an indent set the stdlib leaves its C encoder for a
-generator-based pure-Python one that costs about twice as much per file. It
-takes one stack step per container, not per item, so a w entry or the
-moduli cost one step each. ``canonical_dumps`` of the document's object is
-what each format string must equal. The CLI reads files with ``os.read``
-and parses them with ``json.loads``.
+generator-based pure-Python one that costs about twice as much per file.
+The CLI reads files with ``os.read`` and parses them with ``json.loads``.
 
 Every file carries its scheme label. The parameters hold it
 (``SchemeParams.scheme``), so the parameter and bundle writers read it from
@@ -38,6 +38,7 @@ dealer bound and the residues of the surplus shares.
 """
 
 import hashlib
+import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -45,7 +46,6 @@ from math import inf
 from typing import AbstractSet, Mapping
 
 from .dhss import PublicBundle, Share
-from .oneway import OwfFamily
 from .params import SCHEMES, CompactSequence, Hierarchy, SchemeParams, check_compactness
 
 FORMAT_VERSION = 1
@@ -60,12 +60,6 @@ def _float_text(value: float) -> str:
     if value == -inf:
         return "-Infinity"
     return float.__repr__(value)
-
-
-def _key_text(key) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"keys must be str, not {type(key).__name__}")
-    return _quote(key) + ": "
 
 
 def _leaf_text(value) -> str | None:
@@ -104,10 +98,8 @@ def canonical_dumps(obj) -> str:
     whether it is a dict, its closing text, the separator between its
     items). One loop writes a frame's items until it meets a non-empty
     container, which becomes the next frame; the rest of the frame waits
-    on the stack. So a container of scalars, such as a w entry or the
-    moduli, costs one frame, not one stack step per item, and an item that
-    is exactly str or int, as nearly every item of these files is, is
-    written without a call.
+    on the stack. So a container of scalars costs one frame, not one stack
+    step per item.
     """
     text = _leaf_text(obj)
     if text is not None:
@@ -140,21 +132,15 @@ def canonical_dumps(obj) -> str:
                 sep = comma
             for item in items:
                 if keyed:
-                    before = (sep + _quote(item) + ": " if type(item) is str
-                              else sep + _key_text(item))
-                    value = frame[item]
+                    if not isinstance(item, str):
+                        raise TypeError(f"keys must be str, not {type(item).__name__}")
+                    before, value = sep + _quote(item) + ": ", frame[item]
                 else:
                     before, value = sep, item
                 sep = comma
-                kind = type(value)
-                if kind is str:
-                    append(before + _quote(value))
-                elif kind is int:
-                    append(before + int.__repr__(value))
-                elif (text := _leaf_text(value)) is not None:
-                    append(before + text)
-                else:
+                if (text := _leaf_text(value)) is None:
                     break
+                append(before + text)
             else:
                 stack.pop()
                 open_ids.remove(id(frame))
@@ -278,29 +264,6 @@ def lowercase_hex(text) -> bytes | None:
     return value if value.hex() == text else None
 
 
-def param_file_obj(scheme: str, params: SchemeParams) -> dict:
-    """The parameter document of ``params`` labelled ``scheme``, which may
-    differ from ``params.scheme``: it is the label the file carries."""
-    _require(scheme in SCHEMES, f"unknown scheme {scheme!r}")
-    seq, hier, owf = params.sequence, params.hierarchy, params.owf
-    return {
-        "version": FORMAT_VERSION,
-        "scheme": scheme,
-        "sequence": {
-            "m0": str(seq.m0),
-            "moduli": [str(m) for m in seq.moduli],
-            "k": seq.k,
-            "theta": f"{seq.theta.numerator}/{seq.theta.denominator}",
-        },
-        "hierarchy": {
-            "level_sizes": list(hier.level_sizes),
-            "thresholds": list(hier.thresholds),
-        },
-        "owf": {"kind": "hash_based", "family_tag": owf.family_tag.hex(),
-                "digest_name": "sha256"},
-    }
-
-
 def _list_text(items: list[str], indent: str) -> str:
     """A JSON list of item texts whose opening bracket sits after a key at
     ``indent``: one item per line, two spaces deeper."""
@@ -321,18 +284,28 @@ _PARAM_FILE = (
 )
 
 
-def param_file_text(params: SchemeParams) -> str:
-    """The parameter file of ``params``: the bytes ``canonical_dumps`` gives
-    for ``param_file_obj(params.scheme, params)``, from one format string."""
-    scheme, seq, hier = params.scheme, params.sequence, params.hierarchy
+def _param_text(scheme: str, params: SchemeParams) -> str:
+    """The parameter document of ``params`` labelled ``scheme``."""
     _require(scheme in SCHEMES, f"unknown scheme {scheme!r}")
+    seq, hier = params.sequence, params.hierarchy
     return _PARAM_FILE % (
         _list_text(list(map(int.__repr__, hier.level_sizes)), "    "),
         _list_text(list(map(int.__repr__, hier.thresholds)), "    "),
-        params.owf.family_tag.hex(), scheme, seq.k, seq.m0,
+        params.family_tag.hex(), scheme, seq.k, seq.m0,
         _list_text(['"%d"' % m for m in seq.moduli], "    "),
         seq.theta.numerator, seq.theta.denominator, FORMAT_VERSION,
     )
+
+
+def param_file_text(params: SchemeParams) -> str:
+    """The parameter file of ``params``, labelled with its own scheme."""
+    return _param_text(params.scheme, params)
+
+
+def param_file_obj(scheme: str, params: SchemeParams) -> dict:
+    """The parameter document of ``params`` labelled ``scheme``, which may
+    differ from ``params.scheme``: it is the label the file carries."""
+    return json.loads(_param_text(scheme, params))
 
 
 def parse_param_file(obj: Mapping) -> SchemeParams:
@@ -366,8 +339,7 @@ def parse_param_file(obj: Mapping) -> SchemeParams:
     family_tag = lowercase_hex(owf_obj["family_tag"])
     _require(family_tag is not None, "owf: family_tag is not lowercase hex")
     _require(owf_obj["digest_name"] == "sha256", "owf: digest_name is not sha256")
-    owf = OwfFamily(family_tag=family_tag)
-    return SchemeParams(sequence=sequence, hierarchy=hierarchy, owf=owf, scheme=scheme)
+    return SchemeParams(sequence, hierarchy, family_tag, scheme)
 
 
 def params_digest(params: SchemeParams) -> str:
@@ -486,18 +458,24 @@ def parse_share_file(obj: Mapping) -> tuple[str, Share, str]:
 
 # -- public bundle files -----------------------------------------------------
 
-def bundle_file_obj(public: PublicBundle) -> dict:
-    scheme = public.params.scheme
-    entries = [
-        {"participant": i, "level": level, "value": str(v)}
-        for (i, level), v in sorted(public.w.items())
-    ]
-    return {
-        "version": FORMAT_VERSION,
-        "scheme": scheme,
-        "params": param_file_obj(scheme, public.params),
-        "w": entries,
-    }
+# a bundle's canonical bytes, its keys in sorted order, and one row per w
+# entry; the parameters are the parameter file's own text, indented by one
+# replace, and no other field needs escaping
+_BUNDLE_FILE = '{\n  "params": %s,\n  "scheme": "%s",\n  "version": %d,\n  "w": %s\n}\n'
+_W_ENTRY = ('{\n      "level": %d,\n      "participant": %d,\n'
+            '      "value": "%d"\n    }')
+
+
+def bundle_file_text(public: PublicBundle) -> str:
+    """The bundle file of ``public``, from format strings around the text of
+    its parameter file, with its w entries in (participant, level) order."""
+    params = public.params
+    return _BUNDLE_FILE % (
+        param_file_text(params)[:-1].replace("\n", "\n  "),
+        params.scheme, FORMAT_VERSION,
+        _list_text([_W_ENTRY % (level, i, value)
+                    for (i, level), value in sorted(public.w.items())], "  "),
+    )
 
 
 _BUNDLE_KEYS = frozenset({"version", "scheme", "params", "w"})

@@ -9,17 +9,8 @@ exact only because h is one-way. Nothing here is keyed.
 """
 
 import hashlib
-from dataclasses import dataclass
 
 from .errors import LevelOutOfRange
-
-
-@dataclass(frozen=True)
-class OwfFamily:
-    """The hash family: family_tag is a domain-separation label mixed into
-    every SHA-256 block."""
-
-    family_tag: bytes = b""
 
 
 def _uint_bytes(n: int) -> bytes:
@@ -32,8 +23,9 @@ def _encode(tag: bytes, level: int, x: int) -> bytes:
     return tag + len(lb).to_bytes(4, "big") + lb + len(xb).to_bytes(4, "big") + xb
 
 
-def eval_owf(family: OwfFamily, level: int, x: int, modulus: int) -> int:
-    """Evaluate h_level(x) into [0, modulus).
+def eval_owf(family_tag: bytes, level: int, x: int, modulus: int) -> int:
+    """Evaluate h_level(x) into [0, modulus) in the family ``family_tag``
+    names, a domain-separation label mixed into every SHA-256 block.
 
     Deterministic in all arguments. ``x`` at or above the modulus is accepted
     and hashed as-is. Raises LevelOutOfRange for level < 1.
@@ -45,7 +37,7 @@ def eval_owf(family: OwfFamily, level: int, x: int, modulus: int) -> int:
     if x < 0:
         # x is a share's private value, so only the range is named
         raise ValueError("x must be >= 0")
-    message = _encode(family.family_tag, level, x)
+    message = _encode(family_tag, level, x)
     need = (2 * modulus.bit_length() + 7) // 8
     out = b""
     counter = 0

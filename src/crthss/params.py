@@ -25,7 +25,6 @@ from typing import Iterable
 
 from .crt import product_tree
 from .errors import IntervalExhausted, ThresholdOutOfRange
-from .oneway import OwfFamily
 
 SCHEMES = ("dhss", "chss", "ab")
 
@@ -438,12 +437,13 @@ def scheme_violations(scheme: str, hierarchy: Hierarchy) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Everything public a deal needs: modulus ladder, hierarchy, OWF family,
-    and the scheme that deals and reconstructs with them."""
+    """Everything public a deal needs: modulus ladder, hierarchy, the
+    one-way function's family tag, and the scheme that deals and
+    reconstructs with them."""
 
     sequence: CompactSequence
     hierarchy: Hierarchy
-    owf: OwfFamily = field(default_factory=OwfFamily)
+    family_tag: bytes = b""
     scheme: str = "dhss"
 
     @cached_property

@@ -70,5 +70,5 @@ def affine_owf(monkeypatch):
     """Deal and reconstruct with h(x, l) = (3x + l) mod m for the test."""
     monkeypatch.setattr(
         crthss.dhss, "eval_owf",
-        lambda family, level, x, modulus: (3 * x + level) % modulus,
+        lambda family_tag, level, x, modulus: (3 * x + level) % modulus,
     )

@@ -22,7 +22,6 @@ from scan_oracle import profile_counts, scan_posterior_counts
 from crthss import (
     CompactSequence,
     Hierarchy,
-    OwfFamily,
     SchemeParams,
     adversary_view,
     crt_solve,
@@ -37,7 +36,7 @@ from crthss import (
 from crthss.cli import main
 from crthss.errors import IntervalExhausted, NotAuthorized
 from crthss.fileformat import (
-    bundle_file_obj,
+    bundle_file_text,
     canonical_dumps,
     param_file_obj,
     parse_bundle_file,
@@ -339,7 +338,7 @@ def test_c7_loss_entropy_ladder():
             params = SchemeParams(
                 sequence=seq,
                 hierarchy=hier,
-                owf=OwfFamily(family_tag=b"ladder"),
+                family_tag=b"ladder",
             )
             assert validate_params(params).ok
             if members == {2}:
@@ -391,7 +390,7 @@ def test_c9_format_stability_and_pipeline(tmp_path):
     # hash_based OWF
     share_digest = "f" * 64
     for _ in range(100):
-        params = dataclasses.replace(random_instance(rng), owf=OwfFamily())
+        params = dataclasses.replace(random_instance(rng), family_tag=b"")
         scheme = rng.choice(["dhss", "chss", "ab"])
         text = canonical_dumps(param_file_obj(scheme, params))
         back = parse_param_file(json.loads(text))
@@ -406,9 +405,9 @@ def test_c9_format_stability_and_pipeline(tmp_path):
         s_scheme, s_share, s_digest = parse_share_file(json.loads(share_text))
         assert share_file_text(s_scheme, s_share, s_digest) == share_text
 
-        bundle_text = canonical_dumps(bundle_file_obj(result.public))
+        bundle_text = bundle_file_text(result.public)
         b_public = parse_bundle_file(json.loads(bundle_text))
-        assert canonical_dumps(bundle_file_obj(b_public)) == bundle_text
+        assert bundle_file_text(b_public) == bundle_text
 
     # end-to-end through the CLI: generate, deal, reconstruct, refuse
     for scheme, shares_ok, shares_bad in (

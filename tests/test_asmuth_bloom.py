@@ -112,7 +112,7 @@ def test_reconstruct_refuses_multi_level_bundle(micro_params):
     dealt = deal(4, micro_params, 0)
     public = dataclasses.replace(
         dealt.public, params=dataclasses.replace(micro_params, scheme="ab"))
-    with pytest.raises(ValueError, match="^flat reconstruction needs one level, got 2$"):
+    with pytest.raises(ValueError, match="^flat dealing needs a single-level parameter set$"):
         reconstruct(dealt.shares, public)
 
 

@@ -29,7 +29,7 @@ from crthss import (
 )
 from crthss.cli import MAX_M0_BITS, _write_text, main
 from crthss.fileformat import (
-    bundle_file_obj,
+    bundle_file_text,
     canonical_dumps,
     param_file_obj,
     params_digest,
@@ -1231,7 +1231,7 @@ def SchemeParamsFlat(params):
     return SchemeParams(
         sequence=params.sequence,
         hierarchy=Hierarchy((3,), (2,)),
-        owf=params.owf,
+        family_tag=params.family_tag,
     )
 
 
@@ -1423,7 +1423,7 @@ def _write_deal(out_dir, scheme, result):
         (out_dir / f"share_{share.participant:03d}.json").write_text(
             share_file_text(scheme, share, digest))
     (out_dir / "public_bundle.json").write_text(
-        canonical_dumps(bundle_file_obj(public)))
+        bundle_file_text(public))
 
 
 def test_reconstruct_two_level_bundle_labelled_ab_exit_2(tmp_path, capsys):
@@ -1443,7 +1443,7 @@ def test_reconstruct_two_level_bundle_labelled_ab_exit_2(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
-        assert err == "error: flat reconstruction needs one level, got 2\n"
+        assert err == "error: flat dealing needs a single-level parameter set\n"
 
 
 def test_reconstruct_ab_gates_shares_once(tmp_path, monkeypatch, capsys):
@@ -1631,7 +1631,8 @@ def test_audit_duplicate_adversary_indices(tmp_path, micro_params, capsys):
     # a repeated index is one member: the report and every table describe
     # the set {1, 2}, not the raw list
     flat = SchemeParams(sequence=micro_params.sequence,
-                        hierarchy=Hierarchy((3,), (3,)), owf=micro_params.owf)
+                        hierarchy=Hierarchy((3,), (3,)),
+                        family_tag=micro_params.family_tag)
     path = tmp_path / "flat.json"
     path.write_text(canonical_dumps(param_file_obj("dhss", flat)))
     pair = _audit_output(capsys, path, "1,2")

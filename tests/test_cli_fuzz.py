@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from crthss import CompactSequence, Hierarchy, SchemeParams, deal
 from crthss.cli import main
 from crthss.fileformat import (
-    bundle_file_obj,
+    bundle_file_text,
     canonical_dumps,
     params_digest,
     share_file_text,
@@ -57,7 +57,7 @@ def _files(params):
     digest = params_digest(params)
     result = deal(SECRET, params, 5)
     return {
-        "bundle": bundle_file_obj(result.public),
+        "bundle": json.loads(bundle_file_text(result.public)),
         "shares": [json.loads(share_file_text(params.scheme, s, digest))
                    for s in result.shares],
     }

@@ -61,7 +61,7 @@ def test_deal_input_gates(micro_params):
     broken = SchemeParams(
         sequence=micro_params.sequence,
         hierarchy=Hierarchy((1, 2), (2, 2)),
-        owf=micro_params.owf,
+        family_tag=micro_params.family_tag,
     )
     with pytest.raises(InvalidParams):
         deal(1, broken, 0)
@@ -194,3 +194,25 @@ def test_single_level_matches_flat(flat_params, micro_seq):
         assert result.dealer_secrets["y"] == (y,)
         assert [(s.participant, s.value) for s in result.shares] == flat_shares
         assert result.public.w == {}
+
+
+@pytest.mark.parametrize("scheme, message", [
+    ("xyz", "unknown scheme 'xyz'"),
+    ("ab", "flat dealing needs a single-level parameter set"),
+])
+def test_reconstruct_and_audit_apply_the_scheme_rule(scheme, message):
+    # a deal's parameters relabelled after the deal, with a scheme no deal
+    # accepts, are refused by reconstruct and by the audit in the words of
+    # the deal verdict, not solved or counted as dhss
+    sequence = generate_compact_sequence(1009, 5, 1, Fraction(1, 2), 3)
+    params = SchemeParams(sequence, Hierarchy((2, 3), (2, 3)))
+    dealt = deal(7, params, 1)
+    relabelled = dataclasses.replace(
+        dealt, public=PublicBundle(dataclasses.replace(params, scheme=scheme),
+                                   dealt.public.w))
+    with pytest.raises(InvalidParams, match=f"^{message}$"):
+        deal(7, relabelled.public.params, 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        reconstruct(dealt.shares, relabelled.public)
+    with pytest.raises(InvalidParams, match=f"^{message}$"):
+        enumerate_posterior(adversary_view(relabelled, {1, 3}))

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import DHSS_SEED
 from crthss import (
     CompactSequence,
-    OwfFamily,
     Share,
     deal,
     generate_compact_sequence,
@@ -23,7 +22,7 @@ from crthss import (
 from crthss.cli import _audit_one
 from crthss.fileformat import (
     audit_report_text,
-    bundle_file_obj,
+    bundle_file_text,
     canonical_dumps,
     param_file_obj,
     param_file_text,
@@ -33,7 +32,46 @@ from crthss.fileformat import (
     parse_share_file,
     share_file_text,
 )
+from crthss.dhss import PublicBundle
 from crthss.params import SCHEMES, Hierarchy, SchemeParams
+
+
+def _param_obj(label, params):
+    """A parameter file's object labelled ``label``, field by field, for the
+    stdlib to dump."""
+    seq, hier = params.sequence, params.hierarchy
+    return {
+        "version": 1,
+        "scheme": label,
+        "sequence": {
+            "m0": str(seq.m0),
+            "moduli": [str(m) for m in seq.moduli],
+            "k": seq.k,
+            "theta": f"{seq.theta.numerator}/{seq.theta.denominator}",
+        },
+        "hierarchy": {
+            "level_sizes": list(hier.level_sizes),
+            "thresholds": list(hier.thresholds),
+        },
+        "owf": {"kind": "hash_based", "family_tag": params.family_tag.hex(),
+                "digest_name": "sha256"},
+    }
+
+
+def _bundle_obj(public):
+    """A bundle file's object, field by field, for the stdlib to dump."""
+    scheme = public.params.scheme
+    return {
+        "version": 1,
+        "scheme": scheme,
+        "params": _param_obj(scheme, public.params),
+        "w": [{"participant": i, "level": level, "value": str(v)}
+              for (i, level), v in sorted(public.w.items())],
+    }
+
+
+def _stdlib(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def random_params(rng):
@@ -51,10 +89,8 @@ def random_params(rng):
         previous = thresholds[-1]
     hier = Hierarchy(sizes, tuple(thresholds))
     seq = generate_compact_sequence(m0, hier.n, 1, Fraction(2, 3), rng.randrange(2**32))
-    owf = OwfFamily(
-        family_tag=bytes(rng.randrange(256) for _ in range(rng.randrange(0, 5))),
-    )
-    return SchemeParams(sequence=seq, hierarchy=hier, owf=owf)
+    tag = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 5)))
+    return SchemeParams(sequence=seq, hierarchy=hier, family_tag=tag)
 
 
 def test_param_round_trip(micro_params):
@@ -90,11 +126,11 @@ def test_share_and_bundle_round_trip(micro_params):
         assert (scheme, back, back_digest) == ("dhss", share, digest)
         assert share_file_text(scheme, back, back_digest) == text
 
-    bundle_text = canonical_dumps(bundle_file_obj(result.public))
+    bundle_text = bundle_file_text(result.public)
     bundle = parse_bundle_file(json.loads(bundle_text))
     assert bundle.params == micro_params
     assert dict(bundle.w) == dict(result.public.w)
-    assert canonical_dumps(bundle_file_obj(bundle)) == bundle_text
+    assert bundle_file_text(bundle) == bundle_text
 
 
 def test_digest_binds_parameters(micro_params):
@@ -104,9 +140,10 @@ def test_digest_binds_parameters(micro_params):
     other = SchemeParams(
         sequence=micro_params.sequence,
         hierarchy=Hierarchy((3,), (2,)),
-        owf=micro_params.owf,
+        family_tag=micro_params.family_tag,
     )
     assert digest != params_digest(other)
+    assert digest != params_digest(replace(micro_params, family_tag=b"\x00"))
 
 
 def test_integers_travel_as_strings(micro_params):
@@ -118,7 +155,7 @@ def test_integers_travel_as_strings(micro_params):
     share_obj = json.loads(share_file_text("dhss", result.shares[0], "x"))
     assert isinstance(share_obj["value"], str)
     assert isinstance(share_obj["modulus"], str)
-    bundle_obj = bundle_file_obj(result.public)
+    bundle_obj = json.loads(bundle_file_text(result.public))
     assert all(isinstance(e["value"], str) for e in bundle_obj["w"])
 
 
@@ -134,8 +171,7 @@ def test_parse_rejects_malformed(micro_params):
         parse_param_file({**good, "version": 99})
     with pytest.raises(ValueError):
         parse_param_file({**good, "scheme": "nope"})
-    bundle = bundle_file_obj(deal(4, micro_params, DHSS_SEED).public)
-    doubled = json.loads(canonical_dumps(bundle))
+    doubled = json.loads(bundle_file_text(deal(4, micro_params, DHSS_SEED).public))
     doubled["w"].append(doubled["w"][0])
     with pytest.raises(ValueError):
         parse_bundle_file(doubled)
@@ -146,7 +182,7 @@ def test_only_hash_based_has_a_file_form(micro_params):
     link a participant's levels, is not read back, neither as a parameter
     file nor inside a bundle: the audit is exact only for a one-way h."""
     good = param_file_obj("dhss", micro_params)
-    bundle = bundle_file_obj(deal(4, micro_params, DHSS_SEED).public)
+    bundle = json.loads(bundle_file_text(deal(4, micro_params, DHSS_SEED).public))
     affine = {"kind": "test_affine", "family_tag": ""}
     for owf, message in (
         (affine, "owf: kind is not hash_based"),
@@ -198,9 +234,8 @@ class _Name(str):
     pass
 
 
-# flat containers, up to the 200 items of an n = 200 file: the items
-# canonical_dumps writes inline, exactly str or int, mixed with ones that
-# look like them but take its general path, bool, an IntEnum, a str subclass
+# flat containers, up to the 200 items of an n = 200 file: exactly str or
+# int, mixed with their subclasses, bool, an IntEnum, a str subclass
 _FLAT_ITEMS = st.one_of(_TEXT, st.integers(), st.integers(min_value=-2**300,
                                                            max_value=2**300))
 _MIXED_ITEMS = st.one_of(_FLAT_ITEMS, st.booleans(), st.sampled_from(list(_Count)),
@@ -253,19 +288,17 @@ def _share_obj(scheme, share, digest):
 
 @pytest.mark.parametrize("which", ["params", "bundle", "share"])
 def test_canonical_dumps_of_real_size_files_matches_json_dumps(real_size_deal, which):
-    # a share file comes from share_file_text, every other from canonical_dumps
+    # each file's writer and canonical_dumps of its reference object give
+    # the stdlib's bytes
     params, result = real_size_deal
-    if which == "share":
-        share, digest = result.shares[-1], params_digest(params)
-        obj = _share_obj("dhss", share, digest)
-        text = share_file_text("dhss", share, digest)
-    else:
-        obj = {
-            "params": lambda: param_file_obj("dhss", params),
-            "bundle": lambda: bundle_file_obj(result.public),
-        }[which]()
-        text = canonical_dumps(obj)
-    assert text == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    digest = params_digest(params)
+    obj, text = {
+        "params": lambda: (_param_obj("dhss", params), param_file_text(params)),
+        "bundle": lambda: (_bundle_obj(result.public), bundle_file_text(result.public)),
+        "share": lambda: (_share_obj("dhss", result.shares[-1], digest),
+                          share_file_text("dhss", result.shares[-1], digest)),
+    }[which]()
+    assert text == canonical_dumps(obj) == _stdlib(obj)
 
 
 @st.composite
@@ -313,10 +346,6 @@ def test_canonical_dumps_refuses_a_cycle():
         canonical_dumps({"a": loop})
 
 
-def _stdlib(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 # a 2048-bit m0 and moduli above it; the writer does not validate them
 _M0_2048 = 2**2048 - 1557
 
@@ -334,12 +363,13 @@ def test_param_file_text_matches_canonical_dumps(n, tag, k, theta, m0):
     sequence = CompactSequence(m0=m0, moduli=tuple(k * m0 + 1 + i for i in range(n)),
                                k=k, theta=theta)
     params = SchemeParams(sequence=sequence, hierarchy=Hierarchy(sizes, thresholds),
-                          owf=OwfFamily(family_tag=tag))
+                          family_tag=tag)
     for scheme in SCHEMES:
         labelled = replace(params, scheme=scheme)
-        obj = param_file_obj(scheme, params)
+        obj = _param_obj(scheme, params)
         text = param_file_text(labelled)
         assert text == canonical_dumps(obj) == _stdlib(obj)
+        assert param_file_obj(scheme, params) == obj
         assert params_digest(labelled) == hashlib.sha256(text.encode()).hexdigest()
         assert parse_param_file(json.loads(text)) == labelled
 
@@ -348,13 +378,58 @@ def test_param_file_text_of_empty_lists():
     # a bundle's parameters are digested unvalidated, empty lists included
     params = SchemeParams(sequence=CompactSequence(m0=7, moduli=()),
                           hierarchy=Hierarchy((), ()))
-    obj = param_file_obj("dhss", params)
+    obj = _param_obj("dhss", params)
     assert param_file_text(params) == canonical_dumps(obj) == _stdlib(obj)
+    assert bundle_file_text(PublicBundle(params, {})) == _stdlib(_bundle_obj(
+        PublicBundle(params, {})))
 
 
 def test_param_file_text_refuses_an_unknown_scheme(micro_params):
     with pytest.raises(ValueError, match="^unknown scheme 'x'$"):
         param_file_text(replace(micro_params, scheme="x"))
+    with pytest.raises(ValueError, match="^unknown scheme 'x'$"):
+        param_file_obj("x", micro_params)
+    with pytest.raises(ValueError, match="^unknown scheme 'x'$"):
+        bundle_file_text(PublicBundle(replace(micro_params, scheme="x"), {}))
+
+
+# the shapes of n = 1, 5 and 200: one level, whose bundle has no w entry,
+# then two and three
+_SHAPES = {1: ((1,), (1,)), 5: ((2, 3), (2, 3)), 200: ((10, 40, 150), (5, 20, 60))}
+# a prime of 64 and of 256 bits, and a 2048-bit m0
+_M0S = {64: 2**64 - 59, 256: 2**256 - 189, 2048: _M0_2048}
+
+
+@pytest.mark.parametrize("tag", [b"", b"\x00tag\xff"], ids=["no-tag", "tag"])
+@pytest.mark.parametrize("bits", sorted(_M0S))
+@pytest.mark.parametrize("n", sorted(_SHAPES))
+def test_writers_match_field_by_field_references(n, bits, tag):
+    # the writers do not validate: moduli just above m0 and w values drawn
+    # below them stand in for a deal at every size
+    m0, rng = _M0S[bits], random.Random(n * bits)
+    moduli = tuple(m0 + 1 + i for i in range(n))
+    hier = Hierarchy(*_SHAPES[n])
+    w = {(i, level): rng.randrange(moduli[i - 1])
+         for i in range(1, hier.n_masked + 1)
+         for level in range(hier.level_of(i), hier.m + 1)}
+    assert (n == 1) == (w == {})
+    for scheme in SCHEMES:
+        params = SchemeParams(CompactSequence(m0=m0, moduli=moduli), hier,
+                              family_tag=tag, scheme=scheme)
+        assert param_file_text(params) == _stdlib(_param_obj(scheme, params))
+        public = PublicBundle(params, w)
+        assert bundle_file_text(public) == _stdlib(_bundle_obj(public))
+        # the label a parameter file carries need not be the parameters' own
+        for label in SCHEMES:
+            assert param_file_obj(label, params) == _param_obj(label, params)
+
+
+def test_bundle_file_text_of_a_one_level_deal(flat_params):
+    public = deal(4, flat_params, 1).public
+    assert public.w == {}
+    text = bundle_file_text(public)
+    assert text == _stdlib(_bundle_obj(public))
+    assert json.loads(text)["w"] == []
 
 
 def _reports(micro_params, flat_params):
