@@ -33,6 +33,7 @@ from .params import (
     generate_compact_sequence,
     integer_root,
     is_prime,
+    random_prime,
     validate_hierarchy,
     validate_params,
 )

@@ -37,7 +37,6 @@ import argparse
 import dataclasses
 import json
 import os
-import random
 import stat
 import sys
 from decimal import Decimal
@@ -74,7 +73,7 @@ from .params import (
     check_compactness,
     check_power_limit,
     generate_compact_sequence,
-    is_prime,
+    random_prime,
     scheme_violations,
     validate_hierarchy,
 )
@@ -222,20 +221,9 @@ def _cannot_write(path, exc: OSError) -> int:
 
 
 # the largest --m0-bits: the prime search runs a pure-Python BPSW test on
-# each candidate, which takes seconds at 2048 bits and grows with about the
-# cube of the size
+# each candidate that a sieve gcd leaves, which takes about 1.5 to 5 s at
+# 2048 bits on a 2-vCPU VM and grows with about the cube of the size
 MAX_M0_BITS = 2048
-
-
-def _random_prime(bits: int, rng: random.Random) -> int:
-    if bits < 2:
-        raise ValueError("need at least 2 bits")
-    if bits > MAX_M0_BITS:
-        raise ValueError(f"--m0-bits {bits} is above the limit of {MAX_M0_BITS}")
-    while True:
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_prime(candidate):
-            return candidate
 
 
 # -- gen-params ---------------------------------------------------------------
@@ -250,9 +238,12 @@ def gen_params_command(args) -> int:
     if args.m0 is None:
         check_power_limit(args.m0_bits, args.theta)
     check_compactness(args.k, args.theta)
+    if args.m0 is None and args.m0_bits > MAX_M0_BITS:
+        raise ValueError(f"--m0-bits {args.m0_bits} is above the limit of {MAX_M0_BITS}")
     rng = _dealer_rng(args.seed)
-    # generate_compact_sequence rejects a composite --m0
-    m0 = args.m0 if args.m0 is not None else _random_prime(args.m0_bits, rng)
+    # generate_compact_sequence rejects a composite --m0, and takes the
+    # search's m0 as proven
+    m0 = args.m0 if args.m0 is not None else random_prime(args.m0_bits, rng)
     sequence = generate_compact_sequence(
         m0, hierarchy.n, args.k, args.theta, rng.randrange(2 ** 63)
     )

@@ -46,6 +46,49 @@ def is_prime(n: int) -> bool:
     return _strong_base2(n) and _strong_lucas(n)
 
 
+# the smallest m0 size whose prime search takes the sieve gcd: at 64 bits
+# and below, building the sieve product costs what it saves
+_SIEVE_MIN_BITS = 128
+
+
+def _sieve_product(bits: int) -> int:
+    """The product of the primes from 41 below 8 * bits, none of which is a
+    bits-bit number; 1 below _SIEVE_MIN_BITS. At 2048 bits its gcd (23
+    kbit) refuses about 60% of the candidates the primes up to 37 leave,
+    each of which would have cost a base-2 test."""
+    if bits < _SIEVE_MIN_BITS:
+        return 1
+    bound = 8 * bits
+    sieve = bytearray([1]) * bound
+    for p in range(2, isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    return prod(p for p in range(41, bound) if sieve[p])
+
+
+class _Prime(int):
+    """An int that passed BPSW in random_prime: generate_compact_sequence
+    takes it as prime without a second test."""
+
+
+def random_prime(bits: int, rng: random.Random) -> int:
+    """The first prime among the odd bits-bit values drawn from rng. With a
+    sieve, a candidate with a prime factor up to 8 * bits is refused before
+    BPSW, by the 43-bit gcd of the primes up to 37 first and then the sieve's
+    gcd; either factor lies below the candidate, so the sieve skips tests of
+    composites but never changes which prime is found."""
+    if bits < 2:
+        raise ValueError("need at least 2 bits")
+    sieve = _sieve_product(bits)
+    while True:
+        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if sieve > 1 and (gcd(candidate, SMALL_PRODUCT) > 1
+                          or gcd(candidate, sieve) > 1):
+            continue
+        if is_prime(candidate):
+            return _Prime(candidate)
+
+
 def _strong_base2(n: int) -> bool:
     """Miller-Rabin to base 2 for odd n > 2."""
     d, r = n - 1, 0
@@ -244,6 +287,15 @@ def _candidate_order(lo: int, width: int, rng: random.Random):
         swapped[j] = swapped.pop(i, i)
 
 
+# the most candidates that one reduction of the running product serves
+_BATCH = 8
+# the size of the running product above which candidates are tested in
+# batches: below it a gcd with the product costs no more than a reduction,
+# and a batch's bookkeeping would cost more than it saves (the n = 3 draws
+# of an audit ladder at m0 up to 2^20 never pass it)
+_BATCH_BITS = 256
+
+
 def generate_compact_sequence(
     m0: int, n: int, k: int, theta: Fraction, rng_seed: int
 ) -> CompactSequence:
@@ -255,16 +307,23 @@ def generate_compact_sequence(
     memory grow with the candidates read, never with the interval: 128- and
     256-bit m0 take the same path as small ones. Most refused candidates
     share a prime up to 37 with that product: a gcd with `shared`, the
-    product of those small primes, refuses them without the gcd against the
-    product itself, whose cost grows with everything accepted. The screen
-    only skips work; acceptance is exactly gcd(c, product) == 1. The
-    sequence is marked ``generated``, so a deal from it does not test m0 or
-    the moduli again. Deterministic for a given seed. Raises IntervalExhausted when
-    every candidate of the interval has been read and fewer than n values
-    were placed (m0 too small for the requested n and theta).
+    product of those small primes, refuses them without touching the product
+    itself, whose size grows with everything accepted. The candidates that
+    pass are tested by a gcd with the product until it passes _BATCH_BITS,
+    then in batches of up to _BATCH, never more than the moduli still to
+    place, against one reduction of the product per batch (`_place`).
+    Neither the screen nor the batches change what is accepted, or which
+    candidates are read: acceptance is exactly gcd(c, product) == 1 in the
+    order read. m0 must pass BPSW here unless random_prime returned it,
+    which tested it already; the sequence is marked ``generated``, so a deal
+    from it does not test m0 or the moduli again. Deterministic for a given
+    seed. Raises IntervalExhausted when every candidate of the interval has
+    been read and fewer than n values were placed (m0 too small for the
+    requested n and theta).
     """
-    if not is_prime(m0):
+    if type(m0) is not _Prime and not is_prime(m0):
         raise ValueError(f"m0 = {m0} is not prime")
+    m0 = int(m0)
     theta = Fraction(theta)
     check_compactness(k, theta)
     if n < 1:
@@ -275,24 +334,60 @@ def generate_compact_sequence(
     accepted: list[int] = []
     product = m0
     shared = gcd(m0, SMALL_PRODUCT)  # the primes <= 37 dividing product
-    for c in _candidate_order(lo, width, rng):
+    candidates = _candidate_order(lo, width, rng)
+    for c in candidates:
         if gcd(c, shared) == 1 and gcd(c, product) == 1:
             accepted.append(c)
             product *= c
             shared *= gcd(c, SMALL_PRODUCT)
-            if len(accepted) == n:
+            if len(accepted) == n or product.bit_length() > _BATCH_BITS:
                 break
+    if len(accepted) < n:
+        batch: list[int] = []
+        # a batch is placed whole, so it holds no more than the moduli still
+        # to place: the read stops where the one-at-a-time pass stops
+        size = min(_BATCH, n - len(accepted))
+        for c in candidates:
+            if gcd(c, shared) == 1:
+                batch.append(c)
+                if len(batch) == size:
+                    fresh = _place(batch, product, accepted)
+                    if len(accepted) == n:
+                        break
+                    product *= fresh
+                    shared *= gcd(fresh, SMALL_PRODUCT)
+                    batch.clear()
+                    size = min(_BATCH, n - len(accepted))
+        else:
+            _place(batch, product, accepted)
     if len(accepted) < n:
         raise IntervalExhausted(
             f"interval ({lo}, {lo + width}) yielded only {len(accepted)} of "
             f"{n} pairwise-coprime values"
         )
     sequence = CompactSequence(m0=m0, moduli=tuple(sorted(accepted)), k=k, theta=theta)
-    # m0 passed BPSW above, and the moduli lie above k*m0 >= m0, each read
-    # once and coprime to m0 and to every one accepted before it: sorted,
-    # the sequence has the structure a deal needs
+    # m0 passed BPSW, and the moduli lie above k*m0 >= m0, each read once
+    # and coprime to m0 and to every one accepted before it: sorted, the
+    # sequence has the structure a deal needs
     object.__setattr__(sequence, "generated", True)
     return sequence
+
+
+def _place(batch: list[int], product: int, accepted: list[int]) -> int:
+    """Append to accepted each member of batch, in order, that is coprime to
+    product and to the members appended before it, and return their
+    product. One reduction, rest = product mod prod(batch), serves the
+    batch: rest leaves product's remainder mod each member, and it stays the
+    running product's residue as members are appended."""
+    modulus = prod(batch)
+    rest = product % modulus
+    fresh = 1
+    for c in batch:
+        if gcd(rest % c, c) == 1:
+            accepted.append(c)
+            fresh *= c
+            rest = rest * c % modulus
+    return fresh
 
 
 def _structure_violations(seq: CompactSequence) -> tuple[str, ...]:

@@ -36,6 +36,7 @@ from crthss.fileformat import (
     parse_param_file,
     share_file_text,
 )
+from crthss.params import _strong_lucas
 
 
 @pytest.fixture
@@ -368,7 +369,6 @@ def test_oversized_m0_bits_is_refused_before_the_prime_search(
     def no_primes(n):
         raise AssertionError("is_prime called")
 
-    monkeypatch.setattr("crthss.cli.is_prime", no_primes)
     monkeypatch.setattr("crthss.params.is_prime", no_primes)
     out = tmp_path / "x.json"
     assert main(["gen-params", "--m0-bits", bits, "--theta", theta, "--levels",
@@ -389,7 +389,6 @@ def test_m0_bits_above_the_cap_is_refused_before_the_prime_search(
         calls.append(n)
         return True  # any candidate passes, so the search ends at once
 
-    monkeypatch.setattr("crthss.cli.is_prime", spy)
     monkeypatch.setattr("crthss.params.is_prime", spy)
     out = tmp_path / "x.json"
     argv = ["gen-params", "--levels", "1,2", "--thresholds", "1,2", "--seed", "1",
@@ -403,6 +402,48 @@ def test_m0_bits_above_the_cap_is_refused_before_the_prime_search(
     assert not out.exists()
     assert main(argv + [str(MAX_M0_BITS)]) == 0
     assert calls[0].bit_length() == MAX_M0_BITS
+
+
+def _passing_prime_tests(monkeypatch):
+    """Every value that passes is_prime above 37, in call order: such a pass
+    ends with a passing strong Lucas test, whichever module called it."""
+    passed = []
+
+    def spy(n):
+        if _strong_lucas(n):
+            passed.append(n)
+            return True
+        return False
+
+    monkeypatch.setattr("crthss.params._strong_lucas", spy)
+    return passed
+
+
+@pytest.mark.parametrize("bits", [40, 512])
+def test_m0_bits_tests_m0_once(tmp_path, monkeypatch, capsys, bits):
+    # the search's BPSW proves m0 prime and hands it to the moduli draw;
+    # generate_compact_sequence used to test the same m0 a second time
+    passed = _passing_prime_tests(monkeypatch)
+    out = tmp_path / "x.json"
+    assert main(["gen-params", "--m0-bits", str(bits), "--levels", "10,40,150",
+                 "--thresholds", "5,20,60", "--seed", "1", "--out", str(out)]) == 0
+    m0 = int(read(out)["sequence"]["m0"])
+    assert m0.bit_length() == bits
+    assert passed == [m0]
+
+
+def test_m0_and_each_ladder_rung_are_tested_once(tmp_path, monkeypatch, capsys):
+    # an m0 the caller names is tested by generate_compact_sequence, once:
+    # the deal verdict of a generated sequence does not test it again
+    passed = _passing_prime_tests(monkeypatch)
+    params = tmp_path / "shape.json"
+    assert main(["gen-params", "--m0", "97", "--levels", "1,2", "--thresholds",
+                 "1,2", "--seed", "1", "--out", str(params)]) == 0
+    assert passed == [97]
+    passed.clear()
+    assert main(["audit", "--params", str(params), "--adversary", "2",
+                 "--ladder", "997,9973,99991", "--seed", "1"]) == 0
+    assert passed == [997, 9973, 99991]
 
 
 @pytest.mark.parametrize("m0_flag", [("--m0-bits", "2048"), ("--m0", "997")],
@@ -423,7 +464,6 @@ def test_bad_hierarchy_is_refused_before_the_prime_search(
     def no_primes(n):
         raise AssertionError("is_prime called")
 
-    monkeypatch.setattr("crthss.cli.is_prime", no_primes)
     monkeypatch.setattr("crthss.params.is_prime", no_primes)
     out = tmp_path / "x.json"
     assert main(["gen-params", *m0_flag, "--levels", levels, "--thresholds",
@@ -446,7 +486,6 @@ def test_bad_k_or_theta_is_refused_before_the_prime_search(
     def no_primes(n):
         raise AssertionError("is_prime called")
 
-    monkeypatch.setattr("crthss.cli.is_prime", no_primes)
     monkeypatch.setattr("crthss.params.is_prime", no_primes)
     out = tmp_path / "x.json"
     assert main(["gen-params", *m0_flag, "--levels", "1,2", "--thresholds", "1,2",
@@ -477,7 +516,6 @@ def test_bad_owf_flag_is_refused_before_the_prime_search(
     def no_primes(n):
         raise AssertionError("is_prime called")
 
-    monkeypatch.setattr("crthss.cli.is_prime", no_primes)
     monkeypatch.setattr("crthss.params.is_prime", no_primes)
     out = tmp_path / "x.json"
     assert main(["gen-params", "--m0-bits", "2048", "--levels", "1,2",

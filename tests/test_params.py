@@ -17,11 +17,18 @@ from crthss import (
     generate_compact_sequence,
     integer_root,
     is_prime,
+    random_prime,
     validate_hierarchy,
     validate_params,
 )
 from crthss.errors import IntervalExhausted, ThresholdOutOfRange
-from crthss.params import SMALL_PRODUCT, _candidate_order, _strong_lucas
+from crthss.params import (
+    SMALL_PRODUCT,
+    _BATCH,
+    _candidate_order,
+    _place,
+    _strong_lucas,
+)
 
 
 def _sequence_report(seq):
@@ -150,6 +157,21 @@ def test_is_prime_refuses_base_2_and_lucas_pseudoprimes():
     for e in (61, 89, 107, 127, 521):
         assert is_prime(2**e - 1)
         assert not is_prime((2**e - 1) * (2**61 - 1))
+
+
+@pytest.mark.parametrize("bits", [2, 3, 6, 8, 40, 64, 128, 256, 512])
+def test_random_prime_matches_the_unsieved_search(bits):
+    # the sieve refuses only candidates with a prime factor below them: the
+    # first prime drawn, and the draws taken, are those of BPSW alone
+    for seed in range(6):
+        ours, reference = random.Random(seed), random.Random(seed)
+        got = random_prime(bits, ours)
+        while True:
+            candidate = reference.getrandbits(bits) | (1 << (bits - 1)) | 1
+            if is_prime(candidate):
+                break
+        assert got == candidate and got.bit_length() == bits, seed
+        assert ours.getstate() == reference.getstate(), seed
 
 
 def test_compact_width_exact():
@@ -368,28 +390,94 @@ def test_generate_draws_and_memory_at_real_sizes(monkeypatch, bits):
     assert _sequence_report(seq).ok
 
 
+def _one_at_a_time(m0, n, k, theta, rng):
+    """Reference: the greedy pass over _candidate_order that tests each
+    candidate alone, by gcd(c, product) == 1 against m0 times every value
+    accepted before it. The sorted moduli or the IntervalExhausted message,
+    and the candidates read."""
+    lo, width = k * m0, compact_width(m0, theta)
+    accepted, product, read = [], m0, []
+    for c in _candidate_order(lo, width, rng):
+        read.append(c)
+        if gcd(c, product) == 1:
+            accepted.append(c)
+            product *= c
+            if len(accepted) == n:
+                return tuple(sorted(accepted)), read
+    return (f"interval ({lo}, {lo + width}) yielded only {len(accepted)} of "
+            f"{n} pairwise-coprime values"), read
+
+
+@pytest.mark.parametrize("bits", [16, 32, 40, 64, 128, 256])
+def test_generate_matches_one_at_a_time(monkeypatch, bits):
+    # the screen and the batches leave acceptance as the one-at-a-time pass
+    # has it: the same moduli or refusal, the same candidates read, and the
+    # same random draws, at batch edges (n = 7, 8, 9, 17) and at n = 200
+    calls = []
+    getrandbits = random.Random.getrandbits
+
+    def recording(self, k):
+        value = getrandbits(self, k)
+        calls.append((k, value))
+        return value
+
+    monkeypatch.setattr(random.Random, "getrandbits", recording)
+    read = _spy_order(monkeypatch)
+    m0 = _real_size_prime(bits)
+    outcomes = set()
+    for n in (1, 2, 7, 8, 9, 17, 200):
+        for theta in (Fraction(1, 2), Fraction(2, 3)):
+            for k, seed in ((1, 1), (1, 2), (3, 3)):
+                case = (n, theta, k, seed)
+                calls.clear()
+                read.clear()
+                try:
+                    got = generate_compact_sequence(m0, n, k, theta, seed).moduli
+                except IntervalExhausted as exc:
+                    got = str(exc)
+                got_calls = calls[:]
+                calls.clear()
+                want, want_read = _one_at_a_time(m0, n, k, theta, random.Random(seed))
+                assert got == want, case
+                assert read == want_read, case
+                assert got_calls == calls, case
+                outcomes.add(type(got))
+    assert outcomes == ({tuple, str} if bits == 16 else {tuple})
+
+
 @pytest.mark.parametrize("bits", [40, 256])
 def test_generate_screens_small_primes_before_the_product_gcd(monkeypatch, bits):
     # most candidates share a prime up to 37 with the running product; the
-    # screen refuses them without a gcd against that product, whose cost
-    # grows with every accepted value. Counted: gcd calls with an operand
-    # above both the small-prime product and every candidate, which only the
-    # running product (m0 times an accepted value or more) is
+    # screen refuses them before they reach a reduction of that product,
+    # whose cost grows with every accepted value, and once it passes
+    # _BATCH_BITS the rest share one reduction per batch. Counted: the
+    # reductions (calls of _place), the
+    # candidates each one tests, and gcd calls with an operand above both
+    # the small-prime product and any product of _BATCH candidates, which
+    # only the running product (m0 times eight accepted values or more) is
     n, theta = 200, Fraction(1, 2)
     m0 = _real_size_prime(bits)
-    top = max(SMALL_PRODUCT, m0 + compact_width(m0, theta))
+    top = max(SMALL_PRODUCT, (m0 + compact_width(m0, theta)) ** _BATCH)
     read = _spy_order(monkeypatch)
+    batches = []
     full = 0
+
+    def placing(batch, product, accepted):
+        batches.append(len(batch))
+        return _place(batch, product, accepted)
 
     def counting(*args):
         nonlocal full
         full += max(args) > top
         return gcd(*args)
 
+    monkeypatch.setattr("crthss.params._place", placing)
     monkeypatch.setattr("crthss.params.gcd", counting)
     seq = generate_compact_sequence(m0, n, 1, theta, 8)
     assert len(read) >= 5 * n
-    assert full <= 2 * n
+    assert sum(batches) <= 2 * n
+    assert len(batches) <= n // 4
+    assert full == 0
     assert _sequence_report(seq).ok
 
 
