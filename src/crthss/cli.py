@@ -275,13 +275,15 @@ def deal_command(args) -> int:
     params = _read(args.params, parse_param_file, "parameters")
     result = deal(args.secret, params, args.seed, args.emit_dealer_secrets)
     out_dir = Path(args.out_dir)
-    digest = params_digest(params)
+    # one rendering of the parameter file, hashed and embedded in the bundle
+    param_text = param_file_text(params)
+    digest = params_digest(params, param_text)
     files = {
         f"share_{share.participant:03d}.json":
             share_file_text(params.scheme, share, digest)
         for share in result.shares
     }
-    files["public_bundle.json"] = bundle_file_text(result.public)
+    files["public_bundle.json"] = bundle_file_text(result.public, param_text)
     if args.emit_dealer_secrets:
         files["dealer_secrets.json"] = canonical_dumps({
             "WARNING": "dealer secrets; test use only, never publish",

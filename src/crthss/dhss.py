@@ -33,7 +33,7 @@ import secrets
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .crt import crt_solve, remainders
+from .crt import GarnerFold, remainders
 from .errors import (
     InconsistentShares,
     InvalidParams,
@@ -205,7 +205,10 @@ def reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
     prefix product M >= B_l, so x is below B_l exactly when y is and every
     later residue matches: the full solve's verdict, from at most t_l fold
     steps. Shares with no lift below B_l cannot come from one deal and raise
-    InconsistentShares naming the level, never a value.
+    InconsistentShares naming the level, never a value. Each level's system
+    is a prefix of the gated shares' moduli, so one ``GarnerFold`` over them
+    serves every level: its block products find each level's prefix, and
+    its step inverses are worked out once, as far as the longest prefix.
 
     A set that fails raises NotAuthorized naming the failing levels; for a
     flat bundle it is TooFewShares, naming how many distinct shares came and
@@ -231,15 +234,13 @@ def reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
             f"not authorized; failing level(s): {list(failing)}",
             failing_levels=failing,
         )
+    fold = GarnerFold([s.modulus for s in unique])
     total = 0
     for level in levels if conjunctive else levels[:1]:
         bound = seq.prefix_product(hier.thresholds[level - 1])
         lifts, moduli = _level_lifts(unique, level, public)
-        solved, combined = 0, 1
-        while combined < bound and solved < len(moduli):
-            combined *= moduli[solved]
-            solved += 1
-        y = crt_solve(lifts[:solved], moduli[:solved])
+        solved = fold.prefix_reaching(bound, len(moduli))
+        y = fold.solve(lifts[:solved])
         residues = remainders(y, moduli[solved:])
         if y >= bound or residues != lifts[solved:]:
             raise InconsistentShares(

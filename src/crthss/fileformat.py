@@ -43,7 +43,7 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import inf
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Mapping, Optional
 
 from .dhss import PublicBundle, Share
 from .params import SCHEMES, CompactSequence, Hierarchy, SchemeParams, check_compactness
@@ -342,9 +342,12 @@ def parse_param_file(obj: Mapping) -> SchemeParams:
     return SchemeParams(sequence, hierarchy, family_tag, scheme)
 
 
-def params_digest(params: SchemeParams) -> str:
-    """The SHA-256 of the parameter file, in hex."""
-    return hashlib.sha256(param_file_text(params).encode()).hexdigest()
+def params_digest(params: SchemeParams, param_text: Optional[str] = None) -> str:
+    """The SHA-256 of the parameter file, in hex. ``param_text`` is that
+    file's text, when the caller has written it already."""
+    if param_text is None:
+        param_text = param_file_text(params)
+    return hashlib.sha256(param_text.encode()).hexdigest()
 
 
 # -- audit reports -----------------------------------------------------------
@@ -466,12 +469,15 @@ _W_ENTRY = ('{\n      "level": %d,\n      "participant": %d,\n'
             '      "value": "%d"\n    }')
 
 
-def bundle_file_text(public: PublicBundle) -> str:
+def bundle_file_text(public: PublicBundle, param_text: Optional[str] = None) -> str:
     """The bundle file of ``public``, from format strings around the text of
-    its parameter file, with its w entries in (participant, level) order."""
+    its parameter file, with its w entries in (participant, level) order.
+    ``param_text`` is that text, when the caller has written it already."""
     params = public.params
+    if param_text is None:
+        param_text = param_file_text(params)
     return _BUNDLE_FILE % (
-        param_file_text(params)[:-1].replace("\n", "\n  "),
+        param_text[:-1].replace("\n", "\n  "),
         params.scheme, FORMAT_VERSION,
         _list_text([_W_ENTRY % (level, i, value)
                     for (i, level), value in sorted(public.w.items())], "  "),

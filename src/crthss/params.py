@@ -124,7 +124,14 @@ def _jacobi(a: int, n: int) -> int:
 def _strong_lucas(n: int) -> bool:
     """Strong Lucas probable-prime test for odd n > 2, using Selfridge's
     parameters: the first D of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
-    Q = (1 - D) / 4. A square n has no such D."""
+    Q = (1 - D) / 4. A square n has no such D.
+
+    With n + 1 = d * 2^s, d odd, n passes when U_d = 0, or V_(d*2^r) = 0 for
+    some r < s, mod n. A ladder carries (V_k, V_(k+1), Q^k) along d's bits,
+    by V_2k = V_k^2 - 2Q^k and V_(2k+1) = V_k V_(k+1) - Q^k (P = 1): three
+    modular products per bit, and no halving. U_d itself is never formed:
+    since D U_d = 2 V_(d+1) - V_d and (D/n) = -1 makes D invertible mod n,
+    U_d = 0 exactly when 2 V_(d+1) = V_d."""
     if isqrt(n) ** 2 == n:
         return False
     D = 5
@@ -137,14 +144,15 @@ def _strong_lucas(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # U_k, V_k and Q^k mod n from k = 1 up to k = d along d's bits
-    half = (n + 1) // 2  # the inverse of 2 mod n
-    U, V, Qk = 1, 1, Q % n
+    # (V_k, V_(k+1), Q^k) mod n from k = 1 up to k = d along d's bits
+    V, W, Qk = 1, (1 - 2 * Q) % n, Q % n
     for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
         if bit == "1":
-            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
-    if U == 0 or V == 0:
+            Qk1 = Qk * Q  # Q^(k+1), for V_(2k+2) = V_(k+1)^2 - 2Q^(k+1)
+            V, W, Qk = (V * W - Qk) % n, (W * W - 2 * Qk1) % n, Qk * Qk1 % n
+        else:
+            V, W, Qk = (V * V - 2 * Qk) % n, (V * W - Qk) % n, Qk * Qk % n
+    if V == 0 or (2 * W - V) % n == 0:
         return True
     for _ in range(s - 1):
         V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n

@@ -1704,8 +1704,9 @@ def test_audit_single_pass_over_the_view(tmp_path, monkeypatch, capsys):
         return wrapper
 
     monkeypatch.setattr(crthss.dhss, "eval_owf", counted("owf", crthss.dhss.eval_owf))
-    for module in (crthss.analysis, crthss.dhss):
-        monkeypatch.setattr(module, "crt_solve", counted("crt", module.crt_solve))
+    # every CRT solve, crt_solve's and reconstruct's, is one GarnerFold.solve
+    monkeypatch.setattr(crthss.crt.GarnerFold, "solve",
+                        counted("crt", crthss.crt.GarnerFold.solve))
     assert main(["audit", "--params", str(path), "--adversary", "1,3,6,7",
                  "--secret", "717", "--seed", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -1976,6 +1977,30 @@ def test_deal_with_seed_prints_it(tmp_path, micro_param_file, capsys):
                  "--emit-dealer-secrets"]) == 0
     assert "seed: 9 (explicit)" in capsys.readouterr().out
     assert read(out_dir / "dealer_secrets.json")["seed"] == "9"
+
+
+def test_deal_renders_the_parameter_file_once(tmp_path, micro_param_file,
+                                               monkeypatch):
+    """The digest in every share file and the bundle's embedded parameters
+    come from one rendering of the parameter file, byte for byte the file
+    itself."""
+    rendered = []
+    render = crthss.fileformat.param_file_text
+
+    def spy(params):
+        rendered.append(render(params))
+        return rendered[-1]
+
+    monkeypatch.setattr(crthss.fileformat, "param_file_text", spy)
+    monkeypatch.setattr(crthss.cli, "param_file_text", spy)
+    out_dir = tmp_path / "d"
+    assert main(["deal", "--params", str(micro_param_file), "--secret", "4",
+                 "--seed", "9", "--out-dir", str(out_dir)]) == 0
+    text = micro_param_file.read_text()
+    assert rendered == [text]
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert read(out_dir / "share_001.json")["params_digest"] == digest
+    assert read(out_dir / "public_bundle.json")["params"] == json.loads(text)
 
 
 def test_inspect(tmp_path, micro_param_file, capsys):

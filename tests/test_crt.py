@@ -1,4 +1,5 @@
-"""CRT solver tests, cross-checked against exhaustive scans."""
+"""CRT solver tests, cross-checked against exhaustive scans and against the
+per-modulus form of Garner's fold."""
 
 import random
 import re
@@ -7,8 +8,9 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crthss.crt
 from crthss import crt_solve, mod_inverse
-from crthss.crt import product_tree, remainders
+from crthss.crt import _BLOCK, GarnerFold, product_tree, remainders
 from crthss.errors import ModuliNotPairwiseCoprime, NotCoprime
 
 
@@ -153,6 +155,134 @@ def test_crt_fold_names_a_shared_factor(first, second, scale):
     a, b, factor = map(int, re.findall(r"\d+", str(excinfo.value)))
     assert a in moduli and b in moduli
     assert gcd(a, b) == factor > 1
+
+
+def per_modulus_fold(residues, moduli):
+    """Oracle: Garner's fold one modulus at a time, each step reducing the
+    running solution and product, of the whole product's size, by m."""
+    value, combined = 0, 1
+    for i, (r, m) in enumerate(zip(residues, moduli, strict=True)):
+        try:
+            step = mod_inverse(combined, m)
+        except NotCoprime:
+            earlier = next(e for e in moduli[:i] if gcd(e, m) != 1)
+            raise ModuliNotPairwiseCoprime(
+                f"moduli {earlier} and {m} share factor {gcd(earlier, m)}"
+            ) from None
+        value += combined * ((r - value % m) * step % m)
+        combined *= m
+    return value
+
+
+def _outcome(solve, residues, moduli):
+    """The value, or the exception's type and message."""
+    try:
+        return solve(residues, moduli)
+    except (ValueError, ModuliNotPairwiseCoprime) as exc:
+        return type(exc), str(exc)
+
+
+def _drawn_system(rng, count, bits, coprime):
+    """count moduli of exactly ``bits`` bits, pairwise coprime where draws
+    allow it when ``coprime`` is set, and residues from -2m up to 2m."""
+    moduli = []
+    for _ in range(count):
+        for _ in range(100):
+            m = rng.getrandbits(bits) | (1 << (bits - 1))
+            if not coprime or all(gcd(m, o) == 1 for o in moduli):
+                break
+        moduli.append(m)
+    return [rng.randrange(-2 * m, 2 * m) for m in moduli], moduli
+
+
+@pytest.mark.parametrize("bits", [2, 64, 256, 512])
+def test_block_fold_matches_the_per_modulus_fold(bits):
+    """Systems of 0 to 13 moduli cross every block boundary; at 2 bits, and
+    in about a quarter of the unforced draws, moduli share a factor."""
+    assert _BLOCK == 4
+    rng = random.Random(bits)
+    errors = 0
+    for count in range(14):
+        for coprime in (True, False):
+            for _ in range(6):
+                residues, moduli = _drawn_system(rng, count, bits, coprime)
+                expected = _outcome(per_modulus_fold, residues, moduli)
+                assert _outcome(crt_solve, residues, moduli) == expected
+                errors += isinstance(expected, tuple)
+    assert errors
+
+
+def _malformed_cases():
+    rng = random.Random(8)
+    moduli = _coprime_moduli(rng, 13, 256)
+    residues = [rng.randrange(-m, 2 * m) for m in moduli]
+
+    def edited(**at):
+        out = list(moduli)
+        for key, value in at.items():
+            out[int(key[1:])] = value
+        return out
+
+    cases = {
+        # block 1 holds moduli 4..7
+        "factor-inside-a-block": edited(i6=moduli[4] * 3),
+        "factor-across-blocks": edited(i9=moduli[2] * 5),
+        "factor-at-the-last-modulus": edited(i12=moduli[11] * 7),
+        "below-2-before-a-factor": edited(i5=1, i6=moduli[4] * 3),
+        "below-2-after-a-factor": edited(i5=moduli[4] * 3, i6=0),
+        "negative-before-a-factor": edited(i3=-moduli[3], i9=moduli[8] * 3),
+        "zero-then-a-factor-in-one-block": edited(i4=0, i7=moduli[5] * 11),
+        "zero-first": edited(i0=0),
+    }
+    for name, bad in cases.items():
+        yield name, residues, bad
+    yield "one-residue-more", residues + [1], moduli
+    yield "one-residue-fewer", residues[:-1], moduli
+    yield "residues-only", [1], []
+    yield "moduli-only", [], [3]
+    yield "fewer-residues-and-a-factor", residues[:8], edited(i6=moduli[4] * 3)
+    # the block of moduli 4..7 has product 0, but its zero is never folded
+    yield "fewer-residues-and-a-later-zero", residues[:6], edited(i7=0)
+    yield "more-residues-and-a-zero", residues + [1], edited(i12=0)
+
+
+@pytest.mark.parametrize("name, residues, moduli", list(_malformed_cases()),
+                         ids=[case[0] for case in _malformed_cases()])
+def test_block_fold_refuses_as_the_per_modulus_fold(name, residues, moduli):
+    expected = _outcome(per_modulus_fold, residues, moduli)
+    assert isinstance(expected, tuple), name
+    assert _outcome(crt_solve, residues, moduli) == expected
+
+
+def test_fold_works_out_each_step_inverse_once(monkeypatch):
+    """Systems on prefixes of one fold share its step inverses, and a block
+    has those of the moduli some system has reached, no more."""
+    rng = random.Random(10)
+    residues, moduli = _drawn_system(rng, 13, 64, True)
+    inverses = []
+    inverse = crthss.crt.mod_inverse
+    monkeypatch.setattr(crthss.crt, "mod_inverse",
+                        lambda a, m: inverses.append(m) or inverse(a, m))
+    fold = GarnerFold(moduli)
+    for count, reached in ((5, 5), (7, 7), (3, 7), (13, 13), (0, 13)):
+        solution = fold.solve(residues[:count])
+        assert inverses == moduli[:reached]
+        assert solution == per_modulus_fold(residues[:count], moduli[:count])
+
+
+def test_fold_prefix_reaching_matches_a_running_product():
+    rng = random.Random(9)
+    moduli = _coprime_moduli(rng, 13, 64)
+    fold = GarnerFold(moduli)
+    for k in range(14):
+        exact = prod(moduli[:k])
+        for bound in (exact - 1, exact, exact + 1):
+            for limit in range(14):
+                solved, combined = 0, 1
+                while combined < bound and solved < limit:
+                    combined *= moduli[solved]
+                    solved += 1
+                assert fold.prefix_reaching(bound, limit) == solved
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 9, 200, 201])

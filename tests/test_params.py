@@ -26,6 +26,7 @@ from crthss.params import (
     SMALL_PRODUCT,
     _BATCH,
     _candidate_order,
+    _jacobi,
     _place,
     _strong_lucas,
 )
@@ -157,6 +158,65 @@ def test_is_prime_refuses_base_2_and_lucas_pseudoprimes():
     for e in (61, 89, 107, 127, 521):
         assert is_prime(2**e - 1)
         assert not is_prime((2**e - 1) * (2**61 - 1))
+
+
+def uv_strong_lucas(n):
+    """Oracle: the strong Lucas test with Selfridge's parameters, carrying
+    (U_k, V_k, Q^k) along d's bits and halving by (n + 1) / 2."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (symbol := _jacobi(D, n)) != -1:
+        if symbol == 0 and gcd(D, n) < n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    half = (n + 1) // 2
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+# the first strong Lucas pseudoprimes under Selfridge's parameters (OEIS
+# A217255), as test_is_prime_refuses_base_2_and_lucas_pseudoprimes lists them
+A217255_HEAD = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519]
+
+
+def test_lucas_ladder_matches_the_uv_test_below_2e5():
+    passing_composites = []
+    for n in range(3, 200000, 2):
+        verdict = _strong_lucas(n)
+        assert verdict == uv_strong_lucas(n), n
+        if verdict and not is_prime(n):
+            passing_composites.append(n)
+    assert passing_composites[:len(A217255_HEAD)] == A217255_HEAD
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024, 2048])
+def test_lucas_ladder_matches_the_uv_test_at_size(bits):
+    """A seeded prime, a semiprime of two primes of half its size, and odd
+    draws, almost all of them composite."""
+    rng = random.Random(bits)
+    prime = random_prime(bits, rng)
+    semiprime = random_prime(bits // 2, rng) * random_prime(bits - bits // 2, rng)
+    odd = [rng.getrandbits(bits) | (1 << (bits - 1)) | 1 for _ in range(2)]
+    assert _strong_lucas(prime) and uv_strong_lucas(prime)
+    assert not _strong_lucas(semiprime) and not uv_strong_lucas(semiprime)
+    for n in odd:
+        assert _strong_lucas(n) == uv_strong_lucas(n)
 
 
 @pytest.mark.parametrize("bits", [2, 3, 6, 8, 40, 64, 128, 256, 512])

@@ -9,6 +9,11 @@ Reconstruction must refuse exactly when the full system of a level it solves
 has its solution at or above that level's dealer bound, and must return the
 oracle's secret otherwise (a wrong one, where a corrupt share meets no
 redundancy).
+
+A seeded 256-bit chss deal of (10,40,150)/(5,20,60) checks that one fold
+serves its three levels: each level's solution is that of its own system,
+the step inverses are worked out once, and a corrupt share is refused in
+the name of the level that sees it.
 """
 
 import random
@@ -17,6 +22,8 @@ from fractions import Fraction
 
 import pytest
 
+import crthss.crt
+import crthss.dhss
 from crthss import (
     CompactSequence,
     Hierarchy,
@@ -162,3 +169,52 @@ def test_a_bundle_modulus_of_1_is_refused(moduli):
     shares = [Share(i, 1, m, 38 % m) for i, m in enumerate(moduli, start=1)]
     with pytest.raises(ValueError, match=r"^modulus must be >= 2, got 1$"):
         reconstruct(shares, public)
+
+
+# -- one fold for every level ------------------------------------------------
+
+M0_256 = 2**256 - 189  # the largest 256-bit prime
+
+
+@pytest.fixture(scope="module")
+def chss_256():
+    """A seeded 256-bit chss deal of (10,40,150)/(5,20,60), its dealer
+    secrets kept."""
+    hierarchy = Hierarchy((10, 40, 150), (5, 20, 60))
+    sequence = generate_compact_sequence(M0_256, hierarchy.n, 1, Fraction(1, 2), 5)
+    params = SchemeParams(sequence=sequence, hierarchy=hierarchy, scheme="chss")
+    return deal(3**150 % M0_256, params, 6, keep_dealer_secrets=True)
+
+
+def test_one_fold_solves_every_level_as_its_own_system(chss_256, monkeypatch):
+    solved = []
+
+    class SpyFold(crthss.dhss.GarnerFold):
+        def solve(self, residues):
+            solved.append((list(residues), self.moduli[:len(residues)]))
+            return super().solve(residues)
+
+    inverses = []
+    inverse = crthss.crt.mod_inverse
+    monkeypatch.setattr(crthss.dhss, "GarnerFold", SpyFold)
+    monkeypatch.setattr(crthss.crt, "mod_inverse",
+                        lambda a, m: inverses.append(m) or inverse(a, m))
+    result = chss_256
+    assert reconstruct(result.shares, result.public) == 3**150 % M0_256
+    # one step inverse per modulus of level 3's prefix, shared by levels 1, 2
+    assert inverses == list(result.public.params.sequence.moduli[:60])
+    # each level's solved prefix is its first t_l shares, and its solution
+    # is the dealer's lift, as a separate solve of that system gives it
+    assert [len(residues) for residues, _ in solved] == [5, 20, 60]
+    for (residues, moduli), y in zip(solved, result.dealer_secrets["y"]):
+        assert crt_solve(residues, moduli) == y
+
+
+@pytest.mark.parametrize("participant, level", [(3, 1), (100, 3)],
+                         ids=["level-1-solved-prefix", "level-3-surplus"])
+def test_one_fold_names_the_level_of_a_corrupt_share(chss_256, participant, level):
+    shares = list(chss_256.shares)
+    bad = shares[participant - 1]
+    shares[participant - 1] = replace(bad, value=(bad.value + 1) % bad.modulus)
+    with pytest.raises(InconsistentShares, match=f"^level {level} shares disagree"):
+        reconstruct(shares, chss_256.public)
