@@ -271,37 +271,8 @@ class CompactSequence:
         return prod(self.moduli[:t])
 
 
-def _candidate_order(lo: int, width: int, rng: random.Random):
-    """Every candidate of the open interval (lo, lo + width) once, in seeded
-    uniform order: a Fisher-Yates shuffle of the offsets run forward and
-    placed lazily. Step i swaps position i with a uniform j in [i, count);
-    positions that hold other than their own offset live in a dict, so a pass
-    that reads r candidates costs r accepted draws and at most r entries at
-    any width. A draw below bound takes bits(bound) random bits and redraws
-    while the value is bound or more (at most twice on average): the
-    rejection loop behind Random.randrange, written out here so the order is
-    defined by this code and skips that method's argument checks."""
-    count = width - 1  # offsets 0 .. width - 2
-    getrandbits = rng.getrandbits
-    swapped: dict[int, int] = {}
-    for i in range(count):
-        bound = count - i
-        bits = bound.bit_length()
-        j = getrandbits(bits)
-        while j >= bound:
-            j = getrandbits(bits)
-        j += i
-        yield lo + 1 + swapped.get(j, j)
-        swapped[j] = swapped.pop(i, i)
-
-
 # the most candidates that one reduction of the running product serves
 _BATCH = 8
-# the size of the running product above which candidates are tested in
-# batches: below it a gcd with the product costs no more than a reduction,
-# and a batch's bookkeeping would cost more than it saves (the n = 3 draws
-# of an audit ladder at m0 up to 2^20 never pass it)
-_BATCH_BITS = 256
 
 
 def generate_compact_sequence(
@@ -309,17 +280,26 @@ def generate_compact_sequence(
 ) -> CompactSequence:
     """Draw n pairwise-coprime integers from (k*m0, k*m0 + floor(m0^theta)).
 
-    Candidates are scanned in seeded uniform random order, each at most once,
+    Candidates are read in seeded uniform random order, each at most once,
     and accepted greedily when coprime to m0 times everything already
-    accepted, then sorted ascending. The order is placed lazily, so draws and
-    memory grow with the candidates read, never with the interval: 128- and
-    256-bit m0 take the same path as small ones. Most refused candidates
-    share a prime up to 37 with that product: a gcd with `shared`, the
-    product of those small primes, refuses them without touching the product
-    itself, whose size grows with everything accepted. The candidates that
-    pass are tested by a gcd with the product until it passes _BATCH_BITS,
-    then in batches of up to _BATCH, never more than the moduli still to
-    place, against one reduction of the product per batch (`_place`).
+    accepted, then sorted ascending. The order is a forward Fisher-Yates
+    shuffle of the offsets, placed lazily: step i swaps position i with a
+    uniform j in [i, count), and positions that hold other than their own
+    offset live in a dict, so a pass that reads r candidates costs r
+    accepted draws and at most r entries at any width; 128- and 256-bit m0
+    take the same path as small ones. A draw below bound takes bits(bound)
+    random bits and redraws while the value is bound or more (at most twice
+    on average): the rejection loop behind Random.randrange, written out so
+    the order is defined here. bits(bound) is kept with `floor`, the power
+    of two of that size, which halves when bound falls below it.
+
+    Most refused candidates share a prime up to 37 with the product: a gcd
+    with `shared`, the product of those small primes, refuses them without
+    touching the product itself, whose size grows with everything accepted.
+    The candidates that pass join a batch of up to _BATCH, never more than
+    the moduli still to place, and each full batch is tested against one
+    reduction of the product (`_place`); a batch is placed whole, so the
+    read stops on the candidate where a pass testing each one alone stops.
     Neither the screen nor the batches change what is accepted, or which
     candidates are read: acceptance is exactly gcd(c, product) == 1 in the
     order read. m0 must pass BPSW here unless random_prime returned it,
@@ -338,36 +318,41 @@ def generate_compact_sequence(
         raise ValueError(f"n must be >= 1, got {n}")
     lo = k * m0
     width = compact_width(m0, theta)
-    rng = random.Random(rng_seed)
+    count = width - 1  # offsets 0 .. width - 2
+    getrandbits = random.Random(rng_seed).getrandbits
+    swapped: dict[int, int] = {}
+    get, pop = swapped.get, swapped.pop
+    bits = count.bit_length()
+    floor = 1 << bits >> 1
+    first = lo + 1
     accepted: list[int] = []
     product = m0
     shared = gcd(m0, SMALL_PRODUCT)  # the primes <= 37 dividing product
-    candidates = _candidate_order(lo, width, rng)
-    for c in candidates:
-        if gcd(c, shared) == 1 and gcd(c, product) == 1:
-            accepted.append(c)
-            product *= c
-            shared *= gcd(c, SMALL_PRODUCT)
-            if len(accepted) == n or product.bit_length() > _BATCH_BITS:
-                break
-    if len(accepted) < n:
-        batch: list[int] = []
-        # a batch is placed whole, so it holds no more than the moduli still
-        # to place: the read stops where the one-at-a-time pass stops
-        size = min(_BATCH, n - len(accepted))
-        for c in candidates:
-            if gcd(c, shared) == 1:
-                batch.append(c)
-                if len(batch) == size:
-                    fresh = _place(batch, product, accepted)
-                    if len(accepted) == n:
-                        break
-                    product *= fresh
-                    shared *= gcd(fresh, SMALL_PRODUCT)
-                    batch.clear()
-                    size = min(_BATCH, n - len(accepted))
-        else:
-            _place(batch, product, accepted)
+    batch: list[int] = []
+    size = min(_BATCH, n)
+    for i in range(count):
+        bound = count - i
+        if bound < floor:
+            floor >>= 1
+            bits -= 1
+        j = getrandbits(bits)
+        while j >= bound:
+            j = getrandbits(bits)
+        j += i
+        c = first + get(j, j)
+        swapped[j] = pop(i, i)
+        if gcd(c, shared) == 1:
+            batch.append(c)
+            if len(batch) == size:
+                fresh = _place(batch, product, accepted)
+                if len(accepted) == n:
+                    break
+                product *= fresh
+                shared *= gcd(fresh, SMALL_PRODUCT)
+                batch.clear()
+                size = min(_BATCH, n - len(accepted))
+    else:
+        _place(batch, product, accepted)
     if len(accepted) < n:
         raise IntervalExhausted(
             f"interval ({lo}, {lo + width}) yielded only {len(accepted)} of "

@@ -25,7 +25,6 @@ from crthss.errors import IntervalExhausted, ThresholdOutOfRange
 from crthss.params import (
     SMALL_PRODUCT,
     _BATCH,
-    _candidate_order,
     _jacobi,
     _place,
     _strong_lucas,
@@ -324,11 +323,40 @@ def _eager_order(lo, width, rng):
     return order
 
 
+def _candidate_order(lo: int, width: int, rng: random.Random):
+    """Reference: every candidate of the open interval (lo, lo + width) once,
+    in seeded uniform order: a Fisher-Yates shuffle of the offsets run
+    forward and placed lazily, the order generate_compact_sequence reads.
+    Step i swaps position i with a uniform j in [i, count); positions that
+    hold other than their own offset live in a dict, so a pass that reads r
+    candidates costs r accepted draws and at most r entries at any width. A
+    draw below bound takes bits(bound) random bits and redraws while the
+    value is bound or more (at most twice on average): the rejection loop
+    behind Random.randrange, written out here so the order is defined by
+    this code and skips that method's argument checks."""
+    count = width - 1  # offsets 0 .. width - 2
+    getrandbits = rng.getrandbits
+    swapped: dict[int, int] = {}
+    for i in range(count):
+        bound = count - i
+        bits = bound.bit_length()
+        j = getrandbits(bits)
+        while j >= bound:
+            j = getrandbits(bits)
+        j += i
+        yield lo + 1 + swapped.get(j, j)
+        swapped[j] = swapped.pop(i, i)
+
+
+# every width from 0 to 70, and both sides of each power-of-two edge of the
+# draw's bit count up to 2^13
+EDGE_WIDTHS = list(range(71)) + [2**j + d for j in range(1, 14) for d in (-1, 1)]
+
+
 def test_candidate_order_matches_eager_fisher_yates():
     # the same candidates, draw for draw, and the same state left behind, at
     # every power-of-two edge of the bit count
-    edges = list(range(71)) + [2**j + d for j in range(1, 14) for d in (-1, 1)]
-    for width in edges:
+    for width in EDGE_WIDTHS:
         for seed in (1, 2**40 + 3):
             expected, ours = random.Random(seed), random.Random(seed)
             eager = _eager_order(1000, width, expected)
@@ -336,10 +364,9 @@ def test_candidate_order_matches_eager_fisher_yates():
             assert ours.getstate() == expected.getstate(), (width, seed)
 
 
-def _eager_greedy(m0, n, k, theta, seed):
-    """The greedy pass over the eager order: the sorted moduli, or the
-    IntervalExhausted message."""
-    lo, width = k * m0, compact_width(m0, theta)
+def _eager_greedy(m0, n, lo, width, seed):
+    """The greedy pass over the eager order of (lo, lo + width): the sorted
+    moduli, or the IntervalExhausted message."""
     accepted, product = [], m0
     for c in _eager_order(lo, width, random.Random(seed)):
         if gcd(c, product) == 1:
@@ -351,32 +378,76 @@ def _eager_greedy(m0, n, k, theta, seed):
             f"{n} pairwise-coprime values")
 
 
-def test_generate_matches_eager_greedy_on_crowded_intervals():
+def _generated(m0, n, k, theta, seed):
+    """generate_compact_sequence's moduli, or its IntervalExhausted message."""
+    try:
+        return generate_compact_sequence(m0, n, k, theta, seed).moduli
+    except IntervalExhausted as exc:
+        return str(exc)
+
+
+def test_generate_matches_eager_greedy_on_crowded_intervals(monkeypatch):
     # intervals where the greedy pass reads most or all of the candidates:
     # the same moduli or the same refusal as a pass over the eager order
     outcomes = set()
     for m0, theta, n in [(97, Fraction(1, 2), 3), (97, Fraction(1, 2), 5),
                          (997, Fraction(2, 3), 8), (997, Fraction(2, 3), 20)]:
         for seed in range(6):
-            try:
-                got = generate_compact_sequence(m0, n, 1, theta, seed).moduli
-            except IntervalExhausted as exc:
-                got = str(exc)
-            assert got == _eager_greedy(m0, n, 1, theta, seed), (m0, n, seed)
+            got = _generated(m0, n, 1, theta, seed)
+            want = _eager_greedy(m0, n, m0, compact_width(m0, theta), seed)
+            assert got == want, (m0, n, seed)
             outcomes.add(type(got))
+    assert outcomes == {tuple, str}
+    # and at every width the reference order is checked at, with a batch of
+    # one, a batch one short of full, a full one, and a full one and one more;
+    # compact_width is replaced to give the interval (m0, m0 + width)
+    m0 = 10007
+    outcomes = set()
+    for width in EDGE_WIDTHS:
+        monkeypatch.setattr("crthss.params.compact_width", lambda *_: width)
+        for n in (1, 7, 8, 9):
+            for seed in (1, 2**40 + 3):
+                got = _generated(m0, n, 1, Fraction(1, 2), seed)
+                assert got == _eager_greedy(m0, n, m0, width, seed), (width, n, seed)
+                outcomes.add(type(got))
     assert outcomes == {tuple, str}
 
 
-def _spy_order(monkeypatch):
-    """Replace the candidate order with one that records what it yields."""
+def _record_draws(monkeypatch):
+    """Record every (k, value) that Random.getrandbits returns."""
+    calls = []
+    getrandbits = random.Random.getrandbits
+
+    def recording(self, k):
+        value = getrandbits(self, k)
+        calls.append((k, value))
+        return value
+
+    monkeypatch.setattr(random.Random, "getrandbits", recording)
+    return calls
+
+
+def _replayed_reads(lo, width, calls):
+    """The candidates a pass over (lo, lo + width) read, rebuilt from its
+    recorded getrandbits calls: the reference order, replayed on them, up to
+    the candidate whose draw was the last call. Every call is asked for with
+    the number of bits it was recorded with."""
+    used = 0
+
+    class Replay:
+        def getrandbits(self, k):
+            nonlocal used
+            recorded, value = calls[used]
+            assert k == recorded, used
+            used += 1
+            return value
+
     read = []
-
-    def spy(lo, width, rng):
-        for c in _candidate_order(lo, width, rng):
-            read.append(c)
-            yield c
-
-    monkeypatch.setattr("crthss.params._candidate_order", spy)
+    for c in _candidate_order(lo, width, Replay()):
+        read.append(c)
+        if used == len(calls):
+            break
+    assert used == len(calls)
     return read
 
 
@@ -385,9 +456,10 @@ def _spy_order(monkeypatch):
                          ids=["97-half", "997-two-thirds"])
 def test_generate_exhausts_every_candidate_once(monkeypatch, m0, theta, n):
     # IntervalExhausted only after every candidate was read, each once
-    read = _spy_order(monkeypatch)
+    calls = _record_draws(monkeypatch)
     with pytest.raises(IntervalExhausted, match=f"of {n} pairwise-coprime"):
         generate_compact_sequence(m0, n, 1, theta, 5)
+    read = _replayed_reads(m0, compact_width(m0, theta), calls)
     assert sorted(read) == list(range(m0 + 1, m0 + compact_width(m0, theta)))
 
 
@@ -416,21 +488,11 @@ def _real_size_prime(bits):
 def test_generate_draws_and_memory_at_real_sizes(monkeypatch, bits):
     # one accepted draw per candidate read, and memory for what was read,
     # whatever the width: floor(sqrt(m0)) runs from about 2^19 to 2^127
-    # candidates. The spy records every getrandbits call; step i of the order
-    # draws below bound = count - i, so the calls split into one run per
-    # candidate read: draws of bits(bound) bits of which only the last is
-    # below bound
+    # candidates. Step i of the order draws below bound = count - i, so the
+    # recorded getrandbits calls split into one run per candidate read:
+    # draws of bits(bound) bits of which only the last is below bound
     m0 = _real_size_prime(bits)
-    read = _spy_order(monkeypatch)
-    calls = []
-    getrandbits = random.Random.getrandbits
-
-    def recording(self, k):
-        value = getrandbits(self, k)
-        calls.append((k, value))
-        return value
-
-    monkeypatch.setattr(random.Random, "getrandbits", recording)
+    calls = _record_draws(monkeypatch)
     tracemalloc.start()
     try:
         seq = generate_compact_sequence(m0, 200, 1, Fraction(1, 2), 8)
@@ -444,6 +506,7 @@ def test_generate_draws_and_memory_at_real_sizes(monkeypatch, bits):
         if value < bound:
             accepted += 1
             bound -= 1
+    read = _replayed_reads(m0, count + 1, calls)
     assert accepted == len(read) >= 200
     assert calls[-1][1] <= bound  # the last call was an accepted draw
     assert peak < 512 * 2**10
@@ -473,16 +536,7 @@ def test_generate_matches_one_at_a_time(monkeypatch, bits):
     # the screen and the batches leave acceptance as the one-at-a-time pass
     # has it: the same moduli or refusal, the same candidates read, and the
     # same random draws, at batch edges (n = 7, 8, 9, 17) and at n = 200
-    calls = []
-    getrandbits = random.Random.getrandbits
-
-    def recording(self, k):
-        value = getrandbits(self, k)
-        calls.append((k, value))
-        return value
-
-    monkeypatch.setattr(random.Random, "getrandbits", recording)
-    read = _spy_order(monkeypatch)
+    calls = _record_draws(monkeypatch)
     m0 = _real_size_prime(bits)
     outcomes = set()
     for n in (1, 2, 7, 8, 9, 17, 200):
@@ -490,14 +544,11 @@ def test_generate_matches_one_at_a_time(monkeypatch, bits):
             for k, seed in ((1, 1), (1, 2), (3, 3)):
                 case = (n, theta, k, seed)
                 calls.clear()
-                read.clear()
-                try:
-                    got = generate_compact_sequence(m0, n, k, theta, seed).moduli
-                except IntervalExhausted as exc:
-                    got = str(exc)
+                got = _generated(m0, n, k, theta, seed)
                 got_calls = calls[:]
                 calls.clear()
                 want, want_read = _one_at_a_time(m0, n, k, theta, random.Random(seed))
+                read = _replayed_reads(k * m0, compact_width(m0, theta), got_calls)
                 assert got == want, case
                 assert read == want_read, case
                 assert got_calls == calls, case
@@ -509,16 +560,16 @@ def test_generate_matches_one_at_a_time(monkeypatch, bits):
 def test_generate_screens_small_primes_before_the_product_gcd(monkeypatch, bits):
     # most candidates share a prime up to 37 with the running product; the
     # screen refuses them before they reach a reduction of that product,
-    # whose cost grows with every accepted value, and once it passes
-    # _BATCH_BITS the rest share one reduction per batch. Counted: the
-    # reductions (calls of _place), the
-    # candidates each one tests, and gcd calls with an operand above both
-    # the small-prime product and any product of _BATCH candidates, which
-    # only the running product (m0 times eight accepted values or more) is
+    # whose cost grows with every accepted value, and the candidates that
+    # pass share one reduction per batch. Counted: the reductions (calls of
+    # _place), the candidates each one tests, and gcd calls with an operand
+    # above both the small-prime product and any product of _BATCH
+    # candidates, which only the running product (m0 times eight accepted
+    # values or more) is
     n, theta = 200, Fraction(1, 2)
     m0 = _real_size_prime(bits)
     top = max(SMALL_PRODUCT, (m0 + compact_width(m0, theta)) ** _BATCH)
-    read = _spy_order(monkeypatch)
+    calls = _record_draws(monkeypatch)
     batches = []
     full = 0
 
@@ -534,6 +585,7 @@ def test_generate_screens_small_primes_before_the_product_gcd(monkeypatch, bits)
     monkeypatch.setattr("crthss.params._place", placing)
     monkeypatch.setattr("crthss.params.gcd", counting)
     seq = generate_compact_sequence(m0, n, 1, theta, 8)
+    read = _replayed_reads(m0, compact_width(m0, theta), calls)
     assert len(read) >= 5 * n
     assert sum(batches) <= 2 * n
     assert len(batches) <= n // 4
