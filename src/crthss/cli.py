@@ -147,9 +147,12 @@ def _family_tag_arg(text: str) -> bytes:
 _READ_CHUNK = 1 << 16
 
 
-def _read(path, parse, what: str):
-    """``parse`` applied to the JSON file at ``path``; a file that cannot be
-    read or parsed raises ValueError("cannot read <what>: <reason>").
+def _read_each(paths, parse, what: str):
+    """Yield ``parse`` applied to the JSON file at each of ``paths``, in
+    turn; a file that cannot be read or parsed raises ValueError("cannot
+    read <what>: <reason>"), ``what.format(path)`` naming it, so no message
+    is built for a file that is read. The caller takes the files one by
+    one: a check it makes between two files comes before the second is read.
 
     The bytes are read with ``os.open`` and ``os.read`` until a read comes
     back empty, and decoded as strict UTF-8 before ``json.loads`` sees them:
@@ -161,24 +164,31 @@ def _read(path, parse, what: str):
     ValueError. The decoder recurses once per nesting level, so a file
     nested past the interpreter's recursion limit is refused like any other
     malformed file."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
+    for path in paths:
         try:
-            chunks = []
-            while chunk := os.read(fd, _READ_CHUNK):
-                chunks.append(chunk)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-        finally:
-            os.close(fd)
-        text = b"".join(chunks).decode("utf-8")
-        try:
-            obj = json.loads(text)
-        except RecursionError:
-            raise ValueError("the file nests too deeply") from None
-        return parse(obj)
-    except _FILE_ERRORS as exc:
-        raise ValueError(f"cannot read {what}: {exc}") from None
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                chunks = []
+                while chunk := os.read(fd, _READ_CHUNK):
+                    chunks.append(chunk)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+            finally:
+                os.close(fd)
+            text = b"".join(chunks).decode("utf-8")
+            try:
+                obj = json.loads(text)
+            except RecursionError:
+                raise ValueError("the file nests too deeply") from None
+            parsed = parse(obj)
+        except _FILE_ERRORS as exc:
+            raise ValueError(f"cannot read {what.format(path)}: {exc}") from None
+        yield parsed
+
+
+def _read(path, parse, what: str):
+    """The one file at ``path``, read and parsed as ``_read_each`` does."""
+    return next(_read_each((path,), parse, what))
 
 
 def _write_text(path, text: str, private: bool = False) -> None:
@@ -320,15 +330,13 @@ def deal_command(args) -> int:
 
 def reconstruct_command(args) -> int:
     public = _read(args.public, parse_bundle_file, "bundle")
-    label = public.params.scheme, params_digest(public.params)
+    scheme, digest = public.params.scheme, params_digest(public.params)
     shares = []
-    for path in args.shares:
-        share_scheme, share, share_digest = _read(
-            path, parse_share_file, f"share {path}"
-        )
+    for path, (share_scheme, share, share_digest) in zip(
+            args.shares, _read_each(args.shares, parse_share_file, "share {}")):
         # the scheme is part of the digested document, but a share file
         # carries both: an edited label alone is caught here
-        if (share_scheme, share_digest) != label:
+        if share_digest != digest or share_scheme != scheme:
             return _fail(
                 EXIT_DIGEST_MISMATCH,
                 f"share {path} does not belong to this bundle's parameters",
@@ -436,7 +444,7 @@ def audit_command(args) -> int:
 # -- inspect ---------------------------------------------------------------------
 
 def inspect_command(args) -> int:
-    obj = _read(args.file, lambda obj: obj, args.file)
+    obj = _read(args.file, lambda obj: obj, "{}")
     kind = "unknown"
     if isinstance(obj, dict):
         if {"sequence", "hierarchy"} <= obj.keys():

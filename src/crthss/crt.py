@@ -28,10 +28,11 @@ The product tree of a list of values (Bernstein, "Fast multiplication and
 its applications", 2008) serves the many-moduli work around the solve: its
 rows multiply neighbouring pairs, so n values of b bits cost products of
 balanced sizes instead of a running product that grows to n*b bits at every
-step. ``remainders`` walks it down to reduce one value by every modulus, and
-parameter validation checks pairwise coprimality with one gcd per internal
-node: the values are pairwise coprime exactly when, at every node, the
-products below its two children are coprime.
+step. ``remainders`` walks it down to reduce one value by every modulus
+(``tree_remainders`` walks a tree its caller already holds), and parameter
+validation checks pairwise coprimality with one gcd per internal node: the
+values are pairwise coprime exactly when, at every node, the products below
+its two children are coprime.
 """
 
 from math import gcd
@@ -186,16 +187,25 @@ def product_tree(values: Sequence[int], cap: Optional[int] = None) -> list[list[
 
 
 def remainders(x: int, moduli: Sequence[int]) -> list[int]:
-    """[x % m for m in moduli], walking down their product tree:
-    x is reduced by the nodes of the top row, then every node's remainder by
-    its children, so each step divides a number of about twice a node's
-    size instead of x itself. The tree stops at nodes above x, which would
-    leave it unchanged. Moduli below 2 are refused, as ``mod_inverse``
-    refuses them."""
+    """[x % m for m in moduli], walking down their product tree, built only
+    as far as ``tree_remainders`` descends it. Moduli below 2 are refused,
+    as ``mod_inverse`` refuses them."""
     if moduli:
         _check_modulus(min(moduli))
-    rows = product_tree(moduli, x)
-    rems = [x % m for m in rows[-1]]
-    for row in reversed(rows[:-1]):
+    return tree_remainders(x, product_tree(moduli, x))
+
+
+def tree_remainders(x: int, rows: list[list[int]]) -> list[int]:
+    """[x % m for m in rows[0]], given ``rows``, the product tree of those
+    moduli as ``product_tree`` builds it with any cap or none: x is reduced
+    by the nodes of the first row whose first value is above x (or of the
+    top row), then every node's remainder by its children, so each step
+    divides a number of about twice a node's size instead of x itself.
+    Higher rows are left alone: their nodes would leave x unchanged."""
+    top = 0
+    while top < len(rows) - 1 and rows[top][0] <= x:
+        top += 1
+    rems = [x % m for m in rows[top]]
+    for row in reversed(rows[:top]):
         rems = [rems[k // 2] % m for k, m in enumerate(row)]
     return rems

@@ -30,10 +30,11 @@ entering the solve.
 
 import random
 import secrets
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .crt import GarnerFold, remainders
+from .crt import GarnerFold, remainders, tree_remainders
 from .errors import (
     InconsistentShares,
     InvalidParams,
@@ -48,7 +49,10 @@ from .params import SchemeParams, scheme_violations
 
 @dataclass(frozen=True)
 class Share:
-    """One participant's private value together with its public coordinates."""
+    """One participant's private value together with its public coordinates.
+
+    A deal and a reconstruct build one per participant, passing the fields
+    by position, which costs less than by keyword."""
 
     participant: int
     level: int
@@ -99,7 +103,10 @@ def deal(
     (chss only), then alpha_1..alpha_m by level, then c_1..c_{N_{m-1}} by
     participant index. y_l mod m_i for every participant of the first N_l,
     which the top-level shares and the published offsets w[i, l] take, comes
-    from one remainder-tree walk per level.
+    from one remainder-tree walk per level; the top level's covers every
+    modulus and descends the sequence's own product tree (``seq.tree``),
+    which the deal verdict built for its coprimality check. Participants are
+    walked level by level, over each level's slice of the moduli.
 
     dealer_secrets (y_l and alpha_l per level, and chss's delta_l) is
     populated only when keep_dealer_secrets is set; it must never leave a
@@ -124,19 +131,25 @@ def deal(
         bound = seq.prefix_product(t)
         alphas.append(rng.randrange((bound - 1 - residue) // seq.m0 + 1))
         ys.append(residue + alphas[-1] * seq.m0)
-    lifted = [
-        remainders(y, seq.moduli[:upper]) for y, upper in zip(ys, hier.cumulative)
-    ]
-    n_masked = hier.n_masked
+    moduli, cumulative = seq.moduli, hier.cumulative
+    lifted = [remainders(y, moduli[:upper]) for y, upper in zip(ys[:-1], cumulative)]
+    lifted.append(tree_remainders(ys[-1], seq.tree))
+    tag, top, n_masked = params.family_tag, hier.m, hier.n_masked
     shares, w = [], {}
-    for i in range(1, hier.n + 1):
-        m_i, level = seq.modulus_of(i), hier.level_of(i)
-        value = rng.randrange(m_i) if i <= n_masked else lifted[-1][i - 1]
-        shares.append(Share(participant=i, level=level, modulus=m_i, value=value))
-        if i <= n_masked:
-            for lvl in range(level, hier.m + 1):
-                mask = eval_owf(params.family_tag, lvl, value, m_i)
+    # the levels below the top, whose participants are masked: (N_(l-1), N_l)
+    masked_levels = zip((0,) + cumulative, cumulative[:-1])
+    for level, (lower, upper) in enumerate(masked_levels, start=1):
+        for i, m_i in zip(range(lower + 1, upper + 1), moduli[lower:upper]):
+            value = rng.randrange(m_i)
+            shares.append(Share(i, level, m_i, value))
+            for lvl in range(level, top + 1):
+                mask = eval_owf(tag, lvl, value, m_i)
                 w[(i, lvl)] = (lifted[lvl - 1][i - 1] - mask) % m_i
+    shares += [
+        Share(i, top, m_i, value)
+        for i, m_i, value in zip(range(n_masked + 1, hier.n + 1),
+                                 moduli[n_masked:], lifted[-1][n_masked:])
+    ]
     kept.update(alpha=tuple(alphas), y=tuple(ys))
     return DealResult(tuple(shares), PublicBundle(params=params, w=w),
                       kept if keep_dealer_secrets else None)
@@ -171,16 +184,22 @@ def _level_lifts(
 
 def dedupe_shares(shares: Sequence[Share], params: SchemeParams) -> list[Share]:
     """The share gate: one share per participant, each checked against the
-    parameter set (participant range, modulus, level, value in [0, m_i)).
-    Messages name the participant, never a value."""
+    parameter set (participant range, modulus, level, value in [0, m_i)),
+    in the order given, and the distinct shares in participant order.
+    Messages name the participant, never a value. A participant in range is
+    looked up directly; one outside it is refused by ``modulus_of`` or
+    ``level_of``, in their words."""
     seq, hier = params.sequence, params.hierarchy
+    moduli, cumulative = seq.moduli, hier.cumulative
+    n_moduli, n = len(moduli), hier.n
     seen: dict[int, Share] = {}
     for s in shares:
         i = s.participant
-        modulus = seq.modulus_of(i)
+        modulus = moduli[i - 1] if 1 <= i <= n_moduli else seq.modulus_of(i)
         if s.modulus != modulus:
             raise ValueError(f"share for participant {i} carries the wrong modulus")
-        if s.level != hier.level_of(i):
+        level = bisect_left(cumulative, i) + 1 if 1 <= i <= n else hier.level_of(i)
+        if s.level != level:
             raise ValueError(f"share for participant {i} carries the wrong level")
         if not 0 <= s.value < modulus:
             raise ValueError(f"share value of participant {i} is not in [0, m_{i})")
@@ -221,7 +240,7 @@ def reconstruct(shares: Sequence[Share], public: PublicBundle) -> int:
         raise ValueError("; ".join(refused))
     flat, conjunctive = params.scheme == "ab", params.scheme == "chss"
     unique = dedupe_shares(shares, params)
-    members = {s.participant for s in unique}
+    members = [s.participant for s in unique]
     failing = hier.failing_levels(members)
     levels = [lvl for lvl in range(1, hier.m + 1) if lvl not in failing]
     if flat and failing:

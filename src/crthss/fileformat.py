@@ -40,6 +40,7 @@ dealer bound and the residues of the surplus shares.
 import hashlib
 import json
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import inf
@@ -169,13 +170,6 @@ def _digits(text):
         except ValueError:  # beyond the interpreter's integer-string digit limit
             pass
     return None
-
-
-def _residue(text, modulus: int):
-    """_digits(text) when it lies in [0, modulus), else None. Callers word
-    their own error, which never quotes the text: it may be a share value."""
-    value = _digits(text)
-    return value if value is not None and value < modulus else None
 
 
 # Readers of one field: each returns its value or raises a ValueError that
@@ -440,23 +434,38 @@ def share_file_text(scheme: str, share: Share, digest: str) -> str:
 
 
 def parse_share_file(obj: Mapping) -> tuple[str, Share, str]:
-    _exact_keys(obj, _SHARE_KEYS, "share file")
-    scheme = _check_version_scheme(obj, "share file")
+    """The scheme label, the share and the parameter digest a share file
+    holds. A reconstruct reads one per share, so each check is made here,
+    inline: a helper is called only to word a failing check. The modulus
+    and the value are read as ``_digits`` reads a text; errors name the
+    participant, never the value."""
+    if type(obj) is not dict or obj.keys() != _SHARE_KEYS:
+        _exact_keys(obj, _SHARE_KEYS, "share file")
+    version, scheme = obj["version"], obj["scheme"]
+    if type(version) is not int or version != FORMAT_VERSION or scheme not in SCHEMES:
+        _check_version_scheme(obj, "share file")
     participant, level = obj["participant"], obj["level"]
     if type(participant) is not int:
         raise ValueError("share file: participant is not a JSON integer")
     if type(level) is not int:
         raise ValueError("share file: level is not a JSON integer")
-    modulus = _digits(obj["modulus"])
-    if modulus is None:
+    modulus_text, value_text = obj["modulus"], obj["value"]
+    modulus = value = -1
+    try:
+        if (type(modulus_text) is str and modulus_text.isascii()
+                and modulus_text.encode().isdigit()):
+            modulus = int(modulus_text)
+        if (type(value_text) is str and value_text.isascii()
+                and value_text.encode().isdigit()):
+            value = int(value_text)
+    except ValueError:  # beyond the interpreter's integer-string digit limit
+        pass
+    if modulus < 0:
         raise ValueError("share file: modulus is not a decimal string")
-    # errors name the participant, never the value
-    value = _residue(obj["value"], modulus)
-    if value is None:
+    if not 0 <= value < modulus:
         raise ValueError(f"share file: value of participant {participant} is "
                          f"not an integer in [0, modulus)")
-    share = Share(participant=participant, level=level, modulus=modulus, value=value)
-    return scheme, share, obj["params_digest"]
+    return scheme, Share(participant, level, modulus, value), obj["params_digest"]
 
 
 # -- public bundle files -----------------------------------------------------
@@ -494,23 +503,30 @@ def parse_bundle_file(obj: Mapping) -> PublicBundle:
     params = parse_param_file(obj["params"])
     _require(params.scheme == scheme,
              "bundle file: scheme differs from embedded parameters")
-    # each key (i, l) has i below the top level and l from i's own level up;
-    # errors name the key, never the value
+    # each key (i, l) has i below the top level and l from i's own level up,
+    # bisect_left(cumulative, i) + 1; each entry is checked inline, as a
+    # share file is, and errors name the key, never the value
     hier, moduli = params.hierarchy, params.sequence.moduli
-    n_masked, m = hier.n_masked, hier.m
+    n_masked, m, cumulative = hier.n_masked, hier.m, hier.cumulative
     w: dict[tuple[int, int], int] = {}
     for entry in obj["w"]:
-        _exact_keys(entry, _W_ENTRY_KEYS, "w entry")
+        if type(entry) is not dict or entry.keys() != _W_ENTRY_KEYS:
+            _exact_keys(entry, _W_ENTRY_KEYS, "w entry")
         key = i, level = entry["participant"], entry["level"]
         if type(i) is not int or type(level) is not int:
             raise ValueError("bundle file: a w entry's participant or level "
                              "is not a JSON integer")
-        if not (1 <= i <= n_masked and hier.level_of(i) <= level <= m):
+        if not (1 <= i <= n_masked and bisect_left(cumulative, i) < level <= m):
             raise ValueError(f"bundle file: unexpected w entry {key}")
         if key in w:
             raise ValueError(f"bundle file: duplicate w entry {key}")
-        value = _residue(entry["value"], moduli[i - 1])
-        if value is None:
+        modulus, text, value = moduli[i - 1], entry["value"], -1
+        try:
+            if type(text) is str and text.isascii() and text.encode().isdigit():
+                value = int(text)
+        except ValueError:  # beyond the interpreter's integer-string digit limit
+            pass
+        if not 0 <= value < modulus:
             raise ValueError(f"bundle file: w entry {key} is not an integer "
                              f"in [0, m_{i})")
         w[key] = value

@@ -15,7 +15,7 @@ threshold is required) and flat ``ab``, the one-level case of both.
 """
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -251,7 +251,7 @@ class CompactSequence:
     generated: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
+        object.__setattr__(self, "moduli", tuple(map(int, self.moduli)))
         object.__setattr__(self, "theta", Fraction(self.theta))
 
     @property
@@ -269,6 +269,20 @@ class CompactSequence:
         if not 0 <= t <= self.n:
             raise ThresholdOutOfRange(f"t={t} with only {self.n} moduli")
         return prod(self.moduli[:t])
+
+    # set on the instance by the first read of ``tree``: a cached_property
+    # would write the instance ``__dict__``, after which every field read of
+    # the instance takes about four times as long (CPython 3.11)
+    _tree = None
+
+    @property
+    def tree(self) -> list[list[int]]:
+        """The rows of the moduli's product tree (``crt.product_tree``),
+        built on first use and kept with this sequence: the deal verdict's
+        coprimality check and the deal's top-level remainder walk share it."""
+        if self._tree is None:
+            object.__setattr__(self, "_tree", product_tree(self.moduli))
+        return self._tree
 
 
 # the most candidates that one reduction of the running product serves
@@ -384,13 +398,17 @@ def _place(batch: list[int], product: int, accepted: list[int]) -> int:
 
 
 def _structure_violations(seq: CompactSequence) -> tuple[str, ...]:
-    """Primality of m0, strict ordering, pairwise coprimality: the properties
-    dealing and reconstruction rely on. Coprimality is one gcd per internal
-    node of the product tree of (m0, m_1..m_n): every pair meets at exactly
-    one node, as a leaf below its left child and one below its right, and a
-    product is coprime to a value exactly when each factor is. Only a
-    failing node is descended to name its pairs. gcd, unlike a remainder,
-    gives 0 and negative entries of a malformed file the pairwise verdict."""
+    """Primality of m0, strict ordering, pairwise coprimality of (m0, m_1..m_n):
+    the properties dealing and reconstruction rely on. Coprimality is one gcd
+    per internal node of the moduli's product tree (``seq.tree``, which the
+    deal's lift walk takes over): every pair meets at exactly one node, as a
+    leaf below its left child and one below its right, and a product is
+    coprime to a value exactly when each factor is. m0 is checked against
+    the nodes of the top row, whose product is the root. Only a failing node
+    is descended to name its pairs, and only a failing m0 check is followed
+    by a gcd of m0 with each modulus; positions count in (m0, m_1..m_n).
+    gcd, unlike a remainder, gives 0 and negative entries of a malformed
+    file the pairwise verdict."""
     bad: list[str] = []
     if not is_prime(seq.m0):
         bad.append(f"m0 = {seq.m0} is not prime")
@@ -401,13 +419,16 @@ def _structure_violations(seq: CompactSequence) -> tuple[str, ...]:
                 f"not strictly increasing at position {idx}: "
                 f"{full[idx - 1]} >= {full[idx]}"
             )
-    rows = product_tree(full)
-    pairs = [
-        pair
+    m0, rows = seq.m0, seq.tree
+    pairs = []
+    if any(gcd(m0, node) != 1 for node in rows[-1]):
+        pairs = [(0, j) for j, m in enumerate(seq.moduli, start=1) if gcd(m0, m) != 1]
+    pairs += [
+        (i + 1, j + 1)
         for r, row in enumerate(rows)
         for k in range(1, len(row), 2)
         if gcd(row[k - 1], row[k]) != 1
-        for pair in _shared_pairs(rows, (r, k - 1), (r, k))
+        for i, j in _shared_pairs(rows, (r, k - 1), (r, k))
     ]
     bad += [
         f"gcd(m_{i}, m_{j}) = gcd({full[i]}, {full[j]}) = {gcd(full[i], full[j])}"
@@ -443,33 +464,31 @@ class Hierarchy:
     cumulative: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # total number of participants, N_m, derived once from level_sizes
     n: int = field(init=False, repr=False, compare=False)
+    # number of levels, derived once from level_sizes
+    m: int = field(init=False, repr=False, compare=False)
+    # participants below the top level, N_{m-1} (0 with one level): they hold
+    # random values and reach each level through published offsets
+    n_masked: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "level_sizes", tuple(int(v) for v in self.level_sizes))
         object.__setattr__(self, "thresholds", tuple(int(v) for v in self.thresholds))
         object.__setattr__(self, "cumulative", tuple(accumulate(self.level_sizes)))
         object.__setattr__(self, "n", sum(self.level_sizes))
-
-    @property
-    def m(self) -> int:
-        """Number of levels."""
-        return len(self.level_sizes)
-
-    @property
-    def n_masked(self) -> int:
-        """Participants below the top level, N_{m-1} (0 with one level): they
-        hold random values and reach each level through published offsets."""
-        return self.cumulative[-2] if self.m > 1 else 0
+        object.__setattr__(self, "m", len(self.level_sizes))
+        object.__setattr__(self, "n_masked", self.cumulative[-2] if self.m > 1 else 0)
 
     def failing_levels(self, members: Iterable[int]) -> tuple[int, ...]:
-        """Levels l whose threshold t_l the set misses inside the first N_l."""
-        got = set(members)
+        """Levels l whose threshold t_l the set misses inside the first N_l:
+        the distinct members up to N_l are counted by bisection of their
+        sorted list."""
+        got = sorted(set(members))
         return tuple(
             level
             for level, (upper, t) in enumerate(
                 zip(self.cumulative, self.thresholds), start=1
             )
-            if sum(1 for i in got if i <= upper) < t
+            if bisect_right(got, upper) < t
         )
 
     def level_of(self, participant: int) -> int:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import crthss.crt
 from crthss import crt_solve, mod_inverse
-from crthss.crt import _BLOCK, GarnerFold, product_tree, remainders
+from crthss.crt import _BLOCK, GarnerFold, product_tree, remainders, tree_remainders
 from crthss.errors import ModuliNotPairwiseCoprime, NotCoprime
 
 
@@ -333,3 +333,23 @@ def test_remainders_match_direct_reduction(moduli, data):
         st.integers(-total * 2**70, -1),
     ))
     assert remainders(x, moduli) == [x % m for m in moduli]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 200])
+def test_tree_remainders_on_a_full_tree(n):
+    """The walk down given rows, as a deal walks its sequence's whole tree:
+    at every cap boundary (x just below and just above each row's first
+    node), at 0, and at or above the root it gives every x mod m."""
+    rng = random.Random(n)
+    moduli = sorted(rng.sample(range(2**64, 2**64 + 2**40), n))
+    rows = product_tree(moduli)
+    root = prod(rows[-1])
+    xs = {0, 1, root - 1, root, root + 1, 3 * root + 7, root**2}
+    for row in rows:
+        xs.update((row[0] - 1, row[0], row[0] + 1))
+    for x in sorted(xs):
+        want = [x % m for m in moduli]
+        assert tree_remainders(x, rows) == want, x
+        assert tree_remainders(x, product_tree(moduli, x)) == want, x
+        assert remainders(x, moduli) == want, x
+    assert tree_remainders(5, [[]]) == []

@@ -24,7 +24,7 @@ from crthss.errors import (
     NotUnauthorized,
     SecretOutOfRange,
 )
-from crthss.dhss import PublicBundle
+from crthss.dhss import PublicBundle, Share
 
 
 def all_authorized_sets(params):
@@ -216,3 +216,32 @@ def test_reconstruct_and_audit_apply_the_scheme_rule(scheme, message):
         reconstruct(dealt.shares, relabelled.public)
     with pytest.raises(InvalidParams, match=f"^{message}$"):
         enumerate_posterior(adversary_view(relabelled, {1, 3}))
+
+
+def test_share_is_a_frozen_dataclass():
+    # the share path builds Shares by position: keyword and positional
+    # construction, equality, hashing, immutability, replace, field order
+    # and repr are those of the frozen dataclass
+    keyword = Share(participant=3, level=2, modulus=1021, value=77)
+    positional = Share(3, 2, 1021, 77)
+    assert keyword == positional and hash(keyword) == hash(positional)
+    assert hash(keyword) == hash((3, 2, 1021, 77))
+    assert keyword != Share(3, 2, 1021, 78) and keyword != (3, 2, 1021, 77)
+    assert len({keyword, positional, Share(3, 2, 1021, 78)}) == 2
+    for name in ("participant", "level", "modulus", "value"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(keyword, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(keyword, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        keyword.extra = 1
+    assert dataclasses.is_dataclass(Share)
+    assert [f.name for f in dataclasses.fields(Share)] == [
+        "participant", "level", "modulus", "value"]
+    changed = dataclasses.replace(keyword, value=5)
+    assert changed == Share(3, 2, 1021, 5) and keyword.value == 77
+    assert repr(keyword) == "Share(participant=3, level=2, modulus=1021, value=77)"
+    with pytest.raises(TypeError):
+        Share(3, 2, 1021)
+    with pytest.raises(TypeError):
+        Share(3, 2, 1021, 77, 0)

@@ -25,8 +25,10 @@ from crthss import (
     deal,
     generate_compact_sequence,
 )
+from crthss import crt as crt_module
 from crthss import params as params_module
 from crthss.cli import main
+from crthss.crt import product_tree
 from crthss.errors import InvalidParams
 from crthss.fileformat import canonical_dumps, param_file_obj
 
@@ -209,3 +211,56 @@ def test_cli_reconstruct_runs_no_check(tmp_path, checks, capsys):
                      "--shares", *chosen]) == 0
         assert capsys.readouterr().out == "123\n"
     assert checks == [m0]
+
+
+# the coprimality tree is built over the moduli alone and m0 is checked
+# against the nodes of its top row: each refusal, word for word and in the
+# order of its pairs, positions counted in (m0, m_1..m_n)
+STRUCTURE_REFUSALS = [
+    # a modulus that is a multiple of m0
+    ((101, (103, 107, 109, 113, 202, 211, 223, 227, 229)),
+     ("gcd(m_0, m_5) = gcd(101, 202) = 101",)),
+    # two moduli that share a factor
+    ((101, (103, 105, 107, 109, 113, 127, 131, 175, 229)),
+     ("gcd(m_2, m_8) = gcd(105, 175) = 35",)),
+    # both at once
+    ((101, (103, 105, 107, 109, 113, 127, 131, 175, 303)),
+     ("gcd(m_0, m_9) = gcd(101, 303) = 101",
+      "gcd(m_2, m_8) = gcd(105, 175) = 35",
+      "gcd(m_2, m_9) = gcd(105, 303) = 3")),
+    # a composite m0 that shares a factor with moduli below both top nodes
+    ((105, (107, 108, 109, 113, 121, 127, 131, 137, 139, 143, 175)),
+     ("m0 = 105 is not prime",
+      "gcd(m_0, m_2) = gcd(105, 108) = 3",
+      "gcd(m_0, m_11) = gcd(105, 175) = 35",
+      "gcd(m_5, m_10) = gcd(121, 143) = 11")),
+]
+
+
+@pytest.mark.parametrize("sequence, refusals", STRUCTURE_REFUSALS)
+def test_structure_refusals_are_pinned(sequence, refusals):
+    m0, moduli = sequence
+    seq = CompactSequence(m0=m0, moduli=moduli)
+    assert params_module._structure_violations(seq) == refusals
+    assert seq.tree == product_tree(moduli)
+
+
+def test_a_deal_builds_one_tree_over_all_moduli(tmp_path, monkeypatch):
+    # the verdict builds the tree of all 200 moduli, and the top level's
+    # lift walk descends it: no second tree of all of them, and the lower
+    # levels' walks build theirs over their own prefixes only
+    sizes = []
+
+    def counting(values, cap=None):
+        sizes.append(len(values))
+        return product_tree(values, cap)
+
+    monkeypatch.setattr(params_module, "product_tree", counting)
+    monkeypatch.setattr(crt_module, "product_tree", counting)
+    sequence = generate_compact_sequence(2**256 - 189, 200, 1, Fraction(1, 2), 4)
+    params = SchemeParams(sequence, Hierarchy((10, 40, 150), (5, 20, 60)))
+    path = _write(tmp_path, "dhss", params)
+    sizes.clear()
+    assert main(["deal", "--params", str(path), "--secret", "123", "--seed", "5",
+                 "--out-dir", str(tmp_path / "deal")]) == 0
+    assert sorted(sizes) == [10, 50, 200]
